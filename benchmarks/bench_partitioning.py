@@ -6,9 +6,10 @@ primarily I/O bound, processing time scales linearly as the number of
 points increases."  It can also run on multiple nodes.
 
 Measured: partition time across a size sweep (fit the scaling
-exponent; the paper says linear), the serial vs multiprocess
-comparison, and the extrapolation of our per-particle rate to 100 M
-particles next to the paper's 7 minutes.
+exponent; the paper says linear) and the extrapolation of our
+per-particle rate to 100 M particles next to the paper's 7 minutes.
+The multi-node mode is benchmarked by ``bench_forest.py`` and
+``bench_sharded_store.py``.
 """
 
 import time
@@ -36,17 +37,6 @@ def test_partition_scaling(benchmark, n):
     benchmark.extra_info["n_particles"] = n
 
 
-def test_partition_parallel_workers(benchmark):
-    particles = _bunch(scaled(80_000))
-    benchmark.pedantic(
-        lambda: partition(
-            particles, "xyz", max_level=6, capacity=48, workers=4
-        ),
-        rounds=2,
-        iterations=1,
-    )
-
-
 def test_partition_report(benchmark):
     def measure():
         sizes = [scaled(20_000), scaled(40_000), scaled(80_000), scaled(160_000)]
@@ -58,17 +48,9 @@ def test_partition_report(benchmark):
             times.append(time.perf_counter() - t0)
         slope = np.polyfit(np.log(sizes), np.log(times), 1)[0]
         per_particle = times[-1] / sizes[-1]
+        return sizes, times, slope, per_particle
 
-        particles = _bunch(sizes[-1])
-        t0 = time.perf_counter()
-        partition(particles, "xyz", max_level=6, capacity=48)
-        t_serial = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        partition(particles, "xyz", max_level=6, capacity=48, workers=4)
-        t_par = time.perf_counter() - t0
-        return sizes, times, slope, per_particle, t_serial, t_par
-
-    sizes, times, slope, per_particle, t_serial, t_par = benchmark.pedantic(
+    sizes, times, slope, per_particle = benchmark.pedantic(
         measure, rounds=1, iterations=1
     )
     extrap_100m = per_particle * 100e6
@@ -81,7 +63,6 @@ def test_partition_report(benchmark):
             f"  log-log slope {slope:.2f} (paper: 1.0 = linear)",
             f"  extrapolated 100 M particles: {extrap_100m / 60:.1f} min "
             "(paper: ~7 min incl. disk I/O on a 2002 IBM SP)",
-            f"  serial {t_serial:.2f} s vs 4 workers {t_par:.2f} s at n={sizes[-1]}",
         ],
     )
     assert 0.7 < slope < 1.4, "partitioning must scale ~linearly"

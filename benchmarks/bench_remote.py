@@ -17,7 +17,7 @@ import pytest
 from common import record
 
 from repro.remote.client import VisualizationClient
-from repro.remote.server import VisualizationServer
+from repro.remote.service import VisualizationService
 
 BANDWIDTH = 20e6  # 20 MB/s "wide-area" link
 PERCENTILES = [30, 60, 90]
@@ -25,7 +25,7 @@ PERCENTILES = [30, 60, 90]
 
 @pytest.fixture(scope="module")
 def server(beam_partitioned):
-    with VisualizationServer([beam_partitioned], bandwidth_bps=BANDWIDTH) as srv:
+    with VisualizationService([beam_partitioned], bandwidth_bps=BANDWIDTH) as srv:
         yield srv
 
 

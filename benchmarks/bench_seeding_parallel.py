@@ -17,7 +17,6 @@ import pytest
 from common import record, scaled
 
 from repro.fieldlines.incremental import density_correlation
-from repro.fieldlines.parallel_seeding import seed_density_proportional_batched
 from repro.fieldlines.seeding import seed_density_proportional
 
 N_LINES = scaled(60)
@@ -38,7 +37,7 @@ def test_greedy_seeding(benchmark, structure3, mode3, e_sampler):
 @pytest.mark.parametrize("batch", BATCH_SIZES)
 def test_batched_seeding(benchmark, structure3, mode3, e_sampler, batch):
     benchmark.pedantic(
-        lambda: seed_density_proportional_batched(
+        lambda: seed_density_proportional(
             structure3.mesh, e_sampler, total_lines=N_LINES, batch_size=batch,
             max_steps=120, rng=np.random.default_rng(0),
         ),
@@ -60,7 +59,7 @@ def test_seeding_parallel_report(benchmark, structure3, mode3, e_sampler):
         rows = []
         for batch in BATCH_SIZES:
             t0 = time.perf_counter()
-            batched = seed_density_proportional_batched(
+            batched = seed_density_proportional(
                 structure3.mesh, e_sampler, total_lines=N_LINES,
                 batch_size=batch, max_steps=120, rng=np.random.default_rng(0),
             )

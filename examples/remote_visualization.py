@@ -18,7 +18,7 @@ from repro.core.dataset import as_dataset
 from repro.hybrid.renderer import HybridRenderer
 from repro.octree.partition import partition
 from repro.remote.client import VisualizationClient
-from repro.remote.server import VisualizationServer
+from repro.remote.service import VisualizationService
 from repro.render.camera import Camera
 from repro.render.image import write_ppm
 
@@ -43,8 +43,8 @@ def main() -> None:
     print(f"  {len(frames)} partitioned frames, raw size {raw_mb:.1f} MB each")
 
     # ---- the "desktop" side --------------------------------------------
-    with VisualizationServer(frames, bandwidth_bps=LINK_BPS) as server:
-        print(f"server on {server.address}, link {LINK_BPS / 1e6:.0f} MB/s")
+    with VisualizationService(frames, bandwidth_bps=LINK_BPS) as server:
+        print(f"service on {server.address}, link {LINK_BPS / 1e6:.0f} MB/s")
         with VisualizationClient(server.address) as client:
             steps = client.list_frames()
             print(f"available steps: {steps}")

@@ -33,8 +33,8 @@
 # 4-worker speedup floor on machines with >= 4 CPUs
 # (scripts/perf_gate.py --forest).
 #
-# --service runs the multi-tenant asyncio service suites (parity with
-# the classic server, coalescing cache, shedding, circuit breaker,
+# --service runs the multi-tenant asyncio service suites (byte parity
+# with the protocol codecs, coalescing cache, shedding, circuit breaker,
 # authenticated shutdown, seeded chaos fleet), then the chaos load
 # bench in a reduced smoke configuration (REPRO_SERVICE_CLIENTS=150;
 # the committed BENCH_service.json baseline is the full 1000-client

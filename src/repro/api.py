@@ -76,7 +76,6 @@ from repro.octree.partition import PartitionedFrame, partition
 from repro.octree.stream_partition import PartitionedStore, partition_store
 from repro.remote.client import VisualizationClient
 from repro.remote.loadgen import ChaosSchedule, FleetReport, run_fleet
-from repro.remote.server import VisualizationServer
 from repro.remote.service import VisualizationService
 from repro.render.amr import AmrRgbaVolume, amr_geometry_key, build_amr_geometry
 from repro.render.camera import Camera
@@ -156,7 +155,6 @@ __all__ = [
     "FrameGeometry",
     "FrameGeometryCache",
     "frame_geometry_cache",
-    "VisualizationServer",
     "VisualizationClient",
     # the multi-tenant asyncio service + chaos fleet (PR 7)
     "VisualizationService",

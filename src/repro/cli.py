@@ -109,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-level", type=int, default=bpipe_d["max_level"])
     p.add_argument("--capacity", type=int, default=bpipe_d["capacity"])
     p.add_argument("--workers", type=int, default=1,
-                   help="multiprocess partitioning with this many workers")
+                   help="multiprocess partitioning with this many workers "
+                        "(store input only)")
     p.add_argument("--checkpoint", default=None, metavar="DIR",
                    help="make the out-of-core partition resumable at "
                         "per-shard granularity (store input only)")
@@ -399,11 +400,18 @@ def _cmd_partition(args) -> int:
             f"{ps.store.n_shards} shards) at {args.out}"
         )
         return 0
+    if args.workers > 1:
+        print(
+            "repro: --workers applies to sharded store inputs; run "
+            f"`repro store create {args.frame} --out DIR` and partition DIR",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     dataset = open_dataset(args.frame)
-    with span("partition", workers=args.workers):
+    with span("partition"):
         pf = partition(
             dataset, args.plot_type, max_level=args.max_level,
-            capacity=args.capacity, workers=args.workers,
+            capacity=args.capacity,
         )
     nbytes = save_partitioned(pf, args.out)
     print(

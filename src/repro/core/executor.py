@@ -19,10 +19,12 @@ Recovery is visible in the tracer:
 - ``parallel_shard_retries``   -- shards resubmitted to a fresh pool
 - ``parallel_serial_fallbacks``-- shards finished serially in-parent
 
-Both multiprocess entry points of the package
-(:func:`repro.octree.partition.partition` with ``workers > 1`` and
-:func:`repro.fieldlines.seeding.seed_density_proportional` with
-``workers > 1``) run their shards through this function.
+Every multiprocess entry point of the package
+(:func:`repro.octree.stream_partition.partition_store`,
+:func:`repro.octree.forest.partition_forest` and its renderer,
+:func:`repro.fieldlines.seeding.seed_density_proportional` and
+:func:`repro.beams.scenario.sweep.run_sweep`, each with
+``workers > 1``) runs its shards through this function.
 """
 
 from __future__ import annotations

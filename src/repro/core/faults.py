@@ -19,8 +19,8 @@ Injectors and the seams they attack:
 ====================  ================================================
 injector              seam
 ====================  ================================================
-:class:`FaultySocket` wraps any socket (``VisualizationClient`` /
-                      ``VisualizationServer`` accept a ``fault_plan``)
+:class:`FaultySocket` wraps any socket (``VisualizationClient``
+                      accepts a ``fault_plan``)
                       and corrupts, truncates, delays, or drops the
                       byte stream
 :class:`CrashOnce`    picklable shard-function wrapper that hard-exits

@@ -22,7 +22,6 @@ compact       packed on-disk format and compression accounting
 """
 
 from repro.fieldlines.integrate import FieldLine, integrate_streamline, integrate_batch
-from repro.fieldlines.parallel_seeding import seed_density_proportional_batched
 from repro.fieldlines.resample import resample_line, resample_lines, tessellate_line
 from repro.fieldlines.ribbon import build_ribbons, render_ribbons
 from repro.fieldlines.timeseries import LineSequence
@@ -44,7 +43,6 @@ __all__ = [
     "OrderedFieldLines",
     "desired_line_counts",
     "seed_density_proportional",
-    "seed_density_proportional_batched",
     "resample_line",
     "resample_lines",
     "tessellate_line",

@@ -9,7 +9,9 @@ that pick the next seed.  This module relaxes that by one round: each
 round selects the ``batch_size`` *distinct* most-needy elements, seeds
 one line in each, and integrates all of them simultaneously through
 the vectorized batch tracer (the software analogue of farming lines
-out to cluster nodes).  Needs update between rounds.
+out to cluster nodes).  Needs update between rounds.  The entry point
+is :func:`repro.fieldlines.seeding.seed_density_proportional` with
+``batch_size`` (or ``workers``) greater than one.
 
 The approximation is mild: within a round, lines come from different
 elements, so they would rarely have affected each other's selection.
@@ -50,8 +52,6 @@ picklable for this path.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.core.executor import run_shards
@@ -65,7 +65,7 @@ from repro.fieldlines.seeding import (
 )
 from repro.fields.mesh import HexMesh
 
-__all__ = ["seed_density_proportional_batched"]
+__all__ = []
 
 
 def _integrate_shard(args):
@@ -126,33 +126,6 @@ def _stitch(forward: FieldLine, backward: FieldLine, field_fn, floor: float) -> 
     return FieldLine(points=pts, tangents=tangents, magnitudes=mags, termination=term)
 
 
-def seed_density_proportional_batched(
-    mesh: HexMesh,
-    field_fn,
-    total_lines: int = 200,
-    field_name: str = "E",
-    batch_size: int = 8,
-    step: float | None = None,
-    max_steps: int = 300,
-    min_magnitude_fraction: float = 1e-3,
-    rng=None,
-) -> OrderedFieldLines:
-    """Deprecated alias: use ``seed_density_proportional(...,
-    batch_size=N)`` (or ``workers=N``) instead."""
-    warnings.warn(
-        "seed_density_proportional_batched is deprecated; call "
-        "repro.fieldlines.seeding.seed_density_proportional(..., "
-        "batch_size=N) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _seed_batched(
-        mesh, field_fn, total_lines=total_lines, field_name=field_name,
-        batch_size=batch_size, step=step, max_steps=max_steps,
-        min_magnitude_fraction=min_magnitude_fraction, rng=rng,
-    )
-
-
 def _seed_batched(
     mesh: HexMesh,
     field_fn,
@@ -174,8 +147,6 @@ def _seed_batched(
     module docstring for the failure semantics); the line ordering and
     geometry are identical to the in-process batched path.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     rng = rng or np.random.default_rng(0)
     desired = desired_line_counts(mesh, field_name, total_lines)
     remaining = desired.copy()

@@ -167,6 +167,8 @@ def seed_density_proportional(
         supports ``loop_tolerance`` and ``on_line``, the batched path
         does not.
     """
+    if batch_size is not None and batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     n_batch = int(batch_size or workers)
     if n_batch > 1:
         if loop_tolerance is not None or on_line is not None:

@@ -21,13 +21,11 @@ octree      adaptive linear octree with Morton keys
 partition   the partitioning program (plot types, density sort)
 format      the two-part on-disk format (nodes file + particle file)
 extraction  threshold-density extraction into HybridFrame
-parallel    multiprocess partitioning (the paper's multi-node mode)
 """
 
 from repro.octree.octree import Octree, PLOT_TYPES, plot_columns
 from repro.octree.partition import PartitionedFrame, partition
 from repro.octree.extraction import extract, extraction_sizes
-from repro.octree.parallel import partition_parallel
 from repro.octree.repartition import repartition
 from repro.octree.disk_extraction import extract_from_disk
 from repro.octree.lod import LodHierarchy, build_lod
@@ -41,7 +39,6 @@ __all__ = [
     "partition",
     "extract",
     "extraction_sizes",
-    "partition_parallel",
     "repartition",
     "extract_from_disk",
     "LodHierarchy",

@@ -101,8 +101,6 @@ def partition(
     lo=None,
     hi=None,
     step=None,
-    workers: int = 1,
-    top_level: int = 1,
 ) -> PartitionedFrame:
     """Partition a particle frame into the two-part representation.
 
@@ -117,13 +115,9 @@ def partition(
     deprecated for one release -- now raise ``TypeError``.  For frames
     too large for RAM use
     :func:`repro.octree.stream_partition.partition_store`, which
-    produces the same partitioning out-of-core.
-
-    ``workers > 1`` selects the multiprocess path (the paper's
-    multi-node mode): the box is decomposed into ``8**top_level``
-    octants built by a pool of worker processes -- see
-    :mod:`repro.octree.parallel` for the equivalence guarantee.
-    ``lo``/``hi`` overrides apply to the serial path only.
+    produces the same partitioning out-of-core; its ``workers=N`` and
+    :func:`repro.octree.forest.partition_forest` are the multiprocess
+    paths (the paper's multi-node mode).
     """
     from repro.core.dataset import ParticleDataset
 
@@ -135,16 +129,7 @@ def partition(
         )
     if step is None:
         step = particles.step
-    particles = particles.to_array()
-
-    if workers > 1:
-        from repro.octree.parallel import _partition_parallel
-
-        return _partition_parallel(
-            particles, plot_type, max_level=max_level, capacity=capacity,
-            n_workers=workers, top_level=top_level, step=step,
-        )
-    particles = np.asarray(particles, dtype=np.float64)
+    particles = np.asarray(particles.to_array(), dtype=np.float64)
     if particles.ndim != 2 or particles.shape[1] != 6:
         raise ValueError("particles must be (N, 6)")
     columns = plot_columns(plot_type)

@@ -7,13 +7,12 @@ mean that the data can be more efficiently transferred from the
 computer where it was generated to a remote computer on a scientist's
 desk thousands of miles away."
 
-A :class:`VisualizationServer` holds partitioned frames (the
+A :class:`VisualizationService` holds partitioned frames (the
 supercomputer side); a :class:`VisualizationClient` requests hybrid
 extractions at a chosen threshold and receives them over a socket with
 an optional bandwidth throttle, so the bytes-per-frame /
-interactivity tradeoff can be measured.  :class:`VisualizationService`
-is the multi-tenant asyncio rebuild of the server -- same wire
-protocol, but with a shared coalescing result cache, admission
+interactivity tradeoff can be measured.  The service is a multi-tenant
+asyncio server with a shared coalescing result cache, admission
 control, per-session backpressure, and graceful shedding, sized for
 thousands of concurrent sessions.
 
@@ -21,8 +20,7 @@ Modules
 -------
 protocol   length-prefixed message framing and payload codecs
            (blocking-socket and asyncio-stream transports)
-server     the classic thread-per-connection data-side daemon
-service    the multi-tenant asyncio service (cache, admission
+service    the data-side multi-tenant asyncio service (cache, admission
            control, backpressure, circuit breaker, live stats)
 client     the desktop side (requests, timing, byte accounting,
            jittered retry, BUSY-aware backoff)
@@ -30,7 +28,6 @@ loadgen    seeded chaos client fleet for load/abuse testing
 """
 
 from repro.remote.protocol import Message, MessageType
-from repro.remote.server import VisualizationServer
 from repro.remote.service import VisualizationService
 from repro.remote.client import VisualizationClient
 from repro.remote.loadgen import ChaosSchedule, FleetReport, run_fleet
@@ -38,7 +35,6 @@ from repro.remote.loadgen import ChaosSchedule, FleetReport, run_fleet
 __all__ = [
     "Message",
     "MessageType",
-    "VisualizationServer",
     "VisualizationService",
     "VisualizationClient",
     "ChaosSchedule",

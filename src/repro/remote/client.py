@@ -1,6 +1,7 @@
 """The desktop-side visualization client.
 
-Requests hybrid extractions from a :class:`VisualizationServer`,
+Requests hybrid extractions from a
+:class:`~repro.remote.service.VisualizationService`,
 timing each transfer and accounting bytes -- the measurements behind
 the paper's claim that compact hybrid frames make remote exploration
 practical ("quickly transferring over a network", section 2.3).
@@ -82,7 +83,7 @@ class VisualizationClient:
 
     Parameters
     ----------
-    address : (host, port) of a :class:`VisualizationServer`
+    address : (host, port) of a :class:`VisualizationService`
     timeout : per-socket-operation timeout in seconds
     retries : extra attempts per request after the first
     backoff, backoff_max : base and cap of the decorrelated-jitter

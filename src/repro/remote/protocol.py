@@ -19,9 +19,8 @@ Payloads reuse the package's on-disk codecs (hybrid frames serialize
 with :meth:`HybridFrame.save`'s layout); requests are small structs.
 
 Both transports speak the same framing: the blocking socket functions
-(:func:`send_message` / :func:`recv_message`) serve the classic
-thread-per-connection :class:`~repro.remote.server.VisualizationServer`
-and the synchronous client, while the asyncio stream functions
+(:func:`send_message` / :func:`recv_message`) serve the synchronous
+client, while the asyncio stream functions
 (:func:`send_message_async` / :func:`recv_message_async`) serve the
 multi-tenant :class:`~repro.remote.service.VisualizationService`.
 Header validation is shared, so the two paths cannot drift.

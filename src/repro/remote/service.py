@@ -3,10 +3,9 @@
 The paper's remote argument -- data stays where it was generated, many
 analysts pull compact hybrid extractions over the wire -- only holds in
 production if one server survives many concurrent, partly misbehaving
-clients.  :class:`VisualizationService` is the serving rebuild of
-:class:`~repro.remote.server.VisualizationServer`: the same wire
-protocol v2, but designed for thousands of sessions on one event loop
-(the Szalay/Springel/Lemson shape -- one shared server streaming to
+clients.  :class:`VisualizationService` is the data-side server: it
+speaks wire protocol v2 and is designed for thousands of sessions on
+one event loop (the Szalay/Springel/Lemson shape -- one shared server streaming to
 many interactive clients from shared precomputed structures).
 
 Load-sharing and resilience machinery, in request order:
@@ -45,9 +44,9 @@ Load-sharing and resilience machinery, in request order:
   STATS reply with p50/p99 service times -- ``repro service stats``
   renders it.
 
-The service runs its event loop on a daemon thread, so the blocking
-``start()/stop()``/context-manager lifecycle matches the old server
-and the two are drop-in interchangeable for well-behaved clients.
+The service runs its event loop on a daemon thread behind a blocking
+``start()/stop()``/context-manager lifecycle, so tests, benches and
+the CLI drive it like any synchronous server.
 """
 
 from __future__ import annotations
@@ -364,7 +363,7 @@ class VisualizationService:
         return extract(frame, threshold, volume_resolution=resolution)
 
     # ------------------------------------------------------------------
-    # lifecycle (thread-hosted event loop; blocking API like the server)
+    # lifecycle (thread-hosted event loop behind a blocking API)
     # ------------------------------------------------------------------
     def start(self) -> "VisualizationService":
         """Start the event-loop thread; returns once the port is bound."""
@@ -412,6 +411,14 @@ class VisualizationService:
                 pass  # bind failure: start() raises, with address still None
         finally:
             try:
+                # reap cancelled session workers before the loop closes,
+                # as asyncio.run does, so none is finalized on a dead loop
+                pending = asyncio.all_tasks(loop)
+                for task in pending:
+                    task.cancel()
+                loop.run_until_complete(
+                    asyncio.gather(*pending, return_exceptions=True)
+                )
                 loop.run_until_complete(loop.shutdown_asyncgens())
             finally:
                 asyncio.set_event_loop(None)

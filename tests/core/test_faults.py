@@ -3,8 +3,8 @@
 These tests exercise the injectors themselves (deterministic streams,
 exactly-once crashes, torn-write atomicity) and the recovery machinery
 that consumes them: ``run_shards`` surviving worker death and the
-parallel partition producing identical frames with and without a
-crashed worker.
+parallel seeder producing identical lines with and without a crashed
+worker.
 """
 
 import warnings
@@ -133,30 +133,6 @@ class TestRunShards:
                 )
         assert results == [_square(t) for t in tasks]
         assert tracer.counters.get("parallel_serial_fallbacks", 0) == len(tasks)
-
-
-class TestParallelPartitionUnderCrash:
-    def test_worker_crash_yields_identical_frame(self, tmp_path):
-        """One 'node' dying mid-partition must not change the output."""
-        from repro.octree.parallel import _partition_parallel, _worker_build
-
-        rng = np.random.default_rng(5)
-        particles = np.vstack(
-            [rng.normal(0, 0.3, (3000, 6)), rng.normal(0, 1.5, (300, 6))]
-        )
-        clean = _partition_parallel(
-            particles, "xyz", max_level=5, capacity=32, n_workers=2
-        )
-        crashing = CrashOnce(_worker_build, tmp_path / "node.token")
-        with capture(enabled=True) as tracer:
-            survived = _partition_parallel(
-                particles, "xyz", max_level=5, capacity=32, n_workers=2,
-                _worker_fn=crashing,
-            )
-        assert tracer.counters.get("parallel_pool_breaks", 0) >= 1
-        survived.validate()
-        assert np.array_equal(survived.nodes, clean.nodes)
-        assert np.array_equal(survived.particles, clean.particles)
 
 
 class TestParallelSeedingUnderCrash:

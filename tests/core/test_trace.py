@@ -1,13 +1,10 @@
 """The structured-tracing subsystem: spans, counters, merge, export."""
 
 import json
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
 import pytest
 
-from repro.core.dataset import as_dataset
 from repro.core.trace import (
     Tracer,
     capture,
@@ -182,44 +179,6 @@ class TestExport:
         snap = t.snapshot()
         snap["spans"]["stage"]["count"] = 999
         assert t.spans["stage"]["count"] == 1
-
-
-class TestDeprecatedEntryPoints:
-    def test_partition_parallel_warns_and_matches(self):
-        from repro.octree.parallel import partition_parallel
-        from repro.octree.partition import partition
-
-        rng = np.random.default_rng(0)
-        particles = rng.normal(0.0, 0.4, (2000, 6))
-        with pytest.warns(DeprecationWarning):
-            old = partition_parallel(particles, "xyz", max_level=4,
-                                     capacity=32, n_workers=2)
-        new = partition(as_dataset(particles), "xyz", max_level=4, capacity=32, workers=2)
-        assert len(old.nodes) == len(new.nodes)
-        np.testing.assert_array_equal(old.particles, new.particles)
-
-    def test_seed_batched_warns(self, structure3, mode3, e_sampler):
-        from repro.fieldlines.parallel_seeding import (
-            seed_density_proportional_batched,
-        )
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            seed_density_proportional_batched(
-                structure3.mesh, e_sampler, total_lines=4, batch_size=2,
-                max_steps=30, rng=np.random.default_rng(0),
-            )
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-
-    def test_partition_workers_param_merges_serial_and_parallel(self):
-        from repro.octree.partition import partition
-
-        rng = np.random.default_rng(1)
-        particles = rng.normal(0.0, 0.4, (2000, 6))
-        serial = partition(as_dataset(particles), "xyz", max_level=4, capacity=32)
-        par = partition(as_dataset(particles), "xyz", max_level=4, capacity=32, workers=2)
-        assert len(serial.nodes) == len(par.nodes)
-        np.testing.assert_array_equal(serial.particles, par.particles)
 
 
 class TestPipelineTracing:

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from repro.fieldlines.incremental import density_correlation
-from repro.fieldlines.parallel_seeding import seed_density_proportional_batched
 from repro.fieldlines.seeding import seed_density_proportional
 
 
 @pytest.fixture(scope="module")
 def batched(structure3, mode3, e_sampler):
-    return seed_density_proportional_batched(
+    return seed_density_proportional(
         structure3.mesh, e_sampler, total_lines=40, batch_size=8,
         max_steps=100, rng=np.random.default_rng(5),
     )
@@ -30,8 +29,8 @@ class TestBatchedSeeding:
         assert mags[:k].mean() > mags[-k:].mean()
 
     def test_batch_size_one_is_greedy_like(self, structure3, mode3, e_sampler):
-        """batch_size=1 must follow the strict greedy element order."""
-        b1 = seed_density_proportional_batched(
+        """batch_size=1 is the strict greedy seeder."""
+        b1 = seed_density_proportional(
             structure3.mesh, e_sampler, total_lines=6, batch_size=1,
             max_steps=60, rng=np.random.default_rng(7),
         )
@@ -39,13 +38,9 @@ class TestBatchedSeeding:
             structure3.mesh, e_sampler, total_lines=6,
             max_steps=60, rng=np.random.default_rng(7),
         )
-        # same rng draws, same element picks -> same seeds, but the
-        # batch tracer integrates the two directions in the opposite
-        # order; compare the seed points (first point of the backward
-        # half in both)
+        assert len(b1.lines) == len(greedy.lines)
         for a, b in zip(b1.lines, greedy.lines):
-            shared = min(a.n_points, b.n_points)
-            assert shared >= 2
+            assert np.array_equal(a.points, b.points)
 
     def test_density_quality_close_to_greedy(self, structure3, mode3, e_sampler, batched):
         greedy = seed_density_proportional(
@@ -67,7 +62,7 @@ class TestBatchedSeeding:
 
     def test_bad_batch_size(self, structure3, e_sampler):
         with pytest.raises(ValueError):
-            seed_density_proportional_batched(
+            seed_density_proportional(
                 structure3.mesh, e_sampler, total_lines=4, batch_size=0
             )
 

@@ -17,8 +17,7 @@ import pytest
 from repro.core.dataset import as_dataset
 from repro.octree.partition import partition
 from repro.remote.client import VisualizationClient
-from repro.remote.server import VisualizationServer
-from repro.remote.service import CircuitBreaker, ResultCache
+from repro.remote.service import CircuitBreaker, ResultCache, VisualizationService
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +32,7 @@ class TestDegradationRecovery:
         """The old ratchet multiplied past the clamp every frame; now
         the factor stops exactly at the largest useful power of two."""
         thr = float(np.percentile(frames[0].nodes["density"], 60))
-        with VisualizationServer(frames) as server:
+        with VisualizationService(frames) as server:
             with VisualizationClient(
                 server.address, degrade_below_bps=1e15, min_resolution=8
             ) as client:
@@ -47,7 +46,7 @@ class TestDegradationRecovery:
         """A healed link walks the resolution back up (the lifetime
         average never recovered; the windowed estimate does)."""
         thr = float(np.percentile(frames[0].nodes["density"], 60))
-        with VisualizationServer(frames) as server:
+        with VisualizationService(frames) as server:
             with VisualizationClient(
                 server.address,
                 degrade_below_bps=1e15,
@@ -69,7 +68,7 @@ class TestDegradationRecovery:
     def test_upshift_needs_a_healthy_streak(self, frames):
         """Hysteresis: one good frame does not flap the quality back."""
         thr = float(np.percentile(frames[0].nodes["density"], 60))
-        with VisualizationServer(frames) as server:
+        with VisualizationService(frames) as server:
             with VisualizationClient(
                 server.address,
                 degrade_below_bps=1e15,
@@ -95,7 +94,7 @@ class TestDegradationRecovery:
 
     def test_windowed_estimate_forgets_incidents(self, frames):
         thr = float(np.percentile(frames[0].nodes["density"], 60))
-        with VisualizationServer(frames) as server:
+        with VisualizationService(frames) as server:
             with VisualizationClient(
                 server.address, throughput_window=2
             ) as client:

@@ -249,7 +249,8 @@ class TestCodecs:
 
 class TestAsyncFraming:
     """The asyncio-stream transport frames identically to the
-    blocking-socket one (the service and the old server interoperate)."""
+    blocking-socket one (the asyncio service and the blocking client
+    interoperate)."""
 
     @staticmethod
     def _run(coro):

@@ -1,4 +1,4 @@
-"""Server/client integration over localhost sockets."""
+"""Service/client integration over localhost sockets."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from repro.core.dataset import as_dataset
 from repro.octree.extraction import extract
 from repro.octree.partition import partition
 from repro.remote.client import VisualizationClient
-from repro.remote.server import VisualizationServer
+from repro.remote.service import VisualizationService
 
 
 @pytest.fixture(scope="module")
@@ -24,14 +24,14 @@ def frames():
 
 class TestRemote:
     def test_list_frames(self, frames):
-        with VisualizationServer(frames) as server:
+        with VisualizationService(frames) as server:
             with VisualizationClient(server.address) as client:
                 assert client.list_frames() == [0, 10]
 
     def test_extraction_matches_local(self, frames):
         thr = float(np.percentile(frames[0].nodes["density"], 60))
         local = extract(frames[0], thr, volume_resolution=16)
-        with VisualizationServer(frames) as server:
+        with VisualizationService(frames) as server:
             with VisualizationClient(server.address) as client:
                 remote = client.get_hybrid(0, thr, resolution=16)
         assert remote.n_points == local.n_points
@@ -40,7 +40,7 @@ class TestRemote:
 
     def test_stats_accumulate(self, frames):
         thr = float(np.percentile(frames[0].nodes["density"], 50))
-        with VisualizationServer(frames) as server:
+        with VisualizationService(frames) as server:
             with VisualizationClient(server.address) as client:
                 client.get_hybrid(0, thr, resolution=8)
                 client.get_hybrid(1, thr, resolution=8)
@@ -54,7 +54,7 @@ class TestRemote:
         for: lower threshold, smaller transfer."""
         lo = float(np.percentile(frames[0].nodes["density"], 20))
         hi = float(np.percentile(frames[0].nodes["density"], 95))
-        with VisualizationServer(frames) as server:
+        with VisualizationService(frames) as server:
             with VisualizationClient(server.address) as client:
                 small = len_of = client.get_hybrid(0, lo, resolution=8)
                 bytes_small = client.stats["bytes_received"]
@@ -63,24 +63,24 @@ class TestRemote:
         assert bytes_large > bytes_small
 
     def test_bad_index_returns_error(self, frames):
-        with VisualizationServer(frames) as server:
+        with VisualizationService(frames) as server:
             with VisualizationClient(server.address) as client:
                 with pytest.raises(RuntimeError, match="out of range"):
                     client.get_hybrid(99, 1.0)
 
     def test_multiple_sequential_clients(self, frames):
-        with VisualizationServer(frames) as server:
+        with VisualizationService(frames) as server:
             for _ in range(3):
                 with VisualizationClient(server.address) as client:
                     assert client.list_frames() == [0, 10]
 
     def test_throttled_link_slower(self, frames):
         thr = float(np.percentile(frames[0].nodes["density"], 80))
-        with VisualizationServer(frames) as fast_server:
+        with VisualizationService(frames) as fast_server:
             with VisualizationClient(fast_server.address) as c:
                 c.get_hybrid(0, thr, resolution=16)
                 fast = c.stats["seconds"]
-        with VisualizationServer(frames, bandwidth_bps=1_000_000) as slow_server:
+        with VisualizationService(frames, bandwidth_bps=1_000_000) as slow_server:
             with VisualizationClient(slow_server.address) as c:
                 c.get_hybrid(0, thr, resolution=16)
                 slow = c.stats["seconds"]

@@ -1,12 +1,16 @@
-"""Server lifecycle and edge cases."""
+"""Service lifecycle and edge cases not covered by ``test_service.py``."""
+
+import socket
 
 import numpy as np
 import pytest
 
 from repro.core.dataset import as_dataset
 from repro.octree.partition import partition
+from repro.remote import protocol
 from repro.remote.client import VisualizationClient
-from repro.remote.server import VisualizationServer
+from repro.remote.protocol import Message, MessageType
+from repro.remote.service import VisualizationService
 
 
 @pytest.fixture(scope="module")
@@ -17,22 +21,24 @@ def one_frame():
 
 class TestLifecycle:
     def test_stop_idempotent(self, one_frame):
-        server = VisualizationServer(one_frame).start()
-        server.stop()
-        server.stop()  # second stop must not raise
+        service = VisualizationService(one_frame).start()
+        with VisualizationClient(service.address) as client:
+            client.list_frames()
+        service.stop()
+        service.stop()  # second stop must not raise
 
     def test_context_manager_cleans_up(self, one_frame):
-        with VisualizationServer(one_frame) as server:
-            address = server.address
+        with VisualizationService(one_frame) as service:
+            with VisualizationClient(service.address) as client:
+                client.list_frames()
+            address = service.address
         # after exit the port no longer accepts connections
-        import socket
-
         with pytest.raises(OSError):
             socket.create_connection(address, timeout=0.5)
 
     def test_port_zero_assigns_free_port(self, one_frame):
-        a = VisualizationServer(one_frame).start()
-        b = VisualizationServer(one_frame).start()
+        a = VisualizationService(one_frame).start()
+        b = VisualizationService(one_frame).start()
         try:
             assert a.address[1] != b.address[1]
         finally:
@@ -40,40 +46,36 @@ class TestLifecycle:
             b.stop()
 
     def test_request_counting(self, one_frame):
-        with VisualizationServer(one_frame) as server:
-            with VisualizationClient(server.address) as client:
+        with VisualizationService(one_frame) as service:
+            with VisualizationClient(service.address) as client:
                 client.list_frames()
                 client.list_frames()
-            assert server.stats["requests"] == 2
-            assert server.stats["bytes_sent"] > 0
+            assert service.stats["requests"] == 2
+            assert service.stats["bytes_sent"] > 0
 
     def test_client_reconnect_after_disconnect(self, one_frame):
-        with VisualizationServer(one_frame) as server:
-            with VisualizationClient(server.address) as c1:
+        with VisualizationService(one_frame) as service:
+            with VisualizationClient(service.address) as c1:
                 c1.list_frames()
-            with VisualizationClient(server.address) as c2:
+            with VisualizationClient(service.address) as c2:
                 assert c2.list_frames() == [0]
 
     def test_empty_store(self):
-        with VisualizationServer([]) as server:
-            with VisualizationClient(server.address) as client:
+        with VisualizationService([]) as service:
+            with VisualizationClient(service.address) as client:
                 assert client.list_frames() == []
                 with pytest.raises(RuntimeError, match="out of range"):
                     client.get_hybrid(0, 1.0)
+                # the failed lookup leaves the session usable
+                assert client.list_frames() == []
 
 
 class TestShutdownAuthorization:
-    """SHUTDOWN without the server-generated token must be inert
-    (satellite: the unauthenticated-shutdown hole)."""
+    """SHUTDOWN without the service-generated token must be inert."""
 
     def test_hostile_shutdown_cannot_stop_server(self, one_frame):
-        import socket
-
-        from repro.remote import protocol
-        from repro.remote.protocol import Message, MessageType
-
-        with VisualizationServer(one_frame) as server:
-            hostile = socket.create_connection(server.address, timeout=2.0)
+        with VisualizationService(one_frame) as service:
+            hostile = socket.create_connection(service.address, timeout=2.0)
             try:
                 protocol.send_message(
                     hostile, Message(MessageType.SHUTDOWN, b"let me in")
@@ -83,23 +85,31 @@ class TestShutdownAuthorization:
                 assert b"unauthorized" in reply.payload
             finally:
                 hostile.close()
-            # the server is still serving new connections afterwards
-            with VisualizationClient(server.address) as client:
+            # the service still accepts new connections afterwards
+            with VisualizationClient(service.address) as client:
                 assert client.list_frames() == [0]
-            assert server.stats["unauthorized_shutdowns"] == 1
+            assert service.stats["unauthorized_shutdowns"] == 1
 
     def test_shutdown_poke_not_counted_as_request(self, one_frame):
-        """stop()'s authorized poke must not skew the request ledger."""
-        server = VisualizationServer(one_frame).start()
-        with VisualizationClient(server.address) as client:
+        """An authorized SHUTDOWN must not skew the request ledger."""
+        service = VisualizationService(one_frame).start()
+        with VisualizationClient(service.address) as client:
             client.list_frames()
-        server.stop()
-        assert server.stats["requests"] == 1
-        assert server.stats["unauthorized_shutdowns"] == 0
+        poke = socket.create_connection(service.address, timeout=2.0)
+        try:
+            protocol.send_message(
+                poke, Message(MessageType.SHUTDOWN, service.shutdown_token)
+            )
+        finally:
+            poke.close()
+        service._thread.join(timeout=10.0)
+        service.stop()
+        assert service.stats["requests"] == 1
+        assert service.stats["unauthorized_shutdowns"] == 0
 
     def test_get_stats_over_the_wire(self, one_frame):
-        with VisualizationServer(one_frame) as server:
-            with VisualizationClient(server.address) as client:
+        with VisualizationService(one_frame) as service:
+            with VisualizationClient(service.address) as client:
                 client.list_frames()
                 stats = client.get_stats()
         assert stats["requests"] >= 2  # LIST_FRAMES + GET_STATS

@@ -1,12 +1,12 @@
 """The multi-tenant asyncio service: parity, coalescing, shedding,
 breaker, authenticated shutdown, lifecycle.
 
-The service must be drop-in interchangeable with the classic
-:class:`VisualizationServer` for well-behaved clients (byte-identical
-HYBRID_FRAME payloads on the same wire protocol) while adding the
-multi-tenant machinery: shared coalescing cache, admission control,
+The service's replies must be byte-identical to the protocol codecs
+applied to a local extraction (HYBRID_FRAME, FRAME_LIST), while the
+multi-tenant machinery -- shared coalescing cache, admission control,
 bounded queues with BUSY shedding, per-frame circuit breaker, and a
-token-authenticated SHUTDOWN.
+token-authenticated SHUTDOWN -- stays invisible to well-behaved
+clients.
 """
 
 import socket
@@ -24,7 +24,6 @@ from repro.octree.partition import partition
 from repro.remote import protocol
 from repro.remote.client import VisualizationClient
 from repro.remote.protocol import Message, MessageType
-from repro.remote.server import VisualizationServer
 from repro.remote.service import CircuitBreaker, ResultCache, VisualizationService
 
 CLIENT_KW = dict(timeout=2.0, retries=20, backoff=0.001, backoff_max=0.02)
@@ -56,26 +55,25 @@ def _raw_request(address, message, timeout=5.0):
 
 class TestParity:
     def test_hybrid_payload_byte_identical_to_old_server(self, frames):
-        """Same request, same bytes: the service can replace the server
-        under existing clients without any visible difference."""
+        """Same request, same bytes: the served payload is exactly the
+        codec applied to a local extraction -- caching, coalescing and
+        admission leave no trace on the wire."""
         thr = float(np.percentile(frames[0].nodes["density"], 60))
         request = Message(
             MessageType.GET_HYBRID, protocol.encode_get_hybrid(0, thr, 16)
         )
-        with VisualizationServer(frames) as server:
-            old = _raw_request(server.address, request)
         with VisualizationService(frames) as service:
-            new = _raw_request(service.address, request)
-        assert old.type == new.type == MessageType.HYBRID_FRAME
-        assert old.payload == new.payload
+            reply = _raw_request(service.address, request)
+        assert reply.type == MessageType.HYBRID_FRAME
+        assert reply.payload == protocol.encode_hybrid(
+            extract(frames[0], thr, volume_resolution=16)
+        )
 
     def test_frame_list_parity(self, frames):
-        with VisualizationServer(frames) as server:
-            old = _raw_request(server.address, Message(MessageType.LIST_FRAMES))
         with VisualizationService(frames) as service:
-            new = _raw_request(service.address, Message(MessageType.LIST_FRAMES))
-        assert old.payload == new.payload
-        assert protocol.decode_frame_list(new.payload) == [0, 10]
+            reply = _raw_request(service.address, Message(MessageType.LIST_FRAMES))
+        assert reply.payload == protocol.encode_frame_list(f.step for f in frames)
+        assert protocol.decode_frame_list(reply.payload) == [0, 10]
 
     def test_extraction_matches_local(self, frames):
         thr = float(np.percentile(frames[0].nodes["density"], 60))

@@ -65,12 +65,17 @@ class TestPartitionExtractRender:
                          "--part", part]) == 0
             assert out.exists()
 
-    def test_parallel_partition(self, run_dir, tmp_path):
+    def test_parallel_partition_of_frame_file_exits_2(self, run_dir, tmp_path,
+                                                      capsys):
+        """--workers applies to store inputs; on a frame file it is a
+        usage error, never silently ignored."""
         frame = sorted(run_dir.glob("*.frame"))[-1]
         stem = tmp_path / "pp"
         assert main(["partition", str(frame), "--out", str(stem),
-                     "--max-level", "5", "--workers", "2"]) == 0
-        assert stem.with_suffix(".nodes").exists()
+                     "--max-level", "5", "--workers", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro:") and "repro store create" in err
+        assert not stem.with_suffix(".nodes").exists()
 
     def test_absolute_threshold(self, run_dir, tmp_path):
         frame = sorted(run_dir.glob("*.frame"))[-1]
@@ -295,6 +300,12 @@ class TestStoreWorkflow:
         b = HybridFrame.load(hb)
         assert np.array_equal(a.points, b.points)
         np.testing.assert_array_max_ulp(a.volume, b.volume, maxulp=1)
+
+    def test_parallel_partition_of_store(self, store_dir, tmp_path, capsys):
+        out = tmp_path / "pw"
+        assert main(["partition", str(store_dir), "--out", str(out),
+                     "--max-level", "5", "--workers", "2"]) == 0
+        assert "out-of-core" in capsys.readouterr().out
 
     def test_info_on_plain_dir(self, tmp_path, capsys):
         assert main(["info", str(tmp_path)]) == 1

@@ -46,7 +46,6 @@ MODULES = [
     "repro.octree.extraction",
     "repro.octree.disk_extraction",
     "repro.octree.forest",
-    "repro.octree.parallel",
     "repro.octree.repartition",
     "repro.octree.amr",
     "repro.hybrid.representation",
@@ -82,7 +81,6 @@ MODULES = [
     "repro.fieldlines.compact",
     "repro.fieldlines.timeseries",
     "repro.remote.protocol",
-    "repro.remote.server",
     "repro.remote.service",
     "repro.remote.client",
     "repro.remote.loadgen",
@@ -113,7 +111,6 @@ FACADE_REQUIRED = [
     "build_strips",
     "render_strips",
     "HybridRenderer",
-    "VisualizationServer",
     "VisualizationClient",
     "Tracer",
     "span",
@@ -173,9 +170,17 @@ FACADE_REQUIRED = [
     "gaussian_splat_fragments",
 ]
 
-# Deliberately dropped from the facade: these were never part of the
-# supported vocabulary (stale private re-exports removed in PR 5).
-FACADE_FORBIDDEN = ["count", "gauge"]
+# Deliberately dropped from the facade: stale private re-exports
+# (count, gauge) and the deleted duplicate paths -- the
+# thread-per-connection server, the octant-pool partitioner, and the
+# batched-seeding alias.
+FACADE_FORBIDDEN = [
+    "count",
+    "gauge",
+    "VisualizationServer",
+    "partition_parallel",
+    "seed_density_proportional_batched",
+]
 
 
 @pytest.mark.parametrize("name", PACKAGES + MODULES)

@@ -116,6 +116,70 @@ def _irfftn_truncated(spec: np.ndarray, padded_shape, out_shape) -> np.ndarray:
     return _irfft1(g, pz, 2)[:, :, :nz]
 
 
+def _cic_inputs(positions, shape, lo, hi):
+    """Validated float64 ``(positions, shape, lo, hi)`` for the CIC kernels."""
+    positions = np.asarray(positions, dtype=np.float64)
+    if positions.ndim != 2 or positions.shape[1] != 3:
+        raise ValueError(f"positions must be (N, 3), got shape {positions.shape}")
+    if not np.isfinite(positions).all():
+        raise ValueError("positions contain NaN/Inf; clean the particles before the CIC pass")
+    shape = tuple(int(s) for s in shape)
+    if len(shape) != 3 or any(s < 2 for s in shape):
+        raise ValueError("grid must be 3-D with at least 2 nodes in each dimension")
+    lo = np.broadcast_to(np.asarray(lo, dtype=np.float64), (3,))
+    hi = np.broadcast_to(np.asarray(hi, dtype=np.float64), (3,))
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all() and np.all(hi > lo)):
+        raise ValueError("need finite hi > lo in every axis")
+    return positions, shape, lo, hi
+
+
+def _cic_corners(positions, shape, lo, hi, weights=None):
+    """Yield ``(flat node index, weight)`` for each of the 8 CIC corners.
+
+    The index math runs one 1-D axis column at a time: a broadcast over
+    an ``(N, 3)`` array has an innermost loop 3 elements long, a column
+    pass has one N long.  Every value is the one the ``(N, 3)`` form
+    computes -- ``(p - lo) / cell`` per axis, then weight x x-factor x
+    y-factor x z-factor in that order -- so results are bit-identical.
+    """
+    nx, ny, nz = shape
+    cell = (hi - lo) / (np.array(shape) - 1)
+    i0, f = [], []
+    for a in range(3):
+        # node-centered: rel = (p - lo)/cell, node i at coordinate i
+        rel = (positions[:, a] - lo[a]) / cell[a]
+        ia = np.clip(np.floor(rel).astype(np.int64), 0, shape[a] - 2)
+        i0.append(ia)
+        f.append(np.clip(rel - ia, 0.0, 1.0))
+    base = (i0[0] * ny + i0[1]) * nz + i0[2]
+    for dx in (0, 1):
+        wx = f[0] if dx else 1.0 - f[0]
+        if weights is not None:
+            wx = weights * wx
+        for dy in (0, 1):
+            wy = wx * (f[1] if dy else 1.0 - f[1])
+            for dz in (0, 1):
+                yield base + ((dx * ny + dy) * nz + dz), wy * (f[2] if dz else 1.0 - f[2])
+
+
+def _deposit_corners(grid: np.ndarray, corners) -> None:
+    # flat-index bincount: far faster than np.add.at's buffered scatter
+    flat = grid.reshape(-1)
+    for idx, w in corners:
+        flat += np.bincount(idx, weights=w, minlength=flat.size)
+
+
+def _gather_corners(comps: np.ndarray, corners, n: int) -> np.ndarray:
+    # one 1-D take per component and corner; a 2-D fancy take
+    # ``flat[:, idx]`` reads the same values far more slowly
+    flat = comps.reshape(comps.shape[0], -1)
+    out = np.zeros((comps.shape[0], n))
+    for idx, w in corners:
+        for c in range(flat.shape[0]):
+            out[c] += flat[c].take(idx) * w
+    return out
+
+
 def deposit_cic(
     positions: np.ndarray,
     shape,
@@ -131,14 +195,12 @@ def deposit_cic(
     an existing float64 grid instead of allocating a fresh one -- the
     seam the out-of-core extraction uses to bin a density volume shard
     by shard without holding the particle frame in RAM.
+
+    ``positions`` must be finite and ``(N, 3)``, and ``hi > lo`` in
+    every axis (``ValueError`` otherwise); finite points outside the
+    box are clamped onto its edge cells.
     """
-    positions = np.asarray(positions, dtype=np.float64)
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    shape = tuple(int(s) for s in shape)
-    if any(s < 2 for s in shape):
-        raise ValueError("grid must be at least 2 nodes in each dimension")
-    cell = (hi - lo) / (np.array(shape) - 1)
+    positions, shape, lo, hi = _cic_inputs(positions, shape, lo, hi)
     if out is None:
         grid = np.zeros(shape)
     else:
@@ -149,62 +211,26 @@ def deposit_cic(
         grid = out
     if len(positions) == 0:
         return grid
-    # node-centered: rel = (p - lo)/cell, node i at coordinate i
-    rel = (positions - lo) / cell
-    i0 = np.floor(rel).astype(np.int64)
-    i0[:, 0] = np.clip(i0[:, 0], 0, shape[0] - 2)
-    i0[:, 1] = np.clip(i0[:, 1], 0, shape[1] - 2)
-    i0[:, 2] = np.clip(i0[:, 2], 0, shape[2] - 2)
-    f = np.clip(rel - i0, 0.0, 1.0)
-    w = np.ones(len(positions)) if weights is None else np.asarray(weights, dtype=np.float64)
-    # flat-index bincount: far faster than np.add.at's buffered scatter
-    nx, ny, nz = shape
-    base = (i0[:, 0] * ny + i0[:, 1]) * nz + i0[:, 2]
-    flat = grid.reshape(-1)
-    for dx in (0, 1):
-        wx = w * (f[:, 0] if dx else 1.0 - f[:, 0])
-        for dy in (0, 1):
-            wy = wx * (f[:, 1] if dy else 1.0 - f[:, 1])
-            for dz in (0, 1):
-                wz = wy * (f[:, 2] if dz else 1.0 - f[:, 2])
-                idx = base + ((dx * ny + dy) * nz + dz)
-                flat += np.bincount(idx, weights=wz, minlength=flat.size)
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+    _deposit_corners(grid, _cic_corners(positions, shape, lo, hi, weights))
     return grid
 
 
 def gather_cic(field: np.ndarray, positions: np.ndarray, lo, hi) -> np.ndarray:
     """Trilinear interpolation of a node-centered grid field to points.
 
-    ``field`` may be (..., nx, ny, nz) with leading component axes; the
-    result has shape (N,) or (C, N) correspondingly.
+    ``field`` is (nx, ny, nz), or (C, nx, ny, nz) with a leading
+    component axis; the result has shape (N,) or (C, N) correspondingly.
+    Inputs are validated as in :func:`deposit_cic`.
     """
-    positions = np.asarray(positions, dtype=np.float64)
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
     field = np.asarray(field, dtype=np.float64)
+    if field.ndim not in (3, 4):
+        raise ValueError(f"field must be (nx, ny, nz) or (C, nx, ny, nz), got {field.shape}")
     vector = field.ndim == 4
     comps = field if vector else field[None]
-    nx, ny, nz = comps.shape[1:]
-    cell = (hi - lo) / (np.array([nx, ny, nz]) - 1)
-    rel = (positions - lo) / cell
-    i0 = np.floor(rel).astype(np.int64)
-    i0[:, 0] = np.clip(i0[:, 0], 0, nx - 2)
-    i0[:, 1] = np.clip(i0[:, 1], 0, ny - 2)
-    i0[:, 2] = np.clip(i0[:, 2], 0, nz - 2)
-    f = np.clip(rel - i0, 0.0, 1.0)
-    out = np.zeros((comps.shape[0], len(positions)))
-    # flat-index gathers: one (C, N) take per corner instead of
-    # re-deriving 3-D index arithmetic per component
-    flat = comps.reshape(comps.shape[0], -1)
-    base = (i0[:, 0] * ny + i0[:, 1]) * nz + i0[:, 2]
-    for dx in (0, 1):
-        wx = f[:, 0] if dx else 1.0 - f[:, 0]
-        for dy in (0, 1):
-            wy = wx * (f[:, 1] if dy else 1.0 - f[:, 1])
-            for dz in (0, 1):
-                wz = wy * (f[:, 2] if dz else 1.0 - f[:, 2])
-                idx = base + ((dx * ny + dy) * nz + dz)
-                out += flat[:, idx] * wz
+    positions, shape, lo, hi = _cic_inputs(positions, comps.shape[1:], lo, hi)
+    out = _gather_corners(comps, _cic_corners(positions, shape, lo, hi), len(positions))
     return out if vector else out[0]
 
 
@@ -327,6 +353,12 @@ def electric_field(phi: np.ndarray, cell) -> np.ndarray:
     return np.stack([ex, ey, ez])
 
 
+def _abs_max(pos: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """``np.abs(pos - center).max(axis=0)``, one column at a time
+    (``max`` is exact in any order, so the result is bit-identical)."""
+    return np.array([np.abs(pos[:, a] - center[a]).max() for a in range(pos.shape[1])])
+
+
 class SpaceChargeSolver:
     """One-stop PIC space-charge kick.
 
@@ -363,15 +395,16 @@ class SpaceChargeSolver:
         """Grid bounds for this solve, with hysteresis (see class doc)."""
         tol = self.bounds_tolerance
         if tol > 0.0 and self._center is not None:
-            ext = np.maximum(np.abs(pos - self._center).max(axis=0), 1e-9)
+            ext = np.maximum(_abs_max(pos, self._center), 1e-9)
             want = ext * self.padding
             contained = np.all(want <= self._half)
             oversized = np.any(self._half > (1.0 + tol) * want)
             if contained and not oversized:
                 count("sc_bounds_reuse")
                 return self._center, self._half
+        # a per-column mean would round differently: keep the (N, 3) one
         center = pos.mean(axis=0)
-        ext = np.maximum(np.abs(pos - center).max(axis=0), 1e-9)
+        ext = np.maximum(_abs_max(pos, center), 1e-9)
         # sit mid-band so small breathing oscillations stay inside
         self._center = center
         self._half = ext * self.padding * (1.0 + 0.5 * tol)
@@ -385,11 +418,16 @@ class SpaceChargeSolver:
         lo = center - half
         hi = center + half
         cell = (hi - lo) / (np.array(self.grid_shape) - 1)
-        rho = deposit_cic(pos, self.grid_shape, lo, hi)
+        pos, shape, _, _ = _cic_inputs(pos, self.grid_shape, lo, hi)
+        # deposit and gather see the same positions, grid and bounds:
+        # derive the 8 corners once and use them for both
+        corners = list(_cic_corners(pos, shape, lo, hi))
+        rho = np.zeros(shape)
+        _deposit_corners(rho, corners)
         rho /= len(particles) * float(np.prod(cell))  # normalized density
         phi = solve_poisson_open(rho, cell)
         e_grid = electric_field(phi, cell)
-        e_particles = gather_cic(e_grid, pos, lo, hi)
+        e_particles = _gather_corners(e_grid, corners, len(pos))
         return e_particles, lo, hi
 
     def kick(self, particles: np.ndarray, dl: float) -> None:

@@ -176,32 +176,38 @@ class FrameGeometry:
         idx_parts: list[np.ndarray] = []
         w_parts: list[np.ndarray] = []
         row_start = np.zeros(n_slices + 1, dtype=np.int64)
+        # index math one axis column at a time: the values of the
+        # (H*W, 3) broadcasts, computed with full-length inner loops
+        eye = [origins[:, a] for a in range(3)]
+        ray = [np.ascontiguousarray(dirs[:, a]) for a in range(3)]
         for s in range(n_slices):
             t = depths[s] / cos
-            pts = origins + dirs * t[:, None]
-            coords = (pts - lo) / box_span
-            inside = np.all((coords >= 0.0) & (coords <= 1.0), axis=1)
+            cx, cy, cz = (
+                (eye[a] + ray[a] * t - lo[a]) / box_span[a] for a in range(3)
+            )
+            inside = (cx >= 0.0) & (cx <= 1.0)
+            inside &= (cy >= 0.0) & (cy <= 1.0)
+            inside &= (cz >= 0.0) & (cz <= 1.0)
             act = np.flatnonzero(inside)
             row_start[s + 1] = row_start[s] + len(act)
             if len(act) == 0:
                 continue
-            c = coords[act]
             # cell-centered texel convention, identical to
             # repro.render.volume.trilinear_sample
-            fx = np.clip(c[:, 0] * nx - 0.5, 0.0, nx - 1.0)
-            fy = np.clip(c[:, 1] * ny - 0.5, 0.0, ny - 1.0)
-            fz = np.clip(c[:, 2] * nz - 0.5, 0.0, nz - 1.0)
+            fx = np.clip(cx[act] * nx - 0.5, 0.0, nx - 1.0)
+            fy = np.clip(cy[act] * ny - 0.5, 0.0, ny - 1.0)
+            fz = np.clip(cz[act] * nz - 0.5, 0.0, nz - 1.0)
             x0 = (
                 np.minimum(fx.astype(np.int64), nx - 2)
-                if nx > 1 else np.zeros(len(c), np.int64)
+                if nx > 1 else np.zeros(len(act), np.int64)
             )
             y0 = (
                 np.minimum(fy.astype(np.int64), ny - 2)
-                if ny > 1 else np.zeros(len(c), np.int64)
+                if ny > 1 else np.zeros(len(act), np.int64)
             )
             z0 = (
                 np.minimum(fz.astype(np.int64), nz - 2)
-                if nz > 1 else np.zeros(len(c), np.int64)
+                if nz > 1 else np.zeros(len(act), np.int64)
             )
             tx = fx - x0
             ty = fy - y0
@@ -209,7 +215,7 @@ class FrameGeometry:
             wx0, wx1 = 1.0 - tx, tx
             wy0, wy1 = 1.0 - ty, ty
             wz0, wz1 = 1.0 - tz, tz
-            w = np.empty((len(c), 8))
+            w = np.empty((len(act), 8))
             w[:, 0] = wx0 * wy0 * wz0
             w[:, 1] = wx1 * wy0 * wz0
             w[:, 2] = wx0 * wy1 * wz0

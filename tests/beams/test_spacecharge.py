@@ -51,6 +51,66 @@ class TestDeposit:
             deposit_cic(np.zeros((1, 3)), (1, 4, 4), LO, HI)
 
 
+class TestBadInput:
+    """Non-finite positions, degenerate bounds and non-(N, 3) positions
+    raise instead of landing silently on the grid edge or as NaN.
+
+    Local generators: drawing from the shared ``rng`` fixture would
+    shift the stream every later test sees."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_deposit_rejects_non_finite(self, bad):
+        pos = np.random.default_rng(1).uniform(-0.9, 0.9, (1000, 3))
+        pos[17, 1] = bad
+        with pytest.raises(ValueError, match="NaN/Inf"):
+            deposit_cic(pos, (8, 8, 8), LO, HI)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gather_rejects_non_finite(self, bad):
+        pos = np.random.default_rng(1).uniform(-0.9, 0.9, (1000, 3))
+        pos[3, 2] = bad
+        with pytest.raises(ValueError, match="NaN/Inf"):
+            gather_cic(np.ones((3, 8, 8, 8)), pos, LO, HI)
+
+    @pytest.mark.parametrize(
+        "hi", [np.array([1.0, -1.0, 1.0]), np.array([1.0, 1.0, -2.0]), np.array([1.0, np.nan, 1.0])]
+    )
+    def test_degenerate_bounds_raise(self, hi):
+        pos = np.zeros((5, 3))
+        pos[:, 1] = -1.0
+        with pytest.raises(ValueError, match="hi > lo"):
+            deposit_cic(pos, (4, 4, 4), LO, hi)
+        with pytest.raises(ValueError, match="hi > lo"):
+            gather_cic(np.ones((4, 4, 4)), pos, LO, hi)
+
+    def test_wide_positions_raise(self):
+        particles = np.random.default_rng(2).uniform(-0.9, 0.9, (10, 6))
+        with pytest.raises(ValueError, match=r"\(N, 3\)"):
+            deposit_cic(particles, (4, 4, 4), LO, HI)
+        with pytest.raises(ValueError, match=r"\(N, 3\)"):
+            gather_cic(np.ones((4, 4, 4)), particles, LO, HI)
+        with pytest.raises(ValueError, match=r"\(N, 3\)"):
+            deposit_cic(np.zeros(3), (4, 4, 4), LO, HI)
+
+    def test_field_shape_checked(self):
+        with pytest.raises(ValueError, match="nx, ny, nz"):
+            gather_cic(np.ones((2, 3, 4, 4, 4)), np.zeros((1, 3)), LO, HI)
+
+    def test_gather_clamps_finite_outside(self):
+        """Finite points outside the box still read the edge cells."""
+        field = np.arange(64.0).reshape(4, 4, 4)
+        outside = gather_cic(field, np.array([[-7.0, 0.0, 0.0]]), LO, HI)
+        assert outside[0] == gather_cic(field, np.array([[-1.0, 0.0, 0.0]]), LO, HI)[0]
+
+    def test_kick_with_nan_particle_raises_and_leaves_momenta(self):
+        particles = np.random.default_rng(3).normal(0.0, 0.3, (1000, 6))
+        particles[500, 0] = np.nan
+        before = particles.copy()
+        with pytest.raises(ValueError, match="NaN/Inf"):
+            SpaceChargeSolver(grid_shape=(8, 8, 8)).kick(particles, dl=0.1)
+        assert np.array_equal(particles, before, equal_nan=True)
+
+
 class TestGather:
     def test_constant_field_exact(self, rng):
         field = np.full((8, 8, 8), 2.5)

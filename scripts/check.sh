@@ -21,11 +21,12 @@
 # ratio regressed more than 20% against the baseline committed at
 # HEAD (scripts/perf_gate.py).
 #
-# --store runs the sharded-store / streaming-pipeline suites, then the
-# RAM-capped bench (the full 10^7-particle pipeline in a measured
-# subprocess) that refreshes BENCH_sharded_store.json, and gates on
-# peak RSS < 0.5 of raw plus the streamed-vs-in-core equivalence
-# flags (scripts/perf_gate.py --store).
+# --store runs the sharded-store / streaming-pipeline suites (with the
+# partitioned-store format, from-disk extraction and checkpoint
+# resume), then the RAM-capped bench (the full 10^7-particle pipeline
+# in a measured subprocess) that refreshes BENCH_sharded_store.json,
+# and gates on peak RSS < 0.5 of raw plus the streamed-vs-in-core
+# equivalence flags (scripts/perf_gate.py --store).
 #
 # --forest runs the forest-of-octrees + sort-last compositor suites,
 # then the 10^8-particle forest bench that refreshes BENCH_forest.json,
@@ -188,6 +189,9 @@ if [[ $run_store -eq 1 ]]; then
     PYTHONPATH=src python -m pytest -x -q \
         tests/core/test_store.py \
         tests/core/test_dataset.py \
+        tests/core/test_checkpoint.py \
+        tests/octree/test_format.py \
+        tests/octree/test_disk_extraction.py \
         tests/octree/test_stream_partition.py \
         tests/render/test_fragment_batches.py \
         tests/test_deprecations.py

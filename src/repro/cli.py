@@ -102,8 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "sharded store directory from `repro store "
                                  "create` (partitioned out-of-core)")
     p.add_argument("--out", required=True,
-                   help="output stem (.nodes/.particles), or the output "
-                        "directory when partitioning a sharded store")
+                   help="output partitioned store directory")
     p.add_argument("--plot-type", default=bpipe_d["plot_type"],
                    choices=["xyz", "xpxy", "xpxz", "pxpypz"])
     p.add_argument("--max-level", type=int, default=bpipe_d["max_level"])
@@ -201,12 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("service", parents=[common],
                        help="multi-tenant visualization service")
     p.add_argument("action", choices=["serve", "stats"],
-                   help="serve: run the asyncio service over partition "
-                        "stems until interrupted (or --duration); "
+                   help="serve: run the asyncio service over partitioned "
+                        "stores until interrupted (or --duration); "
                         "stats: query a running server's live counters")
     p.add_argument("target", nargs="*",
-                   help="partition stems / store dirs (serve) or a "
-                        "single HOST:PORT (stats)")
+                   help="partitioned store dirs (serve) or a single "
+                        "HOST:PORT (stats)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0,
                    help="bind port (serve); 0 picks a free port")
@@ -225,9 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", parents=[common],
                        help="extract a hybrid representation")
-    p.add_argument("stem", help="partition stem from `repro partition`, or a "
-                                "partitioned store directory (extracted "
-                                "shard-by-shard)")
+    p.add_argument("stem", help="partitioned store directory from `repro "
+                                "partition` (extracted shard-by-shard)")
     p.add_argument("--out", required=True, help="output .hybrid file")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--threshold", type=float,
@@ -344,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", parents=[common],
                        help="describe any repro data file")
-    p.add_argument("path", help=".frame / .nodes / .hybrid / packed lines")
+    p.add_argument("path", help=".frame / .hybrid / packed lines file, or a "
+                                "store directory")
     p.set_defaults(func=_cmd_info)
 
     p = sub.add_parser("trace-report",
@@ -382,41 +381,35 @@ def _cmd_simulate(args) -> int:
 def _cmd_partition(args) -> int:
     from repro.core.dataset import open_dataset
     from repro.core.store import is_store_dir
-    from repro.octree.format import save_partitioned
     from repro.octree.partition import partition
+    from repro.octree.stream_partition import PartitionedStore, partition_store
 
-    if is_store_dir(args.frame):
-        from repro.octree.stream_partition import partition_store
-
-        with span("partition", workers=args.workers, streaming=True):
-            ps = partition_store(
-                open_dataset(args.frame), args.out, args.plot_type,
-                max_level=args.max_level, capacity=args.capacity,
-                workers=args.workers, checkpoint_dir=args.checkpoint,
-            )
-        print(
-            f"partitioned {ps.n_particles} particles into {ps.n_nodes} nodes "
-            f"out-of-core ({ps.nbytes() / 1e6:.1f} MB, "
-            f"{ps.store.n_shards} shards) at {args.out}"
-        )
-        return 0
-    if args.workers > 1:
+    streaming = is_store_dir(args.frame)
+    if args.workers > 1 and not streaming:
         print(
             "repro: --workers applies to sharded store inputs; run "
             f"`repro store create {args.frame} --out DIR` and partition DIR",
             file=sys.stderr,
         )
         return EXIT_USAGE
-    dataset = open_dataset(args.frame)
-    with span("partition"):
-        pf = partition(
-            dataset, args.plot_type, max_level=args.max_level,
-            capacity=args.capacity,
-        )
-    nbytes = save_partitioned(pf, args.out)
+    if streaming:
+        with span("partition", workers=args.workers, streaming=True):
+            ps = partition_store(
+                open_dataset(args.frame), args.out, args.plot_type,
+                max_level=args.max_level, capacity=args.capacity,
+                workers=args.workers, checkpoint_dir=args.checkpoint,
+            )
+    else:
+        with span("partition"):
+            pf = partition(
+                open_dataset(args.frame), args.plot_type,
+                max_level=args.max_level, capacity=args.capacity,
+            )
+        ps = PartitionedStore.from_frame(pf, args.out)
     print(
-        f"partitioned {pf.n_particles} particles into {pf.n_nodes} nodes "
-        f"({nbytes / 1e6:.1f} MB) at {args.out}"
+        f"partitioned {ps.n_particles} particles into {ps.n_nodes} nodes "
+        f"{'out-of-core ' if streaming else ''}({ps.nbytes() / 1e6:.1f} MB, "
+        f"{ps.store.n_shards} shards) at {args.out}"
     )
     return 0
 
@@ -566,20 +559,12 @@ def _cmd_service(args) -> int:
 
     import time
 
-    from repro.core.store import is_store_dir
-    from repro.octree.format import load_partitioned
+    from repro.octree.stream_partition import PartitionedStore
     from repro.remote.service import VisualizationService
 
     if not args.target:
-        raise SystemExit("service serve needs at least one partition stem")
-    frames = []
-    for target in args.target:
-        if is_store_dir(target):
-            from repro.octree.stream_partition import PartitionedStore
-
-            frames.append(PartitionedStore.open(target))
-        else:
-            frames.append(load_partitioned(target))
+        raise SystemExit("service serve needs at least one partitioned store")
+    frames = [PartitionedStore.open(target) for target in args.target]
     service = VisualizationService(
         frames,
         host=args.host,
@@ -611,12 +596,14 @@ def _cmd_service(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    from repro.core.store import is_store_dir
     from repro.octree.disk_extraction import extract_from_disk
     from repro.octree.extraction import extract
-    from repro.octree.format import _read_nodes, load_partitioned, partition_paths
+    from repro.octree.stream_partition import PartitionedStore
 
     attrs = tuple(a for a in args.attributes.split(",") if a)
+    if args.from_disk and attrs:
+        raise SystemExit("--attributes needs the full particle data; "
+                         "drop --from-disk to use them")
     amr_kwargs = dict(
         adaptive=args.adaptive,
         amr_bricks=args.amr_bricks,
@@ -624,62 +611,27 @@ def _cmd_extract(args) -> int:
         amr_max_refine=args.amr_refine,
         amr_byte_budget=args.amr_bytes,
     )
-    if is_store_dir(args.stem):
-        from repro.octree.stream_partition import PartitionedStore
-
-        ps = PartitionedStore.open(args.stem)
-        if args.threshold is not None:
-            threshold = args.threshold
+    ps = PartitionedStore.open(args.stem)
+    if args.threshold is not None:
+        threshold = args.threshold
+    else:
+        threshold = float(np.percentile(ps.nodes["density"], args.percentile))
+    with span("extract", from_disk=args.from_disk):
+        if args.from_disk:
+            hybrid = extract_from_disk(
+                ps, threshold, volume_resolution=args.resolution, **amr_kwargs
+            )
         else:
-            threshold = float(np.percentile(ps.nodes["density"], args.percentile))
-        with span("extract", streaming=True):
             hybrid = extract(
                 ps, threshold, volume_resolution=args.resolution,
                 point_attributes=attrs, **amr_kwargs,
             )
-        nbytes = hybrid.save(args.out)
-        print(
-            f"extracted (shard-streamed) {hybrid.n_points} points + "
-            f"{args.resolution}^3 volume{_amr_note(hybrid)} at threshold "
-            f"{threshold:.4g} -> {args.out} ({nbytes / 1e6:.2f} MB)"
-        )
-        return 0
-    if args.from_disk:
-        if attrs:
-            raise SystemExit("--attributes needs the full particle data; "
-                             "drop --from-disk to use them")
-        nodes, *_ = _read_nodes(partition_paths(args.stem)[0])
-        if args.threshold is not None:
-            threshold = args.threshold
-        else:
-            threshold = float(np.percentile(nodes["density"], args.percentile))
-        with span("extract", from_disk=True):
-            hybrid = extract_from_disk(
-                args.stem, threshold, volume_resolution=args.resolution,
-                **amr_kwargs,
-            )
-        nbytes = hybrid.save(args.out)
-        print(
-            f"extracted (prefix-only I/O) {hybrid.n_points} points + "
-            f"{args.resolution}^3 volume{_amr_note(hybrid)} at threshold "
-            f"{threshold:.4g} -> {args.out} ({nbytes / 1e6:.2f} MB)"
-        )
-        return 0
-    pf = load_partitioned(args.stem)
-    if args.threshold is not None:
-        threshold = args.threshold
-    else:
-        threshold = float(np.percentile(pf.nodes["density"], args.percentile))
-    with span("extract"):
-        hybrid = extract(
-            pf, threshold, volume_resolution=args.resolution,
-            point_attributes=attrs, **amr_kwargs,
-        )
     nbytes = hybrid.save(args.out)
+    mode = "prefix-only I/O" if args.from_disk else "shard-streamed"
     print(
-        f"extracted {hybrid.n_points} points + {args.resolution}^3 "
-        f"volume{_amr_note(hybrid)} at threshold {threshold:.4g} -> "
-        f"{args.out} ({nbytes / 1e6:.2f} MB)"
+        f"extracted ({mode}) {hybrid.n_points} points + "
+        f"{args.resolution}^3 volume{_amr_note(hybrid)} at threshold "
+        f"{threshold:.4g} -> {args.out} ({nbytes / 1e6:.2f} MB)"
     )
     return 0
 
@@ -953,16 +905,6 @@ def _cmd_info(args) -> int:
         particles, step = read_frame(path)
         print(f"particle frame: step {step}, {len(particles)} particles, "
               f"{path.stat().st_size / 1e6:.2f} MB")
-    elif magic == b"RPRNODES":
-        from repro.octree.format import load_partitioned
-
-        pf = load_partitioned(path.with_suffix(""))
-        dens = pf.nodes["density"]
-        print(
-            f"partitioned frame: step {pf.step}, plot type {pf.plot_type}, "
-            f"{pf.n_particles} particles, {pf.n_nodes} nodes, "
-            f"density {dens.min():.3g}..{dens.max():.3g}"
-        )
     elif magic == b"RPRHYBRD":
         from repro.hybrid.representation import HybridFrame
 

@@ -1,8 +1,8 @@
 """Atomic file writes (temp file + ``os.replace``).
 
-Every on-disk artifact of the package (partition node/particle files,
-hybrid frames, packed line steps, checkpoint manifests) is written
-through :func:`atomic_write_bytes`, so a process killed mid-write can
+Every on-disk artifact of the package (store shards and manifests,
+partition node tables, hybrid frames, packed line steps, checkpoint
+manifests) is written through :func:`atomic_write_bytes`, so a process killed mid-write can
 never leave a torn file behind: readers either see the complete old
 content or the complete new content.  The temp file lives in the same
 directory as the target, which is what makes ``os.replace`` atomic on

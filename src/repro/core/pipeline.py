@@ -60,7 +60,7 @@ class FieldLinePipelineResult:
     image: np.ndarray | None = None
 
 
-def _part_stem(ckpt: Checkpoint, step: int):
+def _part_dir(ckpt: Checkpoint, step: int):
     return ckpt.path(f"part_{step:06d}")
 
 
@@ -85,7 +85,7 @@ def beam_pipeline(
     ckpt = Checkpoint(checkpoint_dir) if checkpoint_dir is not None else None
     gauge("beam_n_particles", config.beam.n_particles)
 
-    from repro.octree.format import load_partitioned, save_partitioned
+    from repro.octree.stream_partition import PartitionedStore
 
     partitioned: list[PartitionedFrame] = []
     steps: list[int] = []
@@ -95,7 +95,7 @@ def beam_pipeline(
         count("checkpoint_stages_resumed")
         with span("partition_resume"):
             for step in ckpt.meta("partition")["steps"]:
-                partitioned.append(load_partitioned(_part_stem(ckpt, step)))
+                partitioned.append(PartitionedStore.open(_part_dir(ckpt, step)).to_frame())
                 steps.append(int(step))
                 count("checkpoint_steps_resumed")
     else:
@@ -111,7 +111,7 @@ def beam_pipeline(
                     break
             if ckpt is not None and ckpt.has_step("partition", step):
                 count("checkpoint_steps_resumed")
-                pf = load_partitioned(_part_stem(ckpt, step))
+                pf = PartitionedStore.open(_part_dir(ckpt, step)).to_frame()
             else:
                 with span("partition", step=step):
                     pf = partition(
@@ -122,7 +122,7 @@ def beam_pipeline(
                         step=step,
                     )
                 if ckpt is not None:
-                    save_partitioned(pf, _part_stem(ckpt, step))
+                    PartitionedStore.from_frame(pf, _part_dir(ckpt, step))
                     ckpt.record_step("partition", step)
             partitioned.append(pf)
             steps.append(step)

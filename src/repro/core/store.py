@@ -26,8 +26,9 @@ typed :class:`repro.core.errors.FormatError` -- the same failure
 vocabulary as every other on-disk format of the package.
 
 Reads are visible in a trace: every shard read bumps the
-``store_shard_read`` counter (and ``store_shard_read_bytes``), every
-shard written bumps ``store_shard_write``.
+``store_shard_read`` counter and adds the bytes it copied out (whole
+shard, or the rows a prefix or gather touched) to
+``store_shard_read_bytes``; every shard written bumps ``store_shard_write``.
 """
 
 from __future__ import annotations
@@ -271,6 +272,7 @@ class ShardedStore:
                 continue
             mm = self.shard(i)
             out[filled : filled + (b - a)] = mm[a:b]
+            count("store_shard_read_bytes", (b - a) * _ROW_BYTES)
             if isinstance(mm, np.memmap):
                 _evict_pages(mm._mmap)
             filled += b - a
@@ -306,6 +308,7 @@ class ShardedStore:
             i = int(shard_ids[a])
             mm = self.shard(i)
             out[order[a:b]] = mm[sorted_rows[a:b] - self.shard_start(i)]
+            count("store_shard_read_bytes", int(b - a) * _ROW_BYTES)
             if isinstance(mm, np.memmap):
                 _evict_pages(mm._mmap)
         return out

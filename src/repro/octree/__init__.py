@@ -19,7 +19,7 @@ Modules
 -------
 octree      adaptive linear octree with Morton keys
 partition   the partitioning program (plot types, density sort)
-format      the two-part on-disk format (nodes file + particle file)
+format      the node-table codec of an on-disk partitioned store
 extraction  threshold-density extraction into HybridFrame
 """
 

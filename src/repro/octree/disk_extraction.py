@@ -4,14 +4,14 @@ Paper section 2.3: "This portion of the particle data is just copied
 to the output; no computation is necessary for the particles, and
 discarded particles are never read from disk."
 
-The in-memory :func:`repro.octree.extraction.extract` bins *particles*
-into the density volume, which would require reading all of them.
-This module honors the paper's I/O claim exactly: the density volume
-is rasterized from the *octree nodes* (each node is a box with a known
-count -- the octree is itself a piecewise-constant density field), so
-an extraction reads only the small nodes file plus the halo prefix of
-the particle file.  The test suite proves it by truncating the
-particle file beyond the prefix and extracting anyway.
+:func:`repro.octree.extraction.extract` bins *particles* into the
+density volume, which reads all of them.  This module honors the
+paper's I/O claim exactly: the density volume is rasterized from the
+*octree nodes* (each node is a box with a known count -- the octree is
+itself a piecewise-constant density field), so an extraction reads
+only a partitioned store's node table plus the halo prefix of its
+particle shards.  The test suite proves it by counting the bytes read
+and by overwriting every shard byte past the prefix with garbage.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hybrid.representation import HybridFrame
-from repro.octree.format import _read_nodes, load_particle_prefix, partition_paths
-from repro.octree.octree import plot_columns
+from repro.octree.extraction import _halo_densities
 
 __all__ = [
     "node_bounds",
@@ -101,7 +100,7 @@ def volume_from_nodes(
 
 
 def extract_from_disk(
-    stem,
+    pstore,
     threshold_density: float,
     volume_resolution: int = 64,
     *,
@@ -112,30 +111,21 @@ def extract_from_disk(
     amr_refine_budget: int | None = None,
     amr_byte_budget: int | None = None,
 ) -> HybridFrame:
-    """Extract a hybrid frame reading only nodes + the halo prefix.
+    """Extract a hybrid frame from a :class:`PartitionedStore`
+    reading only its node table + the halo prefix.
 
-    Exactly the paper's I/O pattern: the nodes file is small, the
-    particle file is read only up to the density cutoff, and the
+    Exactly the paper's I/O pattern: the node table is small, the
+    particle shards are read only up to the density cutoff, and the
     volume comes from the node metadata.  ``adaptive=True`` attaches
     an :class:`repro.octree.amr.AmrVolume` rasterized from the same
     node metadata (:func:`repro.octree.amr.amr_from_nodes`), keeping
     the discarded-particles-never-read property; the flat volume is
     unchanged.
     """
-    nodes_path, _ = partition_paths(stem)
-    nodes, n_particles, max_level, capacity, step, lo, hi, plot_type = _read_nodes(
-        nodes_path
-    )
-    n_below = int(
-        np.searchsorted(nodes["density"], threshold_density, side="left")
-    )
-    cutoff = int(nodes["count"][:n_below].sum())
-    halo_particles = load_particle_prefix(stem, cutoff)
-    columns = plot_columns(plot_type)
-    halo = halo_particles[:, list(columns)]
-    halo_dens = np.repeat(
-        nodes["density"][:n_below], nodes["count"][:n_below].astype(np.int64)
-    )
+    nodes, lo, hi = pstore.nodes, pstore.lo, pstore.hi
+    cutoff = pstore.density_cutoff_index(threshold_density)
+    halo = pstore.read_prefix(cutoff)[:, list(pstore.columns)]
+    halo_dens = _halo_densities(nodes, cutoff)
 
     density_volume = volume_from_nodes(nodes, lo, hi, volume_resolution)
 
@@ -163,7 +153,7 @@ def extract_from_disk(
         lo=lo,
         hi=hi,
         threshold=float(threshold_density),
-        step=int(step),
-        plot_type=plot_type,
+        step=pstore.step,
+        plot_type=pstore.plot_type,
         meta=meta,
     )

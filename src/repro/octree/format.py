@@ -1,18 +1,19 @@
-"""The two-part on-disk format for partitioned frames.
+"""The node-table codec of a partitioned store.
 
 "This octree is written out to disk in two parts: one part contains
 all the particles of the simulation, the other contains the octree
-nodes themselves."  We keep that split literally: a ``.nodes`` file
-and a ``.particles`` file sharing a stem.  The node file carries the
-build metadata (plot type, bounds, levels); the particle file is the
-density-sorted raw particle payload that extraction slices a prefix
-from.
+nodes themselves."  A partitioned store directory
+(:class:`repro.octree.stream_partition.PartitionedStore`) keeps that
+split: the density-sorted particle file is its sharded store, and the
+octree nodes are the ``partition.nodes`` file this module reads and
+writes.  The node file also carries the build metadata (plot type,
+bounds, levels).
 
-Both parts are written atomically (temp file + ``os.replace``, see
+The file is written atomically (temp file + ``os.replace``, see
 :mod:`repro.core.atomic`): a process killed mid-save never leaves a
-torn file.  Loads validate magic, version, and payload sizes and raise
-:class:`repro.core.errors.FormatError` on damage instead of numpy
-decode noise.
+torn file.  Reads validate magic, version, payload size and the node
+table itself, and raise :class:`repro.core.errors.FormatError` on
+damage instead of numpy decode noise or a later, unrelated failure.
 
 Node file layout (little-endian):
 
@@ -22,43 +23,45 @@ Node file layout (little-endian):
                  capacity u32, step u64, lo 3xf8, hi 3xf8,
                  plot type 16 bytes NUL padded
     payload      NODE_DTYPE records
-
-Particle file layout:
-
-    bytes 0..7   magic b"RPRPARTS"
-    u16          format version (2)
-    u64          n_particles
-    payload      (N, 6) float64
 """
 
 from __future__ import annotations
 
 import struct
-from pathlib import Path
 
 import numpy as np
 
 from repro.core.atomic import atomic_write_bytes
 from repro.core.errors import FormatError
 from repro.octree.octree import NODE_DTYPE
-from repro.octree.partition import PartitionedFrame
 
-__all__ = ["save_partitioned", "load_partitioned", "load_particle_prefix",
-           "partition_paths", "write_nodes_file", "read_nodes_file",
-           "FORMAT_VERSION"]
+__all__ = ["write_nodes_file", "read_nodes_file", "FORMAT_VERSION"]
 
 NODES_MAGIC = b"RPRNODES"
-PARTS_MAGIC = b"RPRPARTS"
 FORMAT_VERSION = 2
 _NODES_HEADER = struct.Struct("<8sHQQIIQ3d3d16s")
-_PARTS_HEADER = struct.Struct("<8sHQ")
-_PARTICLE_BYTES = 6 * 8
 
 
-def partition_paths(stem) -> tuple[Path, Path]:
-    """(nodes_path, particles_path) for a partition stem."""
-    stem = Path(stem)
-    return stem.with_suffix(".nodes"), stem.with_suffix(".particles")
+def _check_node_table(nodes: np.ndarray, n_particles: int, source) -> None:
+    """Raise :class:`FormatError` naming ``source`` unless the node
+    table tiles an ``n_particles`` particle file in increasing density.
+
+    Node counts must sum to ``n_particles``, each node's ``start`` must
+    follow the previous node's group contiguously, and densities must
+    be non-decreasing -- the properties prefix extraction relies on.
+    """
+    counts = nodes["count"].astype(np.int64)
+    starts = nodes["start"].astype(np.int64)
+    total = int(counts.sum())
+    if total != int(n_particles):
+        raise FormatError(
+            f"{source}: node counts cover {total} particles, "
+            f"expected {int(n_particles)}"
+        )
+    if np.any(starts != np.cumsum(counts) - counts):
+        raise FormatError(f"{source}: nodes do not tile the particle file contiguously")
+    if not np.all(np.diff(nodes["density"]) >= 0):
+        raise FormatError(f"{source}: nodes are not sorted by increasing density")
 
 
 def write_nodes_file(
@@ -72,13 +75,7 @@ def write_nodes_file(
     hi,
     plot_type: str,
 ) -> int:
-    """Atomically write one RPRNODES file; returns bytes written.
-
-    The node-file half of :func:`save_partitioned`, factored out so the
-    out-of-core partition (:mod:`repro.octree.stream_partition`) can
-    commit its node table in the same format without materializing a
-    :class:`PartitionedFrame`.
-    """
+    """Atomically write one RPRNODES file; returns bytes written."""
     name = plot_type.encode("ascii")[:16].ljust(16, b"\0")
     header = _NODES_HEADER.pack(
         NODES_MAGIC,
@@ -97,55 +94,29 @@ def write_nodes_file(
 
 
 def read_nodes_file(path):
-    """Read one RPRNODES file back.
+    """Read and check one RPRNODES file.
 
     Returns ``(nodes, n_particles, max_level, capacity, step, lo, hi,
-    plot_type)``; raises :class:`FormatError` on damage.
+    plot_type)``; raises :class:`FormatError` on damage, including a
+    node table that fails :func:`_check_node_table`.
     """
-    return _read_nodes(path)
-
-
-def save_partitioned(frame: PartitionedFrame, stem) -> int:
-    """Write both parts atomically; returns total bytes written."""
-    nodes_path, parts_path = partition_paths(stem)
-    nodes_bytes = write_nodes_file(
-        nodes_path,
-        frame.nodes,
-        frame.n_particles,
-        frame.max_level,
-        frame.capacity,
-        frame.step,
-        frame.lo,
-        frame.hi,
-        frame.plot_type,
-    )
-    particles = np.ascontiguousarray(frame.particles, dtype="<f8")
-    parts_bytes = atomic_write_bytes(
-        parts_path,
-        _PARTS_HEADER.pack(PARTS_MAGIC, FORMAT_VERSION, frame.n_particles)
-        + particles.tobytes(),
-    )
-    return nodes_bytes + parts_bytes
-
-
-def _read_nodes(nodes_path):
-    with open(nodes_path, "rb") as f:
+    with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < _NODES_HEADER.size:
-        raise FormatError(f"{nodes_path}: truncated node-file header")
+        raise FormatError(f"{path}: truncated node-file header")
     fields = _NODES_HEADER.unpack_from(raw, 0)
     if fields[0] != NODES_MAGIC:
-        raise FormatError(f"{nodes_path}: not a partition nodes file")
+        raise FormatError(f"{path}: not a partition nodes file")
     if fields[1] != FORMAT_VERSION:
         raise FormatError(
-            f"{nodes_path}: unsupported format version {fields[1]} "
+            f"{path}: unsupported format version {fields[1]} "
             f"(expected {FORMAT_VERSION})"
         )
     n_nodes, n_particles, max_level, capacity, step = fields[2:7]
     expected = _NODES_HEADER.size + n_nodes * NODE_DTYPE.itemsize
     if len(raw) < expected:
         raise FormatError(
-            f"{nodes_path}: truncated payload ({len(raw)} bytes, "
+            f"{path}: truncated payload ({len(raw)} bytes, "
             f"{expected} expected for {n_nodes} nodes)"
         )
     lo = np.array(fields[7:10])
@@ -154,71 +125,5 @@ def _read_nodes(nodes_path):
     nodes = np.frombuffer(
         raw, dtype=NODE_DTYPE, count=n_nodes, offset=_NODES_HEADER.size
     ).copy()
+    _check_node_table(nodes, n_particles, path)
     return nodes, n_particles, max_level, capacity, step, lo, hi, plot_type
-
-
-def _read_parts_header(f, parts_path):
-    head = f.read(_PARTS_HEADER.size)
-    if len(head) < _PARTS_HEADER.size:
-        raise FormatError(f"{parts_path}: truncated particle-file header")
-    magic, version, n = _PARTS_HEADER.unpack(head)
-    if magic != PARTS_MAGIC:
-        raise FormatError(f"{parts_path}: not a partition particles file")
-    if version != FORMAT_VERSION:
-        raise FormatError(
-            f"{parts_path}: unsupported format version {version} "
-            f"(expected {FORMAT_VERSION})"
-        )
-    return n
-
-
-def load_partitioned(stem) -> PartitionedFrame:
-    """Read both parts back into a PartitionedFrame."""
-    nodes_path, parts_path = partition_paths(stem)
-    nodes, n_particles, max_level, capacity, step, lo, hi, plot_type = _read_nodes(
-        nodes_path
-    )
-    with open(parts_path, "rb") as f:
-        n = _read_parts_header(f, parts_path)
-        if n != n_particles:
-            raise FormatError(
-                f"{parts_path}: node/particle file disagree on particle count "
-                f"({n_particles} vs {n})"
-            )
-        payload = f.read(n * _PARTICLE_BYTES)
-    if len(payload) < n * _PARTICLE_BYTES:
-        raise FormatError(
-            f"{parts_path}: truncated payload ({len(payload)} bytes for "
-            f"{n} particles)"
-        )
-    particles = np.frombuffer(payload, dtype="<f8").reshape(n, 6).copy()
-    from repro.octree.octree import plot_columns
-
-    return PartitionedFrame(
-        plot_type=plot_type,
-        columns=plot_columns(plot_type),
-        particles=particles,
-        nodes=nodes,
-        lo=lo,
-        hi=hi,
-        max_level=int(max_level),
-        capacity=int(capacity),
-        step=int(step),
-    )
-
-
-def load_particle_prefix(stem, n_particles: int) -> np.ndarray:
-    """Read only the first ``n_particles`` particles of the particle
-    file -- extraction's "discarded particles are never read from
-    disk" fast path."""
-    _, parts_path = partition_paths(stem)
-    with open(parts_path, "rb") as f:
-        n = _read_parts_header(f, parts_path)
-        take = min(int(n_particles), n)
-        payload = f.read(take * _PARTICLE_BYTES)
-    if len(payload) < take * _PARTICLE_BYTES:
-        raise FormatError(
-            f"{parts_path}: truncated payload ({len(payload)} bytes for a "
-            f"{take}-particle prefix)"
-        )
-    return np.frombuffer(payload, dtype="<f8").reshape(take, 6).copy()

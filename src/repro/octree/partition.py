@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.trace import count, span
+from repro.octree.format import _check_node_table
 from repro.octree.octree import NODE_DTYPE, Octree, plot_columns
 
 __all__ = ["PartitionedFrame", "partition"]
@@ -81,15 +82,8 @@ class PartitionedFrame:
         return int(self.nodes["count"][:n_below].sum())
 
     def validate(self) -> None:
-        """Cheap structural invariants; raises AssertionError on damage."""
-        counts = self.nodes["count"].astype(np.int64)
-        starts = self.nodes["start"].astype(np.int64)
-        assert counts.sum() == self.n_particles, "node counts must cover all particles"
-        assert np.all(starts == np.concatenate([[0], np.cumsum(counts)[:-1]])), (
-            "nodes must tile the particle file contiguously"
-        )
-        dens = self.nodes["density"]
-        assert np.all(np.diff(dens) >= 0), "nodes must be sorted by increasing density"
+        """Cheap structural invariants; raises FormatError on damage."""
+        _check_node_table(self.nodes, self.n_particles, "partitioned frame")
 
 
 def partition(

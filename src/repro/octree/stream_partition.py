@@ -54,10 +54,12 @@ from repro.core.store import (
     DEFAULT_SHARD_ROWS,
     ShardedStore,
     _evict_pages,
+    create_store,
     shard_name,
     write_manifest,
 )
 from repro.core.trace import count, gauge_peak_rss, span
+from repro.octree.format import _check_node_table, read_nodes_file, write_nodes_file
 from repro.octree.octree import NODE_DTYPE, morton_keys, plot_columns
 from repro.octree.partition import PartitionedFrame
 
@@ -106,10 +108,10 @@ class PartitionedStore:
     @classmethod
     def open(cls, directory) -> "PartitionedStore":
         """Open a partitioned store directory (node table + shards)."""
-        from repro.octree.format import read_nodes_file
-
         directory = Path(directory)
         nodes_path = directory / NODES_FILE
+        if not directory.exists():
+            raise FileNotFoundError(f"{directory}: no such partitioned store")
         if not nodes_path.is_file():
             raise FormatError(f"{directory}: not a partitioned store (no {NODES_FILE})")
         nodes, n_particles, max_level, capacity, step, lo, hi, plot_type = read_nodes_file(
@@ -124,6 +126,25 @@ class PartitionedStore:
         return cls(
             directory, store, nodes, plot_type, lo, hi, max_level, capacity, step
         )
+
+    @classmethod
+    def from_frame(cls, frame: PartitionedFrame, directory) -> "PartitionedStore":
+        """Write an in-core :class:`PartitionedFrame` as a partitioned
+        store directory and open it.
+
+        The node table lands first and the store manifest, the commit
+        point, last -- the same order as :func:`partition_store`'s
+        finalize.
+        """
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        write_nodes_file(
+            directory / NODES_FILE,
+            frame.nodes, frame.n_particles, frame.max_level, frame.capacity,
+            frame.step, frame.lo, frame.hi, frame.plot_type,
+        )
+        create_store(directory, frame.particles, step=frame.step)
+        return cls.open(directory)
 
     # ------------------------------------------------------------------
     @property
@@ -169,11 +190,18 @@ class PartitionedStore:
 
     def to_frame(self) -> PartitionedFrame:
         """Materialize as an in-core :class:`PartitionedFrame` (defeats
-        the out-of-core design; for tests and small frames)."""
+        the out-of-core design; for tests, checkpoints and small
+        frames).  Every shard is read CRC-checked, so a damaged payload
+        raises :class:`FormatError` instead of loading."""
+        particles = np.empty((self.n_particles, 6))
+        offset = 0
+        for chunk in self.store.chunks():
+            particles[offset : offset + len(chunk)] = chunk
+            offset += len(chunk)
         return PartitionedFrame(
             plot_type=self.plot_type,
             columns=self.columns,
-            particles=self.store.to_array(),
+            particles=particles,
             nodes=self.nodes.copy(),
             lo=self.lo.copy(),
             hi=self.hi.copy(),
@@ -183,16 +211,9 @@ class PartitionedStore:
         )
 
     def validate(self) -> None:
-        """Structural invariants (node table tiling + density order)."""
-        counts = self.nodes["count"].astype(np.int64)
-        starts = self.nodes["start"].astype(np.int64)
-        assert counts.sum() == self.n_particles, "node counts must cover all particles"
-        assert np.all(starts == np.concatenate([[0], np.cumsum(counts)[:-1]])), (
-            "nodes must tile the particle file contiguously"
-        )
-        assert np.all(np.diff(self.nodes["density"]) >= 0), (
-            "nodes must be sorted by increasing density"
-        )
+        """Structural invariants (node table tiling + density order);
+        raises :class:`FormatError` on damage."""
+        _check_node_table(self.nodes, self.n_particles, self.directory / NODES_FILE)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (
@@ -384,8 +405,6 @@ def _build_plan(
     plot_type, step, min_level=0,
 ):
     """Merge pass-1 histograms into the node table + scatter plan."""
-    from repro.octree.format import write_nodes_file
-
     cells, counts = _merge_histograms(workdir, n_shards)
     if int(counts.sum()) != int(n_particles):
         raise FormatError(
@@ -642,8 +661,6 @@ def partition_store(
             ck.mark_done("pass2")
 
     # ---- finalize: CRCs + node table + manifest (the commit point) -----
-    from repro.octree.format import read_nodes_file, write_nodes_file
-
     with span("stream_partition_pass", which="finalize"):
         n_out = max(1, -(-n // out_rows))
         entries = []

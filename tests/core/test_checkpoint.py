@@ -105,6 +105,18 @@ class TestBeamResume:
             assert np.array_equal(a.volume, b.volume)
             assert np.array_equal(a.points, b.points)
 
+    def test_corrupt_checkpoint_raises_typed(self, tmp_path):
+        """One flipped byte in a checkpointed partition must fail the
+        resume with a typed error, never resume on corrupt particles."""
+        ckdir = tmp_path / "ck"
+        beam_pipeline(_small_config(), render=False, checkpoint_dir=ckdir)
+        shard = ckdir / "part_000000" / "shard_000000.bin"
+        raw = bytearray(shard.read_bytes())
+        raw[100] ^= 0x01
+        shard.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="CRC"):
+            beam_pipeline(_small_config(), render=False, checkpoint_dir=ckdir)
+
 
 class TestFieldlineResume:
     def test_seed_stage_resumes(self, tmp_path, monkeypatch):

@@ -17,8 +17,8 @@ from repro.octree.amr import (
     plan_amr_levels,
 )
 from repro.octree.extraction import extract, extraction_sizes
-from repro.octree.format import save_partitioned
 from repro.octree.partition import partition
+from repro.octree.stream_partition import PartitionedStore
 from repro.render.camera import Camera
 
 
@@ -239,11 +239,10 @@ class TestAdaptiveExtraction:
     def test_extract_from_disk_adaptive(self, beam_frame, tmp_path):
         from repro.octree.disk_extraction import extract_from_disk
 
-        stem = tmp_path / "frame"
-        save_partitioned(beam_frame, stem)
+        ps = PartitionedStore.from_frame(beam_frame, tmp_path / "frame")
         thr = float(np.percentile(beam_frame.nodes["density"], 60))
         hf = extract_from_disk(
-            stem, thr, volume_resolution=32, adaptive=True, amr_brick_cells=4
+            ps, thr, volume_resolution=32, adaptive=True, amr_brick_cells=4
         )
         amr = hf.meta["amr"]
         assert amr.nbytes <= 32**3 * 4

@@ -1,30 +1,37 @@
 """Disk-based extraction: 'discarded particles are never read'."""
 
+import shutil
+
 import numpy as np
 import pytest
 
 from repro.core.dataset import as_dataset
+from repro.core.errors import FormatError
+from repro.core.trace import capture
 from repro.octree.disk_extraction import (
     extract_from_disk,
     node_bounds,
     volume_from_nodes,
 )
 from repro.octree.extraction import extract
-from repro.octree.format import partition_paths, save_partitioned
 from repro.octree.octree import Octree
 from repro.octree.partition import partition
+from repro.octree.stream_partition import PartitionedStore, partition_store
 
 
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
+    """The in-core partition and the same frame as a 17-shard store."""
     rng = np.random.default_rng(31)
     particles = np.vstack(
         [rng.normal(0, 0.3, (8000, 6)), rng.normal(0, 1.5, (500, 6))]
     )
     pf = partition(as_dataset(particles), "xyz", max_level=5, capacity=32, step=4)
-    stem = tmp_path_factory.mktemp("disk") / "frame"
-    save_partitioned(pf, stem)
-    return pf, stem
+    pstore = partition_store(
+        as_dataset(particles), tmp_path_factory.mktemp("disk") / "frame", "xyz",
+        max_level=5, capacity=32, step=4, shard_rows=500,
+    )
+    return pf, pstore
 
 
 class TestNodeBounds:
@@ -74,46 +81,67 @@ class TestVolumeFromNodes:
 
 class TestExtractFromDisk:
     def test_points_match_memory_extraction(self, saved):
-        pf, stem = saved
+        pf, pstore = saved
         thr = float(np.percentile(pf.nodes["density"], 60))
-        on_disk = extract_from_disk(stem, thr, volume_resolution=12)
+        on_disk = extract_from_disk(pstore, thr, volume_resolution=12)
         in_memory = extract(pf, thr, volume_resolution=12)
         assert on_disk.n_points == in_memory.n_points
         assert np.array_equal(on_disk.points, in_memory.points)
         assert np.array_equal(on_disk.point_densities, in_memory.point_densities)
+        assert np.array_equal(
+            on_disk.volume,
+            volume_from_nodes(pf.nodes, pf.lo, pf.hi, 12).astype(np.float32),
+        )
         assert on_disk.step == 4
         assert on_disk.plot_type == "xyz"
 
+    def test_reads_exactly_the_prefix(self, saved):
+        """The paper's I/O claim, counted: extraction from disk reads
+        the halo prefix's bytes and nothing else, while the particle
+        -binned extraction streams every shard on top of the prefix."""
+        pf, pstore = saved
+        thr = float(np.percentile(pf.nodes["density"], 60))
+        cutoff = pstore.density_cutoff_index(thr)
+        assert pstore.store.n_shards >= 3
+        assert pstore.store.shard_rows < cutoff < pstore.n_particles
+        with capture(enabled=True) as tracer:
+            extract_from_disk(pstore, thr, volume_resolution=8)
+        assert tracer.counters["store_shard_read_bytes"] == cutoff * 48
+        with capture(enabled=True) as tracer:
+            extract(pstore, thr, volume_resolution=8)
+        assert tracer.counters["store_shard_read_bytes"] == (
+            pstore.n_particles * 48 + cutoff * 48
+        )
+
     def test_never_reads_discarded_particles(self, saved, tmp_path):
-        """The paper's I/O claim, enforced: truncate the particle file
-        right after the halo prefix and extraction still succeeds."""
-        pf, stem = saved
+        """The paper's I/O claim, enforced: overwrite every shard byte
+        past the halo prefix with garbage and extraction still returns
+        the same hybrid, bit for bit."""
+        pf, pstore = saved
         thr = float(np.percentile(pf.nodes["density"], 60))
         cutoff = pf.density_cutoff_index(thr)
 
-        # copy the partition, then chop the particle file
-        import shutil
+        chopped_dir = tmp_path / "chopped"
+        shutil.copytree(pstore.directory, chopped_dir)
+        store = pstore.store
+        for i in range(store.n_shards):
+            keep = max(cutoff - store.shard_start(i), 0) * 48
+            shard = chopped_dir / store.shard_path(i).name
+            raw = shard.read_bytes()
+            shard.write_bytes(raw[:keep] + b"\xff" * (len(raw) - keep))
+        chopped = PartitionedStore.open(chopped_dir)
+        with pytest.raises(FormatError):
+            chopped.store.verify()  # the garbage really is on disk
 
-        new_stem = tmp_path / "chopped"
-        for suffix in (".nodes", ".particles"):
-            shutil.copy(
-                stem.with_suffix(suffix), new_stem.with_suffix(suffix)
-            )
-        parts_path = partition_paths(new_stem)[1]
-        from repro.octree.format import _PARTS_HEADER
-
-        parts_path.write_bytes(
-            parts_path.read_bytes()[: _PARTS_HEADER.size + cutoff * 48]
-        )
-
-        h = extract_from_disk(new_stem, thr, volume_resolution=8)
+        h = extract_from_disk(chopped, thr, volume_resolution=8)
         assert h.n_points == cutoff
-        full = extract_from_disk(stem, thr, volume_resolution=8)
+        full = extract_from_disk(pstore, thr, volume_resolution=8)
         assert np.array_equal(h.points, full.points)
+        assert np.array_equal(h.point_densities, full.point_densities)
         assert np.array_equal(h.volume, full.volume)
 
     def test_zero_threshold(self, saved):
-        pf, stem = saved
-        h = extract_from_disk(stem, 0.0, volume_resolution=8)
+        pf, pstore = saved
+        h = extract_from_disk(pstore, 0.0, volume_resolution=8)
         assert h.n_points == 0
         assert h.volume.sum() > 0  # the volume still covers everything

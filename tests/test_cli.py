@@ -34,8 +34,9 @@ class TestPartitionExtractRender:
         stem = tmp_path / "p"
         assert main(["partition", str(frame), "--out", str(stem),
                      "--max-level", "5"]) == 0
-        assert stem.with_suffix(".nodes").exists()
-        assert stem.with_suffix(".particles").exists()
+        from repro.octree.stream_partition import PartitionedStore
+
+        assert PartitionedStore.open(stem).n_particles == 4000
 
         hybrid = tmp_path / "h.hybrid"
         assert main(["extract", str(stem), "--out", str(hybrid),
@@ -75,7 +76,7 @@ class TestPartitionExtractRender:
                      "--max-level", "5", "--workers", "2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("repro:") and "repro store create" in err
-        assert not stem.with_suffix(".nodes").exists()
+        assert not stem.exists()
 
     def test_absolute_threshold(self, run_dir, tmp_path):
         frame = sorted(run_dir.glob("*.frame"))[-1]
@@ -108,8 +109,8 @@ class TestInfo:
 
         stem = tmp_path / "pi"
         main(["partition", str(frame), "--out", str(stem), "--max-level", "4"])
-        assert main(["info", str(stem.with_suffix(".nodes"))]) == 0
-        assert "partitioned frame" in capsys.readouterr().out
+        assert main(["info", str(stem)]) == 0
+        assert "partitioned store" in capsys.readouterr().out
 
         hybrid = tmp_path / "hi.hybrid"
         main(["extract", str(stem), "--out", str(hybrid), "--resolution", "4"])
@@ -219,14 +220,17 @@ class TestExitCodes:
 
     def test_damaged_partition_exits_3(self, tmp_path, capsys):
         stem = tmp_path / "junk"
-        stem.with_suffix(".nodes").write_bytes(b"\xff" * 64)
-        stem.with_suffix(".particles").write_bytes(b"\xff" * 64)
+        stem.mkdir()
+        (stem / "partition.nodes").write_bytes(b"\xff" * 64)
         assert main(["extract", str(stem),
                      "--out", str(tmp_path / "h.hybrid")]) == 3
         assert "repro: damaged data file:" in capsys.readouterr().err
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert main(["info", str(tmp_path / "nope.hybrid")]) == 2
+        assert "repro:" in capsys.readouterr().err
+        assert main(["extract", str(tmp_path / "nope"),
+                     "--out", str(tmp_path / "h.hybrid")]) == 2
         assert "repro:" in capsys.readouterr().err
 
     def test_exit_codes_are_distinct(self):

@@ -9,8 +9,8 @@ from repro.core.dataset import as_dataset
 from repro.hybrid.renderer import HybridRenderer
 from repro.hybrid.viewer import FrameViewer
 from repro.octree.extraction import extract, threshold_for_point_budget
-from repro.octree.format import load_partitioned, save_partitioned
 from repro.octree.partition import partition
+from repro.octree.stream_partition import PartitionedStore
 from repro.render.camera import Camera
 from repro.render.image import structural_detail
 
@@ -32,12 +32,11 @@ class TestBeamWorkflow:
         for step in writer.steps_written:
             particles = writer.read(step)
             pf = partition(as_dataset(particles), "xyz", max_level=5, capacity=32, step=step)
-            stem = tmp_path / f"part_{step:04d}"
-            save_partitioned(pf, stem)
-            pf2 = load_partitioned(stem)
+            PartitionedStore.from_frame(pf, tmp_path / f"part_{step:04d}")
+            ps = PartitionedStore.open(tmp_path / f"part_{step:04d}")
             if threshold is None:
-                threshold = float(np.percentile(pf2.nodes["density"], 60))
-            h = extract(pf2, threshold, volume_resolution=16)
+                threshold = float(np.percentile(ps.nodes["density"], 60))
+            h = extract(ps, threshold, volume_resolution=16)
             h.save(hybrid_dir / f"frame_{step:04d}.hybrid")
 
         viewer = FrameViewer(hybrid_dir, renderer=HybridRenderer(n_slices=12))

@@ -14,9 +14,9 @@ from repro.core.dataset import as_dataset
 from repro.core.errors import FormatError, SimulatedCrash
 from repro.core.faults import FaultPlan
 from repro.hybrid.representation import HybridFrame
-from repro.octree.format import load_partitioned, partition_paths, save_partitioned
 from repro.octree.octree import Octree
 from repro.octree.partition import partition
+from repro.octree.stream_partition import NODES_FILE, PartitionedStore
 
 
 class TestNonFiniteInputs:
@@ -68,13 +68,12 @@ class TestTruncatedFiles:
 
     def test_truncated_partition_particles(self, tmp_path, rng):
         pf = partition(as_dataset(rng.standard_normal((500, 6))), "xyz", max_level=4)
-        stem = tmp_path / "p"
-        save_partitioned(pf, stem)
-        _, parts = partition_paths(stem)
-        data = parts.read_bytes()
-        parts.write_bytes(data[: len(data) - 100])
+        ps = PartitionedStore.from_frame(pf, tmp_path / "p")
+        shard = ps.store.shard_path(0)
+        data = shard.read_bytes()
+        shard.write_bytes(data[: len(data) - 100])
         with pytest.raises(FormatError):
-            load_partitioned(stem)
+            PartitionedStore.open(tmp_path / "p")
 
     def test_zero_byte_frame_file(self, tmp_path):
         path = tmp_path / "empty.frame"
@@ -91,10 +90,11 @@ class TestTruncatedFiles:
         garbage.write_bytes(b"\x00" * 256)
         with pytest.raises(FormatError):
             HybridFrame.load(garbage)
-        (tmp_path / "junk.nodes").write_bytes(b"\xff" * 128)
-        (tmp_path / "junk.particles").write_bytes(b"\xff" * 128)
+        (tmp_path / "junk").mkdir()
+        (tmp_path / "junk" / NODES_FILE).write_bytes(b"\xff" * 128)
+        (tmp_path / "junk" / "store.json").write_bytes(b"\xff" * 128)
         with pytest.raises(FormatError):
-            load_partitioned(tmp_path / "junk")
+            PartitionedStore.open(tmp_path / "junk")
         with pytest.raises(FormatError):
             unpack_lines(b"not a packed line blob at all")
 
@@ -129,14 +129,16 @@ class TestAtomicSaves:
         assert np.array_equal(back.volume, old.volume)
 
     def test_killed_partition_save_leaves_old_files(self, tmp_path, rng):
-        pf = partition(as_dataset(rng.standard_normal((300, 6))), "xyz", max_level=4, step=3)
-        stem = tmp_path / "p"
-        save_partitioned(pf, stem)
+        particles = rng.standard_normal((300, 6))
+        pf = partition(as_dataset(particles), "xyz", max_level=4, step=3)
+        d = tmp_path / "p"
+        PartitionedStore.from_frame(pf, d)
+        newer = partition(as_dataset(particles), "xyz", max_level=4, step=4)
         plan = FaultPlan(seed=0, torn_write=1.0)
         with plan.file_faults():
             with pytest.raises(SimulatedCrash):
-                save_partitioned(pf, stem)
-        back = load_partitioned(stem)
+                PartitionedStore.from_frame(newer, d)
+        back = PartitionedStore.open(d).to_frame()
         assert back.step == 3
         assert np.array_equal(back.particles, pf.particles)
 

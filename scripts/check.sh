@@ -28,11 +28,12 @@
 # and gates on peak RSS < 0.5 of raw plus the streamed-vs-in-core
 # equivalence flags (scripts/perf_gate.py --store).
 #
-# --forest runs the forest-of-octrees + sort-last compositor suites,
-# then the 10^8-particle forest bench that refreshes BENCH_forest.json,
-# and gates on the gather-bitwise / sort-last tolerance flags plus the
-# 4-worker speedup floor on machines with >= 4 CPUs
-# (scripts/perf_gate.py --forest).
+# --forest runs the forest-of-octrees + sort-last compositor suites
+# (with the slice-compositor reference and memo suites, since sort-last
+# bricks render through the same compositor), then the 10^8-particle
+# forest bench that refreshes BENCH_forest.json, and gates on the
+# gather-bitwise / sort-last tolerance flags plus the 4-worker speedup
+# floor on machines with >= 4 CPUs (scripts/perf_gate.py --forest).
 #
 # --service runs the multi-tenant asyncio service suites (byte parity
 # with the protocol codecs, coalescing cache, shedding, circuit breaker,
@@ -52,10 +53,12 @@
 #
 # --amr runs the adaptive-AMR volume and Gaussian-splat suites (brick
 # manifest determinism, crash-safe serialization, extended frame-cache
-# keys, fragment-batch regressions), then the AMR bench that refreshes
-# BENCH_amr.json, and gates on the 1.5x deposit-speedup floor, the
-# equal-bytes beam-core detail win, the flat-path bitwise pins, and
-# batched == serial splatting (scripts/perf_gate.py --amr).
+# keys, fragment-batch regressions, the empty-space-skipping compositor
+# against its full-sampling reference, the render memos), then the AMR
+# bench that refreshes BENCH_amr.json, and gates on the 1.5x
+# deposit-speedup floor, the equal-bytes beam-core detail win, the
+# flat-path bitwise pins, and batched == serial splatting
+# (scripts/perf_gate.py --amr).
 #
 # --scenarios runs the digital-twin scenario suites (declarative
 # specs, closed-loop feedback, ensemble sweeps, the scenario CLI, the
@@ -131,6 +134,8 @@ if [[ $run_amr -eq 1 ]]; then
         tests/render/test_splat.py \
         tests/render/test_frame_cache.py \
         tests/render/test_fragment_batches.py \
+        tests/render/test_composite_reference.py \
+        tests/render/test_render_memos.py \
         tests/test_public_api.py
     echo "== AMR bench =="
     PYTHONPATH=src python -m pytest -q benchmarks/bench_amr.py
@@ -176,6 +181,8 @@ if [[ $run_forest -eq 1 ]]; then
     PYTHONPATH=src python -m pytest -x -q \
         tests/octree/test_forest.py \
         tests/render/test_compositor.py \
+        tests/render/test_composite_reference.py \
+        tests/render/test_render_memos.py \
         tests/test_public_api.py
     echo "== forest bench =="
     PYTHONPATH=src python -m pytest -q benchmarks/bench_forest.py

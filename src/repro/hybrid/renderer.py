@@ -16,9 +16,11 @@ separately, reproducing the decomposition of the paper's Figure 4.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
-from repro.core.trace import span
+from repro.core.trace import count, span
 from repro.hybrid.representation import HybridFrame
 from repro.hybrid.transfer import DensityNormalizer, LinkedTransferFunctions
 from repro.render.camera import Camera
@@ -44,7 +46,7 @@ class HybridRenderer:
         point's normalized density)
     point_alpha : opacity of each point sprite
     point_size : sprite edge length in pixels
-    n_slices : view-aligned slab count for the volume pass
+    n_slices : view-aligned slab count for the volume pass (>= 1)
     normalizer_mode : 'log' (default) or 'linear' density normalization
     cache : frame-geometry cache policy forwarded to
         :func:`repro.render.volume.render_mixed` -- ``None`` (default)
@@ -102,6 +104,8 @@ class HybridRenderer:
         )
         self.point_alpha = float(point_alpha)
         self.point_size = int(point_size)
+        if int(n_slices) < 1:
+            raise ValueError("n_slices must be >= 1")
         self.n_slices = int(n_slices)
         self.normalizer_mode = normalizer_mode
         # color points by a carried per-point attribute instead of
@@ -126,6 +130,7 @@ class HybridRenderer:
         if volume_mode not in ("auto", "flat"):
             raise ValueError("volume_mode must be 'auto' or 'flat'")
         self.volume_mode = volume_mode
+        self._classified = None  # (key, read-only RGBA) of the last volume
 
     # ------------------------------------------------------------------
     def _frame_amr(self, frame: HybridFrame):
@@ -148,20 +153,43 @@ class HybridRenderer:
     def classify_volume(self, frame: HybridFrame):
         """Apply the volume transfer function.
 
-        Returns an (X, Y, Z, 4) RGBA texture for flat frames, or an
-        :class:`repro.render.amr.AmrRgbaVolume` (classified per-brick
-        cells) when the frame carries an adaptive volume and
-        ``volume_mode='auto'``.
+        Returns a read-only (X, Y, Z, 4) RGBA texture for flat frames,
+        or an :class:`repro.render.amr.AmrRgbaVolume` (classified
+        per-brick cells) when the frame carries an adaptive volume and
+        ``volume_mode='auto'``.  The last classification is memoized on
+        a digest of the density contents, the normalizer and the volume
+        transfer function, so an orbit classifies each volume once.
+        Raises ``ValueError`` on a non-finite density.
         """
         norm = self._normalizer(frame)
         amr = self._frame_amr(frame)
+        density = frame.volume if amr is None else amr.data
+        vtf = self.transfer.volume
+        key = (
+            None if amr is None else int(amr.level_hash),
+            density.shape, density.dtype.str,
+            hashlib.blake2b(np.ascontiguousarray(density), digest_size=16).digest(),
+            norm.max_density, norm.mode,
+            vtf.boundary, vtf.ramp, vtf.opacity,
+            vtf.colormap.positions.tobytes(), vtf.colormap.colors.tobytes(),
+        )
+        memo = self._classified
+        if memo is not None and memo[0] == key:
+            count("classify_memo_hit")
+            rgba = memo[1]
+        else:
+            count("classify_memo_miss")
+            if not np.isfinite(density).all():
+                raise ValueError("frame volume has non-finite densities")
+            self._classified = None  # drop the old texture before building one
+            rgba = self.transfer.volume_rgba(norm(density.astype(np.float64)))
+            rgba.flags.writeable = False
+            self._classified = (key, rgba)
         if amr is not None:
             from repro.render.amr import AmrRgbaVolume
 
-            t = norm(amr.data.astype(np.float64))
-            return AmrRgbaVolume(amr, self.transfer.volume_rgba(t))
-        t = norm(frame.volume.astype(np.float64))
-        return self.transfer.volume_rgba(t)
+            return AmrRgbaVolume(amr, rgba)
+        return rgba
 
     def classified_points(self, frame: HybridFrame):
         """Subsample and color the halo points.

@@ -27,10 +27,16 @@ The cached and uncached paths share every line of arithmetic -- a
 cache hit returns the same arrays a fresh build would produce -- so
 images are bit-identical either way (tested in
 ``tests/render/test_frame_cache.py``).
+
+A geometry also memoizes, per volume occupancy, which of its rows can
+see a voxel with nonzero alpha (:meth:`FrameGeometry.live_rows`, the
+compositor's empty-space skip), and counts those bytes toward the
+cache budget.
 """
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 
 import numpy as np
@@ -85,7 +91,8 @@ class FrameGeometry:
     row_start : (n_slices + 1,) row offsets; slice ``s`` owns rows
         ``row_start[s]:row_start[s + 1]``
     matrix : (R, n_voxels) CSR trilinear resampling operator
-    nbytes : approximate memory footprint (for cache budgeting)
+    nbytes : approximate memory footprint, memos included (for cache
+        budgeting)
 
     ``empty`` geometries (volume entirely outside the depth range)
     carry ``matrix=None`` and zero rows.
@@ -93,7 +100,7 @@ class FrameGeometry:
 
     __slots__ = (
         "key", "d0", "d1", "slab", "depths", "pix", "row_start",
-        "matrix", "nbytes",
+        "matrix", "_own_bytes", "_covered", "_live",
     )
 
     def __init__(self, key, d0, d1, slab, depths, pix, row_start, matrix):
@@ -105,7 +112,7 @@ class FrameGeometry:
         self.pix = pix
         self.row_start = row_start
         self.matrix = matrix
-        self.nbytes = int(
+        self._own_bytes = int(
             pix.nbytes
             + row_start.nbytes
             + depths.nbytes
@@ -115,6 +122,17 @@ class FrameGeometry:
                 else 0
             )
         )
+        self._covered = None  # (n_pixels,) bool mask, built on first use
+        self._live = None  # (occupancy digest, live row indices or None = all)
+
+    @property
+    def nbytes(self) -> int:
+        n = self._own_bytes
+        if self._covered is not None:
+            n += self._covered.nbytes
+        if self._live is not None and self._live[1] is not None:
+            n += self._live[1].nbytes
+        return n
 
     @property
     def empty(self) -> bool:
@@ -137,6 +155,41 @@ class FrameGeometry:
         if self.empty:
             return np.zeros((0, flat_volume.shape[1]))
         return self.matrix @ flat_volume
+
+    def covered(self, n_pixels: int) -> np.ndarray:
+        """(n_pixels,) bool mask of the pixels any slice covers (memoized)."""
+        mask = self._covered
+        if mask is None or len(mask) != n_pixels:
+            mask = np.zeros(n_pixels, dtype=bool)
+            mask[self.pix] = True
+            self._covered = mask
+        return mask
+
+    def live_rows(self, occupied: np.ndarray) -> "FrameGeometry":
+        """This geometry restricted to the rows that can see an occupied voxel.
+
+        ``occupied`` is the (n_voxels,) bool mask of voxels with nonzero
+        alpha.  Weights are >= 0, so a row is dropped only when every
+        weight x occupancy product is 0.  Selecting CSR rows keeps each
+        row's summation order, so sampling the result equals the
+        matching rows of :meth:`sample` bit for bit.  The live row
+        indices are memoized in one entry, keyed on a digest of the
+        packed mask; the restricted table is selected on each call and
+        not kept, so a geometry used once holds no copy of its rows.
+        Returns ``self`` when every row is live.
+        """
+        key = hashlib.blake2b(np.packbits(occupied), digest_size=16).digest()
+        memo = self._live
+        if memo is None or memo[0] != key:
+            live = np.flatnonzero(self.matrix @ occupied.astype(np.float64))
+            memo = self._live = (key, None if len(live) == len(self.pix) else live)
+        live = memo[1]
+        if live is None:
+            return self
+        return FrameGeometry(
+            self.key, self.d0, self.d1, self.slab, self.depths,
+            self.pix[live], np.searchsorted(live, self.row_start), self.matrix[live],
+        )
 
     # ------------------------------------------------------------------
     @classmethod

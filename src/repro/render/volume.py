@@ -18,7 +18,9 @@ of the volume contents, so ``render_mixed`` resolves it through
 reuse the precomputed geometry and reduce the volume pass to one
 sparse matrix product plus sparse compositing.  Cached and uncached
 renders share every line of arithmetic, so their images are
-bit-identical.
+bit-identical.  Only slice rows that can see a voxel with nonzero alpha
+are sampled and composited: the rest premultiply to exactly 0, a no-op
+over-step, so the image is bit-identical to full sampling.
 """
 
 from __future__ import annotations
@@ -220,13 +222,13 @@ def render_mixed(
 
     Parameters
     ----------
-    rgba_volume : (X, Y, Z, 4) volume texture, or None for points only
+    rgba_volume : finite (X, Y, Z, 4) volume texture, or None for points only
     lo, hi : world-space bounds of the volume
     point_fragments : optional (pix, depth, rgba) triple as produced by
         :func:`repro.render.points.point_fragments`, or a *list* of
         such triples (per-shard fragment batches from the streaming
         pipeline) which are composited as one depth-sorted stream
-    n_slices : number of view-aligned slabs
+    n_slices : number of view-aligned slabs (>= 1)
     reference_slices : slice count at which volume alpha is calibrated
     cache : slice-geometry cache policy -- ``None`` uses the
         process-global :func:`repro.render.frame_cache.frame_geometry_cache`,
@@ -247,6 +249,8 @@ def render_mixed(
     premultiplied and touches only covered pixels; untouched pixels
     keep their exact prior framebuffer contents.
     """
+    if n_slices < 1:
+        raise ValueError(f"n_slices must be >= 1, got {n_slices}")
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     if fb is None:
@@ -321,6 +325,10 @@ def render_mixed(
                     camera, rgba_volume.shape[:3], lo, hi, n_slices
                 )
         flat = rgba_volume.reshape(-1, 4)
+    # a non-finite voxel would poison its pixels (0 * inf = NaN), and
+    # the empty-space skip is exact only for finite inputs
+    if rgba_volume is not None and not np.isfinite(flat).all():
+        raise ValueError("rgba_volume must be finite")
 
     if rgba_volume is None or geometry.empty:
         composite_point_range(0, n_frag)
@@ -333,13 +341,23 @@ def render_mixed(
 
     with span("slice_composite", n_slices=n_slices, n_fragments=n_frag):
         with span("slice_sample"):
-            samples = geometry.sample(flat)
+            # empty-space skip: a row whose stencil sees only alpha-0
+            # voxels premultiplies to exactly 0, and its over-step is a
+            # no-op that never moves the depth buffer
+            occupied = flat[:, 3] != 0
+            live = geometry if occupied.all() else geometry.live_rows(occupied)
+            count("slice_rows_sampled", len(live.pix))
+            count("slice_rows_skipped", len(geometry.pix) - len(live.pix))
+            samples = live.sample(flat)
             # opacity correction for slice spacing, then premultiply
             a = np.clip(samples[:, 3], 0.0, 0.9999)
             if exponent != 1.0:
                 a = 1.0 - (1.0 - a) ** exponent
             samples[:, :3] *= a[:, None]
             samples[:, 3] = a
+
+        # write-back un-premultiplies every covered pixel, skipped or not
+        touched |= geometry.covered(fb.n_pixels)
 
         # fragment index boundaries per slab (pdep sorted descending)
         cursor = 0
@@ -358,12 +376,11 @@ def render_mixed(
                 upto = int(np.searchsorted(-pdep, -depth_slice))
                 composite_point_range(cursor, upto)
                 cursor = upto
-            rows = geometry.slice_rows(s)
-            spix = geometry.pix[rows]
+            rows = live.slice_rows(s)
+            spix = live.pix[rows]
             if len(spix):
                 layer = samples[rows]
                 work[spix] = layer + work[spix] * (1.0 - layer[:, 3:4])
-                touched[spix] = True
                 present = layer[:, 3] > 1e-4
                 sp_ = spix[present]
                 depth_flat[sp_] = np.minimum(depth_flat[sp_], depth_slice)

@@ -4,7 +4,7 @@
 #   scripts/check.sh            # everything
 #   scripts/check.sh --no-lint  # tests only
 #   scripts/check.sh --faults   # the fault-injection pass only
-#   scripts/check.sh --perf     # the perf bench + regression gate only
+#   scripts/check.sh --perf     # the field-line suite + perf bench + gate
 #   scripts/check.sh --store    # the out-of-core store suite + RAM-cap gate
 #   scripts/check.sh --forest   # the forest/compositor suite + forest gate
 #   scripts/check.sh --service  # the multi-tenant service suite + chaos gate
@@ -16,10 +16,12 @@
 # executors, checkpoint/resume, remote link under injected damage)
 # plus the fault-rate bench that refreshes BENCH_remote_faults.json.
 #
-# --perf refreshes BENCH_frame_cache.json (frame cache, batched
-# seeding, space-charge kernels) and fails if any recorded speedup
-# ratio regressed more than 20% against the baseline committed at
-# HEAD (scripts/perf_gate.py).
+# --perf runs the field-line suites (with the seeding reference: the
+# round loop's exact rule against the one-line greedy seeder and the
+# lockstep tracer against the scalar one, bit for bit), then refreshes
+# BENCH_frame_cache.json (frame cache, batched seeding, space-charge
+# kernels) and fails if any recorded speedup ratio regressed more than
+# 20% against the baseline committed at HEAD (scripts/perf_gate.py).
 #
 # --store runs the sharded-store / streaming-pipeline suites (with the
 # partitioned-store format, from-disk extraction and checkpoint
@@ -210,6 +212,8 @@ if [[ $run_store -eq 1 ]]; then
 fi
 
 if [[ $run_perf -eq 1 ]]; then
+    echo "== field-line suite =="
+    PYTHONPATH=src python -m pytest -x -q tests/fieldlines/
     echo "== perf bench =="
     PYTHONPATH=src python -m pytest -q benchmarks/bench_frame_cache.py
     echo "== perf gate =="

@@ -10,8 +10,10 @@ tubes at 5-6x fewer triangles than polygonal streamtubes.
 
 Modules
 -------
-integrate     RK4 streamline tracing (single and batched)
-seeding       density-proportional incremental seed selection
+integrate     RK4 streamline tracing: one lockstep kernel under the
+              single-line and batched tracers
+seeding       density-proportional incremental seeding: one round
+              loop, exact greedy or batched (section 3.4) commits
 sos           self-orienting triangle strips + rendering
 streamtube    polygonal streamtube baseline
 illuminated   illuminated-lines / flat-lines baselines

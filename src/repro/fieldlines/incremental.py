@@ -13,10 +13,9 @@ counts and per-element field intensity, at any prefix length n.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.stats import spearmanr
 
-from repro.fieldlines.seeding import OrderedFieldLines
+from repro.fieldlines.seeding import OrderedFieldLines, _ElementVisitCounter
 from repro.fieldlines.sos import build_strips, render_strips
 from repro.fields.mesh import HexMesh
 from repro.render.camera import Camera
@@ -28,12 +27,8 @@ def element_line_counts(mesh: HexMesh, lines) -> np.ndarray:
     """Per-element count of distinct lines passing through (nearest-
     element-center assignment, matching the seeder's bookkeeping)."""
     counts = np.zeros(mesh.n_elements)
-    if not lines:
-        return counts
-    tree = cKDTree(mesh.element_centers())
-    for line in lines:
-        _, idx = tree.query(line.points)
-        counts[np.unique(idx)] += 1.0
+    for visited in _ElementVisitCounter(mesh).visits_batch([ln.points for ln in lines]):
+        counts[visited] += 1.0
     return counts
 
 

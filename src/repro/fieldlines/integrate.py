@@ -6,9 +6,11 @@ terminates when it leaves the domain, enters a region below the
 magnitude floor, closes on itself (magnetic field lines), or reaches
 the step cap.
 
-``integrate_streamline`` traces one seed (both directions by default,
-matching how E lines run wall-to-wall); ``integrate_batch`` traces
-many seeds simultaneously with an active mask, fully vectorized.
+One lockstep kernel, :func:`_trace`, steps every line; both public
+tracers call it.  ``integrate_streamline`` traces one seed (both
+directions by default, matching how E lines run wall-to-wall) as a
+two-line fleet and joins the halves; ``integrate_batch`` traces many
+seeds at once with an active mask, fully vectorized.
 """
 
 from __future__ import annotations
@@ -99,74 +101,91 @@ def integrate_streamline(
     loop_tolerance : if set, stop when the line returns within this
         distance of the seed (after 10 steps) -- closed B lines
     """
-    with span("integrate"):
-        return _integrate_streamline(
-            field_fn, seed, step, max_steps, min_magnitude, bidirectional,
-            loop_tolerance,
-        )
-
-
-def _integrate_streamline(
-    field_fn, seed, step, max_steps, min_magnitude, bidirectional, loop_tolerance
-) -> FieldLine:
     seed = np.asarray(seed, dtype=np.float64).reshape(1, 3)
-    halves = []
-    term = "cap"
-    directions = (+1.0, -1.0) if bidirectional else (+1.0,)
-    for sign in directions:
-        pts = [seed[0].copy()]
-        p = seed.copy()
-        this_term = "cap"
+    signs = np.array([+1.0, -1.0] if bidirectional else [+1.0])
+    trails, terms = _trace(
+        field_fn, np.repeat(seed, len(signs), axis=0), signs, step, max_steps,
+        min_magnitude, loop_tolerance,
+    )
+    points, term = _join(trails, terms)
+    return _finalize_batch(field_fn, [points], [term])[0]
+
+
+def _trace(field_fn, seeds, direction, step, max_steps, floor, loop_tolerance=None):
+    """The one RK4 stepping loop: advance every seed in lockstep.
+
+    All active lines share each RK4 field evaluation; finished lines
+    drop out.  Every seed starts active, so a seed outside
+    ``field_fn.inside`` still takes its first step.  ``direction`` is a
+    scalar sign or a per-seed (N,) array of signs.  Returns the raw
+    trails (seed first, one vertex per accepted step) and their
+    terminations.
+    """
+    seeds = np.atleast_2d(np.asarray(seeds, dtype=np.float64))
+    n = len(seeds)
+    signs = np.broadcast_to(
+        np.asarray(direction, dtype=np.float64), (n,)
+    ).reshape(n, 1)
+    # preallocated trail buffer: vertex v of line i lives at buf[v, i]
+    buf = np.empty((max_steps + 1, n, 3))
+    buf[0] = seeds
+    n_pts = np.ones(n, dtype=np.int64)
+    active = np.ones(n, dtype=bool)
+    terms = np.array(["cap"] * n, dtype=object)
+    p = seeds.copy()
+    with span("integrate", n=n):
         for istep in range(max_steps):
-            d = _rk4_direction(field_fn, p, sign * step, min_magnitude)
-            p_new = p + sign * step * d
-            _, mag = _unit_direction(field_fn, p_new, min_magnitude)
-            if not field_fn.inside(p_new)[0]:
-                this_term = "domain"
+            if not active.any():
                 break
-            if mag[0] < min_magnitude:
-                this_term = "weak"
-                break
-            pts.append(p_new[0].copy())
-            p = p_new
-            if (
-                loop_tolerance is not None
-                and istep > 10
-                and np.linalg.norm(p_new[0] - seed[0]) < loop_tolerance
-            ):
-                this_term = "loop"
-                break
-        halves.append(np.array(pts))
-        if this_term != "cap":
-            term = this_term
-        if this_term == "loop":
-            break  # a closed line needs no backward half
+            idx = np.flatnonzero(active)
+            h = signs[idx] * step
+            d = _rk4_direction(field_fn, p[idx], h, floor)
+            p_new = p[idx] + h * d
+            ins = field_fn.inside(p_new)
+            _, mag = _unit_direction(field_fn, p_new, floor)
+            keep = ins & (mag >= floor)
+            kept = idx[keep]
+            buf[n_pts[kept], kept] = p_new[keep]
+            n_pts[kept] += 1
+            died = idx[~keep]
+            if died.size:
+                terms[died] = np.where(ins[~keep], "weak", "domain")
+                active[died] = False
+            p[kept] = p_new[keep]
+            if loop_tolerance is not None and istep > 10:
+                # each row's norm as a 1-D vector (a BLAS dot): a
+                # row-wise norm rounds differently and can close a line
+                # a step early or late
+                closed = [
+                    i for i in kept if np.linalg.norm(p[i] - seeds[i]) < loop_tolerance
+                ]
+                terms[closed] = "loop"
+                active[closed] = False
+    return [np.ascontiguousarray(buf[: n_pts[i], i]) for i in range(n)], terms
 
-    if len(halves) == 2:
-        points = np.vstack([halves[1][::-1], halves[0][1:]])
-    else:
-        points = halves[0]
+
+def _join(halves, terms):
+    """One line's points and termination from its raw half-trails.
+
+    ``halves`` is the forward trail, optionally followed by the
+    backward one.  The backward half's non-``cap`` termination wins,
+    and a forward ``loop`` drops the backward half (a closed line
+    needs none).  A single vertex becomes a 2-point degenerate stub,
+    safe downstream.
+    """
+    points, term = halves[0], terms[0]
+    if len(halves) == 2 and term != "loop":
+        points = np.vstack([halves[1][::-1], points[1:]])
+        if terms[1] != "cap":
+            term = terms[1]
     if len(points) == 1:
-        points = np.vstack([points, points])  # degenerate stub
-    return _finalize(field_fn, points, term, min_magnitude)
-
-
-def _finalize(field_fn, points: np.ndarray, term: str, floor: float) -> FieldLine:
-    v = field_fn(points)
-    mags = np.linalg.norm(v, axis=1)
-    tangents = np.gradient(points, axis=0)
-    norms = np.linalg.norm(tangents, axis=1, keepdims=True)
-    tangents = tangents / np.where(norms < 1e-12, 1.0, norms)
-    return FieldLine(points=points, tangents=tangents, magnitudes=mags, termination=term)
+        points = np.vstack([points, points])
+    return points, term
 
 
 def _finalize_batch(field_fn, trails, terms) -> list[FieldLine]:
-    """Finalize many trails with a single field evaluation.
-
-    Per-line arithmetic is identical to :func:`_finalize`; only the
-    magnitude sampling is fused into one call over the concatenated
-    vertices.
-    """
+    """Lines from their polylines, with one fused field evaluation
+    over the concatenated vertices for the magnitudes."""
     if not trails:
         return []
     all_pts = np.concatenate(trails)
@@ -203,46 +222,10 @@ def integrate_batch(
     All active lines advance together in lockstep through shared RK4
     field evaluations; finished lines drop out.  ``direction`` may be a
     scalar sign or a per-seed (N,) array of signs, so a forward and a
-    backward half-trace fleet can share one lockstep loop.  This is the
-    kernel under the density-proportional seeder's batched mode
-    (:mod:`repro.fieldlines.parallel_seeding`) as well as the non-greedy
-    baselines and tests.
+    backward half-trace fleet can share one lockstep loop.  A line
+    that never takes a step comes back as a 2-point stub.
     """
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=np.float64))
-    n = len(seeds)
-    signs = np.broadcast_to(
-        np.asarray(direction, dtype=np.float64), (n,)
-    ).reshape(n, 1)
-    # preallocated trail buffer: vertex v of line i lives at buf[v, i]
-    buf = np.empty((max_steps + 1, n, 3))
-    buf[0] = seeds
-    n_pts = np.ones(n, dtype=np.int64)
-    active = field_fn.inside(seeds).copy()
-    terms = np.array(["cap"] * n, dtype=object)
-    p = seeds.copy()
-    with span("integrate_batch", n=n):
-        for _ in range(max_steps):
-            if not active.any():
-                break
-            idx = np.flatnonzero(active)
-            h = signs[idx] * step
-            d = _rk4_direction(field_fn, p[idx], h, min_magnitude)
-            p_new = p[idx] + h * d
-            ins = field_fn.inside(p_new)
-            _, mag = _unit_direction(field_fn, p_new, min_magnitude)
-            keep = ins & (mag >= min_magnitude)
-            kept = idx[keep]
-            buf[n_pts[kept], kept] = p_new[keep]
-            n_pts[kept] += 1
-            died = idx[~keep]
-            if died.size:
-                terms[died] = np.where(ins[~keep], "weak", "domain")
-                active[died] = False
-            p[kept] = p_new[keep]
-        trails = [
-            np.ascontiguousarray(buf[: n_pts[i], i])
-            if n_pts[i] > 1
-            else np.repeat(buf[:1, i], 2, axis=0)
-            for i in range(n)
-        ]
-        return _finalize_batch(field_fn, trails, terms)
+    trails, terms = _trace(field_fn, seeds, direction, step, max_steps, min_magnitude)
+    return _finalize_batch(
+        field_fn, [_join([t], [term])[0] for t, term in zip(trails, terms)], terms
+    )

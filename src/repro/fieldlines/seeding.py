@@ -21,6 +21,32 @@ The result is an :class:`OrderedFieldLines` whose ``prefix(n)`` slices
 are supersets of each other by construction -- "the set of field lines
 in each image in the sequence is a superset of those field lines in
 the preceding image".
+
+One round loop runs the algorithm.  Each round seeds the most-needy
+elements at once and traces all their lines as one lockstep fleet
+(both halves of every line, one :func:`~repro.fieldlines.integrate._trace`
+call), so candidates share every RK4 field evaluation.  Two rules
+decide which candidates the round commits:
+
+- **Exact (the default).**  A round speculates on the top
+  ``_SPECULATION`` elements by need and commits candidates in order
+  while each is still the element greedy would pick next
+  (``argmax(remaining)``, with positive need).  Candidate i takes the
+  i-th ``rng.random(3)`` draw, and a round's uncommitted draws carry
+  over, so the committed lines are the strict greedy ordering bit for
+  bit.
+- **Batched** (``batch_size`` or ``workers`` > 1, the "parallelizing
+  the field line calculations" of section 3.4).  A round commits all
+  of its ``batch_size`` candidates, so needs are up to ``batch_size -
+  1`` line-visits stale within a round.  Every prefix is still a
+  superset of every shorter one, a line appears at most ``batch_size -
+  1`` positions from where greedy would place a line for the same
+  element, and ``batch_size=1`` is the exact rule.  With ``workers >
+  1`` each round's half-lines are farmed out to worker *processes*
+  through :func:`repro.core.executor.run_shards`: a dead worker's shard
+  is retried in a fresh pool and persistent pool breakage falls back
+  in-process, with identical lines.  The field sampler must be
+  picklable for this path.
 """
 
 from __future__ import annotations
@@ -30,17 +56,25 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
+from repro.core.executor import run_shards
 from repro.core.trace import count, span
-from repro.fieldlines.integrate import FieldLine, integrate_streamline
-from repro.fields.mesh import HexMesh
+from repro.fieldlines.integrate import FieldLine, _finalize_batch, _join, _trace
+from repro.fields.mesh import HexMesh, _shape_functions_batch
 
 __all__ = ["OrderedFieldLines", "desired_line_counts", "seed_density_proportional"]
+
+# candidates the exact rule traces per round.  The lines do not depend
+# on it; it trades lines kept per round (about 3 on the field_sos
+# snapshots, EXPERIMENTS.md LEDGER-FIELD) against candidates traced in vain
+_SPECULATION = 8
 
 
 def desired_line_counts(mesh: HexMesh, field_name: str, total_lines: int) -> np.ndarray:
     """Per-element desired line counts: intensity x volume, scaled to
     sum to ``total_lines``."""
     intensity = mesh.element_field_intensity(field_name)
+    if not np.isfinite(intensity).all():
+        raise ValueError(f"field {field_name!r} has non-finite intensity; cannot seed")
     weight = intensity * mesh.element_volumes()
     total_weight = weight.sum()
     if total_weight <= 0:
@@ -89,12 +123,6 @@ class _ElementVisitCounter:
 
     def __init__(self, mesh: HexMesh):
         self.tree = cKDTree(mesh.element_centers())
-        self.n_elements = mesh.n_elements
-
-    def visits(self, points: np.ndarray) -> np.ndarray:
-        """Unique element ids visited by a polyline."""
-        _, idx = self.tree.query(points)
-        return np.unique(idx)
 
     def visits_batch(self, polylines) -> list:
         """Per-polyline unique element ids, via one fused tree query."""
@@ -105,29 +133,58 @@ class _ElementVisitCounter:
         return [np.unique(part) for part in np.split(idx, splits)]
 
 
-def _random_point_in_element(mesh: HexMesh, element: int, rng) -> np.ndarray:
-    """Uniform-in-reference-cube sample mapped through the trilinear
-    element map (not exactly uniform in space for distorted elements,
-    which matches 'picking a random seed point within that element')."""
-    return _random_points_in_elements(mesh, np.array([element]), rng)[0]
-
-
 def _random_points_in_elements(mesh: HexMesh, elements: np.ndarray, rng) -> np.ndarray:
     """One random interior point per element, vectorized.
 
+    A uniform-in-reference-cube sample mapped through the trilinear
+    element map (not exactly uniform in space for distorted elements,
+    which matches 'picking a random seed point within that element').
     Draws ``rng.random((K, 3))``, which consumes the generator stream
-    exactly as K successive ``rng.random(3)`` calls would -- so batched
-    and one-at-a-time seeding produce identical seed points for the
-    same element sequence.
+    exactly as K successive ``rng.random(3)`` calls would -- so the
+    i-th seed of any round takes the i-th draw.
     """
     elements = np.asarray(elements, dtype=np.int64)
     corners = mesh.vertices[mesh.hexes[elements]]        # (K, 8, 3)
-    r = rng.random((len(elements), 3))
-    # trilinear blend of the 8 corners
-    from repro.fields.mesh import _shape_functions_batch
-
-    w = _shape_functions_batch(r)                        # (K, 8)
+    w = _shape_functions_batch(rng.random((len(elements), 3)))  # (K, 8)
     return np.matmul(w[:, None, :], corners)[:, 0, :]
+
+
+def _integrate_shard(args):
+    """Trace one shard of a round's half-lines (runs in a worker)."""
+    field_fn, seeds, direction, step, max_steps, floor, loop_tolerance = args
+    return _trace(field_fn, seeds, direction, step, max_steps, floor, loop_tolerance)
+
+
+def _integrate_round(
+    field_fn, seeds, step, max_steps, floor, loop_tolerance, workers, shard_fn
+) -> list[FieldLine]:
+    """Trace a round's candidate lines, both halves, and join them.
+
+    ``workers > 1`` splits each direction into per-worker shards run
+    through :func:`run_shards` (crash-safe); otherwise both halves of
+    every candidate run as one lockstep fleet.
+    """
+    k = len(seeds)
+    if workers <= 1:
+        trails, terms = _trace(
+            field_fn, np.vstack([seeds, seeds]),
+            np.concatenate([np.ones(k), -np.ones(k)]),
+            step, max_steps, floor, loop_tolerance,
+        )
+    else:
+        chunks = np.array_split(np.arange(k), min(workers, k))
+        tasks = [
+            (field_fn, seeds[c], direction, step, max_steps, floor, loop_tolerance)
+            for direction in (+1.0, -1.0)
+            for c in chunks
+        ]
+        results = run_shards(shard_fn, tasks, workers=workers, label="seed_rounds")
+        trails = [t for shard, _ in results for t in shard]
+        terms = [t for _, shard in results for t in shard]
+    joined = [
+        _join([trails[j], trails[k + j]], [terms[j], terms[k + j]]) for j in range(k)
+    ]
+    return _finalize_batch(field_fn, [p for p, _ in joined], [t for _, t in joined])
 
 
 def seed_density_proportional(
@@ -156,34 +213,40 @@ def seed_density_proportional(
     step : integration step; defaults to ~half the mean element edge
     min_magnitude_fraction : termination floor as a fraction of the
         mesh's peak field intensity
-    on_line : optional callback(i, line) fired as each line lands
-    workers / batch_size : > 1 selects the round-based batched seeder
-        (:mod:`repro.fieldlines.parallel_seeding`), integrating
-        ``batch_size or workers`` lines simultaneously per round;
-        ``workers > 1`` additionally farms each round out to worker
-        *processes* (crash-safe: dead workers are retried, persistent
-        pool breakage falls back in-process -- see
-        :mod:`repro.core.executor`).  The greedy path (the default)
-        supports ``loop_tolerance`` and ``on_line``, the batched path
-        does not.
+    loop_tolerance : stop a line that returns this close to its seed
+        (closed B lines; see
+        :func:`repro.fieldlines.integrate.integrate_streamline`)
+    rng : numpy ``Generator`` for the seed points (default
+        ``default_rng(0)``)
+    on_line : optional callback(i, line) fired as each line is
+        committed
+    workers / batch_size : > 1 selects the batched rule (see the module
+        docstring), committing ``batch_size or workers`` lines per
+        round; ``workers > 1`` additionally traces each round on worker
+        *processes* (crash-safe, see :mod:`repro.core.executor`).  The
+        default exact rule gives the strict greedy ordering.
     """
     if batch_size is not None and batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    n_batch = int(batch_size or workers)
-    if n_batch > 1:
-        if loop_tolerance is not None or on_line is not None:
-            raise ValueError(
-                "batched seeding (workers/batch_size > 1) supports neither "
-                "loop_tolerance nor on_line; use the default greedy path"
-            )
-        from repro.fieldlines.parallel_seeding import _seed_batched
+    return _seed_rounds(
+        mesh, field_fn, total_lines, field_name, step, max_steps,
+        min_magnitude_fraction, loop_tolerance, rng, on_line, int(workers),
+        int(batch_size or workers),
+    )
 
-        return _seed_batched(
-            mesh, field_fn, total_lines=total_lines, field_name=field_name,
-            batch_size=n_batch, step=step, max_steps=max_steps,
-            min_magnitude_fraction=min_magnitude_fraction, rng=rng,
-            workers=int(workers),
-        )
+
+def _seed_rounds(
+    mesh, field_fn, total_lines, field_name, step, max_steps,
+    min_magnitude_fraction, loop_tolerance, rng, on_line, workers, batch_size,
+    _shard_fn=_integrate_shard,
+) -> OrderedFieldLines:
+    """The round loop under :func:`seed_density_proportional`.
+
+    ``batch_size > 1`` commits whole rounds (the batched rule);
+    otherwise rounds speculate on ``_SPECULATION`` candidates and commit
+    the prefix greedy would have picked.  ``_shard_fn`` is the
+    fault-injection seam of the worker path.
+    """
     rng = rng or np.random.default_rng(0)
     desired = desired_line_counts(mesh, field_name, total_lines)
     remaining = desired.copy()
@@ -196,34 +259,41 @@ def seed_density_proportional(
     peak = float(mesh.element_field_intensity(field_name).max())
     floor = peak * min_magnitude_fraction
 
+    exact = batch_size <= 1
     lines: list[FieldLine] = []
-    for i in range(int(total_lines)):
-        element = int(np.argmax(remaining))
-        if remaining[element] <= 0:
+    while len(lines) < total_lines:
+        want = min(_SPECULATION if exact else batch_size, total_lines - len(lines))
+        # the `want` most-needy distinct elements, by descending need
+        order = np.argsort(-remaining, kind="stable")[:want]
+        order = order[remaining[order] > 0]
+        if order.size == 0:
             break  # every element's need is satisfied
-        seed = _random_point_in_element(mesh, element, rng)
-        line = integrate_streamline(
-            field_fn,
-            seed,
-            step=step,
-            max_steps=max_steps,
-            min_magnitude=floor,
-            loop_tolerance=loop_tolerance,
+        rewind = rng.bit_generator.state
+        seeds = _random_points_in_elements(mesh, order, rng)
+        count("seed_candidates", len(order))
+        candidates = _integrate_round(
+            field_fn, seeds, step, max_steps, floor, loop_tolerance, workers, _shard_fn
         )
-        line.order = i
         with span("visit_accounting"):
-            visited = counter.visits(line.points)
-        remaining[visited] -= 1.0
-        achieved[visited] += 1.0
-        lines.append(line)
-        count("lines_seeded")
-        if on_line is not None:
-            on_line(i, line)
+            visits = counter.visits_batch([c.points for c in candidates])
+        for i, (element, line, visited) in enumerate(zip(order, candidates, visits)):
+            if exact and (np.argmax(remaining) != element or remaining[element] <= 0):
+                # greedy picks another element next: give the unused
+                # draws back so the next round's seeds take them
+                rng.bit_generator.state = rewind
+                rng.random((i, 3))
+                break
+            line.order = len(lines)
+            remaining[visited] -= 1.0
+            achieved[visited] += 1.0
+            lines.append(line)
+            count("lines_seeded")
+            if on_line is not None:
+                on_line(line.order, line)
 
+    meta = {"step": step, "floor": floor, "total_requested": int(total_lines)}
+    if not exact:
+        meta.update(batch_size=batch_size, workers=workers)
     return OrderedFieldLines(
-        lines=lines,
-        desired=desired,
-        achieved=achieved,
-        field_name=field_name,
-        meta={"step": step, "floor": floor, "total_requested": int(total_lines)},
+        lines=lines, desired=desired, achieved=achieved, field_name=field_name, meta=meta
     )

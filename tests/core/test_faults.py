@@ -137,24 +137,21 @@ class TestRunShards:
 
 class TestParallelSeedingUnderCrash:
     def test_seeding_survives_worker_crash(self, tmp_path, structure3, e_sampler):
-        from repro.fieldlines.parallel_seeding import (
-            _integrate_shard,
-            _seed_batched,
-        )
+        from repro.fieldlines.seeding import _integrate_shard, _seed_rounds
 
         kwargs = dict(
-            total_lines=10, field_name="E", batch_size=5, max_steps=60,
+            total_lines=10, field_name="E", step=None, max_steps=60,
+            min_magnitude_fraction=1e-3, loop_tolerance=None, on_line=None,
+            workers=2, batch_size=5,
         )
-        clean = _seed_batched(
-            structure3.mesh, e_sampler,
-            rng=np.random.default_rng(4), workers=2, **kwargs,
+        clean = _seed_rounds(
+            structure3.mesh, e_sampler, rng=np.random.default_rng(4), **kwargs,
         )
         crashing = CrashOnce(_integrate_shard, tmp_path / "seed.token")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            survived = _seed_batched(
-                structure3.mesh, e_sampler,
-                rng=np.random.default_rng(4), workers=2,
+            survived = _seed_rounds(
+                structure3.mesh, e_sampler, rng=np.random.default_rng(4),
                 _shard_fn=crashing, **kwargs,
             )
         assert len(survived) == len(clean)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
+from scipy.stats import spearmanr
 
 from repro.fieldlines.incremental import (
     IncrementalViewer,
@@ -37,6 +39,24 @@ class TestElementCounts:
     def test_empty_lines(self, structure3_mod):
         counts = element_line_counts(structure3_mod.mesh, [])
         assert np.all(counts == 0)
+
+    def test_equals_per_line_queries(self, structure3_mod, ordered_lines_mod):
+        """The fused query counts exactly what one query per line did,
+        so ``density_correlation`` is unchanged too."""
+        mesh = structure3_mod.mesh
+        tree = cKDTree(mesh.element_centers())
+        intensity = mesh.element_field_intensity("E") * mesh.element_volumes()
+        for n in (1, 10, len(ordered_lines_mod)):
+            ref = np.zeros(mesh.n_elements)
+            for line in ordered_lines_mod.prefix(n):
+                _, idx = tree.query(line.points)
+                ref[np.unique(idx)] += 1.0
+            assert np.array_equal(
+                element_line_counts(mesh, ordered_lines_mod.prefix(n)), ref
+            )
+            assert density_correlation(mesh, ordered_lines_mod, n) == float(
+                spearmanr(ref, intensity)[0]
+            )
 
 
 class TestDensityCorrelation:

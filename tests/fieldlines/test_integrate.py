@@ -185,6 +185,18 @@ class TestBatch:
             assert mixed.termination == ref.termination
             assert np.allclose(mixed.points, ref.points, atol=1e-12)
 
+    def test_outside_seed_takes_first_step(self):
+        """Every seed starts active: a seed outside ``inside()`` takes its
+        first step, and keeps going if that step enters the domain."""
+        field = _UniformField()
+        seeds = np.array([[-5.05, 0.0, 0.0], [10.0, 0.0, 0.0]])
+        enters, leaves = integrate_batch(field, seeds, step=0.1, max_steps=20)
+        assert enters.termination == "cap"
+        assert enters.n_points == 21
+        assert enters.points[1, 0] == pytest.approx(-4.95)
+        assert leaves.termination == "domain"
+        assert leaves.n_points == 2  # the seed as a degenerate stub
+
     def test_scalar_backward_direction(self, rng):
         """direction=-1 retraces a forward line's path in reverse."""
         field = _UniformField()

@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.fieldlines.integrate import integrate_streamline
 from repro.fieldlines.seeding import (
     OrderedFieldLines,
     desired_line_counts,
     seed_density_proportional,
 )
+from repro.fields.mesh import StructuredHexMesh
+from repro.fields.sampling import AnalyticSampler
+
+from .test_batched_ordering import DipoleField
 
 
 class TestDesiredCounts:
@@ -27,6 +32,64 @@ class TestDesiredCounts:
         structure3.mesh.set_field("zero", np.zeros((structure3.mesh.n_vertices, 3)))
         with pytest.raises(ValueError, match="identically zero"):
             desired_line_counts(structure3.mesh, "zero", 10)
+
+
+class TestNonFiniteField:
+    """One NaN or Inf vertex value makes the desired counts meaningless;
+    both commit rules must refuse it instead of seeding garbage."""
+
+    @pytest.fixture
+    def dipole4(self):
+        axis = np.linspace(-1.0, 1.0, 5)  # 4^3 elements
+        gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
+        return StructuredHexMesh(np.stack([gx, gy, gz], axis=-1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("batch_size", [None, 4])
+    def test_rejected(self, dipole4, bad, batch_size):
+        values = DipoleField()(dipole4.vertices)
+        values[7, 1] = bad
+        dipole4.set_field("E", values)
+        with pytest.raises(ValueError, match="non-finite"):
+            desired_line_counts(dipole4, "E", 12)
+        with pytest.raises(ValueError, match="non-finite"):
+            seed_density_proportional(
+                dipole4, DipoleField(), total_lines=12, max_steps=40,
+                batch_size=batch_size,
+            )
+
+
+class TestBatchedOptions:
+    """The batched rule runs the same round loop, so it takes
+    ``on_line`` and ``loop_tolerance`` like the default rule."""
+
+    def test_on_line_fires_at_commit(self, structure3, e_sampler):
+        seen = []
+        out = seed_density_proportional(
+            structure3.mesh, e_sampler, total_lines=6, batch_size=4, max_steps=60,
+            on_line=lambda i, line: seen.append((i, line)),
+            rng=np.random.default_rng(0),
+        )
+        assert [i for i, _ in seen] == list(range(6))
+        assert all(line is out.lines[i] for i, line in seen)
+
+    def test_loop_tolerance_closes_lines(self, structure3, mode3):
+        b = AnalyticSampler(mode3, "B", t=np.pi / (2 * mode3.omega), structure=structure3)
+        out = seed_density_proportional(
+            structure3.mesh, b, total_lines=8, field_name="B", batch_size=4,
+            max_steps=150, loop_tolerance=0.02, rng=np.random.default_rng(2),
+        )
+        loops = [line for line in out.lines if line.termination == "loop"]
+        assert loops
+        for line in loops:
+            # a closed line keeps its forward half only, seed first,
+            # exactly as the single-line tracer returns it
+            assert np.linalg.norm(line.points[-1] - line.points[0]) < 0.02
+            alone = integrate_streamline(
+                b, line.points[0], step=out.meta["step"], max_steps=150,
+                min_magnitude=out.meta["floor"], loop_tolerance=0.02,
+            )
+            assert np.array_equal(alone.points, line.points)
 
 
 class TestSeeding:

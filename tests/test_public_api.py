@@ -69,7 +69,6 @@ MODULES = [
     "repro.render.image",
     "repro.fieldlines.integrate",
     "repro.fieldlines.seeding",
-    "repro.fieldlines.parallel_seeding",
     "repro.fieldlines.sos",
     "repro.fieldlines.ribbon",
     "repro.fieldlines.streamtube",

@@ -24,10 +24,12 @@
 # 20% against the baseline committed at HEAD (scripts/perf_gate.py).
 #
 # --store runs the sharded-store / streaming-pipeline suites (with the
-# partitioned-store format, from-disk extraction and checkpoint
-# resume), then the RAM-capped bench (the full 10^7-particle pipeline
-# in a measured subprocess) that refreshes BENCH_sharded_store.json,
-# and gates on peak RSS < 0.5 of raw plus the streamed-vs-in-core
+# partitioned-store format, the stored density volume and prefix-only
+# extraction, checkpoint resume, and the LOD and progressive-stream
+# suites, whose mip pyramid and stream volume read the stored volume),
+# then the RAM-capped bench (the full 10^7-particle pipeline in a
+# measured subprocess) that refreshes BENCH_sharded_store.json, and
+# gates on peak RSS < 0.5 of raw plus the streamed-vs-in-core
 # equivalence flags (scripts/perf_gate.py --store).
 #
 # --forest runs the forest-of-octrees + sort-last compositor suites
@@ -202,6 +204,8 @@ if [[ $run_store -eq 1 ]]; then
         tests/octree/test_format.py \
         tests/octree/test_disk_extraction.py \
         tests/octree/test_stream_partition.py \
+        tests/octree/test_lod.py \
+        tests/remote/test_progressive.py \
         tests/render/test_fragment_batches.py \
         tests/test_deprecations.py
     echo "== RAM-capped store bench =="

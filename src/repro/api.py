@@ -68,7 +68,7 @@ from repro.fieldlines.seeding import OrderedFieldLines, seed_density_proportiona
 from repro.fieldlines.sos import build_strips, render_strips
 from repro.hybrid.renderer import HybridRenderer
 from repro.hybrid.representation import HybridFrame
-from repro.octree.amr import AmrVolume, amr_from_nodes, build_amr, plan_amr_levels
+from repro.octree.amr import AmrVolume, build_amr, plan_amr_levels
 from repro.octree.extraction import extract
 from repro.octree.forest import ForestStore, partition_forest, render_forest
 from repro.octree.lod import LodHierarchy, build_lod
@@ -135,7 +135,6 @@ __all__ = [
     "AmrVolume",
     "build_amr",
     "plan_amr_levels",
-    "amr_from_nodes",
     "AmrRgbaVolume",
     "amr_geometry_key",
     "build_amr_geometry",

@@ -144,8 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed of the per-node sample permutations")
     p.add_argument("--mip-base", type=int, default=64,
                    help="finest density-mip resolution (power of two); "
-                        "streams at this resolution get their exact "
-                        "volume straight from mip 0")
+                        "mip 0 is the store's stored volume at it")
     p.add_argument("--mip-levels", type=int, default=3,
                    help="mip pyramid depth (each level halves)")
     p.set_defaults(func=_cmd_lod)
@@ -237,9 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attributes", default="",
                    help="comma-separated derived point attributes "
                         "(pmag, pt, energy_t, radius, emittance)")
-    p.add_argument("--from-disk", action="store_true",
-                   help="prefix-only extraction: volume from octree "
-                        "nodes, discarded particles never read")
     p.add_argument("--adaptive", action="store_true",
                    help="also build an octree-refined adaptive (AMR) "
                         "density volume at equal memory: resolution "
@@ -596,40 +592,28 @@ def _cmd_service(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    from repro.octree.disk_extraction import extract_from_disk
     from repro.octree.extraction import extract
     from repro.octree.stream_partition import PartitionedStore
 
     attrs = tuple(a for a in args.attributes.split(",") if a)
-    if args.from_disk and attrs:
-        raise SystemExit("--attributes needs the full particle data; "
-                         "drop --from-disk to use them")
-    amr_kwargs = dict(
-        adaptive=args.adaptive,
-        amr_bricks=args.amr_bricks,
-        amr_brick_cells=args.amr_cells,
-        amr_max_refine=args.amr_refine,
-        amr_byte_budget=args.amr_bytes,
-    )
     ps = PartitionedStore.open(args.stem)
     if args.threshold is not None:
         threshold = args.threshold
     else:
         threshold = float(np.percentile(ps.nodes["density"], args.percentile))
-    with span("extract", from_disk=args.from_disk):
-        if args.from_disk:
-            hybrid = extract_from_disk(
-                ps, threshold, volume_resolution=args.resolution, **amr_kwargs
-            )
-        else:
-            hybrid = extract(
-                ps, threshold, volume_resolution=args.resolution,
-                point_attributes=attrs, **amr_kwargs,
-            )
+    with span("extract"):
+        hybrid = extract(
+            ps, threshold, volume_resolution=args.resolution,
+            point_attributes=attrs,
+            adaptive=args.adaptive,
+            amr_bricks=args.amr_bricks,
+            amr_brick_cells=args.amr_cells,
+            amr_max_refine=args.amr_refine,
+            amr_byte_budget=args.amr_bytes,
+        )
     nbytes = hybrid.save(args.out)
-    mode = "prefix-only I/O" if args.from_disk else "shard-streamed"
     print(
-        f"extracted ({mode}) {hybrid.n_points} points + "
+        f"extracted (shard-streamed) {hybrid.n_points} points + "
         f"{args.resolution}^3 volume{_amr_note(hybrid)} at threshold "
         f"{threshold:.4g} -> {args.out} ({nbytes / 1e6:.2f} MB)"
     )

@@ -19,6 +19,7 @@ installs a hook.
 from __future__ import annotations
 
 import os
+import threading
 from pathlib import Path
 
 __all__ = ["atomic_write_bytes", "set_fault_hook"]
@@ -36,14 +37,16 @@ def set_fault_hook(hook) -> None:
 def atomic_write_bytes(path, data: bytes, fsync: bool = False) -> int:
     """Write ``data`` to ``path`` atomically; returns bytes written.
 
-    The bytes land in ``.<name>.tmp.<pid>`` next to the target and are
-    renamed into place with :func:`os.replace`.  On any failure the
+    The bytes land in ``.<name>.tmp.<pid>.<thread id>`` next to the
+    target and are renamed into place with :func:`os.replace`; naming
+    the temp file by thread too keeps two threads writing one target
+    from sharing (and stealing) one temp file.  On any failure the
     temp file is removed and the target is left exactly as it was.
     ``fsync=True`` additionally flushes the payload to stable storage
     before the rename (durability against power loss, at a cost).
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
+    tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}.{threading.get_ident()}")
     try:
         with open(tmp, "wb") as f:
             f.write(data)

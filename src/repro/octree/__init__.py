@@ -27,9 +27,8 @@ from repro.octree.octree import Octree, PLOT_TYPES, plot_columns
 from repro.octree.partition import PartitionedFrame, partition
 from repro.octree.extraction import extract, extraction_sizes
 from repro.octree.repartition import repartition
-from repro.octree.disk_extraction import extract_from_disk
 from repro.octree.lod import LodHierarchy, build_lod
-from repro.octree.amr import AmrVolume, amr_from_nodes, build_amr, plan_amr_levels
+from repro.octree.amr import AmrVolume, build_amr, plan_amr_levels
 
 __all__ = [
     "Octree",
@@ -40,11 +39,9 @@ __all__ = [
     "extract",
     "extraction_sizes",
     "repartition",
-    "extract_from_disk",
     "LodHierarchy",
     "build_lod",
     "AmrVolume",
-    "amr_from_nodes",
     "build_amr",
     "plan_amr_levels",
 ]

@@ -64,7 +64,6 @@ __all__ = [
     "amr_plan_nbytes",
     "brick_particle_counts",
     "build_amr",
-    "amr_from_nodes",
 ]
 
 _MAGIC = b"RPRAMRVL"
@@ -325,58 +324,6 @@ class AmrVolume:
         scale = np.repeat(self.cell_volumes(), m**3)
         return self.data.astype(np.float64) * scale
 
-    def pool_counts(self, resolution: int) -> np.ndarray:
-        """Sum-pool the bricks into a uniform count grid.
-
-        This is how AMR bricks feed the LOD mip pyramid: counts stay
-        counts at every level (mass conserved), finer bricks 2x2x2-sum
-        down, coarser bricks spread uniformly.  ``resolution`` must be
-        a multiple of ``bricks`` and commensurate with every brick.
-        """
-        res = int(resolution)
-        if res % self.bricks:
-            raise ValueError("resolution must be a multiple of bricks")
-        res_b = res // self.bricks
-        out = np.zeros((res,) * 3)
-        cnt = self.counts()
-        lvl3 = self.levels
-        for i in range(self.bricks):
-            for j in range(self.bricks):
-                for k in range(self.bricks):
-                    if lvl3[i, j, k] < 0:
-                        continue
-                    flat_id = (i * self.bricks + j) * self.bricks + k
-                    off = int(self.offsets[flat_id])
-                    m = self._brick_m(flat_id)
-                    g = cnt[off : off + m**3].reshape(m, m, m)
-                    if m >= res_b:
-                        if m % res_b:
-                            raise ValueError(
-                                f"brick resolution {m} not commensurate "
-                                f"with {res_b} target cells"
-                            )
-                        f = m // res_b
-                        g = g.reshape(res_b, f, res_b, f, res_b, f).sum(
-                            axis=(1, 3, 5)
-                        )
-                    else:
-                        if res_b % m:
-                            raise ValueError(
-                                f"brick resolution {m} not commensurate "
-                                f"with {res_b} target cells"
-                            )
-                        f = res_b // m
-                        g = (
-                            g.repeat(f, axis=0).repeat(f, axis=1).repeat(f, axis=2)
-                            / float(f**3)
-                        )
-                    out[
-                        i * res_b : (i + 1) * res_b,
-                        j * res_b : (j + 1) * res_b,
-                        k * res_b : (k + 1) * res_b,
-                    ] = g
-        return out
-
     def to_dense(self, resolution: int) -> np.ndarray:
         """Nearest-neighbor density resample to a uniform float32 grid
         (a flat fallback view; rendering samples the bricks directly)."""
@@ -561,96 +508,4 @@ def build_amr(
     count("amr_bricks_refined", vol.n_refined)
     gauge("amr_volume_bytes", vol.nbytes)
     gauge("amr_max_level", vol.max_level_used)
-    return vol
-
-
-# ----------------------------------------------------------------------
-def amr_from_nodes(
-    nodes,
-    lo,
-    hi,
-    *,
-    bricks: int = 8,
-    brick_cells: int = 8,
-    max_refine: int = 2,
-    refine_budget: int | None = None,
-    byte_budget: int | None = None,
-) -> AmrVolume:
-    """Adaptive volume rasterized from octree *nodes* alone.
-
-    The prefix-only disk extraction never reads discarded particles;
-    this keeps that I/O claim for the adaptive path: root-brick counts
-    and brick payloads both come from box-splatting each node's count
-    over the cells its box overlaps (mass conserved per node).
-    """
-    from repro.octree.disk_extraction import counts_from_nodes, node_bounds
-
-    bricks, brick_cells = _validate_geometry(bricks, brick_cells)
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    if refine_budget is None and byte_budget is None:
-        byte_budget = 64**3 * 4
-    root_counts = counts_from_nodes(nodes, lo, hi, bricks)
-    levels = plan_amr_levels(
-        np.rint(root_counts),
-        brick_cells=brick_cells,
-        max_refine=max_refine,
-        refine_budget=refine_budget,
-        byte_budget=byte_budget,
-    )
-    levels_flat = levels.reshape(-1)
-    offsets, total_cells = _offsets_from_levels(levels, brick_cells)
-    acc = np.zeros(total_cells, dtype=np.float64)
-    span_w = np.maximum(hi - lo, 1e-300)
-
-    with span("amr_deposit", bricks=bricks, cells=total_cells, source="nodes"):
-        for node in np.asarray(nodes):
-            cnt = float(node["count"])
-            if cnt == 0.0:
-                continue
-            nlo, nhi = node_bounds(int(node["level"]), int(node["key"]), lo, hi)
-            a = (nlo - lo) / span_w  # normalized node box
-            b = (nhi - lo) / span_w
-            bi0 = np.clip(np.floor(a * bricks).astype(int), 0, bricks - 1)
-            bi1 = np.clip(np.ceil(b * bricks).astype(int), 1, bricks)
-            pieces = []  # (flat cell indices, overlap weights) per brick
-            total_w = 0.0
-            for i in range(bi0[0], bi1[0]):
-                for j in range(bi0[1], bi1[1]):
-                    for k in range(bi0[2], bi1[2]):
-                        flat_id = (i * bricks + j) * bricks + k
-                        off = int(offsets[flat_id])
-                        if off < 0:
-                            continue
-                        m = brick_cells << int(levels_flat[flat_id])
-                        w_axes = []
-                        for ax, bidx in zip(range(3), (i, j, k)):
-                            edges = (bidx + np.arange(m + 1) / m) / bricks
-                            overlap = np.minimum(edges[1:], b[ax]) - np.maximum(
-                                edges[:-1], a[ax]
-                            )
-                            w_axes.append(np.maximum(overlap, 0.0))
-                        cell = (
-                            w_axes[0][:, None, None]
-                            * w_axes[1][None, :, None]
-                            * w_axes[2][None, None, :]
-                        )
-                        s = float(cell.sum())
-                        if s > 0.0:
-                            pieces.append((off, cell))
-                            total_w += s
-            if total_w <= 0.0:
-                continue
-            for off, cell in pieces:
-                acc[off : off + cell.size] += (cnt / total_w) * cell.reshape(-1)
-
-    occ = np.flatnonzero(levels_flat >= 0)
-    m = np.int64(brick_cells) << levels_flat[occ].astype(np.int64)
-    cell_vol = float(np.prod(span_w / bricks)) / m.astype(np.float64) ** 3
-    scale = np.repeat(cell_vol, m**3)
-    data = (acc / scale).astype(np.float32) if total_cells else acc.astype(np.float32)
-    vol = AmrVolume(lo, hi, bricks, brick_cells, levels, data)
-    count("amr_deposit_brick", vol.n_occupied)
-    count("amr_bricks_refined", vol.n_refined)
-    gauge("amr_volume_bytes", vol.nbytes)
     return vol

@@ -14,7 +14,11 @@ particles are never read from disk."
 the partitioned particle file.  The density volume covers *all*
 particles (the paper's Figure 3 shows the volume- and point-rendered
 regions may overlap; the linked transfer functions decide the visible
-boundary at view time).
+boundary at view time).  It does not depend on the threshold, so a
+partitioned store deposits it once per resolution and keeps it
+(:meth:`~repro.octree.stream_partition.PartitionedStore.volume_counts`):
+once that file exists, extraction reads the node table, the halo
+prefix and the stored volume, and no discarded particle.
 """
 
 from __future__ import annotations
@@ -55,6 +59,23 @@ def _streamed_volume(frame, cutoff: int, res, volume_from: str) -> np.ndarray:
     return grid
 
 
+def _density_volume(frame, cutoff: int, resolution: int, volume_from: str) -> np.ndarray:
+    """The extraction's f4 density volume: CIC counts over the cell
+    volume.  A partitioned store's all-particle counts are its stored
+    volume; ``volume_from="rest"`` and in-core frames deposit."""
+    res = (int(resolution),) * 3
+    if isinstance(frame, PartitionedFrame):
+        coords = frame.coords
+        vol_src = coords if volume_from == "all" else coords[cutoff:]
+        counts = deposit_cic(vol_src, res, frame.lo, frame.hi) if len(vol_src) else np.zeros(res)
+    elif volume_from == "all":
+        counts = frame.volume_counts(res[0])
+    else:
+        counts = _streamed_volume(frame, cutoff, res, "rest")
+    cell_volume = float(np.prod((frame.hi - frame.lo) / (np.array(res) - 1)))
+    return (counts / cell_volume).astype(np.float32)
+
+
 def extract(
     frame,
     threshold_density: float,
@@ -76,11 +97,13 @@ def extract(
     frame : a partitioned frame (nodes and particles density-sorted) --
         either an in-core :class:`PartitionedFrame` or an out-of-core
         :class:`repro.octree.stream_partition.PartitionedStore`, whose
-        halo prefix is read shard-by-shard and whose density volume is
-        binned shard-by-shard (peak memory stays at one shard plus the
-        halo, never the full frame)
+        halo prefix is read shard-by-shard and whose all-particle
+        density volume is the store's own
+        (:meth:`~repro.octree.stream_partition.PartitionedStore.volume_counts`,
+        binned shard-by-shard on first use; peak memory stays at one
+        shard plus the halo, never the full frame)
     threshold_density : nodes with density strictly below this store
-        their particles explicitly
+        their particles explicitly; NaN raises ``ValueError``
     volume_resolution : density volume grid size per axis (paper: 64^3
         for the mixed rendering, 256^3 for the volume-only comparison)
     volume_from : "all" deposits every particle into the volume
@@ -110,6 +133,8 @@ def extract(
     """
     if volume_from not in ("all", "rest"):
         raise ValueError("volume_from must be 'all' or 'rest'")
+    if np.isnan(threshold_density):
+        raise ValueError("threshold_density must not be NaN")
     streaming = not isinstance(frame, PartitionedFrame)
 
     with span("point_prefix", streaming=streaming):
@@ -127,22 +152,9 @@ def extract(
         with span("point_attributes"):
             attributes = compute_attributes(halo_particles, point_attributes)
 
-    res = (int(volume_resolution),) * 3
     with span("volume_deposit", resolution=int(volume_resolution), streaming=streaming):
-        if streaming:
-            counts = _streamed_volume(frame, cutoff, res, volume_from)
-        else:
-            coords = frame.coords
-            vol_src = coords if volume_from == "all" else coords[cutoff:]
-            if len(vol_src):
-                counts = deposit_cic(vol_src, res, frame.lo, frame.hi)
-            else:
-                counts = np.zeros(res)
+        volume = _density_volume(frame, cutoff, volume_resolution, volume_from)
     count("points_extracted", cutoff)
-    cell_volume = float(
-        np.prod((frame.hi - frame.lo) / (np.array(res) - 1))
-    )
-    density_volume = counts / cell_volume
 
     meta = {}
     if adaptive:
@@ -162,7 +174,7 @@ def extract(
         )
 
     return HybridFrame(
-        volume=density_volume.astype(np.float32),
+        volume=volume,
         points=halo.astype(np.float32),
         point_densities=halo_dens.astype(np.float32),
         lo=frame.lo,

@@ -605,12 +605,13 @@ def _grid_ownership(res: int, bricks: int) -> np.ndarray:
 
 def _brick_extract_task(task):
     """Phase A (picklable): extract one brick's halo and its float64
-    CIC counts on the *global* grid; halo goes to disk, the counts'
-    non-zero sub-box comes back for the parent's deterministic sum.
-    With ``amr_bricks`` set, the brick's particles are also histogrammed
-    into the global AMR root grid so the parent can plan one shared
-    brick manifest."""
-    from repro.octree.extraction import _halo_densities, _streamed_volume
+    CIC counts on the *global* grid (the brick store's own volume,
+    :meth:`PartitionedStore.volume_counts`); halo goes to disk, the
+    counts' non-zero sub-box comes back for the parent's deterministic
+    sum.  With ``amr_bricks`` set, the brick's particles are also
+    histogrammed into the global AMR root grid so the parent can plan
+    one shared brick manifest."""
+    from repro.octree.extraction import _halo_densities
 
     brick_dir, brick_id, threshold, res, work_dir, amr_bricks = task
     with span("forest_brick_render", which="extract", brick=int(brick_id)):
@@ -618,8 +619,7 @@ def _brick_extract_task(task):
         cutoff = ps.density_cutoff_index(float(threshold))
         halo = ps.read_prefix(cutoff)[:, list(ps.columns)]
         dens = _halo_densities(ps.nodes, cutoff)
-        shape = (int(res),) * 3
-        counts = _streamed_volume(ps, cutoff, shape, "all")
+        counts = ps.volume_counts(int(res))
         amr_hist = None
         if amr_bricks:
             from repro.octree.amr import _coord_chunks, brick_particle_counts

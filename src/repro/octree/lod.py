@@ -41,12 +41,11 @@ version-1 stores without the section still open):
                            offset table (row ``levels`` indexes the
                            base files)
     lod_mip_<k>.bin        f8 (m, m, m) CIC count grids,
-                           ``m = mip_base >> k``; mip 0 is deposited
-                           with the *identical* shard order and
-                           arithmetic as streamed extraction, so a
-                           volume served from it at
-                           ``resolution == mip_base`` is bitwise equal
-                           to ``extract``'s
+                           ``m = mip_base >> k``, for k >= 1: 2x2x2 sum
+                           pools of mip 0, which is no side file but
+                           the store's own volume
+                           (``PartitionedStore.volume_counts`` at
+                           ``mip_base``, the grid ``extract`` reads)
 
 Because nodes are whole with respect to any threshold (the halo is
 always the first ``n`` nodes of the density-sorted table), the halo's
@@ -154,7 +153,6 @@ def build_lod(
     seed: int = 0,
     mip_base: int = 64,
     mip_levels: int = 3,
-    amr=None,
 ) -> "LodHierarchy":
     """Build (or rebuild) the LOD hierarchy of a partitioned store.
 
@@ -166,17 +164,8 @@ def build_lod(
     ratio : per-level subsampling ratio
     seed : seed of the per-node sample permutations
     mip_base : resolution of the finest density mip (a power of two);
-        a progressive stream requested at exactly this resolution
-        serves its exact final volume straight from mip 0
+        mip 0 is the store's volume at this resolution
     mip_levels : pyramid depth (each level halves the resolution)
-    amr : an already-built :class:`repro.octree.amr.AmrVolume` over the
-        same store; its bricks are sum-pooled into mip 0
-        (``AmrVolume.pool_counts``) instead of re-depositing the
-        particles -- mass-conserving, and skips one full pass over the
-        particle file.  Note this is an approximation of the exact
-        deposit (refined bricks resolve what the flat pass averages),
-        so the ``exact_volume`` bitwise property only holds for the
-        default (``amr=None``) path.
 
     The side files are written first; atomically re-committing the
     store manifest with their names, sizes, and CRCs is the commit
@@ -249,16 +238,11 @@ def build_lod(
         w.write(index.astype("<i8"))
         files[_INDEX_FILE] = w.close()
 
-        # mip 0 is the exact streamed deposit (identical chunk order
-        # and arithmetic as extract's volume pass); coarser mips are
-        # 2x2x2 sum pools of it -- counts stay counts at every level
-        from repro.octree.extraction import _streamed_volume
-
+        # mip 0 is the store's volume (what extract reads); coarser
+        # mips are 2x2x2 sum pools of it -- counts stay counts at
+        # every level
         with span("lod_mips", base=mip_base):
-            if amr is not None:
-                grid = amr.pool_counts(mip_base)
-            else:
-                grid = _streamed_volume(pstore, 0, (mip_base,) * 3, "all")
+            grid = pstore.volume_counts(mip_base)
             mips = []
             m = mip_base
             for _ in range(int(mip_levels)):
@@ -267,7 +251,7 @@ def build_lod(
                     break
                 m //= 2
                 grid = grid.reshape(m, 2, m, 2, m, 2).sum(axis=(1, 3, 5))
-            for k, g in enumerate(mips):
+            for k, g in enumerate(mips[1:], start=1):
                 w = _Writer(directory / _mip_file(k))
                 w.write(g.astype("<f8"))
                 files[_mip_file(k)] = w.close()
@@ -294,12 +278,10 @@ def build_lod(
 class LodHierarchy:
     """A read-opened LOD hierarchy attached to a partitioned store.
 
-    Serves the three kinds of progressive-stream content:
-    :meth:`base` (the coarsest sample of the halo prefix),
-    :meth:`delta` (one refinement level's rows for a set of nodes),
-    and the volume path (:meth:`coarse_volume` for the first frame,
-    :meth:`exact_volume` when the requested resolution matches the
-    mip base).  :meth:`schedule` orders the refinement work by
+    Serves the progressive-stream content: :meth:`base` (the coarsest
+    sample of the halo prefix), :meth:`delta` (one refinement level's
+    rows for a set of nodes) and :meth:`coarse_volume` (the first
+    frame's volume).  :meth:`schedule` orders the refinement work by
     screen-space error.
     """
 
@@ -425,11 +407,15 @@ class LodHierarchy:
 
     # ------------------------------------------------------------------
     def mip(self, k: int) -> np.ndarray:
-        """Mip ``k``'s f8 count grid (cached after first read)."""
+        """Mip ``k``'s f8 count grid (cached after first read); mip 0
+        is the store's volume at ``mip_base``."""
         k = int(k)
         if k not in self._mips:
             m = self.mip_base >> k
-            self._mips[k] = self._read_file(_mip_file(k), "<f8").reshape(m, m, m)
+            if k == 0:
+                self._mips[k] = self.pstore.volume_counts(m)
+            else:
+                self._mips[k] = self._read_file(_mip_file(k), "<f8").reshape(m, m, m)
         return self._mips[k]
 
     def _cell_volume(self, res: int) -> float:
@@ -448,17 +434,6 @@ class LodHierarchy:
             np.rint(np.arange(r) * (m - 1) / max(r - 1, 1)).astype(np.int64), 0, m - 1
         )
         return density[np.ix_(idx, idx, idx)].astype(np.float32)
-
-    def exact_volume(self, resolution: int) -> np.ndarray | None:
-        """The *exact* extraction volume as f4 -- bitwise equal to
-        ``extract``'s -- when the resolution matches the mip base
-        (same deposit, same cell-volume division, same f4 cast);
-        ``None`` otherwise (the caller falls back to the flat
-        extraction path)."""
-        if int(resolution) != self.mip_base:
-            return None
-        counts_grid = self.mip(0)
-        return (counts_grid / self._cell_volume(self.mip_base)).astype(np.float32)
 
     # ------------------------------------------------------------------
     def schedule(self, n_nodes: int, eye, unit_points: int = 8192):

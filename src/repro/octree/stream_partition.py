@@ -39,13 +39,17 @@ records per-shard progress so a killed run resumes where it died.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import shutil
+import struct
+import threading
 import zlib
 from pathlib import Path
 
 import numpy as np
 
+from repro.core.atomic import atomic_write_bytes
 from repro.core.checkpoint import Checkpoint
 from repro.core.dataset import as_dataset
 from repro.core.errors import FormatError
@@ -59,6 +63,7 @@ from repro.core.store import (
     write_manifest,
 )
 from repro.core.trace import count, gauge_peak_rss, span
+from repro.octree.extraction import _streamed_volume
 from repro.octree.format import _check_node_table, read_nodes_file, write_nodes_file
 from repro.octree.octree import NODE_DTYPE, morton_keys, plot_columns
 from repro.octree.partition import PartitionedFrame
@@ -67,6 +72,14 @@ __all__ = ["PartitionedStore", "partition_store"]
 
 NODES_FILE = "partition.nodes"
 _ROW_BYTES = 6 * 8
+
+# stored density volume: magic, resolution, binding to the store
+# commit, then a CRC32 over those fields and the f8 count payload
+_VOLUME_MAGIC = b"RPRVOLUM"
+_VOLUME_FIELDS = struct.Struct("<8sI16s")
+_VOLUME_CRC = struct.Struct("<I")
+# the check-and-write of the disk bound, one store writer at a time
+_volume_write_lock = threading.Lock()
 
 
 # ----------------------------------------------------------------------
@@ -187,6 +200,79 @@ class PartitionedStore:
     def chunks(self, columns=None):
         """Stream the density-sorted particle file shard by shard."""
         return self.store.chunks(columns)
+
+    # ------------------------------------------------------------------
+    def volume_counts(self, resolution: int) -> np.ndarray:
+        """The all-particle CIC count grid at ``resolution`` per axis.
+
+        The first call at a resolution deposits every particle, shard
+        by shard, and saves the f8 grid as ``volume_<resolution>.bin``
+        in the store directory; every later call, in any process,
+        reads that file instead.  The file is bound to this store's
+        commit (shard CRCs and node table), so one left by an earlier
+        partition in the same directory is re-deposited and replaced;
+        a damaged one raises :class:`FormatError`.  All volume files
+        together stay within the particle payload (``n * 48`` bytes):
+        a grid that does not fit, or whose write fails with an
+        ``OSError`` (a read-only store), is returned unsaved.
+        """
+        res = int(resolution)
+        path = self.directory / f"volume_{res}.bin"
+        grid = self._read_volume(path, res)
+        if grid is not None:
+            count("volume_file_hits")
+            return grid
+        grid = _streamed_volume(self, 0, (res,) * 3, "all")
+        count("volume_deposits")
+        head = _VOLUME_FIELDS.pack(_VOLUME_MAGIC, res, self._volume_binding())
+        payload = np.ascontiguousarray(grid, dtype="<f8").tobytes()
+        data = head + _VOLUME_CRC.pack(zlib.crc32(payload, zlib.crc32(head))) + payload
+        with _volume_write_lock:
+            others = 0
+            for other in self.directory.glob("volume_*.bin"):
+                if other != path:
+                    others += other.stat().st_size
+            if others + len(data) <= self.store.nbytes():
+                try:
+                    atomic_write_bytes(path, data)
+                except OSError:
+                    pass
+        return grid
+
+    def _volume_binding(self) -> bytes:
+        """Digest of the store commit a volume file belongs to."""
+        shards = [(int(s["rows"]), int(s["crc32"])) for s in self.store._shards]
+        h = hashlib.blake2b(np.array(shards, dtype="<i8").tobytes(), digest_size=16)
+        for part in (self.nodes, self.lo, self.hi):
+            h.update(np.ascontiguousarray(part).tobytes())
+        h.update(self.plot_type.encode())
+        return h.digest()
+
+    def _read_volume(self, path: Path, res: int) -> np.ndarray | None:
+        """The stored grid, or ``None`` when there is none for this
+        commit; raises :class:`FormatError` on a damaged file."""
+        try:
+            raw = path.read_bytes()
+        except FileNotFoundError:
+            return None
+        except OSError as exc:
+            raise FormatError(f"{path}: unreadable density volume ({exc})") from exc
+        n = _VOLUME_FIELDS.size + _VOLUME_CRC.size
+        if len(raw) < n or raw[:8] != _VOLUME_MAGIC:
+            raise FormatError(f"{path}: not a stored density volume")
+        _, file_res, binding = _VOLUME_FIELDS.unpack_from(raw)
+        (crc,) = _VOLUME_CRC.unpack_from(raw, _VOLUME_FIELDS.size)
+        if file_res != res or len(raw) != n + res**3 * 8:
+            raise FormatError(
+                f"{path}: {len(raw)} bytes for a {file_res}^3 volume, "
+                f"expected {n + res**3 * 8} for {res}^3"
+            )
+        payload = memoryview(raw)[n:]
+        if zlib.crc32(payload, zlib.crc32(raw[: _VOLUME_FIELDS.size])) != crc:
+            raise FormatError(f"{path}: density volume CRC mismatch")
+        if binding != self._volume_binding():
+            return None
+        return np.frombuffer(payload, dtype="<f8").reshape(res, res, res)
 
     def to_frame(self) -> PartitionedFrame:
         """Materialize as an in-core :class:`PartitionedFrame` (defeats

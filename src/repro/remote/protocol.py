@@ -247,6 +247,22 @@ def _type_name(mtype: int) -> str:
 # ----------------------------------------------------------------------
 _GET_HYBRID = struct.Struct("<QdI")
 _U64 = struct.Struct("<Q")
+# a request's volume resolution: 2 is the smallest CIC grid, 256^3 the
+# paper's largest volume (and the cap on what a client can make a
+# store deposit and keep)
+MIN_RESOLUTION = 2
+MAX_RESOLUTION = 256
+
+
+def _check_request(kind: str, threshold: float, resolution: int) -> None:
+    """Reject a request no extraction can serve, before it costs one."""
+    if np.isnan(threshold):
+        raise ProtocolError(f"{kind}: threshold is NaN")
+    if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
+        raise ProtocolError(
+            f"{kind}: resolution {resolution} outside "
+            f"[{MIN_RESOLUTION}, {MAX_RESOLUTION}]"
+        )
 
 
 def encode_get_hybrid(frame_index: int, threshold: float, resolution: int) -> bytes:
@@ -254,10 +270,16 @@ def encode_get_hybrid(frame_index: int, threshold: float, resolution: int) -> by
 
 
 def decode_get_hybrid(payload: bytes):
+    """Decode a GET_HYBRID payload; returns ``(frame_index, threshold,
+    resolution)``.  A NaN threshold or a resolution outside
+    [``MIN_RESOLUTION``, ``MAX_RESOLUTION``] raises
+    :class:`ProtocolError`."""
     try:
-        return _GET_HYBRID.unpack(payload)
+        frame_index, threshold, resolution = _GET_HYBRID.unpack(payload)
     except struct.error as exc:
         raise ProtocolError(f"malformed GET_HYBRID payload: {exc}") from exc
+    _check_request("GET_HYBRID", threshold, resolution)
+    return frame_index, threshold, resolution
 
 
 def encode_frame_list(steps) -> bytes:
@@ -353,11 +375,13 @@ def encode_refine(
 def decode_refine(payload: bytes):
     """Decode a REFINE payload; returns ``(stream_id, frame_index,
     threshold, resolution, eye)`` with ``eye=None`` for the NaN
-    sentinel (server picks the box center)."""
+    sentinel (server picks the box center).  The threshold and
+    resolution are checked as in :func:`decode_get_hybrid`."""
     try:
         sid, frame_index, threshold, resolution, ex, ey, ez = _REFINE.unpack(payload)
     except struct.error as exc:
         raise ProtocolError(f"malformed REFINE payload: {exc}") from exc
+    _check_request("REFINE", threshold, resolution)
     eye = None if not all(np.isfinite([ex, ey, ez])) else (ex, ey, ez)
     return sid, frame_index, threshold, resolution, eye
 

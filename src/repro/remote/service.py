@@ -63,7 +63,7 @@ import numpy as np
 from repro.core.errors import ProtocolError, TruncatedMessageError
 from repro.core.trace import count, span
 from repro.hybrid.representation import HybridFrame
-from repro.octree.extraction import extract
+from repro.octree.extraction import _density_volume, extract
 from repro.remote import protocol
 from repro.remote.protocol import LodKind, Message, MessageType
 
@@ -616,12 +616,10 @@ class VisualizationService:
         elif msg.type == MessageType.GET_HYBRID:
             try:
                 index, threshold, resolution = protocol.decode_get_hybrid(msg.payload)
-            except ProtocolError:
+            except ProtocolError as exc:
                 self.stats["protocol_errors"] += 1
                 count("service_protocol_errors")
-                await self._reply(
-                    session, Message(MessageType.ERROR, b"malformed GET_HYBRID")
-                )
+                await self._reply(session, Message(MessageType.ERROR, str(exc).encode()))
                 return
             if not 0 <= index < len(self.frames):
                 await self._reply(
@@ -664,10 +662,10 @@ class VisualizationService:
         then serve the next scheduled unit (or DONE)."""
         try:
             sid, index, threshold, resolution, eye = protocol.decode_refine(msg.payload)
-        except ProtocolError:
+        except ProtocolError as exc:
             self.stats["protocol_errors"] += 1
             count("service_protocol_errors")
-            await self._reply(session, Message(MessageType.ERROR, b"malformed REFINE"))
+            await self._reply(session, Message(MessageType.ERROR, str(exc).encode()))
             return
         if not 0 <= index < len(self.frames):
             await self._reply(
@@ -737,18 +735,12 @@ class VisualizationService:
         cutoff = int(frame.density_cutoff_index(float(threshold)))
         if eye is None:
             eye = tuple((np.asarray(frame.lo) + np.asarray(frame.hi)) / 2.0)
-        point_units = [
+        # the exact volume is the store's own (read, not deposited,
+        # once it exists), so it refines right after the base
+        units = [("base",), ("volume",)] + [
             ("points", level, ids)
             for level, ids in lod.schedule(n_below, eye, self.unit_points)
         ]
-        # the exact volume is nearly free when the requested resolution
-        # matches the mip base (a cached grid slice), so it refines
-        # first; otherwise it costs a full flat extraction and goes
-        # last so point refinements are not blocked behind it
-        if int(resolution) == lod.mip_base:
-            units = [("base",), ("volume",)] + point_units
-        else:
-            units = [("base",)] + point_units + [("volume",)]
         return _RefineStream(index, threshold, resolution, eye, n_below, cutoff, units)
 
     async def _unit_payload(self, stream: _RefineStream):
@@ -778,17 +770,11 @@ class VisualizationService:
                 self._pool, lod.delta_points, level, node_ids
             )
             return LodKind.POINTS, protocol.encode_lod_points(rows, pts, dens)
-        # exact volume: straight from mip 0 when the resolution matches
-        # the mip base, else sliced out of the flat extraction payload
-        # (the shared coalescing ResultCache path -- a later GET_HYBRID
-        # of the same request is then a cache hit, and vice versa)
-        lod = self.frames[stream.index].lod
-        volume = lod.exact_volume(stream.resolution)
-        if volume is None:
-            payload = await self._get_encoded(
-                stream.index, stream.threshold, stream.resolution
-            )
-            volume = protocol.decode_hybrid(payload).volume
+        # the exact volume: extract's, at the stream's resolution
+        volume = await loop.run_in_executor(
+            self._pool, _density_volume,
+            self.frames[stream.index], 0, stream.resolution, "all",
+        )
         return LodKind.VOLUME, protocol.encode_lod_volume(volume)
 
     def _build_base(self, index, threshold, resolution, n_nodes, n_total) -> bytes:

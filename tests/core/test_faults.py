@@ -7,6 +7,7 @@ parallel seeder producing identical lines with and without a crashed
 worker.
 """
 
+import threading
 import warnings
 
 import numpy as np
@@ -99,6 +100,41 @@ class TestAtomicWrites:
             pass
         assert atomic._fault_hook is None
         atomic_write_bytes(tmp_path / "ok.bin", b"fine")
+
+
+    def test_two_threads_one_target(self, tmp_path):
+        """Thread A is paused between its temp write and its rename
+        while thread B writes the same target: each thread has its own
+        temp file, so A's rename still lands."""
+        path = tmp_path / "shared.bin"
+        paused, resume = threading.Event(), threading.Event()
+        errors = []
+
+        def hook(target, data):
+            if data == b"from A":
+                paused.set()
+                resume.wait(10)
+
+        def writer_a():
+            try:
+                atomic_write_bytes(path, b"from A")
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        atomic.set_fault_hook(hook)
+        try:
+            a = threading.Thread(target=writer_a)
+            a.start()
+            assert paused.wait(10)
+            atomic_write_bytes(path, b"from B")
+            resume.set()
+            a.join(10)
+        finally:
+            resume.set()
+            atomic.set_fault_hook(None)
+        assert errors == []
+        assert path.read_bytes() == b"from A"
+        assert [p.name for p in tmp_path.iterdir()] == ["shared.bin"]
 
 
 class TestRunShards:

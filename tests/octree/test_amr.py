@@ -10,7 +10,6 @@ from repro.core.errors import FormatError
 from repro.hybrid.representation import HybridFrame
 from repro.octree.amr import (
     AmrVolume,
-    amr_from_nodes,
     amr_plan_nbytes,
     brick_particle_counts,
     build_amr,
@@ -18,7 +17,6 @@ from repro.octree.amr import (
 )
 from repro.octree.extraction import extract, extraction_sizes
 from repro.octree.partition import partition
-from repro.octree.stream_partition import PartitionedStore
 from repro.render.camera import Camera
 
 
@@ -125,11 +123,6 @@ class TestBuild:
         forced = build_amr(beam_frame, levels=beam_amr.levels)
         assert np.array_equal(forced.data, beam_amr.data)
 
-    def test_pool_counts_mass_conserved(self, beam_amr, beam_frame):
-        pooled = beam_amr.pool_counts(16)
-        assert pooled.shape == (16, 16, 16)
-        assert pooled.sum() == pytest.approx(beam_frame.n_particles, rel=1e-9)
-
     def test_to_dense_shape_and_support(self, beam_amr):
         dense = beam_amr.to_dense(32)
         assert dense.shape == (32, 32, 32)
@@ -141,8 +134,6 @@ class TestBuild:
         assert np.all(dense[4 * i : 4 * i + 4, 4 * j : 4 * j + 4, 4 * k : 4 * k + 4] == 0.0)
 
     def test_incommensurate_resolution_raises(self, beam_amr):
-        with pytest.raises(ValueError, match="multiple of bricks"):
-            beam_amr.pool_counts(12)
         with pytest.raises(ValueError, match="multiple of bricks"):
             beam_amr.to_dense(12)
 
@@ -235,36 +226,6 @@ class TestAdaptiveExtraction:
             amr_brick_cells=4,
         ).meta["amr"]
         assert row["amr_bytes"] == built.nbytes
-
-    def test_extract_from_disk_adaptive(self, beam_frame, tmp_path):
-        from repro.octree.disk_extraction import extract_from_disk
-
-        ps = PartitionedStore.from_frame(beam_frame, tmp_path / "frame")
-        thr = float(np.percentile(beam_frame.nodes["density"], 60))
-        hf = extract_from_disk(
-            ps, thr, volume_resolution=32, adaptive=True, amr_brick_cells=4
-        )
-        amr = hf.meta["amr"]
-        assert amr.nbytes <= 32**3 * 4
-        # the node box-splat conserves mass up to the nodes whose
-        # rounded histogram left their brick empty (a fraction of a
-        # percent of a beam frame)
-        assert amr.counts().sum() == pytest.approx(
-            beam_frame.n_particles, rel=5e-3
-        )
-
-    def test_amr_from_nodes_matches_particle_plan_region(self, beam_frame):
-        """Node-rasterized refinement lands in the same core region as
-        the particle-histogram plan."""
-        particle = build_amr(beam_frame, byte_budget=64**3 * 4)
-        node = amr_from_nodes(
-            beam_frame.nodes, beam_frame.lo, beam_frame.hi,
-            byte_budget=64**3 * 4,
-        )
-        p_refined = set(map(tuple, np.argwhere(particle.levels >= 1)))
-        n_refined = set(map(tuple, np.argwhere(node.levels >= 1)))
-        assert n_refined
-        assert p_refined & n_refined
 
 
 class TestAdaptiveRendering:

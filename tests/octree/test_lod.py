@@ -7,7 +7,8 @@ this layer, without a server in the loop:
 - per node, level l+1's sample is a prefix of level l's permutation
   (nested: refining never re-sends a particle),
 - base + all deltas cover every particle exactly once,
-- mip 0 divided by the cell volume is *bitwise* the flat extraction
+- mip 0 is the store's own volume (no side file of its own), so
+  divided by the cell volume it is *bitwise* the flat extraction
   volume at the mip base resolution,
 - the manifest round-trips (v2) and v1 stores still open (lod None).
 """
@@ -125,9 +126,12 @@ class TestMips:
     def test_mip0_is_bitwise_the_extraction_volume(self, pstore):
         thr = float(np.percentile(pstore.nodes["density"], 60))
         hf = extract(pstore.to_frame(), thr, volume_resolution=32)
-        exact = pstore.lod.exact_volume(32)
-        assert exact.dtype == np.float32
-        assert np.array_equal(exact, hf.volume)
+        mip0 = pstore.lod.mip(0)
+        assert np.array_equal(mip0, pstore.volume_counts(32))
+        assert "lod_mip_0.bin" not in pstore.lod._files
+        cell_volume = float(np.prod((pstore.hi - pstore.lo) / 31))
+        assert np.array_equal((mip0 / cell_volume).astype(np.float32), hf.volume)
+        assert np.array_equal(extract(pstore, thr, volume_resolution=32).volume, hf.volume)
 
     def test_pyramid_preserves_mass(self, pstore):
         lod = pstore.lod
@@ -137,41 +141,9 @@ class TestMips:
             assert mk.shape == (32 >> k,) * 3
             assert mk.sum() == pytest.approx(m0.sum())
 
-    def test_exact_volume_only_at_mip_base(self, pstore):
-        assert pstore.lod.exact_volume(48) is None
-        assert pstore.lod.exact_volume(64) is None
-
     def test_coarse_volume_shape_and_dtype(self, pstore):
         v = pstore.lod.coarse_volume(48)
         assert v.shape == (48, 48, 48) and v.dtype == np.float32
-
-    def test_amr_fed_pyramid_conserves_mass(self, tmp_path, particles):
-        """build_lod(amr=...) pools AMR brick counts into mip 0 instead
-        of re-depositing: every particle is still counted exactly once,
-        and the pooled pyramid keeps that mass at every level."""
-        from repro.octree.amr import build_amr
-
-        ps = partition_store(
-            particles, tmp_path / "amrstore", "xyz",
-            max_level=5, capacity=64, step=3,
-        )
-        amr = build_amr(
-            ps.to_frame(), bricks=8, brick_cells=4, max_refine=1,
-            refine_budget=256,
-        )
-        assert amr.n_refined > 0  # the pool really mixes brick levels
-        lod = build_lod(
-            ps, levels=2, ratio=4, seed=9, mip_base=32, mip_levels=3,
-            amr=amr,
-        )
-        m0 = lod.mip(0)
-        assert m0.shape == (32, 32, 32)
-        assert m0.sum() == pytest.approx(len(particles))
-        for k in range(1, lod.mip_levels):
-            assert lod.mip(k).sum() == pytest.approx(m0.sum())
-        # the pooled mip still serves the progressive first frame
-        v = lod.coarse_volume(32)
-        assert v.shape == (32, 32, 32) and np.all(np.isfinite(v))
 
 
 class TestSchedule:

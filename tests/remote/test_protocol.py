@@ -26,11 +26,13 @@ from repro.remote.protocol import (
     decode_frame_list,
     decode_get_hybrid,
     decode_hybrid,
+    decode_refine,
     decode_stats,
     encode_busy,
     encode_frame_list,
     encode_get_hybrid,
     encode_hybrid,
+    encode_refine,
     encode_stats,
     recv_message,
     recv_message_async,
@@ -203,6 +205,28 @@ class TestCodecs:
     def test_get_hybrid(self):
         payload = encode_get_hybrid(7, 123.5, 64)
         assert decode_get_hybrid(payload) == (7, 123.5, 64)
+
+    @pytest.mark.parametrize("threshold, resolution", [
+        (float("nan"), 64), (1.0, 0), (1.0, 1), (1.0, 257), (1.0, 4_000_000),
+    ])
+    def test_requests_outside_the_served_range_rejected(self, threshold, resolution):
+        """A NaN threshold or a resolution outside [2, 256] is a
+        protocol error, for one-shot and progressive requests alike."""
+        with pytest.raises(ProtocolError):
+            decode_get_hybrid(encode_get_hybrid(0, threshold, resolution))
+        with pytest.raises(ProtocolError):
+            decode_refine(encode_refine(1, 0, threshold, resolution))
+
+    @pytest.mark.parametrize("threshold, resolution", [
+        (0.0, 2), (-1.0, 256), (float("inf"), 64),
+    ])
+    def test_requests_inside_the_served_range_accepted(self, threshold, resolution):
+        assert decode_get_hybrid(encode_get_hybrid(3, threshold, resolution)) == (
+            3, threshold, resolution
+        )
+        assert decode_refine(encode_refine(1, 3, threshold, resolution))[1:4] == (
+            3, threshold, resolution
+        )
 
     def test_frame_list(self):
         steps = [0, 5, 10, 9999]

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.dataset import as_dataset
-from repro.core.errors import RetryExhaustedError, ServiceBusyError
+from repro.core.errors import RemoteError, RetryExhaustedError, ServiceBusyError
 from repro.core.faults import FaultPlan
 from repro.octree.extraction import extract
 from repro.octree.partition import partition
@@ -300,6 +300,38 @@ class TestCircuitBreaker:
             assert calls["n"] == 2
             assert service.stats["extraction_errors"] == 2
             assert service.stats["quarantined"] == 1
+
+    def test_bad_input_leaves_the_breaker_alone(self, frames):
+        """Requests no extraction can serve are protocol errors: they
+        cost no extraction, and three of them do not quarantine the
+        frame for another client's valid request."""
+        with VisualizationService(
+            frames, breaker_threshold=3, breaker_cooldown=30.0,
+        ) as service:
+            with VisualizationClient(service.address, retries=0) as bad:
+                for _ in range(3):
+                    with pytest.raises(RemoteError) as err:
+                        bad.get_hybrid(0, 1.0, resolution=4_000_000)
+            with VisualizationClient(service.address, **CLIENT_KW) as good:
+                frame = good.get_hybrid(0, 1.0, resolution=16)
+            local = extract(frames[0], 1.0, volume_resolution=16)
+            assert np.array_equal(frame.volume, local.volume)
+            assert "resolution 4000000 outside [2, 256]" in str(err.value)
+            with VisualizationClient(service.address, retries=0) as bad:
+                for _ in range(2):
+                    with pytest.raises(RemoteError, match="NaN"):
+                        bad.get_hybrid(0, float("nan"), resolution=16)
+            # the client clamps small resolutions; send them raw
+            for res in (0, 1):
+                reply = _raw_request(service.address, Message(
+                    MessageType.GET_HYBRID, protocol.encode_get_hybrid(0, 1.0, res)
+                ))
+                assert reply.type == MessageType.ERROR
+                assert b"resolution" in reply.payload
+            assert service.stats["protocol_errors"] == 7
+            assert service.stats["extraction_errors"] == 0
+            assert service.stats["quarantined"] == 0
+            assert service.stats["cache_misses"] == 1
 
     def test_quarantine_is_per_frame(self, frames):
         def broken_for_zero(frame, threshold, resolution):

@@ -187,24 +187,34 @@ class TestEigen:
         assert "TM0n0" in out
 
 
-class TestExtractFromDisk:
-    def test_from_disk_flag(self, run_dir, tmp_path, capsys):
+class TestExtractStoredVolume:
+    def test_second_extract_reads_only_the_prefix(self, run_dir, tmp_path, capsys):
+        """The first extract deposits the store's volume and keeps it;
+        the second reads the halo prefix and the stored volume only."""
+        import json
+
+        from repro.octree.stream_partition import PartitionedStore
+
         frame = sorted(run_dir.glob("*.frame"))[-1]
         stem = tmp_path / "pd"
         main(["partition", str(frame), "--out", str(stem), "--max-level", "4"])
-        hybrid = tmp_path / "hd.hybrid"
-        assert main(["extract", str(stem), "--out", str(hybrid),
-                     "--resolution", "8", "--from-disk"]) == 0
-        assert "prefix-only I/O" in capsys.readouterr().out
-        assert hybrid.exists()
-
-    def test_from_disk_rejects_attributes(self, run_dir, tmp_path):
-        frame = sorted(run_dir.glob("*.frame"))[-1]
-        stem = tmp_path / "pe"
-        main(["partition", str(frame), "--out", str(stem), "--max-level", "4"])
-        with pytest.raises(SystemExit):
-            main(["extract", str(stem), "--out", str(tmp_path / "x.hybrid"),
-                  "--from-disk", "--attributes", "pmag"])
+        ps = PartitionedStore.open(stem)
+        threshold = float(np.percentile(ps.nodes["density"], 60))
+        cutoff = ps.density_cutoff_index(threshold)
+        docs = []
+        for k in range(2):
+            trace = tmp_path / f"t{k}.json"
+            assert main(["extract", str(stem), "--out", str(tmp_path / f"h{k}.hybrid"),
+                         "--threshold", repr(threshold), "--resolution", "8",
+                         "--trace", str(trace)]) == 0
+            docs.append(json.loads(trace.read_text())["counters"])
+        assert "shard-streamed" in capsys.readouterr().out
+        assert docs[0]["store_shard_read_bytes"] == (ps.n_particles + cutoff) * 48
+        assert docs[0]["volume_deposits"] == 1
+        assert docs[1]["store_shard_read_bytes"] == cutoff * 48
+        assert docs[1]["volume_file_hits"] == 1
+        assert "volume_deposits" not in docs[1]
+        assert (tmp_path / "h0.hybrid").read_bytes() == (tmp_path / "h1.hybrid").read_bytes()
 
 
 class TestExitCodes:

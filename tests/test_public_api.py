@@ -44,7 +44,6 @@ MODULES = [
     "repro.octree.stream_partition",
     "repro.octree.format",
     "repro.octree.extraction",
-    "repro.octree.disk_extraction",
     "repro.octree.forest",
     "repro.octree.repartition",
     "repro.octree.amr",
@@ -162,7 +161,6 @@ FACADE_REQUIRED = [
     "AmrVolume",
     "build_amr",
     "plan_amr_levels",
-    "amr_from_nodes",
     "AmrRgbaVolume",
     "build_amr_geometry",
     "amr_geometry_key",
@@ -171,14 +169,15 @@ FACADE_REQUIRED = [
 
 # Deliberately dropped from the facade: stale private re-exports
 # (count, gauge) and the deleted duplicate paths -- the
-# thread-per-connection server, the octant-pool partitioner, and the
-# batched-seeding alias.
+# thread-per-connection server, the octant-pool partitioner, the
+# batched-seeding alias, and the node-rasterized AMR volume.
 FACADE_FORBIDDEN = [
     "count",
     "gauge",
     "VisualizationServer",
     "partition_parallel",
     "seed_density_proportional_batched",
+    "amr_from_nodes",
 ]
 
 

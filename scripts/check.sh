@@ -18,10 +18,12 @@
 #
 # --perf runs the field-line suites (with the seeding reference: the
 # round loop's exact rule against the one-line greedy seeder and the
-# lockstep tracer against the scalar one, bit for bit), then refreshes
-# BENCH_frame_cache.json (frame cache, batched seeding, space-charge
-# kernels) and fails if any recorded speedup ratio regressed more than
-# 20% against the baseline committed at HEAD (scripts/perf_gate.py).
+# lockstep tracer against the scalar one, bit for bit) and the slice
+# compositor and point-fold references (the bench renders hybrid frames
+# through the one-pass fold), then refreshes BENCH_frame_cache.json
+# (frame cache, batched seeding, space-charge kernels) and fails if any
+# recorded speedup ratio regressed more than 20% against the baseline
+# committed at HEAD (scripts/perf_gate.py).
 #
 # --store runs the sharded-store / streaming-pipeline suites (with the
 # partitioned-store format, the stored density volume and prefix-only
@@ -33,8 +35,9 @@
 # equivalence flags (scripts/perf_gate.py --store).
 #
 # --forest runs the forest-of-octrees + sort-last compositor suites
-# (with the slice-compositor reference and memo suites, since sort-last
-# bricks render through the same compositor), then the 10^8-particle
+# (with the slice-compositor and point-fold references and the memo
+# suites, since sort-last bricks render through the same compositor),
+# then the 10^8-particle
 # forest bench that refreshes BENCH_forest.json, and gates on the
 # gather-bitwise / sort-last tolerance flags plus the 4-worker speedup
 # floor on machines with >= 4 CPUs (scripts/perf_gate.py --forest).
@@ -58,7 +61,8 @@
 # --amr runs the adaptive-AMR volume and Gaussian-splat suites (brick
 # manifest determinism, crash-safe serialization, extended frame-cache
 # keys, fragment-batch regressions, the empty-space-skipping compositor
-# against its full-sampling reference, the render memos), then the AMR
+# against its full-sampling reference, the one-pass point fold against
+# the per-range folds, the render memos), then the AMR
 # bench that refreshes BENCH_amr.json, and gates on the 1.5x
 # deposit-speedup floor, the equal-bytes beam-core detail win, the
 # flat-path bitwise pins, and batched == serial splatting
@@ -139,6 +143,7 @@ if [[ $run_amr -eq 1 ]]; then
         tests/render/test_frame_cache.py \
         tests/render/test_fragment_batches.py \
         tests/render/test_composite_reference.py \
+        tests/render/test_point_fold.py \
         tests/render/test_render_memos.py \
         tests/test_public_api.py
     echo "== AMR bench =="
@@ -186,6 +191,7 @@ if [[ $run_forest -eq 1 ]]; then
         tests/octree/test_forest.py \
         tests/render/test_compositor.py \
         tests/render/test_composite_reference.py \
+        tests/render/test_point_fold.py \
         tests/render/test_render_memos.py \
         tests/test_public_api.py
     echo "== forest bench =="
@@ -218,6 +224,10 @@ fi
 if [[ $run_perf -eq 1 ]]; then
     echo "== field-line suite =="
     PYTHONPATH=src python -m pytest -x -q tests/fieldlines/
+    echo "== compositor and point-fold references =="
+    PYTHONPATH=src python -m pytest -x -q \
+        tests/render/test_composite_reference.py \
+        tests/render/test_point_fold.py
     echo "== perf bench =="
     PYTHONPATH=src python -m pytest -q benchmarks/bench_frame_cache.py
     echo "== perf gate =="

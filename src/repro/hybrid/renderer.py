@@ -103,6 +103,8 @@ class HybridRenderer:
             else point_colormap
         )
         self.point_alpha = float(point_alpha)
+        if int(point_size) < 1:
+            raise ValueError("point_size must be >= 1")
         self.point_size = int(point_size)
         if int(n_slices) < 1:
             raise ValueError("n_slices must be >= 1")
@@ -140,6 +142,7 @@ class HybridRenderer:
         return frame.meta.get("amr")
 
     def _normalizer(self, frame: HybridFrame) -> DensityNormalizer:
+        self._check_points(frame)
         dmax = self.max_density
         if dmax is None:
             dmax = frame.max_density()
@@ -150,6 +153,23 @@ class HybridRenderer:
                 dmax = max(dmax, amr.max_density())
         return DensityNormalizer(max(dmax, 1e-300), mode=self.normalizer_mode)
 
+    def _check_points(self, frame: HybridFrame) -> None:
+        """Raise ``ValueError`` naming the first non-finite point array.
+
+        A NaN position or density would drop its point silently, an
+        infinite density would surface as a non-finite volume through
+        ``max_density()``, and one NaN in the ``point_color_by``
+        attribute would turn every drawn point's color NaN."""
+        if not np.isfinite(frame.points).all():
+            raise ValueError("frame has non-finite point positions")
+        if not np.isfinite(frame.point_densities).all():
+            raise ValueError("frame has non-finite point densities")
+        values = frame.attributes.get(self.point_color_by)
+        if values is not None and not np.isfinite(values).all():
+            raise ValueError(
+                f"point attribute {self.point_color_by!r} has non-finite values"
+            )
+
     def classify_volume(self, frame: HybridFrame):
         """Apply the volume transfer function.
 
@@ -159,7 +179,8 @@ class HybridRenderer:
         ``volume_mode='auto'``.  The last classification is memoized on
         a digest of the density contents, the normalizer and the volume
         transfer function, so an orbit classifies each volume once.
-        Raises ``ValueError`` on a non-finite density.
+        Raises ``ValueError`` on a non-finite density or point array
+        (:meth:`_check_points`).
         """
         norm = self._normalizer(frame)
         amr = self._frame_amr(frame)

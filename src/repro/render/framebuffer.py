@@ -12,6 +12,11 @@ Two compositing primitives cover everything the paper's renderer does:
     stand-in for the order-independent transparency path on the GeForce
     3 (paper section 3.3.3): fragments are sorted per pixel by depth and
     folded front-to-back with a fully vectorized segmented scan.
+
+Its core, ``accumulate_fragments``, also folds the depth ranges of the
+hybrid renderer's halo points in one pass, each range exactly as on
+its own; ``fragment_order`` is the one fragment order behind it and
+behind ``repro.render.raster.resolve_opaque``.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ __all__ = [
     "composite_over",
     "composite_fragments",
     "accumulate_fragments",
+    "fragment_order",
 ]
 
 _ALPHA_MAX = 0.99999
@@ -75,7 +81,7 @@ def composite_fragments(
     """
     out_rgba = np.zeros((n_pixels, 4))
     out_depth = np.full(n_pixels, np.inf)
-    upix, pm, near = accumulate_fragments(pixels, depths, rgba)
+    upix, pm, near, _ = accumulate_fragments(pixels, depths, rgba)
     if upix.size == 0:
         return out_rgba, out_depth
     out_rgba[upix] = pm
@@ -88,10 +94,77 @@ def composite_fragments(
     return out_rgba, out_depth
 
 
+def fragment_order(pixels: np.ndarray, depths: np.ndarray, thresholds=()):
+    """Stable order of a fragment stream by (depth range, pixel, depth,
+    stream position).
+
+    ``thresholds`` are descending depths that cut the stream into
+    ``len(thresholds) + 1`` depth ranges, farthest first: range 0 holds
+    the depths above ``thresholds[0]``, range k those in
+    ``(thresholds[k], thresholds[k - 1]]``, and the last range the
+    rest, NaN depths included.  Within one range the order is exactly
+    the two-key lexsort by pixel, then depth: NaN depths last, -0.0
+    equal to +0.0, equal keys in stream order.
+
+    One unstable depth argsort, with each run of equal depths put back
+    in stream order, then stable radix passes over <= 16-bit digits of
+    the (range, pixel) key.  A lexsort or a stable float sort costs
+    several times as much.
+
+    Returns
+    -------
+    order : (F,) int64 permutation of the stream
+    sizes : (len(thresholds) + 1,) fragment count of each range, in
+        range order (range k is the k-th block of ``order``)
+    """
+    pixels = np.asarray(pixels).astype(np.int64, copy=False)
+    depths = np.asarray(depths, dtype=np.float64)
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    n = depths.size
+    n_ranges = thresholds.size + 1
+    if n == 0:
+        return np.empty(0, dtype=np.int64), np.zeros(n_ranges, dtype=np.int64)
+    order = np.argsort(depths)  # unstable; NaNs sort last
+    d = depths.take(order)
+    tie = np.flatnonzero((d[1:] == d[:-1]) | np.isnan(d[:-1]))
+    if tie.size:
+        # put each run of equal depths back in stream order
+        sel = np.union1d(tie, tie + 1)
+        run = np.cumsum(~np.isin(sel - 1, tie))
+        run_pos = run * n + order[sel]
+        run_pos.sort()
+        order[sel] = run_pos % n
+
+    # the ascending stream holds the ranges as blocks, nearest first,
+    # then the NaN tail, which joins the nearest range
+    m = int(np.searchsorted(d, np.nan))
+    cuts = np.searchsorted(d[:m], thresholds, side="right")
+    asc = np.diff(np.concatenate(([0], cuts[::-1], [m])))
+    key = pixels.take(order)
+    key -= key.min()
+    if n_ranges > 1:
+        ids = np.append(np.arange(n_ranges - 1, -1, -1), n_ranges - 1)
+        key += np.repeat(ids, np.append(asc, n - m)) * (int(key.max()) + 1)
+    top = int(key.max())
+    shift = 0
+    while top >> shift:
+        digit = (key >> shift) & 0xFFFF
+        digit = digit.astype(np.uint8 if top >> shift < 256 else np.uint16)
+        perm = np.argsort(digit, kind="stable")
+        order = order.take(perm)
+        shift += 16
+        if top >> shift:
+            key = key.take(perm)
+    sizes = asc[::-1].copy()
+    sizes[-1] += n - m
+    return order, sizes
+
+
 def accumulate_fragments(
     pixels: np.ndarray,
     depths: np.ndarray,
     rgba: np.ndarray,
+    thresholds=(),
 ):
     """Sparse core of :func:`composite_fragments`.
 
@@ -100,52 +173,82 @@ def accumulate_fragments(
     form the interleaved volume compositor consumes directly without
     allocating full-frame layers per slab.
 
+    ``thresholds`` (descending depths, see :func:`fragment_order`) cut
+    the stream into depth ranges, and each range folds as its own
+    stream, bit for bit as one call per range would fold it.  The
+    log-prefix sum restarts at each range (a global sum minus an offset
+    rounds differently) and a pixel's run ends at a range boundary.
+
     Returns
     -------
-    upix : (U,) int64 unique flat pixel indices (ascending)
+    upix : (U,) int64 touched flat pixel indices, ascending per range
     pm_rgba : (U, 4) premultiplied composited color per touched pixel
     near_depth : (U,) depth of the nearest contributing fragment
+    bounds : (len(thresholds) + 2,) range k's pixels are
+        ``upix[bounds[k]:bounds[k + 1]]``
     """
-    pixels = np.asarray(pixels)
+    pixels = np.asarray(pixels).astype(np.int64, copy=False)
     depths = np.asarray(depths, dtype=np.float64)
     rgba = np.asarray(rgba, dtype=np.float64)
+    n_ranges = len(thresholds) + 1
     if pixels.size == 0:
         return (
             np.empty(0, dtype=np.int64),
             np.empty((0, 4)),
             np.empty(0),
+            np.zeros(n_ranges + 1, dtype=np.int64),
         )
 
-    order = np.lexsort((depths, pixels))
-    pix = pixels[order]
-    dep = depths[order]
-    col = rgba[order]
+    order, sizes = fragment_order(pixels, depths, thresholds)
+    n = order.size
+    pix = pixels.take(order)
+    alpha = np.clip(rgba[:, 3].take(order), 0.0, _ALPHA_MAX)
+    offsets = np.zeros(n_ranges + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    range_start = np.zeros(n, dtype=bool)
+    range_start[offsets[:-1][sizes > 0]] = True
 
-    alpha = np.clip(col[:, 3], 0.0, _ALPHA_MAX)
     trans = 1.0 - alpha                           # per-fragment transmittance
     # log-space segmented prefix product: stable even for long segments
     logt = np.log(np.maximum(trans, 1e-12))
-    c_log = np.cumsum(logt)
-    seg_start = np.ones(pix.size, dtype=bool)
-    seg_start[1:] = pix[1:] != pix[:-1]
+    c_log = np.empty_like(logt)
+    for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        np.cumsum(logt[a:b], out=c_log[a:b])
+    seg_start = range_start.copy()
+    seg_start[1:] |= pix[1:] != pix[:-1]
     start_idx = np.flatnonzero(seg_start)
-    # log prefix product *before* each fragment within its segment:
-    # prefix_log[i] = c_log[i-1] - c_log[segment_start(i)-1]
-    seg_id = np.cumsum(seg_start) - 1
-    base_vals = np.where(start_idx > 0, c_log[start_idx - 1], 0.0)
-    base_per_frag = base_vals[seg_id]
-    prefix_log = np.concatenate([[0.0], c_log[:-1]]) - base_per_frag
-    prefix_log[start_idx] = 0.0
-    prefix = np.exp(prefix_log)
 
-    weight = alpha * prefix
-    contrib = col[:, :3] * weight[:, None]
-    pm_rgba = np.empty((start_idx.size, 4))
-    pm_rgba[:, 0] = np.add.reduceat(contrib[:, 0], start_idx)
-    pm_rgba[:, 1] = np.add.reduceat(contrib[:, 1], start_idx)
-    pm_rgba[:, 2] = np.add.reduceat(contrib[:, 2], start_idx)
-    pm_rgba[:, 3] = np.add.reduceat(weight, start_idx)
-    return pix[start_idx].astype(np.int64), pm_rgba, dep[start_idx]
+    # a segment's first fragment has prefix exp(0) = 1 and weight alpha,
+    # so a one-fragment segment folds to its own premultiplied color
+    pm_rgba = np.take(rgba, order[start_idx], axis=0)
+    pm_rgba[:, 3] = alpha[start_idx]
+    for c in range(3):
+        pm_rgba[:, c] *= pm_rgba[:, 3]
+    rest = np.flatnonzero(~seg_start)
+    if rest.size:
+        # the segments of more than one fragment, compacted in order
+        rest_seg = (np.cumsum(seg_start) - 1)[rest]
+        multi = rest_seg[np.flatnonzero(np.diff(rest_seg, prepend=-1))]
+        member = ~seg_start
+        member[start_idx[multi]] = True
+        mpos = np.flatnonzero(member)
+        inner = ~seg_start[mpos]
+        # log prefix product *before* each fragment within its segment:
+        # c_log[i-1] - c_log[segment_start(i)-1], from 0 at a range's
+        # first segment
+        first = start_idx[rest_seg]
+        base = np.where(range_start[first], 0.0, c_log[first - 1])
+        prefix = np.ones(mpos.size)
+        prefix[inner] = np.exp(c_log[rest - 1] - base)
+        weight = alpha[mpos] * prefix
+        col = np.take(rgba, order[mpos], axis=0)
+        seg = np.flatnonzero(~inner)
+        for c in range(3):
+            pm_rgba[multi, c] = np.add.reduceat(col[:, c] * weight, seg)
+        pm_rgba[multi, 3] = np.add.reduceat(weight, seg)
+    bounds = np.searchsorted(start_idx, offsets)
+    near = depths.take(order[start_idx])
+    return pix[start_idx], pm_rgba, near, bounds
 
 
 class Framebuffer:

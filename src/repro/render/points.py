@@ -61,7 +61,8 @@ def point_fragments(
     ----------
     points : (N, 3) world positions
     rgba : (N, 4) or (4,) color(s) with alpha
-    point_size : square sprite edge length in pixels (1 = single pixel)
+    point_size : square sprite edge length in pixels (1 = single
+        pixel); ``ValueError`` below 1
 
     Returns
     -------
@@ -69,6 +70,8 @@ def point_fragments(
     :func:`repro.render.framebuffer.composite_fragments` and
     :func:`repro.render.volume.render_mixed`.
     """
+    if point_size < 1:
+        raise ValueError(f"point_size must be >= 1, got {point_size}")
     points = np.asarray(points, dtype=np.float64)
     if points.size == 0:
         # an empty point set must yield an empty fragment stream, not a
@@ -79,20 +82,25 @@ def point_fragments(
     if rgba.ndim == 1:
         rgba = np.broadcast_to(rgba, (len(points), 4))
     xy, depth, visible = camera.project(points)
+
+    w, h = camera.width, camera.height
+    if point_size == 1:
+        # floor(x) lands in [0, w) exactly when x does
+        x, y = xy[:, 0], xy[:, 1]
+        ok = visible & (x >= 0) & (x < w) & (y >= 0) & (y < h)
+        ix = np.floor(x.compress(ok)).astype(np.int64)
+        iy = np.floor(y.compress(ok)).astype(np.int64)
+        return iy * w + ix, depth.compress(ok), np.compress(ok, rgba, axis=0)
+
     xy = xy[visible]
     depth = depth[visible]
     rgba = rgba[visible]
-
-    w, h = camera.width, camera.height
-    if point_size <= 1:
-        dx = dy = np.zeros(1, dtype=np.int64)
-    else:
-        r = point_size // 2
-        span = np.arange(-r, point_size - r, dtype=np.int64)
-        # all point_size^2 sprite offsets in one broadcast, x-major to
-        # match the historical (dx, dy) nesting order
-        dx = np.repeat(span, point_size)
-        dy = np.tile(span, point_size)
+    r = point_size // 2
+    span = np.arange(-r, point_size - r, dtype=np.int64)
+    # all point_size^2 sprite offsets in one broadcast, x-major to
+    # match the historical (dx, dy) nesting order
+    dx = np.repeat(span, point_size)
+    dy = np.tile(span, point_size)
     ix0 = np.floor(xy[:, 0]).astype(np.int64)
     iy0 = np.floor(xy[:, 1]).astype(np.int64)
     # (n_offsets, n_points) grids: every sprite texel of every point

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.render.camera import Camera
+from repro.render.framebuffer import fragment_order
 
 __all__ = ["rasterize", "resolve_opaque", "Fragments"]
 
@@ -240,7 +241,7 @@ def resolve_opaque(frags: Fragments, n_pixels: int, rgb_attr: str = "rgb"):
     depth_out = np.full(n_pixels, np.inf)
     if len(frags) == 0:
         return rgba, depth_out
-    order = np.lexsort((frags.depth, frags.pix))
+    order, _ = fragment_order(frags.pix, frags.depth)
     pix = frags.pix[order]
     first = np.ones(pix.size, dtype=bool)
     first[1:] = pix[1:] != pix[:-1]

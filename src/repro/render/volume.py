@@ -10,6 +10,10 @@ composited *over* the framebuffer.
 ``render_mixed`` implements the hybrid rendering of paper section 2:
 explicit halo points are depth-interleaved with the volume slabs so
 points inside, behind, and in front of the volume composite correctly.
+The fragments of every depth range (behind the volume, behind and in
+front of each slice plane, in front of the volume) are ordered and
+folded in one pass (:func:`repro.render.framebuffer.accumulate_fragments`
+with the range thresholds) before the slab loop over-steps them.
 
 The slice geometry (which pixels each slice covers and the eight
 trilinear gather indices + weights per covered pixel) is independent
@@ -25,12 +29,15 @@ over-step, so the image is bit-identical to full sampling.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 
 from repro.core.trace import count, span
 from repro.render.camera import Camera
 from repro.render.frame_cache import FrameGeometry, frame_geometry_cache
 from repro.render.framebuffer import Framebuffer, accumulate_fragments
+from repro.render.points import _EMPTY_FRAGMENTS
 
 __all__ = [
     "trilinear_sample",
@@ -227,7 +234,7 @@ def render_mixed(
     point_fragments : optional (pix, depth, rgba) triple as produced by
         :func:`repro.render.points.point_fragments`, or a *list* of
         such triples (per-shard fragment batches from the streaming
-        pipeline) which are composited as one depth-sorted stream
+        pipeline) which are composited as one stream
     n_slices : number of view-aligned slabs (>= 1)
     reference_slices : slice count at which volume alpha is calibrated
     cache : slice-geometry cache policy -- ``None`` uses the
@@ -245,9 +252,12 @@ def render_mixed(
     point fragments whose depth falls behind the slab's slice plane are
     composited first, then the slice itself, then the slab's nearer
     fragments.  Fragments outside the volume's depth range composite
-    before the farthest slab / after the nearest one.  The loop runs
-    premultiplied and touches only covered pixels; untouched pixels
-    keep their exact prior framebuffer contents.
+    before the farthest slab / after the nearest one, and NaN depths
+    with the nearest.  Each range is folded per pixel (front-to-back
+    *under*) exactly as on its own, but all ranges share one fragment
+    order and one fold.  The loop runs premultiplied and touches only
+    covered pixels; untouched pixels keep their exact prior framebuffer
+    contents.
     """
     if n_slices < 1:
         raise ValueError(f"n_slices must be >= 1, got {n_slices}")
@@ -263,42 +273,15 @@ def render_mixed(
     ):
         point_fragments = _merge_fragment_batches(point_fragments)
 
-    if point_fragments is not None:
-        pix, pdep, prgba = point_fragments
-        order = np.argsort(-np.asarray(pdep), kind="stable")  # far to near
-        pix = np.asarray(pix)[order]
-        pdep = np.asarray(pdep)[order]
-        prgba = np.asarray(prgba)[order]
-    else:
-        pix = pdep = prgba = None
-    n_frag = 0 if pix is None else len(pix)
+    if point_fragments is None:
+        point_fragments = _EMPTY_FRAGMENTS
+    n_frag = len(point_fragments[0])
 
     # premultiplied working copy; only touched pixels are written back
     work = fb.rgba.reshape(-1, 4).copy()
     work[:, :3] *= work[:, 3:4]
     touched = np.zeros(fb.n_pixels, dtype=bool)
     depth_flat = fb.depth.reshape(-1)
-
-    def composite_point_range(a: int, b: int) -> None:
-        if pix is None or a >= b:
-            return
-        upix, frag_pm, near = accumulate_fragments(pix[a:b], pdep[a:b], prgba[a:b])
-        work[upix] = frag_pm + work[upix] * (1.0 - frag_pm[:, 3:4])
-        touched[upix] = True
-        present = frag_pm[:, 3] > 1e-4
-        up = upix[present]
-        depth_flat[up] = np.minimum(depth_flat[up], near[present])
-
-    def write_back() -> None:
-        t_idx = np.flatnonzero(touched)
-        if t_idx.size == 0:
-            return
-        out = work[t_idx]
-        a = out[:, 3:4]
-        safe = np.where(a <= 0.0, 1.0, a)
-        rgba_flat = fb.rgba.reshape(-1, 4)
-        rgba_flat[t_idx, :3] = out[:, :3] / safe
-        rgba_flat[t_idx, 3:] = a
 
     # classified AMR volumes (repro.render.amr.AmrRgbaVolume) carry a
     # flat per-cell RGBA plus their own brick-aware geometry builder;
@@ -330,66 +313,79 @@ def render_mixed(
     if rgba_volume is not None and not np.isfinite(flat).all():
         raise ValueError("rgba_volume must be finite")
 
-    if rgba_volume is None or geometry.empty:
-        composite_point_range(0, n_frag)
-        write_back()
-        return fb
+    volume = rgba_volume is not None and not geometry.empty
+    planes = geometry.n_slices if volume else 0
+    with (
+        span("slice_composite", n_slices=n_slices, n_fragments=n_frag)
+        if volume
+        else nullcontext()
+    ):
+        thresholds = ()
+        if volume:
+            exponent = reference_slices / n_slices
+            with span("slice_sample"):
+                # empty-space skip: a row whose stencil sees only alpha-0
+                # voxels premultiplies to exactly 0, and its over-step is a
+                # no-op that never moves the depth buffer
+                occupied = flat[:, 3] != 0
+                live = geometry if occupied.all() else geometry.live_rows(occupied)
+                count("slice_rows_sampled", len(live.pix))
+                count("slice_rows_skipped", len(geometry.pix) - len(live.pix))
+                samples = live.sample(flat)
+                # opacity correction for slice spacing, then premultiply
+                a = np.clip(samples[:, 3], 0.0, 0.9999)
+                if exponent != 1.0:
+                    a = 1.0 - (1.0 - a) ** exponent
+                samples[:, :3] *= a[:, None]
+                samples[:, 3] = a
 
-    exponent = reference_slices / n_slices
-    d1 = geometry.d1
-    slab = geometry.slab
+            # write-back un-premultiplies every covered pixel, skipped or not
+            touched |= geometry.covered(fb.n_pixels)
 
-    with span("slice_composite", n_slices=n_slices, n_fragments=n_frag):
-        with span("slice_sample"):
-            # empty-space skip: a row whose stencil sees only alpha-0
-            # voxels premultiplies to exactly 0, and its over-step is a
-            # no-op that never moves the depth buffer
-            occupied = flat[:, 3] != 0
-            live = geometry if occupied.all() else geometry.live_rows(occupied)
-            count("slice_rows_sampled", len(live.pix))
-            count("slice_rows_skipped", len(geometry.pix) - len(live.pix))
-            samples = live.sample(flat)
-            # opacity correction for slice spacing, then premultiply
-            a = np.clip(samples[:, 3], 0.0, 0.9999)
-            if exponent != 1.0:
-                a = 1.0 - (1.0 - a) ** exponent
-            samples[:, :3] *= a[:, None]
-            samples[:, 3] = a
+            # point depth ranges, far to near: behind the volume, then
+            # behind and in front of each slice plane (slab s covers
+            # (d1 - (s+1)*slab, d1 - s*slab], its slice at the center),
+            # then in front of the volume
+            thresholds = np.empty(2 * planes + 1)
+            thresholds[0::2] = geometry.d1 - np.arange(planes + 1) * geometry.slab
+            thresholds[1::2] = geometry.depths
 
-        # write-back un-premultiplies every covered pixel, skipped or not
-        touched |= geometry.covered(fb.n_pixels)
-
-        # fragment index boundaries per slab (pdep sorted descending)
-        cursor = 0
-        if pix is not None:
-            # fragments farther than the volume: composite them first
-            behind = int(np.searchsorted(-pdep, -d1))
-            composite_point_range(0, behind)
-            cursor = behind
-
-        for s in range(geometry.n_slices):
-            # slab s covers depth (d1 - (s+1)*slab, d1 - s*slab]; slice at center
-            depth_slice = geometry.depths[s]
-            slab_near = d1 - (s + 1) * slab
-            if pix is not None:
-                # points behind the slice plane within this slab
-                upto = int(np.searchsorted(-pdep, -depth_slice))
-                composite_point_range(cursor, upto)
-                cursor = upto
+        with span("point_fold"):
+            upix, frag_pm, near, bounds = accumulate_fragments(
+                *point_fragments, thresholds
+            )
+            count("point_fragments", n_frag)
+            count("point_ranges", int(np.count_nonzero(np.diff(bounds))))
+        touched[upix] = True
+        keep = 1.0 - frag_pm[:, 3:4]
+        present = frag_pm[:, 3] > 1e-4
+        bounds = bounds.tolist()
+        # over-steps back to front: point range, slice, point range, ...
+        for k in range(len(bounds) - 1):
+            i, j = bounds[k], bounds[k + 1]
+            if i < j:
+                up = upix[i:j]
+                work[up] = frag_pm[i:j] + work[up] * keep[i:j]
+                up = up[present[i:j]]
+                depth_flat[up] = np.minimum(depth_flat[up], near[i:j][present[i:j]])
+            s = k // 2
+            if k % 2 == 0 or s == planes:
+                continue
             rows = live.slice_rows(s)
             spix = live.pix[rows]
             if len(spix):
                 layer = samples[rows]
                 work[spix] = layer + work[spix] * (1.0 - layer[:, 3:4])
-                present = layer[:, 3] > 1e-4
-                sp_ = spix[present]
-                depth_flat[sp_] = np.minimum(depth_flat[sp_], depth_slice)
-            if pix is not None:
-                upto = int(np.searchsorted(-pdep, -slab_near))
-                composite_point_range(cursor, upto)
-                cursor = upto
+                present_s = layer[:, 3] > 1e-4
+                sp_ = spix[present_s]
+                depth_flat[sp_] = np.minimum(depth_flat[sp_], geometry.depths[s])
 
-        # fragments nearer than the volume
-        composite_point_range(cursor, n_frag)
-    write_back()
+    t_idx = np.flatnonzero(touched)
+    if t_idx.size:
+        out = work[t_idx]
+        a = out[:, 3:4]
+        safe = np.where(a <= 0.0, 1.0, a)
+        rgba_flat = fb.rgba.reshape(-1, 4)
+        rgba_flat[t_idx, :3] = out[:, :3] / safe
+        rgba_flat[t_idx, 3:] = a
     return fb

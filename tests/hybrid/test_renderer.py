@@ -85,6 +85,11 @@ class TestRendering:
         fb = HybridRenderer(n_slices=8).render(hybrid_frame_module)
         assert fb.width == 256
 
+    @pytest.mark.parametrize("size", [0, -3, 0.5])
+    def test_point_size_below_one_rejected(self, size):
+        with pytest.raises(ValueError, match="point_size"):
+            HybridRenderer(point_size=size)
+
     def test_deterministic(self, hybrid_frame_module, camera):
         r = HybridRenderer(n_slices=8)
         a = r.render(hybrid_frame_module, camera).to_rgb8()

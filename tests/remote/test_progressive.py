@@ -7,8 +7,8 @@ The contract under test (ISSUE 8's tentpole acceptance):
   complete),
 - a stream run to completion yields a final frame **bit-identical**
   to the flat ``get_hybrid`` for the same request, at the mip-base
-  resolution (exact volume served from mip 0) and away from it (the
-  exact volume sliced from the flat extraction via the shared cache),
+  resolution and away from it (either way the exact volume is read
+  from the store's ``volume_<res>.bin``),
 - refinement order is deterministic for a fixed eye,
 - frames without a built hierarchy, and streams past the per-session
   limit, are refused with typed errors.
@@ -115,7 +115,8 @@ class TestPrefixValidity:
 
 class TestFinalBitwise:
     def test_at_mip_base_resolution(self, pstore, client):
-        """Exact volume comes straight off mip 0."""
+        """At the mip-base resolution the exact volume is read from the
+        store's ``volume_<res>.bin``."""
         thr = threshold_of(pstore)
         last = None
         for last in client.iter_hybrid(0, thr, resolution=32):
@@ -124,8 +125,8 @@ class TestFinalBitwise:
         assert_frames_bitwise(last, flat)
 
     def test_away_from_mip_base(self, pstore, client):
-        """Exact volume is sliced from the flat extraction payload
-        through the shared coalescing cache."""
+        """Away from the mip base the exact volume is read from the
+        store's ``volume_<res>.bin`` as well."""
         thr = threshold_of(pstore)
         last = None
         for last in client.iter_hybrid(0, thr, resolution=48):

@@ -1,11 +1,15 @@
-"""Bitwise reference harness for the empty-space-skipping compositor.
+"""Bitwise reference harness for the slice compositor and point fold.
 
 :func:`render_mixed` samples and composites only the *live* slice rows,
 the rows whose trilinear stencil gives nonzero weight to a voxel with
-nonzero alpha, and :class:`HybridRenderer` memoizes its volume
-classification.  ``_ref_render_mixed`` and ``_ref_classify_volume``
-below are the full-sampling compositor and the per-call classification
-they replaced, kept verbatim: every image and depth buffer must equal
+nonzero alpha; it folds the point fragments of every depth range in
+one ordered pass (:func:`repro.render.framebuffer.accumulate_fragments`
+over :func:`repro.render.framebuffer.fragment_order`); and
+:class:`HybridRenderer` memoizes its volume classification.  The
+``_ref_*`` functions below are what these replaced, kept verbatim: the
+full-sampling compositor with one lexsort fold per depth range, the
+per-call classification, the (offsets x points) sprite grid and the
+lexsort z-buffer resolve.  Every image and depth buffer must equal
 theirs byte for byte.
 
 The one exception is a framebuffer prefilled with -0.0.  The reference
@@ -36,14 +40,19 @@ from repro.render.frame_cache import (
     frame_geometry_cache,
     set_frame_geometry_cache,
 )
-from repro.render.framebuffer import Framebuffer, accumulate_fragments
-from repro.render.points import point_fragments
+from repro.render.framebuffer import Framebuffer
+from repro.render.points import _EMPTY_FRAGMENTS, point_fragments
+from repro.render.raster import Fragments
 from repro.render.scene import Scene
 from repro.render.volume import _merge_fragment_batches, render_mixed
 
 
 # ----------------------------------------------------------------------
-# reference: the full-sampling compositor and classification, verbatim
+# reference: the full-sampling compositor, its per-range fold, the
+# classification, the sprite grid and the z-buffer resolve, verbatim
+_ALPHA_MAX = 0.99999
+
+
 def _ref_render_mixed(
     camera: Camera,
     rgba_volume: np.ndarray | None,
@@ -88,7 +97,7 @@ def _ref_render_mixed(
     def composite_point_range(a: int, b: int) -> None:
         if pix is None or a >= b:
             return
-        upix, frag_pm, near = accumulate_fragments(pix[a:b], pdep[a:b], prgba[a:b])
+        upix, frag_pm, near = _ref_accumulate_fragments(pix[a:b], pdep[a:b], prgba[a:b])
         work[upix] = frag_pm + work[upix] * (1.0 - frag_pm[:, 3:4])
         touched[upix] = True
         present = frag_pm[:, 3] > 1e-4
@@ -188,6 +197,169 @@ def _ref_render_mixed(
     return fb
 
 
+def _ref_composite_fragments(
+    pixels: np.ndarray,
+    depths: np.ndarray,
+    rgba: np.ndarray,
+    n_pixels: int,
+):
+    out_rgba = np.zeros((n_pixels, 4))
+    out_depth = np.full(n_pixels, np.inf)
+    upix, pm, near = _ref_accumulate_fragments(pixels, depths, rgba)
+    if upix.size == 0:
+        return out_rgba, out_depth
+    out_rgba[upix] = pm
+    out_depth[upix] = near
+
+    # un-premultiply
+    a = out_rgba[:, 3:4]
+    safe = np.where(a <= 0.0, 1.0, a)
+    out_rgba[:, :3] /= safe
+    return out_rgba, out_depth
+
+
+def _ref_accumulate_fragments(
+    pixels: np.ndarray,
+    depths: np.ndarray,
+    rgba: np.ndarray,
+):
+    """Sparse core of :func:`composite_fragments`.
+
+    Folds an unordered fragment stream per pixel (front-to-back
+    *under*) but returns only the touched pixels, premultiplied -- the
+    form the interleaved volume compositor consumes directly without
+    allocating full-frame layers per slab.
+
+    Returns
+    -------
+    upix : (U,) int64 unique flat pixel indices (ascending)
+    pm_rgba : (U, 4) premultiplied composited color per touched pixel
+    near_depth : (U,) depth of the nearest contributing fragment
+    """
+    pixels = np.asarray(pixels)
+    depths = np.asarray(depths, dtype=np.float64)
+    rgba = np.asarray(rgba, dtype=np.float64)
+    if pixels.size == 0:
+        return (
+            np.empty(0, dtype=np.int64),
+            np.empty((0, 4)),
+            np.empty(0),
+        )
+
+    order = np.lexsort((depths, pixels))
+    pix = pixels[order]
+    dep = depths[order]
+    col = rgba[order]
+
+    alpha = np.clip(col[:, 3], 0.0, _ALPHA_MAX)
+    trans = 1.0 - alpha                           # per-fragment transmittance
+    # log-space segmented prefix product: stable even for long segments
+    logt = np.log(np.maximum(trans, 1e-12))
+    c_log = np.cumsum(logt)
+    seg_start = np.ones(pix.size, dtype=bool)
+    seg_start[1:] = pix[1:] != pix[:-1]
+    start_idx = np.flatnonzero(seg_start)
+    # log prefix product *before* each fragment within its segment:
+    # prefix_log[i] = c_log[i-1] - c_log[segment_start(i)-1]
+    seg_id = np.cumsum(seg_start) - 1
+    base_vals = np.where(start_idx > 0, c_log[start_idx - 1], 0.0)
+    base_per_frag = base_vals[seg_id]
+    prefix_log = np.concatenate([[0.0], c_log[:-1]]) - base_per_frag
+    prefix_log[start_idx] = 0.0
+    prefix = np.exp(prefix_log)
+
+    weight = alpha * prefix
+    contrib = col[:, :3] * weight[:, None]
+    pm_rgba = np.empty((start_idx.size, 4))
+    pm_rgba[:, 0] = np.add.reduceat(contrib[:, 0], start_idx)
+    pm_rgba[:, 1] = np.add.reduceat(contrib[:, 1], start_idx)
+    pm_rgba[:, 2] = np.add.reduceat(contrib[:, 2], start_idx)
+    pm_rgba[:, 3] = np.add.reduceat(weight, start_idx)
+    return pix[start_idx].astype(np.int64), pm_rgba, dep[start_idx]
+
+
+def _ref_point_fragments(
+    camera: Camera,
+    points: np.ndarray,
+    rgba: np.ndarray,
+    point_size: int = 1,
+):
+    """Project points and produce a fragment stream.
+
+    Parameters
+    ----------
+    points : (N, 3) world positions
+    rgba : (N, 4) or (4,) color(s) with alpha
+    point_size : square sprite edge length in pixels (1 = single pixel)
+
+    Returns
+    -------
+    (pix, depth, rgba) arrays suitable for
+    :func:`repro.render.framebuffer.composite_fragments` and
+    :func:`repro.render.volume.render_mixed`.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    if points.size == 0:
+        # an empty point set must yield an empty fragment stream, not a
+        # (1, 0) atleast_2d artifact that breaks projection downstream
+        return _EMPTY_FRAGMENTS
+    points = np.atleast_2d(points)
+    rgba = np.asarray(rgba, dtype=np.float64)
+    if rgba.ndim == 1:
+        rgba = np.broadcast_to(rgba, (len(points), 4))
+    xy, depth, visible = camera.project(points)
+    xy = xy[visible]
+    depth = depth[visible]
+    rgba = rgba[visible]
+
+    w, h = camera.width, camera.height
+    if point_size <= 1:
+        dx = dy = np.zeros(1, dtype=np.int64)
+    else:
+        r = point_size // 2
+        span = np.arange(-r, point_size - r, dtype=np.int64)
+        # all point_size^2 sprite offsets in one broadcast, x-major to
+        # match the historical (dx, dy) nesting order
+        dx = np.repeat(span, point_size)
+        dy = np.tile(span, point_size)
+    ix0 = np.floor(xy[:, 0]).astype(np.int64)
+    iy0 = np.floor(xy[:, 1]).astype(np.int64)
+    # (n_offsets, n_points) grids: every sprite texel of every point
+    ix = dx[:, None] + ix0[None, :]
+    iy = dy[:, None] + iy0[None, :]
+    ok = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
+    off_idx, pt_idx = np.nonzero(ok)
+    return (
+        iy[off_idx, pt_idx] * w + ix[off_idx, pt_idx],
+        depth[pt_idx],
+        rgba[pt_idx],
+    )
+
+
+def _ref_resolve_opaque(frags: Fragments, n_pixels: int, rgb_attr: str = "rgb"):
+    """Classic z-buffer resolve: nearest fragment per pixel wins.
+
+    Returns
+    -------
+    rgba : (n_pixels, 4) with alpha 1 where covered
+    depth : (n_pixels,) nearest depth (+inf where empty)
+    """
+    rgba = np.zeros((n_pixels, 4))
+    depth_out = np.full(n_pixels, np.inf)
+    if len(frags) == 0:
+        return rgba, depth_out
+    order = np.lexsort((frags.depth, frags.pix))
+    pix = frags.pix[order]
+    first = np.ones(pix.size, dtype=bool)
+    first[1:] = pix[1:] != pix[:-1]
+    idx = order[first]
+    rgb = frags.attrs[rgb_attr][idx]
+    rgba[frags.pix[idx], :3] = np.clip(rgb[:, :3], 0.0, 1.0)
+    rgba[frags.pix[idx], 3] = 1.0
+    depth_out[frags.pix[idx]] = frags.depth[idx]
+    return rgba, depth_out
+
+
 def _ref_classify_volume(self, frame):
     norm = self._normalizer(frame)
     amr = self._frame_amr(frame)
@@ -263,6 +435,7 @@ def hybrid_pair(monkeypatch, frames, cameras, orbits=2, **kwargs):
     counters = dict(tracer.counters)
     with monkeypatch.context() as m:
         m.setattr(hybrid_renderer, "render_mixed", _ref_render_mixed)
+        m.setattr(hybrid_renderer, "point_fragments", _ref_point_fragments)
         want = []
         for h, c in jobs:
             ref = HybridRenderer(cache=FrameGeometryCache(), **kwargs)
@@ -414,6 +587,7 @@ class TestPrefilledFramebuffer:
 
         got = draw()
         monkeypatch.setattr(scene_module, "render_mixed", _ref_render_mixed)
+        monkeypatch.setattr(scene_module, "point_fragments", _ref_point_fragments)
         assert_same_fb(got, draw())
 
     def test_negative_zero_background(self):

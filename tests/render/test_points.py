@@ -5,6 +5,7 @@ import pytest
 
 from repro.render.camera import Camera
 from repro.render.points import point_fragments, render_points, select_fraction
+from repro.render.scene import Scene
 
 
 @pytest.fixture
@@ -70,6 +71,14 @@ class TestPointFragments:
         one = point_fragments(cam, pts, np.array([1.0, 0, 0, 1]), point_size=1)
         three = point_fragments(cam, pts, np.array([1.0, 0, 0, 1]), point_size=3)
         assert len(three[0]) == 9 * len(one[0])
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_point_size_below_one_rejected(self, cam, size):
+        pts = np.array([[0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="point_size"):
+            point_fragments(cam, pts, np.array([1.0, 0, 0, 1]), point_size=size)
+        with pytest.raises(ValueError, match="point_size"):
+            Scene(cam).add_points(pts, np.array([1.0, 0, 0, 1]), point_size=size)
 
     def test_depths_positive(self, cam, rng):
         pts = rng.uniform(-0.5, 0.5, (100, 3))

@@ -249,6 +249,41 @@ class TestInvalidInputs:
         with pytest.raises(ValueError, match="non-finite"):
             r.render(frame, camera_at((1, 0.3, 0.5)))
 
+    @pytest.mark.parametrize(
+        "array, bad, message",
+        [
+            ("points", np.nan, "point positions"),
+            ("points", np.inf, "point positions"),
+            ("point_densities", np.nan, "point densities"),
+            ("point_densities", np.inf, "point densities"),
+            ("energy", np.nan, "'energy'"),
+            ("energy", -np.inf, "'energy'"),
+        ],
+    )
+    def test_non_finite_points(self, frames, array, bad, message):
+        """Named before the normalizer reads ``max_density()``: an
+        infinite density used to surface as a non-finite volume, a NaN
+        attribute value as an all-NaN image, and NaN positions or
+        densities were dropped silently."""
+        frame = private_copy(frames[0])
+        frame = dataclasses.replace(
+            frame,
+            points=frame.points.copy(),
+            point_densities=frame.point_densities.copy(),
+            attributes={"energy": np.linspace(0.0, 1.0, frame.n_points)},
+        )
+        target = frame.attributes["energy"] if array == "energy" else getattr(frame, array)
+        target.reshape(len(target), -1)[frame.n_points // 2, 0] = bad
+        r = HybridRenderer(n_slices=8, point_color_by="energy")
+        with pytest.raises(ValueError, match=message):
+            r.render(frame, camera_at((1, 0.3, 0.5)))
+        with pytest.raises(ValueError, match=message):
+            r.classified_points(frame)
+        with pytest.raises(ValueError, match=message):
+            HybridRenderer(max_density=1.0, point_color_by="energy").render_point_part(
+                frame, camera_at((1, 0.3, 0.5))
+            )
+
     def test_non_finite_amr_density(self, amr_frame):
         frame = private_copy(amr_frame)
         frame.meta["amr"].data[7] = np.nan

@@ -27,8 +27,11 @@
 #
 # --store runs the sharded-store / streaming-pipeline suites (with the
 # partitioned-store format, the stored density volume and prefix-only
-# extraction, checkpoint resume, and the LOD and progressive-stream
-# suites, whose mip pyramid and stream volume read the stored volume),
+# extraction, checkpoint resume, the LOD and progressive-stream
+# suites, whose mip pyramid and stream volume read the stored volume,
+# and the partition reference: every partitioner's node table and
+# particle file against the recursive octree, byte for byte, since the
+# bench partitions through the same plan),
 # then the RAM-capped bench (the full 10^7-particle pipeline in a
 # measured subprocess) that refreshes BENCH_sharded_store.json, and
 # gates on peak RSS < 0.5 of raw plus the streamed-vs-in-core
@@ -36,7 +39,9 @@
 #
 # --forest runs the forest-of-octrees + sort-last compositor suites
 # (with the slice-compositor and point-fold references and the memo
-# suites, since sort-last bricks render through the same compositor),
+# suites, since sort-last bricks render through the same compositor,
+# and the partition reference, since every brick tree is built by the
+# same plan),
 # then the 10^8-particle
 # forest bench that refreshes BENCH_forest.json, and gates on the
 # gather-bitwise / sort-last tolerance flags plus the 4-worker speedup
@@ -189,6 +194,7 @@ if [[ $run_forest -eq 1 ]]; then
     echo "== forest / compositor suite =="
     PYTHONPATH=src python -m pytest -x -q \
         tests/octree/test_forest.py \
+        tests/octree/test_partition_reference.py \
         tests/render/test_compositor.py \
         tests/render/test_composite_reference.py \
         tests/render/test_point_fold.py \
@@ -210,6 +216,7 @@ if [[ $run_store -eq 1 ]]; then
         tests/octree/test_format.py \
         tests/octree/test_disk_extraction.py \
         tests/octree/test_stream_partition.py \
+        tests/octree/test_partition_reference.py \
         tests/octree/test_lod.py \
         tests/remote/test_progressive.py \
         tests/render/test_fragment_batches.py \

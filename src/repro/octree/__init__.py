@@ -17,13 +17,15 @@ density volume.
 
 Modules
 -------
-octree      adaptive linear octree with Morton keys
-partition   the partitioning program (plot types, density sort)
+octree      Morton keys, the one octree leaf walk and the partition
+            plan (node table + particle-file layout) every
+            partitioner builds with
+partition   the in-core partitioning program (plot types)
 format      the node-table codec of an on-disk partitioned store
 extraction  threshold-density extraction into HybridFrame
 """
 
-from repro.octree.octree import Octree, PLOT_TYPES, plot_columns
+from repro.octree.octree import PLOT_TYPES, plot_columns
 from repro.octree.partition import PartitionedFrame, partition
 from repro.octree.extraction import extract, extraction_sizes
 from repro.octree.repartition import repartition
@@ -31,7 +33,6 @@ from repro.octree.lod import LodHierarchy, build_lod
 from repro.octree.amr import AmrVolume, build_amr, plan_amr_levels
 
 __all__ = [
-    "Octree",
     "PLOT_TYPES",
     "plot_columns",
     "PartitionedFrame",

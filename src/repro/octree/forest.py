@@ -61,7 +61,7 @@ from repro.core.store import (
     write_manifest,
 )
 from repro.core.trace import count, gauge_peak_rss, span
-from repro.octree.octree import morton_keys, plot_columns
+from repro.octree.octree import check_build, morton_keys, plot_columns
 from repro.octree.partition import PartitionedFrame
 from repro.octree.stream_partition import (
     PartitionedStore,
@@ -259,9 +259,10 @@ def partition_forest(
     docstring).
     """
     ds = as_dataset(data)
+    check_build(ds.n_particles, max_level, capacity)
+    brick_level = _check_bricks(bricks, max_level)
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    brick_level = _check_bricks(bricks, max_level)
     n_bricks = 8 ** brick_level
     ck = Checkpoint(checkpoint_dir) if checkpoint_dir is not None else None
     if ck is not None and ck.done("finalize"):
@@ -269,8 +270,6 @@ def partition_forest(
         return ForestStore.open(out)
 
     n = ds.n_particles
-    if n == 0:
-        raise ValueError("forest needs at least one particle")
     columns = plot_columns(plot_type)
     if step is None:
         step = ds.step

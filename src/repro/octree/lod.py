@@ -63,6 +63,7 @@ import numpy as np
 from repro.core.errors import FormatError
 from repro.core.store import attach_lod_manifest
 from repro.core.trace import count, span
+from repro.octree.octree import morton_decode
 
 __all__ = ["build_lod", "LodHierarchy", "node_centers"]
 
@@ -101,26 +102,17 @@ def _sample_size(n: int, ratio: int, level: int) -> int:
 def node_centers(nodes, lo, hi):
     """Vectorized world-space centers + cell diagonals of leaf nodes.
 
-    The geometric half of screen-space-error ordering: deinterleaves
-    each node's Morton prefix into its (ix, iy, iz) cell index at the
-    node's own level (bits past ``3 * level`` are zero in the prefix,
-    so one loop over the deepest level present serves every node).
+    The geometric half of screen-space-error ordering: decodes each
+    node's Morton prefix into its (ix, iy, iz) cell index at the node's
+    own level.
     """
     nodes = np.asarray(nodes)
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     level = nodes["level"].astype(np.int64)
-    key = nodes["key"].astype(np.uint64)
-    ix = np.zeros(len(nodes), dtype=np.uint64)
-    iy = np.zeros(len(nodes), dtype=np.uint64)
-    iz = np.zeros(len(nodes), dtype=np.uint64)
-    for g in range(int(level.max()) if len(nodes) else 0):
-        ix |= ((key >> np.uint64(3 * g)) & np.uint64(1)) << np.uint64(g)
-        iy |= ((key >> np.uint64(3 * g + 1)) & np.uint64(1)) << np.uint64(g)
-        iz |= ((key >> np.uint64(3 * g + 2)) & np.uint64(1)) << np.uint64(g)
+    idx = morton_decode(nodes["key"], int(level.max()) if len(nodes) else 0)
     size = (hi - lo)[None, :] / (1 << level)[:, None].astype(np.float64)
-    idx = np.stack([ix, iy, iz], axis=1).astype(np.float64)
-    centers = lo[None, :] + (idx + 0.5) * size
+    centers = lo[None, :] + (idx.astype(np.float64) + 0.5) * size
     diag = np.linalg.norm(size, axis=1)
     return centers, diag
 

@@ -1,11 +1,18 @@
-"""Adaptive linear octree over particle coordinates.
+"""Morton keys, the octree leaf walk and the partition plan.
 
-The octree is *linear*: particles are assigned Morton (bit-interleaved)
-keys at the maximal subdivision level, sorted once, and the adaptive
-node structure is recovered by recursing over contiguous key ranges.
-A node is split while it holds more than ``capacity`` particles and is
-above the maximal subdivision level -- the paper's guard that
-"prevents the octree from becoming impractically large".
+The octree is *linear* (Burstedde et al.'s forest of octrees): every
+particle gets the Morton (bit-interleaved) key of its cell at the
+maximal subdivision level, and the adaptive node structure is
+recovered from the sorted cell histogram alone.  A node is split while
+it holds more than ``capacity`` particles and is above the maximal
+subdivision level -- the paper's guard that "prevents the octree from
+becoming impractically large".
+
+Every partitioner -- in-core :func:`repro.octree.partition.partition`,
+streamed :func:`repro.octree.stream_partition.partition_store` and the
+forest's per-brick trees -- resolves its box with
+:func:`octree_bounds`, keys its particles with :func:`morton_keys` and
+builds its node table with :func:`partition_plan`.
 
 Plot types: the simulation stores six coordinates per particle, so "a
 variety of 3-D plots can be generated" (paper section 2.3).  A plot
@@ -19,9 +26,11 @@ import numpy as np
 __all__ = [
     "PLOT_TYPES",
     "plot_columns",
+    "check_build",
+    "octree_bounds",
     "morton_keys",
-    "leaf_for_keys",
-    "Octree",
+    "morton_decode",
+    "partition_plan",
     "NODE_DTYPE",
 ]
 
@@ -45,6 +54,8 @@ NODE_DTYPE = np.dtype(
 
 MAX_LEVEL_LIMIT = 20  # 3*20 = 60 key bits fit in uint64
 
+_NON_FINITE_COORDS = "coords contain NaN/Inf; clean the frame before partitioning"
+
 
 def plot_columns(plot_type: str):
     """Resolve a plot-type name to its (3,) column index tuple."""
@@ -56,6 +67,49 @@ def plot_columns(plot_type: str):
         ) from None
 
 
+def _check_max_level(max_level: int) -> None:
+    if not 1 <= max_level <= MAX_LEVEL_LIMIT:
+        raise ValueError(f"max_level must be in [1, {MAX_LEVEL_LIMIT}]")
+
+
+def check_build(n_particles: int, max_level: int, capacity: int) -> None:
+    """Raise ``ValueError`` for an empty frame, ``max_level`` out of
+    range or ``capacity < 1`` -- every partitioner's check before its
+    first pass over the data."""
+    if n_particles == 0:
+        raise ValueError("octree needs at least one particle")
+    _check_max_level(max_level)
+    if capacity < 1:
+        raise ValueError("capacity must be >= 1")
+
+
+def octree_bounds(lo, hi, data_range):
+    """The octree box: explicit ``lo``/``hi``, else the data's min/max
+    padded a hair.
+
+    ``data_range()`` returns the per-axis (min, max) of the plot-type
+    coordinates; it is called only when ``lo`` or ``hi`` is ``None``.
+    The pad is relative to both the span and the coordinate scale, so
+    ``hi > lo`` even for degenerate (single-point) data.  Raises
+    ``ValueError`` for a NaN/Inf data range (NaN/Inf coordinates) and
+    unless the box is finite with ``hi > lo`` on every axis.
+    """
+    if lo is None or hi is None:
+        dlo, dhi = (np.asarray(v, dtype=np.float64) for v in data_range())
+        if not (np.isfinite(dlo).all() and np.isfinite(dhi).all()):
+            raise ValueError(_NON_FINITE_COORDS)
+        pad = (dhi - dlo) * 1e-9 + (np.abs(dlo) + np.abs(dhi) + 1.0) * 1e-9
+        lo = dlo - pad if lo is None else lo
+        hi = dhi + pad if hi is None else hi
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("lo and hi must be finite (no NaN/Inf)")
+    if np.any(hi <= lo):
+        raise ValueError("need hi > lo in every axis")
+    return lo, hi
+
+
 def _spread_bits(v: np.ndarray, max_level: int) -> np.ndarray:
     """Insert two zero bits between each bit of v (vectorized)."""
     out = np.zeros_like(v)
@@ -64,16 +118,26 @@ def _spread_bits(v: np.ndarray, max_level: int) -> np.ndarray:
     return out
 
 
+def _compact_bits(v: np.ndarray, max_level: int) -> np.ndarray:
+    """Inverse of :func:`_spread_bits`: keep every third bit of v."""
+    out = np.zeros_like(v)
+    for b in range(max_level):
+        out |= ((v >> np.uint64(3 * b)) & np.uint64(1)) << np.uint64(b)
+    return out
+
+
 def morton_keys(coords: np.ndarray, lo: np.ndarray, hi: np.ndarray, max_level: int) -> np.ndarray:
     """Morton keys of (N, 3) coordinates at ``max_level`` subdivisions.
 
-    Coordinates outside [lo, hi] are clamped to the boundary cells.
+    Coordinates outside [lo, hi] are clamped to the boundary cells;
+    NaN/Inf coordinates raise ``ValueError``.
     Bit layout: key = sum over levels of (octant index) << 3*(level),
     with axis 0 the lowest of each 3-bit group.
     """
-    if not 1 <= max_level <= MAX_LEVEL_LIMIT:
-        raise ValueError(f"max_level must be in [1, {MAX_LEVEL_LIMIT}]")
+    _check_max_level(max_level)
     coords = np.asarray(coords, dtype=np.float64)
+    if not np.isfinite(coords).all():
+        raise ValueError(_NON_FINITE_COORDS)
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     n_cells = 1 << max_level
@@ -88,151 +152,73 @@ def morton_keys(coords: np.ndarray, lo: np.ndarray, hi: np.ndarray, max_level: i
     return key
 
 
-def leaf_for_keys(nodes: np.ndarray, keys: np.ndarray, max_level: int) -> np.ndarray:
-    """Leaf index containing each Morton key, for a Morton-ordered
-    ``nodes`` table (NODE_DTYPE, as built by :class:`Octree`).
+def morton_decode(keys, level: int) -> np.ndarray:
+    """(N, 3) integer grid indices of ``level``-deep Morton keys: the
+    inverse of :func:`morton_keys`' interleave.  A node's prefix has no
+    bits past ``3 * level``, so one call at the deepest level present
+    decodes nodes of every shallower level too."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    return np.stack(
+        [_compact_bits(keys >> np.uint64(axis), int(level)) for axis in range(3)], axis=-1
+    )
 
-    The leaves tile the key space contiguously, so the containing leaf
-    is the last one whose first covered max-level key is ``<= key``.
-    The result is clipped to the last node index: a key at the very
-    max corner of the box (coordinate exactly on the ``hi`` bound,
-    clamped by :func:`morton_keys` into the last cell) must land in
-    the last leaf, never one past the end.
+
+def partition_plan(cells, counts, lo, hi, max_level, capacity, min_level=0):
+    """The node table and the particle-file layout of one octree.
+
+    ``cells`` are the distinct max-level Morton keys present, ascending,
+    and ``counts`` the particles in each.  Returns ``(nodes,
+    cell_dest)``: the leaves (``NODE_DTYPE``) stably sorted by
+    increasing density, ``start`` their offset in the particle file,
+    and each cell's first file position (leaves in density order, cells
+    in key order within a leaf).
+
+    One walk finds the leaves, a level at a time: at level ``l`` the
+    nodes are the runs of equal key prefix among the cells no coarser
+    leaf has claimed, and a run is a leaf when it holds at most
+    ``capacity`` particles and ``l >= min_level``, or at ``max_level``.
+    ``min_level`` (the forest's octant alignment) forces non-empty
+    nodes down to that level whatever their count.
     """
-    nodes = np.asarray(nodes)
-    shift = (3 * (max_level - nodes["level"].astype(np.int64))).astype(np.uint64)
-    first_key = nodes["key"].astype(np.uint64) << shift
-    idx = np.searchsorted(first_key, np.asarray(keys, dtype=np.uint64), side="right") - 1
-    return np.clip(idx, 0, len(nodes) - 1).astype(np.int64)
+    cells = np.asarray(cells, dtype=np.uint64)
+    counts = np.asarray(counts, dtype=np.int64)
+    live = np.arange(len(cells))
+    found = []
+    for level in range(int(max_level) + 1):
+        prefix = cells[live] >> np.uint64(3 * (int(max_level) - level))
+        head = np.flatnonzero(np.concatenate([[True], prefix[1:] != prefix[:-1]]))
+        total = np.add.reduceat(counts[live], head)
+        run = np.diff(np.append(head, len(live)))
+        leaf = ((total <= capacity) & (level >= min_level)) | (level == max_level)
+        found.append((np.full(int(leaf.sum()), level), prefix[head[leaf]],
+                      live[head[leaf]], run[leaf], total[leaf]))
+        live = live[np.repeat(~leaf, run)]
+        if len(live) == 0:
+            break
+    level, key, first, span, total = (np.concatenate(col) for col in zip(*found))
 
+    # leaves are disjoint cell ranges, so their Morton (depth-first)
+    # order is the order of their first cell
+    morton = np.argsort(first)
+    nodes = np.empty(len(morton), dtype=NODE_DTYPE)
+    nodes["level"] = level[morton]
+    nodes["key"] = key[morton]
+    nodes["count"] = total[morton]
+    root_volume = float(np.prod(np.asarray(hi) - np.asarray(lo)))
+    vol = root_volume / (8.0 ** nodes["level"].astype(np.float64))
+    nodes["density"] = nodes["count"] / vol
 
-class Octree:
-    """Adaptive octree over a fixed coordinate bounding box.
+    density_order = np.argsort(nodes["density"], kind="stable")
+    nodes = nodes[density_order]
+    sorted_counts = nodes["count"].astype(np.int64)
+    start = np.cumsum(sorted_counts) - sorted_counts
+    nodes["start"] = start.astype(np.uint64)
 
-    Parameters
-    ----------
-    coords : (N, 3) particle coordinates (already restricted to the
-        plot type's columns)
-    lo, hi : bounding box; defaults to the data's min/max padded a hair
-    max_level : maximal subdivision level
-    capacity : a node holding more than this many particles splits
-        (until max_level)
-
-    Attributes
-    ----------
-    order : (N,) permutation; ``coords[order]`` groups particles so
-        each leaf's particles are contiguous, leaves in Morton order
-    nodes : structured array (NODE_DTYPE) of the leaf nodes, in Morton
-        order; ``start``/``count`` index into the ordered particles
-    """
-
-    def __init__(self, coords, lo=None, hi=None, max_level: int = 6, capacity: int = 64):
-        coords = np.asarray(coords, dtype=np.float64)
-        if coords.ndim != 2 or coords.shape[1] != 3:
-            raise ValueError("coords must be (N, 3)")
-        if len(coords) == 0:
-            raise ValueError("octree needs at least one particle")
-        if not np.isfinite(coords).all():
-            raise ValueError(
-                "coords contain NaN/Inf; clean the frame before partitioning"
-            )
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if lo is None or hi is None:
-            dlo = coords.min(axis=0)
-            dhi = coords.max(axis=0)
-            # pad relative to both the span and the coordinate scale so
-            # hi > lo even for degenerate (single-point) data
-            pad = (dhi - dlo) * 1e-9 + (np.abs(dlo) + np.abs(dhi) + 1.0) * 1e-9
-            lo = dlo - pad if lo is None else np.asarray(lo, dtype=np.float64)
-            hi = dhi + pad if hi is None else np.asarray(hi, dtype=np.float64)
-        self.lo = np.asarray(lo, dtype=np.float64)
-        self.hi = np.asarray(hi, dtype=np.float64)
-        if np.any(self.hi <= self.lo):
-            raise ValueError("need hi > lo in every axis")
-        self.max_level = int(max_level)
-        self.capacity = int(capacity)
-
-        keys = morton_keys(coords, self.lo, self.hi, self.max_level)
-        self.order = np.argsort(keys, kind="stable")
-        self._sorted_keys = keys[self.order]
-        self._root_volume = float(np.prod(self.hi - self.lo))
-
-        leaves: list[tuple[int, int, int, int]] = []  # (level, prefix, start, count)
-        self._subdivide(0, len(keys), 0, 0, leaves)
-        nodes = np.empty(len(leaves), dtype=NODE_DTYPE)
-        for i, (level, prefix, start, count) in enumerate(leaves):
-            nodes[i] = (level, prefix, start, count, 0.0)
-        vol = self._root_volume / (8.0 ** nodes["level"].astype(np.float64))
-        nodes["density"] = nodes["count"] / vol
-        self.nodes = nodes
-
-    # ------------------------------------------------------------------
-    def _subdivide(self, start: int, end: int, level: int, prefix: int, leaves) -> None:
-        count = end - start
-        if count == 0:
-            return
-        if count <= self.capacity or level >= self.max_level:
-            leaves.append((level, prefix, start, count))
-            return
-        shift = 3 * (self.max_level - level - 1)
-        child_keys = (
-            self._sorted_keys[start:end] >> np.uint64(shift)
-        ) & np.uint64(7)
-        # children are contiguous: find boundaries of the 8 octants
-        bounds = start + np.searchsorted(child_keys, np.arange(9), side="left")
-        for child in range(8):
-            self._subdivide(
-                int(bounds[child]),
-                int(bounds[child + 1]),
-                level + 1,
-                (prefix << 3) | child,
-                leaves,
-            )
-
-    # ------------------------------------------------------------------
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def n_particles(self) -> int:
-        return len(self.order)
-
-    def node_bounds(self, i: int):
-        """World-space (lo, hi) of leaf node ``i``."""
-        level = int(self.nodes["level"][i])
-        key = int(self.nodes["key"][i])
-        ix = iy = iz = 0
-        for b in range(level):
-            octant = (key >> (3 * (level - 1 - b))) & 7
-            ix = (ix << 1) | (octant & 1)
-            iy = (iy << 1) | ((octant >> 1) & 1)
-            iz = (iz << 1) | ((octant >> 2) & 1)
-        size = (self.hi - self.lo) / (1 << level)
-        lo = self.lo + size * np.array([ix, iy, iz])
-        return lo, lo + size
-
-    def leaf_of_particles(self) -> np.ndarray:
-        """Leaf index of each particle, in the *ordered* particle
-        numbering (i.e. entry j refers to coords[order][j])."""
-        return np.repeat(
-            np.arange(self.n_nodes, dtype=np.int64),
-            self.nodes["count"].astype(np.int64),
-        )
-
-    def leaf_of_coords(self, coords: np.ndarray) -> np.ndarray:
-        """Leaf index containing each (N, 3) coordinate.
-
-        Coordinates are clamped into the box exactly as during the
-        build (including points sitting on the max-corner bound, which
-        belong to the last boundary cells), so every particle used to
-        build the tree resolves to the leaf that counts it.
-        """
-        keys = morton_keys(coords, self.lo, self.hi, self.max_level)
-        return leaf_for_keys(self.nodes, keys, self.max_level)
-
-    def particle_densities(self) -> np.ndarray:
-        """Per-particle density of the containing leaf (ordered
-        numbering)."""
-        return np.repeat(self.nodes["density"], self.nodes["count"].astype(np.int64))
+    # a leaf's cells follow its start in key order; walk the leaves in
+    # Morton order, which is cell order
+    start_morton = np.empty(len(nodes), dtype=np.int64)
+    start_morton[density_order] = start
+    before = np.cumsum(counts) - counts
+    first = first[morton]
+    cell_dest = before + np.repeat(start_morton - before[first], span[morton])
+    return nodes, cell_dest

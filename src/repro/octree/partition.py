@@ -10,7 +10,10 @@ are sorted in order of increasing density.  Each node in the octree
 then contains an offset into the particle file and the number of
 particles in its group."
 
-``partition`` implements exactly that transformation; the result keeps
+``partition`` implements exactly that transformation -- the streamed
+partitioner's algorithm run on one in-memory shard: key the particles,
+sort the keys once, and file every cell's particles where
+:func:`repro.octree.octree.partition_plan` puts them.  The result keeps
 all six phase-space coordinates of every particle, so the original
 frame could be discarded and re-partitioned to a different plot type
 (the possibility the paper notes).
@@ -24,7 +27,13 @@ import numpy as np
 
 from repro.core.trace import count, span
 from repro.octree.format import _check_node_table
-from repro.octree.octree import NODE_DTYPE, Octree, plot_columns
+from repro.octree.octree import (
+    check_build,
+    morton_keys,
+    octree_bounds,
+    partition_plan,
+    plot_columns,
+)
 
 __all__ = ["PartitionedFrame", "partition"]
 
@@ -126,36 +135,33 @@ def partition(
     particles = np.asarray(particles.to_array(), dtype=np.float64)
     if particles.ndim != 2 or particles.shape[1] != 6:
         raise ValueError("particles must be (N, 6)")
+    n = len(particles)
+    check_build(n, max_level, capacity)
     columns = plot_columns(plot_type)
     coords = particles[:, list(columns)]
-    with span("octree_build", n=len(particles)):
-        tree = Octree(coords, lo=lo, hi=hi, max_level=max_level, capacity=capacity)
+    with span("octree_build", n=n):
+        lo, hi = octree_bounds(lo, hi, lambda: (coords.min(axis=0), coords.max(axis=0)))
+        keys = morton_keys(coords, lo, hi, max_level)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        head = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        counts = np.diff(np.append(head, n))
+        nodes, cell_dest = partition_plan(keys[head], counts, lo, hi, max_level, capacity)
 
     with span("density_sort"):
-        # order leaves by increasing density, then build the particle
-        # file: groups concatenated in that density order
-        density_order = np.argsort(tree.nodes["density"], kind="stable")
-        nodes_sorted = tree.nodes[density_order].copy()
+        # the k-th particle of a cell lands at the cell's destination + k
+        final_order = np.empty(n, dtype=np.int64)
+        final_order[np.repeat(cell_dest - head, counts) + np.arange(n)] = order
 
-        leaf_of = tree.leaf_of_particles()           # per ordered particle
-        rank_of_leaf = np.empty(tree.n_nodes, dtype=np.int64)
-        rank_of_leaf[density_order] = np.arange(tree.n_nodes)
-        particle_rank = rank_of_leaf[leaf_of]
-        regroup = np.argsort(particle_rank, kind="stable")
-        final_order = tree.order[regroup]
-
-        counts = nodes_sorted["count"].astype(np.int64)
-        nodes_sorted["start"] = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.uint64)
-
-    count("particles_routed", len(particles))
-    count("octree_nodes", tree.n_nodes)
+    count("particles_routed", n)
+    count("octree_nodes", len(nodes))
     frame = PartitionedFrame(
         plot_type=plot_type,
         columns=columns,
         particles=particles[final_order],
-        nodes=nodes_sorted,
-        lo=tree.lo,
-        hi=tree.hi,
+        nodes=nodes,
+        lo=lo,
+        hi=hi,
         max_level=int(max_level),
         capacity=int(capacity),
         step=int(step),

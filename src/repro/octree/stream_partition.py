@@ -9,26 +9,25 @@ representation while touching only one shard of particles at a time:
    keys computed against the global bounds, and the per-cell
    (max-level key) histogram written to a small per-shard artifact.
 2. **Plan.**  The per-shard histograms merge into the global cell
-   histogram; recursive *weighted* subdivision over it reproduces the
-   exact leaf set of the in-core octree (splitting depends only on
-   per-range counts, which are identical).  Density-sorting the leaves
-   yields the node table, and prefix sums assign every (cell, shard)
-   pair an absolute destination range in the final particle file.
+   histogram, and :func:`repro.octree.octree.partition_plan` -- the
+   one leaf walk and density sort every partitioner uses -- turns it
+   into the node table plus the file position of every cell's first
+   particle; per-shard prefix sums then give every (cell, shard) pair
+   an absolute destination range in the final particle file.
 3. **Pass 2 (scatter).**  Each shard is read once more and its rows
    written straight into the pre-allocated output shards at their
    final positions, via ``numpy.memmap`` with the written pages
    dropped back to the OS -- peak RSS stays at a few shards.
 
-**Equivalence guarantee** (tested bit-for-bit): the in-core path's
-final particle order is the stable sort by ``(leaf density rank,
-morton key, original index)``.  The scatter destinations reproduce
-exactly that: cells are laid out leaf-by-leaf in density-rank order
-and key order within a leaf (the plan's prefix sums), and within one
-cell particles land in (shard, within-shard) order -- which *is*
-original-index order, because shards partition the frame
-contiguously.  Bounds, keys, leaf splits, densities, and the stable
-density sort all compute on identical float64 inputs, so nodes and
-particles match the in-core result exactly.
+**Equivalence guarantee** (tested bit-for-bit): the in-core
+``partition`` is this algorithm run on one in-memory shard, so both
+file each particle at its cell's destination plus its arrival rank
+within the cell.  Here that rank counts the cell's particles in earlier
+shards (the per-shard base) and then within-shard order -- which *is*
+original-index order, because shards partition the frame contiguously.
+Bounds (one padding rule), keys, the cell histogram and hence the plan
+compute on identical float64 and integer inputs, so nodes and particles
+match the in-core result exactly.
 
 Shard iteration runs through :func:`repro.core.executor.run_shards`
 (crash-safe, ``workers=N``); every pass opens a
@@ -65,7 +64,13 @@ from repro.core.store import (
 from repro.core.trace import count, gauge_peak_rss, span
 from repro.octree.extraction import _streamed_volume
 from repro.octree.format import _check_node_table, read_nodes_file, write_nodes_file
-from repro.octree.octree import NODE_DTYPE, morton_keys, plot_columns
+from repro.octree.octree import (
+    check_build,
+    morton_keys,
+    octree_bounds,
+    partition_plan,
+    plot_columns,
+)
 from repro.octree.partition import PartitionedFrame
 
 __all__ = ["PartitionedStore", "partition_store"]
@@ -335,7 +340,9 @@ def _base_artifact(workdir, i: int) -> Path:
 
 
 def _count_shard_cells(coords, i, lo, hi, max_level, workdir) -> None:
-    """Pass-1 kernel: per-cell key histogram of one shard, to disk."""
+    """Pass-1 kernel: per-cell key histogram of one shard, to disk.
+    A NaN/Inf coordinate raises ``ValueError`` here, whatever the
+    bounds."""
     coords = np.asarray(coords, dtype=np.float64)
     if len(coords):
         keys = morton_keys(coords, np.asarray(lo), np.asarray(hi), max_level)
@@ -424,46 +431,7 @@ def _pass2_store_task(task) -> int:
 
 
 # ----------------------------------------------------------------------
-# the plan: merge histograms, rebuild the leaf set, assign destinations
-def _subdivide_cells(
-    cells, cum, a, b, level, prefix, max_level, capacity, leaves, min_level=0
-):
-    """Weighted twin of ``Octree._subdivide``: recurse over the sorted
-    unique-cell array with per-range particle totals from prefix sums.
-    Splitting depends only on those totals, so the leaf set is the one
-    the in-core octree builds over the full key array.
-
-    ``min_level`` forces subdivision of non-empty ranges down to that
-    level even when a range already fits ``capacity``.  The forest
-    partition uses it so a sparsely populated brick still refines to
-    its own octant: the brick tree's leaves then coincide with the
-    global tree's leaves inside that octant instead of spilling a
-    coarse node across brick boundaries.
-    """
-    if a == b:
-        return
-    total = int(cum[b] - cum[a])
-    if (total <= capacity and level >= min_level) or level >= max_level:
-        leaves.append((level, prefix, a, b))
-        return
-    shift = np.uint64(3 * (max_level - level - 1))
-    child = (cells[a:b] >> shift) & np.uint64(7)
-    bounds = a + np.searchsorted(child, np.arange(9))
-    for c in range(8):
-        _subdivide_cells(
-            cells,
-            cum,
-            int(bounds[c]),
-            int(bounds[c + 1]),
-            level + 1,
-            (prefix << 3) | c,
-            max_level,
-            capacity,
-            leaves,
-            min_level,
-        )
-
-
+# the plan: merge histograms, build the node table, assign destinations
 def _merge_histograms(workdir, n_shards):
     """Stream the pass-1 artifacts into the global (cells, counts)."""
     cells = np.empty(0, dtype=np.uint64)
@@ -497,43 +465,9 @@ def _build_plan(
             f"pass-1 histograms cover {int(counts.sum())} particles, "
             f"dataset holds {n_particles} -- stale work directory?"
         )
-    cum = np.concatenate([[0], np.cumsum(counts)])
-    leaves: list[tuple[int, int, int, int]] = []
-    _subdivide_cells(
-        cells, cum, 0, len(cells), 0, 0, max_level, capacity, leaves, min_level
+    nodes_sorted, cell_dest = partition_plan(
+        cells, counts, lo, hi, max_level, capacity, min_level
     )
-
-    nodes = np.empty(len(leaves), dtype=NODE_DTYPE)
-    spans = np.empty(len(leaves), dtype=np.int64)
-    offset = 0
-    for k, (level, prefix, a, b) in enumerate(leaves):
-        node_count = int(cum[b] - cum[a])
-        nodes[k] = (level, prefix, offset, node_count, 0.0)
-        spans[k] = b - a
-        offset += node_count
-    root_volume = float(np.prod(np.asarray(hi) - np.asarray(lo)))
-    vol = root_volume / (8.0 ** nodes["level"].astype(np.float64))
-    nodes["density"] = nodes["count"] / vol
-
-    # identical stable density sort as the in-core path
-    density_order = np.argsort(nodes["density"], kind="stable")
-    nodes_sorted = nodes[density_order].copy()
-    sorted_counts = nodes_sorted["count"].astype(np.int64)
-    nodes_sorted["start"] = np.concatenate(
-        [[0], np.cumsum(sorted_counts)[:-1]]
-    ).astype(np.uint64)
-
-    # absolute destination of each cell's first particle in the final
-    # file: leaves laid out in density-rank order, cells in key order
-    # within each leaf
-    rank_of_leaf = np.empty(len(leaves), dtype=np.int64)
-    rank_of_leaf[density_order] = np.arange(len(leaves))
-    cell_rank = rank_of_leaf[np.repeat(np.arange(len(leaves)), spans)]
-    perm = np.argsort(cell_rank, kind="stable")
-    offsets = np.concatenate([[0], np.cumsum(counts[perm])[:-1]])
-    cell_dest = np.empty(len(cells), dtype=np.int64)
-    cell_dest[perm] = offsets
-
     _save_npz_atomic(
         Path(workdir) / "plan.npz",
         cells=cells,
@@ -573,27 +507,22 @@ def _run_checkpointed(fn, pending, task_of, workers, ck, stage, label):
 
 
 def _resolve_bounds(ds, columns, lo, hi, ck):
-    """Global octree bounds, exactly as the in-core ``Octree`` default:
-    chunk-wise min/max (bitwise equal to the global min/max) plus the
-    same padding formula."""
-    if lo is not None and hi is not None:
-        return np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
-    if ck is not None and ck.done("bounds"):
-        meta = ck.meta("bounds")
-        dlo = np.array(meta["dlo"], dtype=np.float64)
-        dhi = np.array(meta["dhi"], dtype=np.float64)
-    else:
+    """Global octree bounds by the in-core rule (:func:`octree_bounds`);
+    the data range is read chunk-wise (bitwise equal to the global
+    min/max) and kept in the checkpoint."""
+
+    def data_range():
+        if ck is not None and ck.done("bounds"):
+            meta = ck.meta("bounds")
+            return meta["dlo"], meta["dhi"]
         dlo, dhi = ds.bounds(columns)
-        dlo = np.asarray(dlo, dtype=np.float64)
-        dhi = np.asarray(dhi, dtype=np.float64)
         if ck is not None:
             ck.mark_done(
                 "bounds", dlo=[float(v) for v in dlo], dhi=[float(v) for v in dhi]
             )
-    pad = (dhi - dlo) * 1e-9 + (np.abs(dlo) + np.abs(dhi) + 1.0) * 1e-9
-    lo = dlo - pad if lo is None else np.asarray(lo, dtype=np.float64)
-    hi = dhi + pad if hi is None else np.asarray(hi, dtype=np.float64)
-    return lo, hi
+        return dlo, dhi
+
+    return octree_bounds(lo, hi, data_range)
 
 
 def _prepare_output(out_dir, n_particles, out_rows) -> int:
@@ -654,8 +583,7 @@ def partition_store(
         return PartitionedStore.open(out)
 
     n = ds.n_particles
-    if n == 0:
-        raise ValueError("octree needs at least one particle")
+    check_build(n, max_level, capacity)
     columns = plot_columns(plot_type)
     if step is None:
         step = ds.step

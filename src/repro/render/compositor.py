@@ -33,37 +33,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.trace import count, span
+from repro.octree.octree import morton_decode
 from repro.render.camera import Camera
 from repro.render.framebuffer import Framebuffer
 
-__all__ = ["SortLastCompositor", "brick_ijk", "brick_morton"]
+__all__ = ["SortLastCompositor", "brick_ijk"]
 
 
 def brick_ijk(brick_id: int, level: int) -> tuple[int, int, int]:
     """Decode a brick's Morton prefix into integer grid coordinates.
 
-    Bricks are identified by their ``level``-deep Morton prefix (axis 0
-    in the lowest bit of each 3-bit group, matching
-    :func:`repro.octree.octree.morton_keys`).
+    Bricks are identified by their ``level``-deep Morton prefix, the
+    key layout of :func:`repro.octree.octree.morton_keys`.
     """
-    code = int(brick_id)
-    i = j = k = 0
-    for bit in range(int(level)):
-        i |= ((code >> (3 * bit)) & 1) << bit
-        j |= ((code >> (3 * bit + 1)) & 1) << bit
-        k |= ((code >> (3 * bit + 2)) & 1) << bit
-    return i, j, k
-
-
-def brick_morton(i: int, j: int, k: int, level: int) -> int:
-    """Inverse of :func:`brick_ijk`: interleave grid coordinates into a
-    Morton prefix at ``level``."""
-    code = 0
-    for bit in range(int(level)):
-        code |= ((int(i) >> bit) & 1) << (3 * bit)
-        code |= ((int(j) >> bit) & 1) << (3 * bit + 1)
-        code |= ((int(k) >> bit) & 1) << (3 * bit + 2)
-    return code
+    i, j, k = morton_decode([int(brick_id)], int(level))[0]
+    return int(i), int(j), int(k)
 
 
 class SortLastCompositor:

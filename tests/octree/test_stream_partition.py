@@ -9,7 +9,7 @@ from repro.core.faults import FaultPlan
 from repro.core.store import create_store
 from repro.core.trace import capture
 from repro.octree.extraction import extract
-from repro.octree.octree import Octree, leaf_for_keys, morton_keys
+from repro.octree.octree import morton_keys
 from repro.octree.partition import partition
 from repro.octree.stream_partition import NODES_FILE, PartitionedStore, partition_store
 
@@ -32,6 +32,12 @@ def store(tmp_path_factory, particles):
     return create_store(
         tmp_path_factory.mktemp("src") / "store", particles, shard_rows=4096, step=7
     )
+
+
+def _first_keys(pf):
+    """First max-level key each leaf covers."""
+    shift = 3 * (pf.max_level - pf.nodes["level"].astype(np.int64))
+    return pf.nodes["key"] << shift.astype(np.uint64)
 
 
 def assert_frames_identical(ps: PartitionedStore, pf) -> None:
@@ -180,25 +186,34 @@ class TestBoundaryParticles:
         assert keys.max() < np.uint64(8) ** np.uint64(4)
 
     def test_leaf_for_keys_covers_boundary(self):
+        """Particles exactly on the ``hi`` corner land in the last
+        Morton leaf's group, those on ``lo`` in the first one's."""
         rng = np.random.default_rng(2)
-        coords = rng.uniform(0.0, 1.0, (4000, 3))
-        coords[:16] = 1.0  # sit exactly on the max corner
-        coords[16:32] = 0.0
-        tree = Octree(coords, max_level=4, capacity=32,
-                      lo=np.zeros(3), hi=np.ones(3))
-        leaves = tree.leaf_of_particles()
-        assert leaves.min() >= 0 and leaves.max() < tree.n_nodes
-        # every particle's leaf actually contains its key range
-        keys = morton_keys(coords, tree.lo, tree.hi, tree.max_level)
-        via_keys = leaf_for_keys(tree.nodes, keys[tree.order], tree.max_level)
-        assert np.array_equal(leaves, via_keys)
+        pts = rng.uniform(0.0, 1.0, (4000, 6))
+        pts[:16, :3] = 1.0  # sit exactly on the max corner
+        pts[16:32, :3] = 0.0
+        pts[:, 3] = np.arange(len(pts))
+        pf = partition(as_dataset(pts), "xyz", max_level=4, capacity=32,
+                       lo=np.zeros(3), hi=np.ones(3))
+        first_key = _first_keys(pf)
+        for rows, leaf in ((slice(0, 16), np.argmax(first_key)),
+                           (slice(16, 32), np.argmin(first_key))):
+            s = int(pf.nodes["start"][leaf])
+            group = pf.particles[s : s + int(pf.nodes["count"][leaf]), 3]
+            assert set(range(len(pts))[rows]) <= set(group.astype(int))
 
     def test_leaf_of_coords_matches_leaf_of_particles(self):
+        """Looking each particle's key up among the leaves finds the
+        group it was filed in."""
         rng = np.random.default_rng(3)
-        coords = rng.normal(0.0, 1.0, (3000, 3))
-        tree = Octree(coords, max_level=5, capacity=16)
-        got = tree.leaf_of_coords(coords[tree.order])
-        assert np.array_equal(got, tree.leaf_of_particles())
+        pts = rng.normal(0.0, 1.0, (3000, 6))
+        pf = partition(as_dataset(pts), "xyz", max_level=5, capacity=16)
+        first_key = _first_keys(pf)
+        morton = np.argsort(first_key)
+        keys = morton_keys(pf.coords, pf.lo, pf.hi, pf.max_level)
+        found = morton[np.searchsorted(first_key[morton], keys, side="right") - 1]
+        filed = np.repeat(np.arange(pf.n_nodes), pf.nodes["count"].astype(np.int64))
+        assert np.array_equal(found, filed)
 
     def test_streamed_partition_with_boundary_particles(self, tmp_path):
         """End to end: a frame whose extremes sit exactly on the data

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.dataset import as_dataset
 from repro.octree.extraction import extract
-from repro.octree.octree import Octree, morton_keys
+from repro.octree.octree import morton_keys
 from repro.octree.partition import partition
 
 finite = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
@@ -34,18 +34,30 @@ def coords_strategy(min_n=1, max_n=400):
     )
 
 
+def _partition(coords, **kw):
+    """In-core xyz partition of ``coords``, each particle's original
+    index riding along in column 3."""
+    particles = np.zeros((len(coords), 6))
+    particles[:, :3] = coords
+    particles[:, 3] = np.arange(len(coords))
+    return partition(as_dataset(particles), "xyz", **kw)
+
+
 class TestOctreeProperties:
     @given(coords=coords_strategy(), max_level=st.integers(1, 6),
            capacity=st.integers(1, 64))
     @settings(max_examples=40, deadline=None)
     def test_partition_completeness(self, coords, max_level, capacity):
-        tree = Octree(coords, max_level=max_level, capacity=capacity)
-        assert int(tree.nodes["count"].sum()) == len(coords)
-        starts = tree.nodes["start"].astype(int)
-        counts = tree.nodes["count"].astype(int)
+        pf = _partition(coords, max_level=max_level, capacity=capacity)
+        assert int(pf.nodes["count"].sum()) == len(coords)
+        starts = pf.nodes["start"].astype(int)
+        counts = pf.nodes["count"].astype(int)
         assert starts[0] == 0
         assert np.array_equal(starts[1:], np.cumsum(counts)[:-1])
-        assert np.array_equal(np.sort(tree.order), np.arange(len(coords)))
+        # the particle file is a permutation of the frame (column 3
+        # carries each particle's original index)
+        order = pf.particles[:, 3].astype(np.int64)
+        assert np.array_equal(np.sort(order), np.arange(len(coords)))
 
     @given(coords=coords_strategy(min_n=2), level=st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
@@ -58,9 +70,9 @@ class TestOctreeProperties:
     @given(coords=coords_strategy(min_n=8), capacity=st.integers(1, 8))
     @settings(max_examples=30, deadline=None)
     def test_levels_bounded(self, coords, capacity):
-        tree = Octree(coords, max_level=4, capacity=capacity)
-        assert tree.nodes["level"].max() <= 4
-        assert tree.nodes["level"].min() >= 0
+        pf = _partition(coords, max_level=4, capacity=capacity)
+        assert pf.nodes["level"].max() <= 4
+        assert pf.nodes["level"].min() >= 0
 
 
 class TestPartitionProperties:

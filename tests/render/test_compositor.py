@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.render.camera import Camera
-from repro.render.compositor import SortLastCompositor, brick_ijk, brick_morton
+from repro.octree.octree import morton_keys
+from repro.render.compositor import SortLastCompositor, brick_ijk
 from repro.render.framebuffer import Framebuffer
 from repro.render.points import point_fragments
 from repro.render.volume import render_mixed
@@ -33,16 +34,15 @@ def _over(back, front):
 
 class TestBrickIndexing:
     def test_morton_roundtrip(self):
-        for level in (0, 1, 2):
+        assert brick_ijk(0, 0) == (0, 0, 0)
+        for level in (1, 2, 3):
             n = 2**level
-            seen = set()
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        code = brick_morton(i, j, k, level)
-                        assert brick_ijk(code, level) == (i, j, k)
-                        seen.add(code)
-            assert seen == set(range(8**level))
+            ijk = np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij"), -1)
+            ijk = ijk.reshape(-1, 3)
+            codes = morton_keys((ijk + 0.5) / n, np.zeros(3), np.ones(3), level)
+            for code, cell in zip(codes, ijk):
+                assert brick_ijk(int(code), level) == tuple(cell)
+            assert set(codes.tolist()) == set(range(8**level))
 
     def test_power_of_two_required(self):
         with pytest.raises(ValueError, match="power of two"):

@@ -13,24 +13,25 @@ from repro.beams.io import read_frame, write_frame
 from repro.core.dataset import as_dataset
 from repro.core.errors import FormatError, SimulatedCrash
 from repro.core.faults import FaultPlan
+from repro.core.store import create_store
 from repro.hybrid.representation import HybridFrame
-from repro.octree.octree import Octree
+from repro.octree.forest import partition_forest
 from repro.octree.partition import partition
-from repro.octree.stream_partition import NODES_FILE, PartitionedStore
+from repro.octree.stream_partition import NODES_FILE, PartitionedStore, partition_store
 
 
 class TestNonFiniteInputs:
     def test_octree_rejects_nan(self, rng):
-        coords = rng.random((100, 3))
-        coords[5, 1] = np.nan
+        particles = rng.random((100, 6))
+        particles[5, 1] = np.nan
         with pytest.raises(ValueError, match="NaN/Inf"):
-            Octree(coords)
+            partition(as_dataset(particles), "xyz")
 
     def test_octree_rejects_inf(self, rng):
-        coords = rng.random((100, 3))
-        coords[0, 0] = np.inf
+        particles = rng.random((100, 6))
+        particles[0, 0] = np.inf
         with pytest.raises(ValueError, match="NaN/Inf"):
-            Octree(coords)
+            partition(as_dataset(particles), "xyz")
 
     def test_partition_rejects_nan(self, rng):
         particles = rng.standard_normal((100, 6))
@@ -48,6 +49,54 @@ class TestNonFiniteInputs:
         # along in the payload, which round-trips bit-exact
         pf = partition(as_dataset(particles), "xyz", max_level=4)
         assert np.isnan(pf.particles).sum() == 1
+
+
+def _bad_inputs(rng):
+    """(particles, keyword overrides, expected message) the in-core
+    partition rejects."""
+    clean = rng.uniform(0.0, 1.0, (300, 6))
+    nan, inf = clean.copy(), clean.copy()
+    nan[117, 1] = np.nan
+    inf[3, 2] = np.inf
+    unit = {"lo": np.zeros(3), "hi": np.ones(3)}
+    return [
+        (nan, {}, "NaN/Inf"),
+        (nan, unit, "NaN/Inf"),
+        (inf, {}, "NaN/Inf"),
+        (clean, {"lo": np.array([np.nan, 0.0, 0.0]), "hi": np.ones(3)}, "NaN/Inf"),
+        (clean, {"lo": np.zeros(3), "hi": np.array([1.0, np.inf, 1.0])}, "NaN/Inf"),
+        (clean, {"capacity": 0}, "capacity"),
+        (clean, {"lo": np.ones(3), "hi": np.zeros(3)}, "hi > lo"),
+        (clean, {"lo": np.zeros(3), "hi": np.array([1.0, 0.0, 1.0])}, "hi > lo"),
+        (clean, {"max_level": 21}, "max_level"),
+    ]
+
+
+class TestPartitionerInputChecks:
+    """Every partitioner rejects what the in-core one rejects, with its
+    ``ValueError``, and commits no output."""
+
+    @pytest.mark.parametrize(
+        "kind", ["partition", "store_array", "store_w1", "store_w2", "forest"]
+    )
+    def test_rejects_like_in_core(self, kind, rng, tmp_path):
+        for k, (particles, kw, message) in enumerate(_bad_inputs(rng)):
+            out = tmp_path / f"out{k}"
+            with pytest.raises(ValueError, match=message) as info:
+                if kind == "partition":
+                    partition(as_dataset(particles), "xyz", **kw)
+                elif kind == "forest":
+                    partition_forest(particles, out, "xyz", bricks=2, **kw)
+                elif kind == "store_array":
+                    partition_store(particles, out, "xyz", **kw)
+                else:
+                    src = create_store(tmp_path / f"src{k}", particles, shard_rows=64)
+                    partition_store(
+                        src, out, "xyz", workers=int(kind[-1]), shard_rows=64, **kw
+                    )
+            assert not isinstance(info.value, FormatError), (k, info.value)
+            assert not (out / "store.json").exists()
+            assert not (out / "forest.json").exists()
 
 
 class TestTruncatedFiles:

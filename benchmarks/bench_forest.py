@@ -9,15 +9,15 @@ Two measurements for the distributed forest pipeline
   particles/s quantify the near-linear worker speedup the brick fan-out
   enables.  The machine's ``cpu_count`` is recorded alongside -- the
   speedup floor is only meaningful with >= 4 cores, and the gate
-  (``scripts/perf_gate.py --forest``) skips it otherwise.  The last
+  (``scripts/check.sh --gate forest``) skips it otherwise.  The last
   forest then renders through the sort-last path; the compositor's
   ``composite_merge`` span is the composite time.
 * *equivalence*: at 10^6 particles the forest gather mode must
   reproduce the single-octree image **bitwise**, and the sort-last
   composite must stay within the pinned brick-boundary tolerance.
 
-Writes ``BENCH_forest.json``; ``scripts/check.sh --forest`` gates on
-the recorded flags.
+Writes ``BENCH_forest.json``; ``scripts/check.sh --gate forest`` gates
+on the recorded flags.
 """
 
 import os
@@ -180,7 +180,7 @@ def test_forest_report(tmp_path_factory):
         ]
         + [
             f"  speedup x{p['speedup_2']:.2f} (2 workers), "
-            f"x{p['speedup_4']:.2f} (4 workers; floor 2.5 needs >= 4 cpus)",
+            f"x{p['speedup_4']:.2f} (4 workers)",
             f"render: {r['t_render_s']:.1f} s over {r['n_bricks']} bricks, "
             f"composite {r['t_composite_s'] * 1e3:.0f} ms",
             f"equivalence at {e['n_particles']} particles: nodes bitwise "
@@ -190,12 +190,3 @@ def test_forest_report(tmp_path_factory):
             f"{e['sortlast_identical_pixel_frac']:.0%} of pixels bitwise",
         ],
     )
-
-    # the PR's acceptance floors
-    assert e["nodes_bitwise"] and e["particles_bitwise"]
-    assert e["gather_image_bitwise"]
-    assert e["sortlast_max_abs_diff"] <= 0.1
-    if results["cpu_count"] >= 4:
-        assert p["speedup_4"] >= 2.5, (
-            f"4-worker speedup x{p['speedup_4']:.2f} below the 2.5 floor"
-        )

@@ -15,8 +15,8 @@ hierarchy, on a bandwidth-throttled link, and measures
   valid monotone frame, and the final frame is bit-identical to the
   flat fetch.
 
-Results land in ``BENCH_lod.json``; ``scripts/perf_gate.py --lod``
-holds the TTFI speedup above its 4x floor.
+Results land in ``BENCH_lod.json``; ``scripts/check.sh --gate lod``
+holds the TTFI speedup above its floor.
 """
 
 import os
@@ -141,8 +141,3 @@ def test_progressive_ttfi(benchmark, pstore):
             "refinements": result["stats"]["refinements"],
         },
     )
-
-    # the acceptance contract (mirrored by perf_gate --lod)
-    assert result["prefix_valid"]
-    assert result["final_bitwise"]
-    assert speedup >= 4.0

@@ -8,7 +8,9 @@ reconnects the damage triggers.  The service caches encoded replies,
 so only the first fetch pays an extraction and every repeat is a cache
 hit: the rates compare wire-level resilience cost, not extraction.
 The structured result (trace counters plus per-rate throughput) lands
-in ``BENCH_remote_faults.json``.
+in ``BENCH_remote_faults.json``; ``scripts/check.sh --gate faults``
+holds every rate delivering, the clean path free of retries and the
+damaged one retrying.
 """
 
 import numpy as np
@@ -69,11 +71,3 @@ def test_fetch_throughput_under_faults(benchmark, beam_partitioned):
         )
     record("TXT-REMOTE-FAULTS", lines)
     record_bench("remote_faults", tracer, extra={"rates": rows})
-
-    # every rate still delivered every frame
-    for r in rows:
-        assert r["bytes"] > 0
-    # the clean path pays nothing: no retries, no reconnects
-    assert clean["retries"] == 0 and clean["reconnects"] == 0
-    # a damaged link is slower, not broken
-    assert rows[-1]["retries"] >= 1 or rows[-1]["injected"] == {}

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 import os
+import platform
+import subprocess
 from pathlib import Path
 
 from repro.core.trace import Tracer, capture
@@ -51,17 +53,45 @@ def traced_run(fn) -> Tracer:
     return tracer
 
 
+def bench_env() -> dict:
+    """Where a bench ran: interpreter and library versions, platform,
+    CPU count, the checkout's commit (``None`` outside a git checkout)
+    and ``REPRO_SCALE`` with every other ``REPRO_*`` override in effect."""
+    import numpy
+    import scipy
+
+    try:
+        head = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=REPO_ROOT, capture_output=True, text=True
+        )
+        commit = head.stdout.strip() if head.returncode == 0 else None
+    except OSError:  # no git on this machine
+        commit = None
+    overrides = {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+        "commit": commit,
+        "repro": dict(sorted({"REPRO_SCALE": str(SCALE), **overrides}.items())),
+    }
+
+
 def record_bench(exp_id: str, tracer: Tracer, extra: dict | None = None) -> Path:
     """Persist a tracer's output as ``BENCH_<exp_id>.json``.
 
     The document lands at the repository root (next to README.md) so
     successive runs over the project's history form the perf
     trajectory.  ``extra`` carries bench-specific scalars (sizes,
-    derived rates) alongside the trace.
+    derived rates) alongside the trace; ``env`` records where the run
+    happened (:func:`bench_env`).
     """
     payload = {
         "bench": exp_id,
         "scale": SCALE,
+        "env": bench_env(),
         "trace": tracer.snapshot(),
     }
     if extra:

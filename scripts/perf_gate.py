@@ -1,537 +1,306 @@
-"""Perf regression gates over the committed BENCH_*.json baselines.
+"""Bench gates: one table of rows over the ``BENCH_*.json`` files, one loop.
 
-Default mode compares the freshly measured speedup ratios in
-``BENCH_frame_cache.json`` against the baseline committed at HEAD and
-fails when any gated ratio regressed by more than ``TOLERANCE`` (20 %).
-Ratios, not absolute times, so the gate is stable across machines of
-different speed.
+``python scripts/perf_gate.py NAME`` (what ``scripts/check.sh --gate NAME``
+runs) runs gate NAME: its pytest suites, then its bench, which rewrites
+its ``BENCH_*.json``, then every row of its table entry against that
+file, with the version committed at HEAD as the baseline.  Each row is
+printed as ``ok``, ``FAIL`` or ``skip``; the exit status is 1 if any
+row failed.  An unknown NAME lists the gates and exits 2.
 
-``--store`` gates ``BENCH_sharded_store.json`` instead: hard floors on
-the out-of-core RAM cap (peak RSS < 0.5 of the raw dataset) and the
-streamed-vs-in-core equivalence flags, plus a drift check of the RSS
-fraction against the committed baseline.
+A row reads the value at a dotted path into the file's ``extra`` block
+(a number indexes a list; ``field=value`` picks the list element whose
+field matches) and checks it one way:
 
-``--forest`` gates ``BENCH_forest.json``: the forest gather image must
-be bitwise-identical to the single-octree render, the sort-last
-composite must stay within the pinned brick-boundary tolerance, and --
-on machines with at least 4 CPUs, recorded in the bench -- the
-4-worker partition speedup must reach the 2.5x floor (the floor is
-physically unreachable on fewer cores, so it is skipped with a notice
-there).
+- ``flag``: the value is true;
+- ``<``, ``<=``, ``>``, ``>=``, ``==`` a constant, or ``in`` a closed range;
+- ``drift``: at least ``1 - TOLERANCE`` times the baseline's value
+  (``drift-``, for a value where lower is better: at most ``1 + TOLERANCE``
+  times it);
+- ``digest``: equal to the baseline's value;
+- any other string is a predicate over the fields of the block at the
+  path, for a row that compares fields with each other.
 
-``--lod`` gates ``BENCH_lod.json``: the progressive stream's
-time-to-first-image must beat the flat fetch by at least 4x, every
-yielded prefix must have decoded to a valid monotone frame, and the
-fully refined frame must be bit-identical to the flat extraction; the
-speedup is also drift-checked against the committed baseline.
-
-``--amr`` gates ``BENCH_amr.json``: the adaptive AMR volume must
-deposit at least 1.5x faster than the flat CIC deposit at the matched
-effective core resolution, resolve strictly more nonzero beam-core
-cells than the flat ``64^3`` grid at equal (within 5 %) bytes, keep
-the flat extraction and its render bitwise-identical alongside the
-adaptive build (the SHA-256 digests are pinned against the committed
-baseline), and splat batched == serial bitwise; the deposit speedup is
-also drift-checked against the committed baseline.
-
-``--service`` gates ``BENCH_service.json``: the multi-tenant chaos
-acceptance run must leave the service alive, with zero silently-failed
-well-behaved clients (every one served or explicitly shed with BUSY),
-bounded queues fully drained, a coalescing cache hit rate above the
-0.5 floor on the hot set, and a p99 served-request latency under an
-absolute ceiling; the hit rate is also drift-checked against the
-committed baseline.
-
-``--scenarios`` gates ``BENCH_scenarios.json``: the envelope feedback
-loop must converge within its documented step budget with the
-closed-loop error inside twice the deadband, the 16-member sweep must
-land every member as a CRC-verified sharded store despite one injected
-worker kill, re-invocation must resume all 16 members from disk, one
-member must flow through the forest partitioner and LOD builder
-unchanged, and member tracking must be bitwise-deterministic under its
-seed; the sweep throughput is also drift-checked against the committed
-baseline on machines with a matching CPU count.
-
-Run via ``scripts/check.sh --perf`` / ``--store`` / ``--forest`` /
-``--service`` / ``--scenarios`` (which refresh the JSON first).
+The drift rows gate ratios, not absolute times, so they hold across
+machines of different speed.  A guard turns a row into a printed skip:
+``same`` names a field that must equal the baseline's (a drift across
+workload sizes or core counts means nothing), ``cpus`` the least
+``cpu_count`` the bench must have run on (a 4-worker speedup floor is
+unreachable on fewer cores), and drift and digest rows skip when HEAD
+holds no baseline.
 """
 
 from __future__ import annotations
 
 import json
+import operator
+import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
-BENCH_FILE = "BENCH_frame_cache.json"
-STORE_BENCH_FILE = "BENCH_sharded_store.json"
-FOREST_BENCH_FILE = "BENCH_forest.json"
-SERVICE_BENCH_FILE = "BENCH_service.json"
-LOD_BENCH_FILE = "BENCH_lod.json"
-AMR_BENCH_FILE = "BENCH_amr.json"
-SCENARIOS_BENCH_FILE = "BENCH_scenarios.json"
+ROOT = Path(__file__).resolve().parent.parent
 TOLERANCE = 0.20
-LOD_TTFI_SPEEDUP_FLOOR = 4.0
-AMR_DEPOSIT_SPEEDUP_FLOOR = 1.5
-AMR_BYTES_TOL = 0.05
-RSS_FRACTION_FLOOR = 0.5
-FOREST_SPEEDUP_FLOOR = 2.5
-FOREST_SORTLAST_ABS_TOL = 0.1
-SERVICE_HIT_RATE_FLOOR = 0.5
-SERVICE_P99_CEILING_S = 10.0  # absolute; generous for slow CI machines
-
-# (human label, path into extra{}) for every gated ratio
-GATES = [
-    ("warm-frame speedup", ("frame", "warm_speedup")),
-    ("space-charge run speedup", ("spacecharge", "run_speedup")),
-    ("cached-solve speedup", ("spacecharge", "solve_speedup")),
-]
+OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge, "==": operator.eq}
 
 
-def _lookup(extra: dict, path) -> float:
-    node = extra
-    for key in path:
-        node = node[key]
-    return float(node)
+class Row(NamedTuple):
+    path: str
+    check: str = "flag"
+    limit: object = None
+    same: str | None = None
+    cpus: int = 0
 
 
-def _seeding_speedup(extra: dict, batch_size: int = 8) -> float:
-    for row in extra["seeding"]["batched"]:
-        if row["batch_size"] == batch_size:
-            return float(row["speedup"])
-    raise KeyError(f"no batched seeding row for batch_size={batch_size}")
+class Gate(NamedTuple):
+    about: str
+    suites: str  # pytest targets, space-separated
+    bench: str
+    file: str
+    rows: list
+    env: dict | None = None  # bench environment defaults; the caller's values win
 
 
-def _load(root: Path, bench_file: str):
-    """Return (fresh extra, baseline extra or None) for one bench file."""
-    fresh_path = root / bench_file
-    if not fresh_path.exists():
-        print(f"perf gate: {bench_file} missing -- run the bench first", file=sys.stderr)
-        raise SystemExit(2)
-    fresh = json.loads(fresh_path.read_text())["extra"]
+GATES = {
+    "faults": Gate(
+        "resilience: fault harness, crash-safe executors, checkpoint resume, damaged remote links",
+        "tests/core/test_faults.py tests/core/test_checkpoint.py "
+        "tests/remote/test_faults_remote.py tests/remote/test_protocol.py tests/test_robustness.py",
+        "benchmarks/bench_remote_faults.py",
+        "BENCH_remote_faults.json",
+        [
+            Row("", "all(r['bytes'] > 0 for r in rates)"),  # every rate delivered every frame
+            Row("rates.0.retries", "==", 0),  # the clean path pays nothing
+            Row("rates.0.reconnects", "==", 0),
+            # a damaged link is slower, not broken
+            Row("", "rates[-1]['retries'] >= 1 or rates[-1]['injected'] == {}"),
+        ],
+    ),
+    "perf": Gate(
+        "hot paths: frame-cache, batched-seeding and space-charge speedups, cached frame bitwise",
+        # the seeding reference and the lockstep tracer, and the compositor and
+        # point-fold references: the bench renders through the one-pass fold
+        "tests/fieldlines/ tests/render/test_composite_reference.py "
+        "tests/render/test_point_fold.py",
+        "benchmarks/bench_frame_cache.py",
+        "BENCH_frame_cache.json",
+        [
+            Row("frame.bit_identical"),
+            Row("frame.warm_speedup", ">=", 3.0),
+            Row("spacecharge.run_speedup", ">=", 2.0),
+            Row("seeding.batched.batch_size=8.speedup", ">", 1.2),
+            Row("frame.warm_speedup", "drift"),
+            Row("spacecharge.run_speedup", "drift"),
+            Row("spacecharge.solve_speedup", "drift"),
+            Row("seeding.batched.batch_size=8.speedup", "drift"),
+        ],
+    ),
+    "store": Gate(
+        "out of core: a 10^7-particle streamed pipeline in under half its raw size, == in-core",
+        # the partition reference: the bench partitions through the same plan;
+        # the LOD and stream suites read the stored density volume
+        "tests/core/test_store.py tests/core/test_dataset.py tests/core/test_checkpoint.py "
+        "tests/octree/test_format.py tests/octree/test_disk_extraction.py "
+        "tests/octree/test_stream_partition.py tests/octree/test_partition_reference.py "
+        "tests/octree/test_lod.py tests/remote/test_progressive.py "
+        "tests/render/test_fragment_batches.py tests/test_deprecations.py",
+        "benchmarks/bench_sharded_store.py",
+        "BENCH_sharded_store.json",
+        [
+            Row("store.rss_fraction", "<", 0.5),
+            Row("equivalence.nodes_bitwise"),
+            Row("equivalence.particles_bitwise"),
+            Row("equivalence.points_bitwise"),
+            Row("equivalence.volume_max_ulp", "<=", 1),
+            Row("equivalence.image_max_ulp", "<=", 1),
+            Row("store.rss_fraction", "drift-"),
+        ],
+    ),
+    "forest": Gate(
+        "forest: 10^8-particle 4-worker partition speedup, gather bitwise, sort-last in tolerance",
+        # sort-last bricks render through the same compositor and memos, and
+        # every brick tree is built by the same plan as the partition reference
+        "tests/octree/test_forest.py tests/octree/test_partition_reference.py "
+        "tests/render/test_compositor.py tests/render/test_composite_reference.py "
+        "tests/render/test_point_fold.py tests/render/test_render_memos.py "
+        "tests/test_public_api.py",
+        "benchmarks/bench_forest.py",
+        "BENCH_forest.json",
+        [
+            Row("equivalence.nodes_bitwise"),
+            Row("equivalence.particles_bitwise"),
+            Row("equivalence.gather_image_bitwise"),
+            Row("equivalence.sortlast_max_abs_diff", "<=", 0.1),
+            Row("render.t_composite_s", ">", 0.0),
+            Row("partition.speedup_4", ">=", 2.5, cpus=4),
+            Row("partition.speedup_4", "drift", same="cpu_count", cpus=4),
+        ],
+    ),
+    "service": Gate(
+        "multi-tenant service: a 150-client chaos fleet served or shed, hot-set hit rate, no leaks",
+        "tests/remote/test_protocol.py tests/remote/test_service.py "
+        "tests/remote/test_service_load.py tests/remote/test_server_edges.py "
+        "tests/test_public_api.py",
+        "benchmarks/bench_service.py",
+        "BENCH_service.json",
+        [
+            Row("alive"),
+            Row("fleet.failed", "==", 0),
+            Row("fleet", "served + shed == well_behaved"),
+            Row("service.cache_hit_rate", ">", 0.5),
+            Row("service.queue_depth", "==", 0),
+            Row("service.extraction_errors", "==", 0),
+            Row("fleet.p99_s", "<=", 10.0),  # seconds; generous for slow machines
+            Row("service.cache_hit_rate", "drift"),
+        ],
+        # the committed baseline is the full 1000-client run
+        {"REPRO_SERVICE_CLIENTS": "150"},
+    ),
+    "lod": Gate(
+        "progressive streaming: time to first image vs a flat fetch, valid prefixes, exact end",
+        "tests/octree/test_lod.py tests/remote/test_progressive.py "
+        "tests/remote/test_control_loops.py tests/remote/test_protocol.py tests/test_public_api.py",
+        "benchmarks/bench_lod.py",
+        "BENCH_lod.json",
+        [
+            Row("ttfi_speedup", ">=", 4.0),
+            Row("prefix_valid"),
+            Row("final_bitwise"),
+            Row("converged_s", ">", 0.0),
+            Row("ttfi_speedup", "drift", same="n_particles"),
+        ],
+        # the committed baseline is the full 10^7 run
+        {"REPRO_LOD_PARTICLES": "2000000"},
+    ),
+    "amr": Gate(
+        "adaptive volume: deposit speed, beam-core detail at equal bytes, flat pins, splat batches",
+        "tests/octree/test_amr.py tests/render/test_splat.py tests/render/test_frame_cache.py "
+        "tests/render/test_fragment_batches.py tests/render/test_composite_reference.py "
+        "tests/render/test_point_fold.py tests/render/test_render_memos.py "
+        "tests/test_public_api.py",
+        "benchmarks/bench_amr.py",
+        "BENCH_amr.json",
+        [
+            Row("deposit.speedup", ">=", 1.5),
+            Row("detail.bytes_ratio", "in", (0.95, 1.05)),
+            Row("detail", "amr_core_nonzero > flat_core_nonzero"),
+            Row("flat_bitwise.alongside_bitwise"),
+            Row("splat.batched_bitwise"),
+            Row("splat.render_batched_bitwise"),
+            Row("flat_bitwise.volume_sha256", "digest", same="n_particles"),
+            Row("flat_bitwise.image_sha256", "digest", same="n_particles"),
+            Row("deposit.speedup", "drift", same="n_particles"),
+        ],
+    ),
+    "scenarios": Gate(
+        "digital twin: feedback in budget, a 16-member sweep surviving a worker kill, resume",
+        "tests/beams/test_scenario.py tests/beams/test_feedback.py tests/beams/test_sweep.py "
+        "tests/test_deprecations.py tests/test_public_api.py",
+        "benchmarks/bench_scenarios.py",
+        "BENCH_scenarios.json",
+        [
+            Row("feedback.within_budget"),
+            Row("feedback", "final_error <= 2.0 * deadband"),
+            Row("sweep", "members_ok == n_members == 16"),
+            Row("sweep", "crash_injected and pool_breaks >= 1"),
+            Row("sweep", "resumed == n_members == 16"),
+            Row("render.renderable"),
+            Row("render.deterministic"),
+            Row("sweep.members_per_s", "drift", same="cpu_count"),
+        ],
+    ),
+}
 
-    proc = subprocess.run(
-        ["git", "show", f"HEAD:{bench_file}"],
-        cwd=root, capture_output=True, text=True,
-    )
-    base = json.loads(proc.stdout)["extra"] if proc.returncode == 0 else None
-    return fresh, base
+
+def lookup(doc, path: str):
+    """The value at a dotted ``path`` into ``doc`` (``""`` is ``doc``)."""
+    for step in path.split(".") if path else ():
+        if "=" in step:
+            field, want = step.split("=")
+            doc = next(item for item in doc if str(item[field]) == want)
+        else:
+            doc = doc[int(step)] if isinstance(doc, list) else doc[step]
+    return doc
 
 
-def gate_store(root: Path) -> int:
-    """Hard floors + baseline drift for the out-of-core store bench."""
-    fresh, base = _load(root, STORE_BENCH_FILE)
-    store, eq = fresh["store"], fresh["equivalence"]
-
-    failed = False
-    flags = [
-        (
-            f"peak RSS fraction {store['rss_fraction']:.2f} of raw "
-            f"({store['raw_mb']:.0f} MB, floor < {RSS_FRACTION_FLOOR:.2f})",
-            store["rss_fraction"] < RSS_FRACTION_FLOOR,
-        ),
-        ("streamed nodes bitwise-identical to in-core", bool(eq["nodes_bitwise"])),
-        ("streamed particle order bitwise-identical", bool(eq["particles_bitwise"])),
-        ("streamed halo points bitwise-identical", bool(eq["points_bitwise"])),
-        (f"volume max ULP {eq['volume_max_ulp']} (<= 1)", eq["volume_max_ulp"] <= 1),
-        (f"image max ULP {eq['image_max_ulp']} (<= 1)", eq["image_max_ulp"] <= 1),
-    ]
-    for label, ok in flags:
-        print(f"  {'ok  ' if ok else 'FAIL'} {label}")
-        failed |= not ok
-
-    if base is not None:
-        was, now = float(base["store"]["rss_fraction"]), float(store["rss_fraction"])
-        ceiling = (1.0 + TOLERANCE) * was
-        ok = now <= ceiling
-        print(
-            f"  {'ok  ' if ok else 'FAIL'} RSS fraction vs baseline: "
-            f"{now:.3f} (baseline {was:.3f}, ceiling {ceiling:.3f})"
-        )
-        failed |= not ok
-    else:
-        print(f"  no committed {STORE_BENCH_FILE} baseline; drift check skipped")
-
-    if failed:
-        print("perf gate: out-of-core store gate failed", file=sys.stderr)
-        return 1
-    print("perf gate: store RAM cap and equivalence floors hold")
-    return 0
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.4g}"
+    return value[:12] + "..." if isinstance(value, str) and len(value) > 15 else str(value)
 
 
-def gate_forest(root: Path) -> int:
-    """Hard floors for the forest partition + sort-last composite bench."""
-    fresh, base = _load(root, FOREST_BENCH_FILE)
-    part, eq = fresh["partition"], fresh["equivalence"]
+def verdict(row: Row, fresh: dict, base: dict | None) -> tuple[str, str]:
+    """``("ok" | "FAIL" | "skip", what was compared)`` for one row."""
+    now, check, limit, note = lookup(fresh, row.path), row.check, row.limit, ""
+    what = f"{row.path} {check}" + ("" if limit is None else f" {limit}")
     cpus = int(fresh.get("cpu_count", 1))
+    if cpus < row.cpus:
+        return "skip", f"{what}: bench ran on {cpus} cpu(s), needs {row.cpus}"
+    if check in ("drift", "drift-", "digest"):
+        if base is None:
+            return "skip", f"{what}: no committed baseline"
+        if row.same and fresh.get(row.same) != base.get(row.same):
+            return "skip", f"{what}: {row.same} {fresh.get(row.same)} vs {base.get(row.same)}"
+        was = lookup(base, row.path)
+        if check == "digest":
+            check, limit, note = "==", was, " (baseline)"
+        else:
+            factor = 1.0 - TOLERANCE if check == "drift" else 1.0 + TOLERANCE
+            check, limit = (">=" if check == "drift" else "<="), factor * was
+            note = f" ({factor:g} x baseline {_fmt(was)})"
+    if check == "flag":
+        ok, shown = bool(now), row.path
+    elif check == "in":
+        ok, shown = limit[0] <= now <= limit[1], f"{row.path} {_fmt(now)} in {list(limit)}"
+    elif check in OPS:
+        ok, shown = OPS[check](now, limit), f"{row.path} {_fmt(now)} {check} {_fmt(limit)}{note}"
+    else:  # a predicate written in the table above, over the fields of the block
+        ok, shown = eval(check, dict(now)), f"{row.path}: {check}" if row.path else check
+    return ("ok" if ok else "FAIL"), shown
 
-    failed = False
-    flags = [
-        ("forest nodes bitwise-identical to single octree", bool(eq["nodes_bitwise"])),
-        ("forest particle order bitwise-identical", bool(eq["particles_bitwise"])),
-        (
-            "gather-mode image bitwise-identical to single-octree render",
-            bool(eq["gather_image_bitwise"]),
-        ),
-        (
-            f"sort-last max |diff| {eq['sortlast_max_abs_diff']:.3g} "
-            f"(<= {FOREST_SORTLAST_ABS_TOL})",
-            eq["sortlast_max_abs_diff"] <= FOREST_SORTLAST_ABS_TOL,
-        ),
-        (
-            f"composite time recorded "
-            f"({fresh['render']['t_composite_s'] * 1e3:.0f} ms)",
-            fresh["render"]["t_composite_s"] > 0.0,
-        ),
+
+def evaluate(name: str, fresh: dict, base: dict | None) -> int:
+    """Print every row of gate ``name``; 1 if any failed, else 0."""
+    failed = 0
+    for row in GATES[name].rows:
+        status, text = verdict(row, fresh, base)
+        print(f"  {status:<4} {text}")
+        failed += status == "FAIL"
+    print(f"perf gate {name}: {failed} of {len(GATES[name].rows)} rows failed")
+    return 1 if failed else 0
+
+
+def run(name: str) -> int:
+    """Gate ``name`` end to end: suites, bench, then its rows."""
+    gate = GATES[name]
+    env = dict(os.environ, PYTHONPATH="src")
+    steps = [
+        ("suites", ["-x", "-q", *gate.suites.split()], env),
+        ("bench", ["-q", gate.bench], {**(gate.env or {}), **env}),
     ]
-    for label, ok in flags:
-        print(f"  {'ok  ' if ok else 'FAIL'} {label}")
-        failed |= not ok
-
-    speedup = float(part["speedup_4"])
-    if cpus >= 4:
-        ok = speedup >= FOREST_SPEEDUP_FLOOR
-        print(
-            f"  {'ok  ' if ok else 'FAIL'} 4-worker partition speedup "
-            f"x{speedup:.2f} (floor x{FOREST_SPEEDUP_FLOOR})"
-        )
-        failed |= not ok
-    else:
-        print(
-            f"  skip 4-worker speedup floor: bench ran on {cpus} cpu(s) "
-            f"(measured x{speedup:.2f}; floor x{FOREST_SPEEDUP_FLOOR} "
-            "needs >= 4)"
-        )
-
-    if base is not None and int(base.get("cpu_count", 1)) == cpus and cpus >= 4:
-        was = float(base["partition"]["speedup_4"])
-        floor = (1.0 - TOLERANCE) * was
-        ok = speedup >= floor
-        print(
-            f"  {'ok  ' if ok else 'FAIL'} speedup vs baseline: x{speedup:.2f} "
-            f"(baseline x{was:.2f}, floor x{floor:.2f})"
-        )
-        failed |= not ok
-
-    if failed:
-        print("perf gate: forest gate failed", file=sys.stderr)
-        return 1
-    print("perf gate: forest equivalence and speedup floors hold")
-    return 0
-
-
-def gate_service(root: Path) -> int:
-    """Hard floors for the multi-tenant service chaos acceptance run."""
-    fresh, base = _load(root, SERVICE_BENCH_FILE)
-    fleet, svc = fresh["fleet"], fresh["service"]
-
-    failed = False
-    flags = [
-        ("service alive after the fleet", bool(fresh["alive"])),
-        (
-            f"no silent failures ({fleet['failed']} failed of "
-            f"{fleet['well_behaved']} well-behaved)",
-            fleet["failed"] == 0,
-        ),
-        (
-            f"every well-behaved client served or shed "
-            f"({fleet['served']} + {fleet['shed']} == {fleet['well_behaved']})",
-            fleet["served"] + fleet["shed"] == fleet["well_behaved"],
-        ),
-        (
-            f"cache hit rate {svc['cache_hit_rate']:.3f} "
-            f"(floor > {SERVICE_HIT_RATE_FLOOR})",
-            svc["cache_hit_rate"] > SERVICE_HIT_RATE_FLOOR,
-        ),
-        (
-            f"queues drained (depth {svc['queue_depth']} after the run)",
-            svc["queue_depth"] == 0,
-        ),
-        (
-            f"no extraction errors ({svc['extraction_errors']})",
-            svc["extraction_errors"] == 0,
-        ),
-        (
-            f"served-request p99 {fleet['p99_s']:.3f} s "
-            f"(ceiling {SERVICE_P99_CEILING_S:.0f} s)",
-            fleet["p99_s"] <= SERVICE_P99_CEILING_S,
-        ),
-    ]
-    for label, ok in flags:
-        print(f"  {'ok  ' if ok else 'FAIL'} {label}")
-        failed |= not ok
-
-    if base is not None:
-        was = float(base["service"]["cache_hit_rate"])
-        now = float(svc["cache_hit_rate"])
-        floor = (1.0 - TOLERANCE) * was
-        ok = now >= floor
-        print(
-            f"  {'ok  ' if ok else 'FAIL'} hit rate vs baseline: "
-            f"{now:.3f} (baseline {was:.3f}, floor {floor:.3f})"
-        )
-        failed |= not ok
-    else:
-        print(f"  no committed {SERVICE_BENCH_FILE} baseline; drift check skipped")
-
-    if failed:
-        print("perf gate: multi-tenant service gate failed", file=sys.stderr)
-        return 1
-    print("perf gate: service survival, shedding, and cache floors hold")
-    return 0
-
-
-def gate_lod(root: Path) -> int:
-    """Hard floors for the progressive-streaming TTFI bench."""
-    fresh, base = _load(root, LOD_BENCH_FILE)
-    speedup = float(fresh["ttfi_speedup"])
-
-    failed = False
-    flags = [
-        (
-            f"progressive TTFI speedup x{speedup:.1f} over flat fetch "
-            f"(floor x{LOD_TTFI_SPEEDUP_FLOOR:.0f}, "
-            f"{fresh['ttfi_flat_s'] * 1e3:.0f} ms -> "
-            f"{fresh['ttfi_lod_s'] * 1e3:.0f} ms at "
-            f"{fresh['n_particles']} particles)",
-            speedup >= LOD_TTFI_SPEEDUP_FLOOR,
-        ),
-        (
-            f"every yielded prefix a valid monotone frame "
-            f"({fresh['n_frames']} frames)",
-            bool(fresh["prefix_valid"]),
-        ),
-        (
-            "fully refined frame bit-identical to the flat extraction",
-            bool(fresh["final_bitwise"]),
-        ),
-        (
-            f"stream converged ({fresh['converged_s'] * 1e3:.0f} ms, "
-            f"{fresh['refinements']} refinements)",
-            fresh["converged_s"] > 0.0,
-        ),
-    ]
-    for label, ok in flags:
-        print(f"  {'ok  ' if ok else 'FAIL'} {label}")
-        failed |= not ok
-
-    if base is not None and int(base["n_particles"]) == int(fresh["n_particles"]):
-        was = float(base["ttfi_speedup"])
-        floor = (1.0 - TOLERANCE) * was
-        ok = speedup >= floor
-        print(
-            f"  {'ok  ' if ok else 'FAIL'} TTFI speedup vs baseline: "
-            f"x{speedup:.1f} (baseline x{was:.1f}, floor x{floor:.1f})"
-        )
-        failed |= not ok
-    elif base is not None:
-        print(
-            f"  skip drift check: bench ran at {fresh['n_particles']} "
-            f"particles, baseline at {base['n_particles']}"
-        )
-    else:
-        print(f"  no committed {LOD_BENCH_FILE} baseline; drift check skipped")
-
-    if failed:
-        print("perf gate: progressive-streaming gate failed", file=sys.stderr)
-        return 1
-    print("perf gate: progressive TTFI and refinement correctness floors hold")
-    return 0
-
-
-def gate_amr(root: Path) -> int:
-    """Hard floors for the adaptive-AMR + Gaussian-splat bench."""
-    fresh, base = _load(root, AMR_BENCH_FILE)
-    dep, det = fresh["deposit"], fresh["detail"]
-    fb, splat = fresh["flat_bitwise"], fresh["splat"]
-    speedup = float(dep["speedup"])
-    bytes_ratio = float(det["bytes_ratio"])
-
-    failed = False
-    flags = [
-        (
-            f"adaptive deposit x{speedup:.1f} over flat at effective "
-            f"{dep['flat_res']}^3 (floor x{AMR_DEPOSIT_SPEEDUP_FLOOR}, "
-            f"{dep['t_flat_s'] * 1e3:.0f} ms -> {dep['t_amr_s'] * 1e3:.0f} ms "
-            f"at {dep['n_particles']} particles)",
-            speedup >= AMR_DEPOSIT_SPEEDUP_FLOOR,
-        ),
-        (
-            f"equal memory: adaptive/flat bytes {bytes_ratio:.3f} "
-            f"(within {AMR_BYTES_TOL:.0%})",
-            1.0 - AMR_BYTES_TOL <= bytes_ratio <= 1.0 + AMR_BYTES_TOL,
-        ),
-        (
-            f"beam-core detail: adaptive {det['amr_core_nonzero']} nonzero "
-            f"cells > flat {det['flat_core_nonzero']} "
-            f"(x{det['detail_ratio']:.1f}, {det['refined_bricks']} of "
-            f"{det['occupied_bricks']} bricks refined)",
-            det["amr_core_nonzero"] > det["flat_core_nonzero"],
-        ),
-        (
-            "flat volume bitwise-identical alongside the adaptive build",
-            bool(fb["alongside_bitwise"]),
-        ),
-        ("splat fragments batched == serial bitwise", bool(splat["batched_bitwise"])),
-        (
-            f"splat renders batched == serial bitwise "
-            f"({splat['n_fragments']} fragments)",
-            bool(splat["render_batched_bitwise"]),
-        ),
-    ]
-    for label, ok in flags:
-        print(f"  {'ok  ' if ok else 'FAIL'} {label}")
-        failed |= not ok
-
-    if base is not None and int(base["n_particles"]) == int(fresh["n_particles"]):
-        for key in ("volume_sha256", "image_sha256"):
-            ok = fb[key] == base["flat_bitwise"][key]
-            print(
-                f"  {'ok  ' if ok else 'FAIL'} flat {key.split('_')[0]} digest "
-                f"matches committed baseline"
-            )
-            failed |= not ok
-        was = float(base["deposit"]["speedup"])
-        floor = (1.0 - TOLERANCE) * was
-        ok = speedup >= floor
-        print(
-            f"  {'ok  ' if ok else 'FAIL'} deposit speedup vs baseline: "
-            f"x{speedup:.1f} (baseline x{was:.1f}, floor x{floor:.1f})"
-        )
-        failed |= not ok
-    elif base is not None:
-        print(
-            f"  skip drift check: bench ran at {fresh['n_particles']} "
-            f"particles, baseline at {base['n_particles']}"
-        )
-    else:
-        print(f"  no committed {AMR_BENCH_FILE} baseline; drift check skipped")
-
-    if failed:
-        print("perf gate: adaptive-AMR gate failed", file=sys.stderr)
-        return 1
-    print("perf gate: AMR deposit, equal-memory detail, and splat floors hold")
-    return 0
-
-
-def gate_scenarios(root: Path) -> int:
-    """Hard floors for the digital-twin scenario acceptance bench."""
-    fresh, base = _load(root, SCENARIOS_BENCH_FILE)
-    fb, sweep, render = fresh["feedback"], fresh["sweep"], fresh["render"]
-    cpus = int(fresh.get("cpu_count", 1))
-
-    failed = False
-    flags = [
-        (
-            f"envelope feedback converged at step {fb['converged_step']} "
-            f"(budget {fb['step_budget']})",
-            bool(fb["within_budget"]),
-        ),
-        (
-            f"closed-loop error {fb['final_error']:.4f} within "
-            f"2x deadband ({fb['deadband']})",
-            fb["final_error"] <= 2.0 * fb["deadband"],
-        ),
-        (
-            f"all sweep members landed as verified stores "
-            f"({sweep['members_ok']} of {sweep['n_members']})",
-            sweep["members_ok"] == sweep["n_members"] == 16,
-        ),
-        (
-            f"worker crash injected and survived "
-            f"({sweep['pool_breaks']} pool break(s), "
-            f"{sweep['shard_retries']} retried shard(s))",
-            bool(sweep["crash_injected"]) and sweep["pool_breaks"] >= 1,
-        ),
-        (
-            f"re-invocation resumed every member from disk "
-            f"({sweep['resumed']} of {sweep['n_members']} in "
-            f"{sweep['t_resume_s'] * 1e3:.0f} ms)",
-            sweep["resumed"] == sweep["n_members"],
-        ),
-        (
-            f"member renderable through forest + LOD "
-            f"({render['forest_particles']} particles, "
-            f"{render['lod_levels']} LOD level(s))",
-            bool(render["renderable"]),
-        ),
-        (
-            "member tracking deterministic under its seed",
-            bool(render["deterministic"]),
-        ),
-    ]
-    for label, ok in flags:
-        print(f"  {'ok  ' if ok else 'FAIL'} {label}")
-        failed |= not ok
-
-    if base is not None and int(base.get("cpu_count", 1)) == cpus:
-        was = float(base["sweep"]["members_per_s"])
-        now = float(sweep["members_per_s"])
-        floor = (1.0 - TOLERANCE) * was
-        ok = now >= floor
-        print(
-            f"  {'ok  ' if ok else 'FAIL'} sweep throughput vs baseline: "
-            f"{now:.2f} members/s (baseline {was:.2f}, floor {floor:.2f})"
-        )
-        failed |= not ok
-    elif base is not None:
-        print(
-            f"  skip drift check: bench ran on {cpus} cpu(s), "
-            f"baseline on {base.get('cpu_count', 1)}"
-        )
-    else:
-        print(f"  no committed {SCENARIOS_BENCH_FILE} baseline; drift check skipped")
-
-    if failed:
-        print("perf gate: scenario gate failed", file=sys.stderr)
-        return 1
-    print("perf gate: feedback budget, sweep survival, and render floors hold")
-    return 0
-
-
-def main() -> int:
-    root = Path(__file__).resolve().parent.parent
-    if "--scenarios" in sys.argv[1:]:
-        return gate_scenarios(root)
-    if "--store" in sys.argv[1:]:
-        return gate_store(root)
-    if "--lod" in sys.argv[1:]:
-        return gate_lod(root)
-    if "--amr" in sys.argv[1:]:
-        return gate_amr(root)
-    if "--forest" in sys.argv[1:]:
-        return gate_forest(root)
-    if "--service" in sys.argv[1:]:
-        return gate_service(root)
-
-    fresh, base = _load(root, BENCH_FILE)
-    if base is None:
-        print(f"perf gate: no committed {BENCH_FILE} baseline; nothing to compare")
-        return 0
-
-    checks = [(label, _lookup(base, path), _lookup(fresh, path)) for label, path in GATES]
-    checks.append(
-        ("batched-seeding speedup (K=8)", _seeding_speedup(base), _seeding_speedup(fresh))
+    for what, args, step_env in steps:
+        print(f"== {name} {what} ==", flush=True)
+        code = subprocess.call([sys.executable, "-m", "pytest", *args], cwd=ROOT, env=step_env)
+        if code:
+            return code
+    print(f"== {name} gate: {gate.file} ==", flush=True)
+    fresh = json.loads((ROOT / gate.file).read_text())["extra"]
+    head = subprocess.run(
+        ["git", "show", f"HEAD:{gate.file}"], cwd=ROOT, capture_output=True, text=True
     )
+    base = json.loads(head.stdout)["extra"] if head.returncode == 0 else None
+    return evaluate(name, fresh, base)
 
-    failed = False
-    for label, was, now in checks:
-        floor = (1.0 - TOLERANCE) * was
-        ok = now >= floor
-        status = "ok  " if ok else "FAIL"
-        print(f"  {status} {label}: x{now:.2f} (baseline x{was:.2f}, floor x{floor:.2f})")
-        failed |= not ok
 
-    if not bool(fresh["frame"].get("bit_identical")):
-        print("  FAIL cached frame no longer bit-identical to uncached")
-        failed = True
-
-    if failed:
-        print("perf gate: regression beyond 20% of committed baseline", file=sys.stderr)
-        return 1
-    print("perf gate: all ratios within tolerance")
-    return 0
+def main(argv: list[str]) -> int:
+    name = argv[0] if argv else ""
+    if name not in GATES:
+        print(f"perf gate: unknown gate {name!r}; the gates are:", file=sys.stderr)
+        for key, gate in GATES.items():
+            print(f"  {key:<10} {gate.about}", file=sys.stderr)
+        return 2
+    return run(name)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -914,14 +914,12 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_trace_report(args) -> int:
-    import json
-
     try:
         data = load_trace(args.trace_file)
     except FileNotFoundError:
         print(f"{args.trace_file}: no such file", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or JSON without a span table
         print(f"{args.trace_file}: not a trace JSON file ({exc})",
               file=sys.stderr)
         return 1

@@ -381,9 +381,21 @@ class capture:
 # ----------------------------------------------------------------------
 # reporting
 def load_trace(path) -> dict:
-    """Read a trace JSON document written by :meth:`Tracer.save`."""
+    """Read a trace document: a :meth:`Tracer.save` file, or a file that
+    nests one -- a bench's ``BENCH_*.json`` (under ``trace``) or the
+    pipeline bench's ``trace_<workload>.json`` (under ``program``).
+
+    Raises ``ValueError`` when the file is not JSON
+    (``json.JSONDecodeError``) or the document holds no span table.
+    """
     with open(path) as f:
-        return json.load(f)
+        data = json.load(f)
+    for key in ("program", "trace"):
+        if isinstance(data, dict) and isinstance(data.get(key), dict):
+            data = data[key]
+    if not isinstance(data, dict) or not isinstance(data.get("spans"), dict):
+        raise ValueError("no span table")
+    return data
 
 
 def _human_bytes(n: float) -> str:

@@ -32,7 +32,7 @@ On-disk format (little-endian):
 Version 3 is emitted only when the frame carries an adaptive volume
 (``meta['amr']``); frames without one keep writing version-2 bytes
 bit-identical to previous releases, so flat extraction output is
-stable across this change (gated by ``perf_gate.py --amr``).
+stable across this change (gated by ``scripts/check.sh --gate amr``).
 
 Writes are atomic (temp file + ``os.replace``); parsing a damaged
 blob raises a typed :class:`repro.core.errors.FormatError` describing

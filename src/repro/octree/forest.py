@@ -495,30 +495,31 @@ class ForestStore:
         return int(sum(self.brick(b).nbytes() for b in self.brick_ids))
 
     def validate(self) -> None:
-        """Structural invariants across the forest."""
+        """Structural invariants across the forest; raises
+        :class:`FormatError` naming the first one broken."""
         total = 0
         for b in self.brick_ids:
             ps = self.brick(b)
             ps.validate()
-            assert ps.n_particles == self.brick_count(b), (
-                f"brick {b}: store holds {ps.n_particles} particles, "
-                f"manifest says {self.brick_count(b)}"
-            )
+            if ps.n_particles != self.brick_count(b):
+                raise FormatError(
+                    f"brick {b}: store holds {ps.n_particles} particles, "
+                    f"manifest says {self.brick_count(b)}"
+                )
             levels = ps.nodes["level"].astype(np.int64)
-            assert np.all(levels >= self.brick_level), (
-                f"brick {b}: a node is coarser than the brick octant"
-            )
+            if not np.all(levels >= self.brick_level):
+                raise FormatError(f"brick {b}: a node is coarser than the brick octant")
             # each node's key is its Morton prefix at the node's own
             # level; shifting down to brick_level must recover the id
             shift = (3 * (levels - self.brick_level)).astype(np.uint64)
             prefixes = ps.nodes["key"].astype(np.uint64) >> shift
-            assert np.all(prefixes == np.uint64(b)), (
-                f"brick {b}: a node's key lies outside the brick octant"
-            )
+            if not np.all(prefixes == np.uint64(b)):
+                raise FormatError(f"brick {b}: a node's key lies outside the brick octant")
             total += ps.n_particles
-        assert total == self.n_particles, (
-            f"brick stores hold {total} particles, manifest says {self.n_particles}"
-        )
+        if total != self.n_particles:
+            raise FormatError(
+                f"brick stores hold {total} particles, manifest says {self.n_particles}"
+            )
 
     # ------------------------------------------------------------------
     def to_partitioned_frame(self) -> PartitionedFrame:

@@ -306,7 +306,8 @@ class FrameGeometryCache:
     ----------
     max_entries : maximum number of distinct viewpoints retained
     max_bytes : total geometry-byte budget; least-recently-used
-        entries are evicted once exceeded
+        entries are evicted once exceeded, and a geometry larger than
+        the whole budget is returned uncached (``frame_cache_rejected``)
     """
 
     def __init__(self, max_entries: int = 8, max_bytes: int = 512 * 1024 * 1024):
@@ -344,6 +345,9 @@ class FrameGeometryCache:
         count("frame_cache_miss")
         with span("frame_geometry_build", n_slices=int(n_slices)):
             geo = builder()
+        if geo.nbytes > self.max_bytes:
+            count("frame_cache_rejected")
+            return geo
         self._entries[key] = geo
         self._evict()
         return geo
@@ -351,7 +355,7 @@ class FrameGeometryCache:
     def _evict(self) -> None:
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
-        while self.total_bytes > self.max_bytes and len(self._entries) > 1:
+        while self.total_bytes > self.max_bytes:
             self._entries.popitem(last=False)
 
     # ------------------------------------------------------------------

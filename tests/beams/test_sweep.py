@@ -191,3 +191,14 @@ class TestMemberStoresAreRenderable:
         )
         assert forest.n_particles == 800
         assert forest.n_bricks == 8
+
+    def test_member_rerun_reproduces_its_store_bitwise(self, tmp_path):
+        """The scenario bench's determinism row at test scale: a member's
+        scenario re-run under its seed gives the landed particles bit for bit."""
+        import numpy as np
+
+        result = run_sweep(small_spec(), {"mismatch": [1.2]}, tmp_path / "s")
+        landed = ShardedStore.open(result.member_dir(0)).to_array()
+        spec = small_spec().with_overrides({"mismatch": 1.2})
+        a, b = spec.build().run(), spec.build().run()
+        assert np.array_equal(a, b) and np.array_equal(a, landed)

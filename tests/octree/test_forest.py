@@ -112,6 +112,20 @@ class TestPartitionForest:
         with pytest.raises(FormatError, match="not a forest"):
             ForestStore.open(tmp_path)
 
+    def test_validate_raises_format_error_on_count_mismatch(self, particles, tmp_path):
+        import json
+
+        out = tmp_path / "forest"
+        partition_forest(particles[:2000], out, "xyz", bricks=2, max_level=4, capacity=64)
+        path = out / forest_mod.FOREST_MANIFEST
+        manifest = json.loads(path.read_text())
+        entry = next(e for e in manifest["brick_table"] if e["n_particles"] > 0)
+        entry["n_particles"] += 1
+        manifest["n_particles"] += 1
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=f"brick {entry['id']}: .* manifest says"):
+            ForestStore.open(out).validate()
+
 
 class TestCrashResume:
     def test_killed_brick_stage_resumes_bitwise(

@@ -147,6 +147,23 @@ class TestStreamingExtraction:
         np.testing.assert_array_max_ulp(a.volume, b.volume, maxulp=1)
         assert a.threshold == b.threshold and a.step == b.step
 
+    def test_image_matches_incore_within_one_ulp(self, tmp_path, store, incore):
+        """The store bench's image row at test scale: the streamed
+        extraction rendered in point batches against the in-core one."""
+        from repro.hybrid.renderer import HybridRenderer
+        from repro.render.camera import Camera
+
+        ps = partition_store(store, tmp_path / "out", "xyz", max_level=5, capacity=48)
+        threshold = float(np.percentile(incore.nodes["density"], 60))
+        a = extract(incore, threshold, volume_resolution=24)
+        b = extract(ps, threshold, volume_resolution=24)
+        camera = Camera.fit_bounds(a.lo, a.hi, width=64, height=64)
+        img_a = HybridRenderer(n_slices=24).render(a, camera=camera)
+        img_b = HybridRenderer(n_slices=24, point_batch_size=1000).render(b, camera=camera)
+        np.testing.assert_array_max_ulp(
+            img_a.rgba.astype(np.float32), img_b.rgba.astype(np.float32), maxulp=1
+        )
+
     def test_volume_from_rest(self, tmp_path, store, incore):
         ps = partition_store(store, tmp_path / "out", "xyz", max_level=5, capacity=48)
         threshold = float(np.percentile(incore.nodes["density"], 60))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.trace import capture
 from repro.octree.amr import AmrVolume
 from repro.render.amr import AmrRgbaVolume, amr_geometry_key
 from repro.render.camera import Camera
@@ -131,6 +132,18 @@ class TestCachePolicy:
         render_volume(camera, vol, lo, hi, n_slices=16, cache=cache)
         render_volume(camera, vol, lo, hi, n_slices=24, cache=cache)
         assert len(cache) == 1  # first entry evicted to fit the budget
+
+    def test_geometry_over_the_budget_is_returned_uncached(self, scene):
+        camera, vol, lo, hi, _ = scene
+        cache = FrameGeometryCache(max_bytes=1)
+        with capture(enabled=True) as t:
+            render_volume(camera, vol, lo, hi, n_slices=16, cache=cache)
+            tiny = render_volume(camera, vol, lo, hi, n_slices=24, cache=cache)
+        assert len(cache) == 0 and cache.total_bytes == 0
+        assert t.counters["frame_cache_rejected"] == 2
+        assert cache.stats()["misses"] == 2
+        fresh = render_volume(camera, vol, lo, hi, n_slices=24, cache=False)
+        assert np.array_equal(tiny.rgba, fresh.rgba)
 
     def test_empty_cache_is_truthy(self):
         assert FrameGeometryCache()
@@ -265,25 +278,28 @@ class TestEvictionProperties:
     @settings(max_examples=200, deadline=None)
     def test_byte_exact_lru_eviction(self, sizes, max_bytes, max_entries):
         """For any insertion sequence of mixed flat/AMR-arity keys and
-        any budget: the survivors are exactly the most-recent suffix,
-        total_bytes is the exact sum of survivor nbytes, and the budget
-        holds whenever more than one entry remains."""
+        any budget: a geometry larger than the budget is never cached,
+        the survivors are exactly the most-recent suffix of the ones
+        that fit, total_bytes is the exact sum of survivor nbytes, and
+        the budget always holds."""
         cache = FrameGeometryCache(max_entries=max_entries, max_bytes=max_bytes)
         keys = []
         for i, nb in enumerate(sizes):
             # alternate key arities, mirroring flat (12) vs AMR (14) keys
             key = ("k",) * (12 + 2 * (i % 2)) + (i,)
-            keys.append((key, nb))
             cache.get_keyed(key, lambda nb=nb: _StubGeometry(nb))
+            if nb > max_bytes:
+                assert key not in cache
+            else:
+                keys.append(key)
             assert len(cache) <= max_entries
             assert cache.total_bytes == sum(
                 g.nbytes for g in cache._entries.values()
             )
-            if len(cache) > 1:
-                assert cache.total_bytes <= max_bytes
+            assert cache.total_bytes <= max_bytes
             # survivors are a contiguous most-recently-inserted suffix
-            survivors = [k for k, _ in keys if k in cache]
-            assert survivors == [k for k, _ in keys[len(keys) - len(survivors):]]
+            survivors = [k for k in keys if k in cache]
+            assert survivors == keys[len(keys) - len(survivors):]
         assert cache.stats()["misses"] == len(sizes)
 
     @given(sizes=st.lists(st.integers(1, 100), min_size=2, max_size=20))

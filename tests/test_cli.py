@@ -177,6 +177,59 @@ class TestTrace:
             assert hasattr(args, "trace"), f"{sub} lacks --trace"
 
 
+class TestTraceReportInputs:
+    """``trace-report`` on every kind of trace file the repo writes."""
+
+    @staticmethod
+    def _tracer():
+        from repro.core.trace import Tracer
+
+        t = Tracer(enabled=True)
+        with t.span("extract"):
+            with t.span("deposit"):
+                t.count("points_kept", 7)
+        return t
+
+    def test_tracer_save_document(self, tmp_path, capsys):
+        path = tmp_path / "trace.json"
+        self._tracer().save(path)
+        assert main(["trace-report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "extract" in out and "deposit" in out and "points_kept" in out
+
+    def test_bench_file(self, capsys):
+        from pathlib import Path
+
+        bench = Path(__file__).resolve().parents[1] / "BENCH_partitioning.json"
+        assert main(["trace-report", str(bench)]) == 0
+        out = capsys.readouterr().out
+        assert "octree_build" in out and "(no spans recorded)" not in out
+
+    def test_pipeline_trace(self, tmp_path, capsys):
+        import json
+
+        events = [
+            {"id": i, "parent": None, "name": "op", "start": float(i),
+             "end": i + 0.5, "rid": i, "thread": 1}
+            for i in range(2)
+        ]
+        doc = {"workload": "beam_sc", "seed": 0, "wall_s": 2.0, "env": {},
+               "ledger": [], "metrics": {}, "spans": events,
+               "program": self._tracer().snapshot()}
+        path = tmp_path / "trace_beam_sc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["trace-report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "deposit" in out and "points_kept" in out
+
+    @pytest.mark.parametrize("text", ['{"spans": [1, 2]}', "[1, 2]", '{"a": 1}', "not json"])
+    def test_junk_exits_1(self, tmp_path, capsys, text):
+        path = tmp_path / "junk.json"
+        path.write_text(text)
+        assert main(["trace-report", str(path)]) == 1
+        assert "not a trace JSON file" in capsys.readouterr().err
+
+
 class TestEigen:
     def test_eigen_subcommand(self, capsys):
         rc = main(["eigen", "--radius", "1.0", "--length", "1.0",

@@ -19,6 +19,10 @@ batched density-proportional seeder, and the space-charge PIC cycle:
   bounds refit every step) -- the honest before/after for this PR.
   Plus the single-solve cached vs uncached ratio.
 
+Every arm is timed as the median of ``ROUNDS`` interleaved runs: each
+round runs every arm of a comparison once, in turn, so a swing in
+machine load lands on both sides of a speedup instead of on one.
+
 Writes ``BENCH_frame_cache.json``; ``scripts/check.sh --gate perf``
 gates on the recorded speedups.
 """
@@ -48,6 +52,26 @@ BATCH_SIZES = [4, 8, 16]
 N_PARTICLES = scaled(10_000)
 N_STEPS = 20
 GRID = (64, 64, 64)
+ROUNDS = 5
+
+
+def _clock(fn, *args, **kwargs) -> float:
+    """Wall seconds of one ``fn(*args, **kwargs)`` call (arguments are
+    evaluated before the clock starts)."""
+    t0 = time.perf_counter()
+    fn(*args, **kwargs)
+    return time.perf_counter() - t0
+
+
+def _interleaved(arms: dict) -> dict:
+    """Median seconds of each arm over ``ROUNDS`` rounds; every round
+    runs every arm once, in order.  ``arms`` maps a name to a
+    zero-argument callable returning its measured seconds."""
+    samples = {name: [] for name in arms}
+    for _ in range(ROUNDS):
+        for name, run in arms.items():
+            samples[name].append(run())
+    return {name: float(np.median(t)) for name, t in samples.items()}
 
 
 # ----------------------------------------------------------------------
@@ -180,22 +204,15 @@ def test_frame_cache_report(benchmark, structure3, mode3, e_sampler):
                 n_slices=64, cache=cache,
             )
 
-        t0 = time.perf_counter()
         fb_uncached = frame(False)
-        t_uncached = time.perf_counter() - t0
-
         cache = FrameGeometryCache()
-        t0 = time.perf_counter()
         frame(cache)
-        t_cold = time.perf_counter() - t0
-
-        warm_times = []
-        fb_warm = None
-        for _ in range(3):
-            t0 = time.perf_counter()
-            fb_warm = frame(cache)
-            warm_times.append(time.perf_counter() - t0)
-        t_warm = float(np.mean(warm_times))
+        fb_warm = frame(cache)  # served from the filled cache
+        t = _interleaved({
+            "uncached": lambda: _clock(frame, False),
+            "cold": lambda: _clock(frame, FrameGeometryCache()),
+            "warm": lambda: _clock(frame, cache),
+        })
         identical = bool(
             np.array_equal(fb_uncached.rgba, fb_warm.rgba)
             and np.array_equal(fb_uncached.depth, fb_warm.depth)
@@ -204,41 +221,42 @@ def test_frame_cache_report(benchmark, structure3, mode3, e_sampler):
             "n_points": int(N_POINTS),
             "volume": "64^3",
             "image": "256x256 x 64 slices",
-            "t_uncached_s": t_uncached,
-            "t_cold_s": t_cold,
-            "t_warm_s": t_warm,
-            "warm_speedup": t_uncached / t_warm,
+            "t_uncached_s": t["uncached"],
+            "t_cold_s": t["cold"],
+            "t_warm_s": t["warm"],
+            "warm_speedup": t["uncached"] / t["warm"],
             "bit_identical": identical,
         }
 
         # -- seeding: greedy vs batched ---------------------------------
         from repro.fieldlines.incremental import density_correlation
 
-        t0 = time.perf_counter()
-        greedy = seed_density_proportional(
-            structure3.mesh, e_sampler, total_lines=N_LINES,
-            max_steps=120, rng=np.random.default_rng(0),
-        )
-        t_greedy = time.perf_counter() - t0
-        rho_greedy = density_correlation(structure3.mesh, greedy, N_LINES)
-        rows = []
-        for batch in BATCH_SIZES:
-            t0 = time.perf_counter()
-            batched = seed_density_proportional(
+        lines = {}  # batch size (None: greedy) -> the seeded lines
+
+        def seed(batch):
+            kw = {} if batch is None else {"batch_size": batch}
+            lines[batch] = seed_density_proportional(
                 structure3.mesh, e_sampler, total_lines=N_LINES,
-                batch_size=batch, max_steps=120, rng=np.random.default_rng(0),
+                max_steps=120, rng=np.random.default_rng(0), **kw,
             )
-            t = time.perf_counter() - t0
-            rows.append({
+
+        t = _interleaved(
+            {b: (lambda b=b: _clock(seed, b)) for b in [None] + BATCH_SIZES}
+        )
+        rho = {b: density_correlation(structure3.mesh, lines[b], N_LINES) for b in lines}
+        rows = [
+            {
                 "batch_size": batch,
-                "t_s": t,
-                "speedup": t_greedy / t,
-                "density_rho": density_correlation(structure3.mesh, batched, N_LINES),
-            })
+                "t_s": t[batch],
+                "speedup": t[None] / t[batch],
+                "density_rho": rho[batch],
+            }
+            for batch in BATCH_SIZES
+        ]
         results["seeding"] = {
             "n_lines": int(N_LINES),
-            "t_greedy_s": t_greedy,
-            "greedy_density_rho": rho_greedy,
+            "t_greedy_s": t[None],
+            "greedy_density_rho": rho[None],
             "batched": rows,
         }
 
@@ -250,40 +268,36 @@ def test_frame_cache_report(benchmark, structure3, mode3, e_sampler):
             p[:, 3:] = g.standard_normal((N_PARTICLES, 3)) * 0.01
             return p
 
-        clear_green_cache()
         dl, strength, padding = 0.05, 1e-2, 1.3
 
-        beam = fresh_beam()
-        t0 = time.perf_counter()
-        _run_baseline(beam, dl, strength, padding)
-        t_base = time.perf_counter() - t0
+        def current_arm():
+            clear_green_cache()  # every run starts from a cold Green's cache
+            solver = SpaceChargeSolver(grid_shape=GRID, strength=strength, padding=padding)
+            return _clock(_run_current, fresh_beam(), dl, solver)
 
-        beam = fresh_beam()
-        solver = SpaceChargeSolver(grid_shape=GRID, strength=strength, padding=padding)
-        t0 = time.perf_counter()
-        _run_current(beam, dl, solver)
-        t_cur = time.perf_counter() - t0
+        t = _interleaved({
+            "baseline": lambda: _clock(_run_baseline, fresh_beam(), dl, strength, padding),
+            "current": current_arm,
+        })
 
         # single-solve cached vs uncached (Green's-function reuse alone)
         rho = np.random.default_rng(2).random(GRID)
         cell = np.array([0.02, 0.02, 0.05])
-        t0 = time.perf_counter()
-        solve_poisson_open(rho, cell, cached=False)
-        t_solve_cold = time.perf_counter() - t0
         solve_poisson_open(rho, cell)  # populate
-        t0 = time.perf_counter()
-        solve_poisson_open(rho, cell)
-        t_solve_warm = time.perf_counter() - t0
+        ts = _interleaved({
+            "uncached": lambda: _clock(solve_poisson_open, rho, cell, cached=False),
+            "cached": lambda: _clock(solve_poisson_open, rho, cell),
+        })
         results["spacecharge"] = {
             "grid": "64^3",
             "n_particles": int(N_PARTICLES),
             "n_steps": N_STEPS,
-            "t_baseline_s": t_base,
-            "t_current_s": t_cur,
-            "run_speedup": t_base / t_cur,
-            "t_solve_uncached_s": t_solve_cold,
-            "t_solve_cached_s": t_solve_warm,
-            "solve_speedup": t_solve_cold / t_solve_warm,
+            "t_baseline_s": t["baseline"],
+            "t_current_s": t["current"],
+            "run_speedup": t["baseline"] / t["current"],
+            "t_solve_uncached_s": ts["uncached"],
+            "t_solve_cached_s": ts["cached"],
+            "solve_speedup": ts["uncached"] / ts["cached"],
         }
 
     tracer = traced_run(lambda: benchmark.pedantic(measure, rounds=1, iterations=1))
@@ -296,9 +310,9 @@ def test_frame_cache_report(benchmark, structure3, mode3, e_sampler):
         "PERF-FRAME-CACHE",
         [
             f"mixed frame {f['image']}, {f['n_points']} pts, {f['volume']} volume:",
-            f"  uncached {f['t_uncached_s']:.3f} s, cold {f['t_cold_s']:.3f} s, "
-            f"warm {f['t_warm_s']:.3f} s (x{f['warm_speedup']:.2f}), "
-            f"bit-identical: {f['bit_identical']}",
+            f"  median of {ROUNDS} interleaved runs: uncached {f['t_uncached_s']:.3f} s, "
+            f"cold {f['t_cold_s']:.3f} s, warm {f['t_warm_s']:.3f} s "
+            f"(x{f['warm_speedup']:.2f}), bit-identical: {f['bit_identical']}",
             f"seeding {s['n_lines']} lines: greedy {s['t_greedy_s']:.2f} s "
             f"(rho {s['greedy_density_rho']:+.3f})",
         ]

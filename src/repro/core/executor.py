@@ -10,8 +10,10 @@ outstanding future and plain ``pool.map`` loses the entire run.
 before the break are kept, the failed shards are retried in a fresh
 pool (bounded attempts), and if pools keep breaking the remainder runs
 serially in the parent -- slower, never wrong.  Deterministic
-exceptions raised *by the shard function itself* propagate immediately
-(retrying them would loop), only pool breakage is retried.
+exceptions raised *by the shard function itself* are not retried
+(retrying them would loop): the parent cancels the shards no worker
+has started and re-raises as soon as it collects the error.  Only
+pool breakage is retried.
 
 Recovery is visible in the tracer:
 
@@ -24,7 +26,12 @@ Every multiprocess entry point of the package
 :func:`repro.octree.forest.partition_forest` and its renderer,
 :func:`repro.fieldlines.seeding.seed_density_proportional` and
 :func:`repro.beams.scenario.sweep.run_sweep`, each with
-``workers > 1``) runs its shards through this function.
+``workers > 1``) runs its shards through this function.  The
+out-of-core passes (partition count and scatter, forest route and
+bricks) call it at every worker count with the same task, so one code
+path reads every input shard CRC-checked, and each records a shard in
+its checkpoint through ``on_result`` as that shard's result is
+collected, in task order.
 """
 
 from __future__ import annotations
@@ -56,10 +63,10 @@ def run_shards(
     broken pools, the still-unfinished shards fall back to serial
     execution with a warning.
 
-    ``on_result(task, result)`` fires in the parent as each shard
-    completes (in completion order, exactly once per shard) -- the
+    ``on_result(task, result)`` fires in the parent as each shard's
+    result is collected, in task order and exactly once per shard -- the
     hook incremental checkpointing hangs off, so a killed parent keeps
-    the shards that finished before the kill.
+    the shards collected before the kill.
     """
     tasks = list(tasks)
     if workers <= 1 or len(tasks) <= 1:
@@ -98,9 +105,14 @@ def run_shards(
                         results[i] = future.result()
                     except BrokenProcessPool:
                         broke = True
-                    else:
-                        if on_result is not None:
-                            on_result(tasks[i], results[i])
+                        continue
+                    except BaseException:
+                        # the task's own error: drop the shards not yet
+                        # started rather than run the rest of the pass
+                        pool.shutdown(cancel_futures=True)
+                        raise
+                    if on_result is not None:
+                        on_result(tasks[i], results[i])
         except BrokenProcessPool:
             # pool shutdown itself can re-raise after a break
             broke = True

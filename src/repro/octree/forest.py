@@ -30,13 +30,17 @@ the same compositing arithmetic per brick (exact for disjoint point
 sets up to float rounding, approximate for the volume near brick
 boundaries -- see DESIGN.md).
 
-Crash safety mirrors the rest of the package: routing and per-brick
-partitioning fan out through :func:`repro.core.executor.run_shards`,
-and a ``checkpoint_dir`` records per-shard routing and per-brick
-partition progress so a killed run resumes where it died.  Trace
-vocabulary: ``forest_partition_stage`` spans per stage,
-``forest_brick_partition`` / ``forest_brick_render`` per brick, and
-``composite_merge`` in the compositor.
+Crash safety mirrors the rest of the package: routing is one task per
+input shard and partitioning one task per brick, both run through
+:func:`repro.core.executor.run_shards` at every worker count, so the
+route task reads every input shard through ``ds.chunk`` (CRC-checked
+for a store) whether it runs in this process or a worker.  A
+``checkpoint_dir`` records each routed shard and each partitioned
+brick as its result is collected, in task order, so a killed run
+resumes where it died, and a failing task cancels the ones not yet
+started.  Trace vocabulary: ``forest_partition_stage`` spans per
+stage, ``forest_brick_partition`` / ``forest_brick_render`` per brick,
+and ``composite_merge`` in the compositor.
 """
 
 from __future__ import annotations
@@ -53,20 +57,14 @@ from repro.core.checkpoint import Checkpoint
 from repro.core.dataset import as_dataset
 from repro.core.errors import FormatError
 from repro.core.executor import run_shards
-from repro.core.store import (
-    DEFAULT_SHARD_ROWS,
-    ShardedStore,
-    _evict_pages,
-    shard_name,
-    write_manifest,
-)
+from repro.core.store import DEFAULT_SHARD_ROWS, ShardedStore, shard_name, write_manifest
 from repro.core.trace import count, gauge_peak_rss, span
 from repro.octree.octree import check_build, morton_keys, plot_columns
 from repro.octree.partition import PartitionedFrame
 from repro.octree.stream_partition import (
     PartitionedStore,
     _resolve_bounds,
-    _run_checkpointed,
+    _run_steps,
     partition_store,
 )
 from repro.render.compositor import SortLastCompositor
@@ -116,23 +114,22 @@ def _route_keys(coords, lo, hi, max_level: int, brick_level: int) -> np.ndarray:
 
 # ----------------------------------------------------------------------
 # stage: route (per input shard)
-def _route_shard_rows(
-    rows, i, columns, lo, hi, max_level, brick_level, route_dir
-) -> None:
-    """Split one input chunk across the brick source stores.
+def _route_task(task) -> int:
+    """Split input chunk ``i`` across the brick source stores.
 
     Writes shard ``i`` of *every* brick source (empty payloads
     included, so each source keeps canonical contiguous shard names)
     plus a JSON artifact recording per-brick rows and CRCs -- the
     route-finalize stage assembles those into store manifests, so a
-    crash between the two stages loses nothing.
+    crash between the two stages loses nothing.  The chunk is read
+    through ``ds.chunk`` (CRC-checked for a store) at every worker
+    count.
     """
-    rows = np.ascontiguousarray(np.asarray(rows, dtype=np.float64))
+    ds, i, columns, lo, hi, max_level, brick_level, route_dir = task
+    rows = np.ascontiguousarray(ds.chunk(i), dtype=np.float64)
     n_bricks = 8 ** int(brick_level)
     if len(rows):
-        rk = _route_keys(
-            rows[:, list(columns)], lo, hi, int(max_level), int(brick_level)
-        )
+        rk = _route_keys(rows[:, list(columns)], lo, hi, max_level, brick_level)
         order = np.argsort(rk, kind="stable")  # keeps original order per brick
         rows_sorted = rows[order]
         rk_sorted = rk[order]
@@ -150,20 +147,6 @@ def _route_shard_rows(
         if c > a:
             meta[str(b)] = {"rows": c - a, "crc32": int(zlib.crc32(raw))}
     atomic_write_bytes(_route_artifact(route_dir, i), json.dumps(meta).encode())
-
-
-def _route_store_task(task) -> int:
-    """Picklable routing wrapper for sharded-store inputs."""
-    store_dir, i, columns, lo_t, hi_t, max_level, brick_level, route_dir = task
-    store = ShardedStore.open(store_dir)
-    mm = store.shard(i)
-    rows = np.array(mm, dtype=np.float64)
-    if isinstance(mm, np.memmap):
-        _evict_pages(mm._mmap)
-    _route_shard_rows(
-        rows, i, columns, np.asarray(lo_t), np.asarray(hi_t),
-        max_level, brick_level, route_dir,
-    )
     return i
 
 
@@ -173,7 +156,7 @@ def _brick_partition_task(task) -> int:
     """Picklable per-brick partition: stream the brick's source store
     through ``partition_store`` against the *global* bounds, then drop
     the routed source (the partitioned store supersedes it)."""
-    (src_dir, brick_out, brick_id, plot_type, lo_t, hi_t, max_level, capacity,
+    (src_dir, brick_out, brick_id, plot_type, lo, hi, max_level, capacity,
      step, shard_rows, brick_level, brick_ck) = task
     with span("forest_brick_partition", brick=int(brick_id)):
         src = ShardedStore.open(src_dir)
@@ -183,8 +166,8 @@ def _brick_partition_task(task) -> int:
             plot_type,
             max_level=int(max_level),
             capacity=int(capacity),
-            lo=np.asarray(lo_t),
-            hi=np.asarray(hi_t),
+            lo=lo,
+            hi=hi,
             step=int(step),
             workers=1,
             shard_rows=int(shard_rows),
@@ -247,8 +230,10 @@ def partition_forest(
     max_level, capacity, lo, hi, step, shard_rows : as in
         :func:`repro.octree.stream_partition.partition_store`; bounds
         are global, shared by every brick tree
-    workers : fan input shards (routing) and bricks (partitioning)
-        across processes through :func:`repro.core.executor.run_shards`
+    workers : fan input shards (routing, store inputs only) and bricks
+        (partitioning) across processes through
+        :func:`repro.core.executor.run_shards`; every worker count runs
+        the same tasks
     checkpoint_dir : makes the run resumable at per-shard routing and
         per-brick partitioning granularity
 
@@ -276,7 +261,6 @@ def partition_forest(
     is_store = isinstance(ds, ShardedStore)
     if shard_rows is None:
         shard_rows = ds.shard_rows if is_store else DEFAULT_SHARD_ROWS
-    par_workers = workers if is_store else 1
     n_shards = ds.n_chunks
     route_dir = ck.path("route_work") if ck is not None else out / "_route"
     Path(route_dir).mkdir(parents=True, exist_ok=True)
@@ -285,36 +269,15 @@ def partition_forest(
 
     with span("forest_partition_stage", which="bounds"):
         lo, hi = _resolve_bounds(ds, columns, lo, hi, ck)
-    lo_t = tuple(float(v) for v in lo)
-    hi_t = tuple(float(v) for v in hi)
 
     # ---- route: split every input shard across the brick sources ------
     if ck is None or not ck.done("route"):
         with span("forest_partition_stage", which="route", shards=n_shards):
-            pending = [
-                i for i in range(n_shards)
-                if ck is None or not ck.has_step("route", i)
-            ]
-            if par_workers > 1:
-                def task_of(i):
-                    return (str(ds.directory), i, columns, lo_t, hi_t,
-                            int(max_level), brick_level, str(route_dir))
-
-                _run_checkpointed(
-                    _route_store_task, pending, task_of, par_workers, ck,
-                    "route", "forest_route",
-                )
-            else:
-                def route_one(i):
-                    _route_shard_rows(
-                        ds.chunk(i), i, columns, lo, hi, max_level,
-                        brick_level, route_dir,
-                    )
-                    return i
-
-                _run_checkpointed(
-                    route_one, pending, lambda i: i, 1, ck, "route", "forest_route"
-                )
+            _run_steps(
+                _route_task, range(n_shards),
+                lambda i: (ds, i, columns, lo, hi, int(max_level), brick_level, route_dir),
+                workers if is_store else 1, ck, "route", "forest_route",
+            )
         if ck is not None:
             ck.mark_done("route", n_shards=n_shards)
 
@@ -338,10 +301,6 @@ def partition_forest(
     nonempty = [b for b in range(n_bricks) if totals[b] > 0]
     if ck is None or not ck.done("bricks"):
         with span("forest_partition_stage", which="bricks", bricks=len(nonempty)):
-            pending = [
-                b for b in nonempty if ck is None or not ck.has_step("bricks", b)
-            ]
-
             def brick_task_of(b):
                 brick_ck = (
                     str(ck.path(f"brick_ck_{b:06d}")) if ck is not None else None
@@ -349,14 +308,13 @@ def partition_forest(
                 return (
                     str(Path(route_dir) / _source_dir_name(b)),
                     str(out / _brick_dir_name(b)),
-                    b, plot_type, lo_t, hi_t, int(max_level), int(capacity),
+                    b, plot_type, lo, hi, int(max_level), int(capacity),
                     int(step), int(shard_rows), brick_level, brick_ck,
                 )
 
-            brick_workers = min(int(workers), max(len(pending), 1))
-            _run_checkpointed(
-                _brick_partition_task, pending, brick_task_of, brick_workers,
-                ck, "bricks", "forest_bricks",
+            pending = _run_steps(
+                _brick_partition_task, nonempty, brick_task_of, workers, ck,
+                "bricks", "forest_bricks",
             )
             count("forest_brick_partition", len(pending))
         if ck is not None:

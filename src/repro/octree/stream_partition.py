@@ -29,11 +29,16 @@ Bounds (one padding rule), keys, the cell histogram and hence the plan
 compute on identical float64 and integer inputs, so nodes and particles
 match the in-core result exactly.
 
-Shard iteration runs through :func:`repro.core.executor.run_shards`
-(crash-safe, ``workers=N``); every pass opens a
-``stream_partition_pass`` span and bumps the counter of the same
-name, and a :class:`repro.core.checkpoint.Checkpoint` (optional)
-records per-shard progress so a killed run resumes where it died.
+Each pass is one task per shard, run through
+:func:`repro.core.executor.run_shards` (crash-safe) at every worker
+count: ``workers=1`` runs the same task in this process that
+``workers=N`` runs in worker processes, and the task reads its shard
+through ``ds.chunk``, so every input shard of a store is CRC-checked
+and a damaged one raises :class:`FormatError` however the pass runs.
+Every pass opens a ``stream_partition_pass`` span and bumps the
+counter of the same name, and a :class:`repro.core.checkpoint.Checkpoint`
+(optional) records each shard as its result is collected, in shard
+order, so a killed run resumes where it died.
 """
 
 from __future__ import annotations
@@ -314,18 +319,17 @@ class PartitionedStore:
 
 
 # ----------------------------------------------------------------------
-# per-shard kernels (module-level so the parallel path can pickle them)
+# per-shard tasks: one module-level function per pass, run through
+# run_shards at every worker count (worker processes unpickle them by
+# name); each reads its chunk through ``ds.chunk``, which CRC-checks a
+# store shard, so damaged input raises FormatError however it is run
 def _save_npz_atomic(path: Path, **arrays) -> None:
-    from repro.core.atomic import atomic_write_bytes
-
     buf = io.BytesIO()
     np.savez(buf, **arrays)
     atomic_write_bytes(path, buf.getvalue())
 
 
 def _save_npy_atomic(path: Path, array: np.ndarray) -> None:
-    from repro.core.atomic import atomic_write_bytes
-
     buf = io.BytesIO()
     np.save(buf, array)
     atomic_write_bytes(path, buf.getvalue())
@@ -339,13 +343,14 @@ def _base_artifact(workdir, i: int) -> Path:
     return Path(workdir) / f"base_{i:06d}.npy"
 
 
-def _count_shard_cells(coords, i, lo, hi, max_level, workdir) -> None:
-    """Pass-1 kernel: per-cell key histogram of one shard, to disk.
-    A NaN/Inf coordinate raises ``ValueError`` here, whatever the
+def _count_task(task) -> int:
+    """Pass 1: the per-cell key histogram of chunk ``i``, to disk.  A
+    NaN/Inf coordinate raises ``ValueError`` here, whatever the
     bounds."""
-    coords = np.asarray(coords, dtype=np.float64)
+    ds, i, columns, lo, hi, max_level, workdir = task
+    coords = ds.chunk(i, columns)
     if len(coords):
-        keys = morton_keys(coords, np.asarray(lo), np.asarray(hi), max_level)
+        keys = morton_keys(coords, lo, hi, max_level)
         cells, counts = np.unique(keys, return_counts=True)
     else:
         cells = np.empty(0, dtype=np.uint64)
@@ -355,13 +360,15 @@ def _count_shard_cells(coords, i, lo, hi, max_level, workdir) -> None:
         cells=cells.astype(np.uint64),
         counts=counts.astype(np.int64),
     )
+    return i
 
 
-def _scatter_shard_rows(rows, i, columns, lo, hi, max_level, workdir, out_dir) -> None:
-    """Pass-2 kernel: write one shard's rows to their final positions."""
-    rows = np.asarray(rows, dtype=np.float64)
+def _scatter_task(task) -> int:
+    """Pass 2: write chunk ``i``'s rows to their final positions."""
+    ds, i, columns, lo, hi, max_level, workdir, out_dir = task
+    rows = np.asarray(ds.chunk(i), dtype=np.float64)
     if len(rows) == 0:
-        return
+        return i
     plan = np.load(Path(workdir) / "plan.npz")
     cells = plan["cells"]
     cell_dest = plan["cell_dest"]
@@ -369,9 +376,7 @@ def _scatter_shard_rows(rows, i, columns, lo, hi, max_level, workdir, out_dir) -
     n_total = int(plan["n_particles"])
     base = np.load(_base_artifact(workdir, i))
 
-    keys = morton_keys(
-        rows[:, list(columns)], np.asarray(lo), np.asarray(hi), max_level
-    )
+    keys = morton_keys(rows[:, list(columns)], lo, hi, max_level)
     uq, inv, cnts = np.unique(keys, return_inverse=True, return_counts=True)
     if len(uq) != len(base):
         raise FormatError(
@@ -404,30 +409,22 @@ def _scatter_shard_rows(rows, i, columns, lo, hi, max_level, workdir, out_dir) -
         mm.flush()
         _evict_pages(mm._mmap)
         count("store_shard_write")
-
-
-def _pass1_store_task(task) -> int:
-    """Picklable pass-1 wrapper for sharded-store inputs."""
-    store_dir, i, columns, lo, hi, max_level, workdir = task
-    store = ShardedStore.open(store_dir)
-    mm = store.shard(i)
-    coords = np.array(mm[:, list(columns)], dtype=np.float64)
-    if isinstance(mm, np.memmap):
-        _evict_pages(mm._mmap)
-    _count_shard_cells(coords, i, lo, hi, max_level, workdir)
     return i
 
 
-def _pass2_store_task(task) -> int:
-    """Picklable pass-2 wrapper for sharded-store inputs."""
-    store_dir, i, columns, lo, hi, max_level, workdir, out_dir = task
-    store = ShardedStore.open(store_dir)
-    mm = store.shard(i)
-    rows = np.array(mm, dtype=np.float64)
-    if isinstance(mm, np.memmap):
-        _evict_pages(mm._mmap)
-    _scatter_shard_rows(rows, i, columns, lo, hi, max_level, workdir, out_dir)
-    return i
+def _run_steps(fn, ids, task_of, workers, ck, stage, label) -> list:
+    """Run ``fn(task_of(i))`` for every id in ``ids`` the checkpoint has
+    not recorded under ``stage``, in one :func:`run_shards` call.  Each
+    task returns its id, which is recorded as its result is collected
+    (in id order), so a killed run keeps every collected shard.  Returns
+    the ids run."""
+    pending = [i for i in ids if ck is None or not ck.has_step(stage, i)]
+    record = None if ck is None else (lambda _task, i: ck.record_step(stage, i))
+    run_shards(
+        fn, [task_of(i) for i in pending], workers=workers, label=label,
+        on_result=record,
+    )
+    return pending
 
 
 # ----------------------------------------------------------------------
@@ -493,19 +490,6 @@ def _build_plan(
 
 
 # ----------------------------------------------------------------------
-def _run_checkpointed(fn, pending, task_of, workers, ck, stage, label):
-    """Run per-shard tasks through :func:`run_shards`, recording each
-    finished shard in the checkpoint (batched so parallel runs are not
-    serialized on manifest writes)."""
-    batch = 1 if workers <= 1 else workers * 4
-    for a in range(0, len(pending), batch):
-        group = pending[a : a + batch]
-        run_shards(fn, [task_of(i) for i in group], workers=workers, label=label)
-        if ck is not None:
-            for i in group:
-                ck.record_step(stage, i)
-
-
 def _resolve_bounds(ds, columns, lo, hi, ck):
     """Global octree bounds by the in-core rule (:func:`octree_bounds`);
     the data range is read chunk-wise (bitwise equal to the global
@@ -565,14 +549,15 @@ def partition_store(
     ``workers > 1`` fans the per-shard passes out through
     :func:`repro.core.executor.run_shards` when ``data`` is itself a
     sharded store (other backends run serially -- their bytes live in
-    this process anyway).  ``checkpoint_dir`` makes the whole two-pass
+    this process anyway); either way each shard runs the same task and
+    is read CRC-checked.  ``checkpoint_dir`` makes the whole two-pass
     run resumable at per-shard granularity; a re-run after a crash
-    (including a torn shard-artifact write) redoes only unfinished
-    shards.  ``shard_rows`` sizes the output shards (default: the
-    input store's, else :data:`DEFAULT_SHARD_ROWS`).  ``min_level``
-    forces subdivision of non-empty regions down to that level even
-    below ``capacity`` -- the forest partition's octant-alignment
-    guarantee (see :mod:`repro.octree.forest`).
+    (including a torn shard-artifact write) redoes only the shards not
+    recorded as finished.  ``shard_rows`` sizes the output shards
+    (default: the input store's, else :data:`DEFAULT_SHARD_ROWS`).
+    ``min_level`` forces subdivision of non-empty regions down to that
+    level even below ``capacity`` -- the forest partition's
+    octant-alignment guarantee (see :mod:`repro.octree.forest`).
     """
     ds = as_dataset(data)
     out = Path(out)
@@ -591,44 +576,24 @@ def partition_store(
     if shard_rows is None:
         shard_rows = ds.shard_rows if is_store else DEFAULT_SHARD_ROWS
     out_rows = int(shard_rows)
-    par_workers = workers if is_store else 1
+    if not is_store:
+        workers = 1
     n_shards = ds.n_chunks
     workdir = ck.path("stream_work") if ck is not None else out / "_work"
     Path(workdir).mkdir(parents=True, exist_ok=True)
 
     with span("stream_partition_pass", which="bounds"):
         lo, hi = _resolve_bounds(ds, columns, lo, hi, ck)
-    lo_t = tuple(float(v) for v in lo)
-    hi_t = tuple(float(v) for v in hi)
 
     # ---- pass 1: per-shard cell histograms -----------------------------
     if ck is None or not ck.done("pass1"):
         count("stream_partition_pass")
         with span("stream_partition_pass", which="count", shards=n_shards):
-            pending = [
-                i
-                for i in range(n_shards)
-                if ck is None or not ck.has_step("pass1", i)
-            ]
-            if par_workers > 1:
-                def task_of(i):
-                    return (str(ds.directory), i, columns, lo_t, hi_t,
-                            int(max_level), str(workdir))
-
-                _run_checkpointed(
-                    _pass1_store_task, pending, task_of, par_workers, ck,
-                    "pass1", "stream_pass1",
-                )
-            else:
-                def count_one(i):
-                    _count_shard_cells(
-                        ds.chunk(i, columns), i, lo, hi, max_level, workdir
-                    )
-                    return i
-
-                _run_checkpointed(
-                    count_one, pending, lambda i: i, 1, ck, "pass1", "stream_pass1"
-                )
+            _run_steps(
+                _count_task, range(n_shards),
+                lambda i: (ds, i, columns, lo, hi, int(max_level), workdir),
+                workers, ck, "pass1", "stream_pass1",
+            )
         if ck is not None:
             ck.mark_done("pass1", n_shards=n_shards)
 
@@ -647,30 +612,11 @@ def partition_store(
         count("stream_partition_pass")
         with span("stream_partition_pass", which="scatter", shards=n_shards):
             _prepare_output(out, n, out_rows)
-            pending = [
-                i
-                for i in range(n_shards)
-                if ck is None or not ck.has_step("pass2", i)
-            ]
-            if par_workers > 1:
-                def task2_of(i):
-                    return (str(ds.directory), i, columns, lo_t, hi_t,
-                            int(max_level), str(workdir), str(out))
-
-                _run_checkpointed(
-                    _pass2_store_task, pending, task2_of, par_workers, ck,
-                    "pass2", "stream_pass2",
-                )
-            else:
-                def scatter_one(i):
-                    _scatter_shard_rows(
-                        ds.chunk(i), i, columns, lo, hi, max_level, workdir, out
-                    )
-                    return i
-
-                _run_checkpointed(
-                    scatter_one, pending, lambda i: i, 1, ck, "pass2", "stream_pass2"
-                )
+            _run_steps(
+                _scatter_task, range(n_shards),
+                lambda i: (ds, i, columns, lo, hi, int(max_level), workdir, out),
+                workers, ck, "pass2", "stream_pass2",
+            )
         if ck is not None:
             ck.mark_done("pass2")
 

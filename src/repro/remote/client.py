@@ -160,11 +160,16 @@ class VisualizationClient:
             sock = self._fault_plan.wrap_socket(sock)
         self.sock = sock
 
+    def _bump(self, key: str, inc: int = 1) -> None:
+        """Count one event: ``stats[key]`` and the ``remote_<key>``
+        trace counter move together."""
+        self.stats[key] += inc
+        count(f"remote_{key}", inc)
+
     def _reconnect(self) -> None:
         self.close()
         self._connect()
-        self.stats["reconnects"] += 1
-        count("remote_reconnects")
+        self._bump("reconnects")
 
     def close(self) -> None:
         if self.sock is not None:
@@ -196,8 +201,7 @@ class VisualizationClient:
         reconnect = False
         for attempt in range(self.retries + 1):
             if attempt:
-                self.stats["retries"] += 1
-                count("remote_retries")
+                self._bump("retries")
                 time.sleep(delay)
                 delay = decorrelated_jitter(
                     self._rng, self.backoff, self.backoff_max, delay
@@ -206,8 +210,7 @@ class VisualizationClient:
                     try:
                         self._reconnect()
                     except OSError as exc:
-                        self.stats["errors"] += 1
-                        count("remote_errors")
+                        self._bump("errors")
                         last = exc
                         continue
                     reconnect = False
@@ -216,32 +219,27 @@ class VisualizationClient:
                 protocol.send_message(self.sock, message)
                 reply = protocol.recv_message(self.sock)
             except (ProtocolError, OSError) as exc:
-                self.stats["errors"] += 1
-                count("remote_errors")
+                self._bump("errors")
                 last = exc
                 reconnect = True
                 continue
             elapsed = time.perf_counter() - t0
-            self.stats["bytes_received"] += len(reply.payload)
+            self._bump("bytes_received", len(reply.payload))
             self.stats["seconds"] += elapsed
             self._samples.append((len(reply.payload), elapsed))
-            count("remote_bytes_received", len(reply.payload))
             if reply.type == MessageType.BUSY:
                 retry_after, reason = protocol.decode_busy(reply.payload)
-                self.stats["busy"] += 1
-                count("remote_busy")
+                self._bump("busy")
                 last = ServiceBusyError(
                     reason or "service busy", retry_after=retry_after
                 )
                 delay = max(delay, retry_after)
                 continue
             if reply.type == MessageType.ERROR:
-                self.stats["errors"] += 1
-                count("remote_errors")
+                self._bump("errors")
                 raise RemoteError(f"server error: {reply.payload.decode()}")
             if reply.type != expected:
-                self.stats["errors"] += 1
-                count("remote_errors")
+                self._bump("errors")
                 raise RemoteError(f"expected {expected}, got {reply.type}")
             return reply
         raise RetryExhaustedError(
@@ -294,15 +292,13 @@ class VisualizationClient:
             cap = self._degrade_cap(resolution)
             if self._degrade_factor < cap:
                 self._degrade_factor = min(self._degrade_factor * 2, cap)
-                self.stats["degradations"] += 1
-                count("remote_degradations")
+                self._bump("degradations")
         elif bps >= 2.0 * self.degrade_below_bps:
             self._good_streak += 1
             if self._good_streak >= self.upshift_after and self._degrade_factor > 1:
                 self._degrade_factor //= 2
                 self._good_streak = 0
-                self.stats["upshifts"] += 1
-                count("remote_upshifts")
+                self._bump("upshifts")
         else:
             # inside the hysteresis band: hold the current quality
             self._good_streak = 0
@@ -329,10 +325,9 @@ class VisualizationClient:
         try:
             frame = protocol.decode_hybrid(reply.payload)
         except Exception:
-            self.stats["errors"] += 1
-            count("remote_errors")
+            self._bump("errors")
             raise
-        self.stats["frames"] += 1
+        self._bump("frames")
         return frame
 
     # ------------------------------------------------------------------
@@ -373,8 +368,7 @@ class VisualizationClient:
         """
         stream_id = self._next_stream_id
         self._next_stream_id += 1
-        self.stats["streams"] += 1
-        count("remote_streams")
+        self._bump("streams")
 
         def pull():
             reply = self._request(
@@ -389,8 +383,7 @@ class VisualizationClient:
             try:
                 return protocol.decode_lod_frame(reply.payload)
             except ProtocolError:
-                self.stats["errors"] += 1
-                count("remote_errors")
+                self._bump("errors")
                 raise
 
         with span("remote_stream_open", frame=frame_index, resolution=resolution):
@@ -417,7 +410,7 @@ class VisualizationClient:
                 plot_type=base.plot_type,
             )
 
-        self.stats["frames"] += 1
+        self._bump("frames")
         yield assembled()
         served = 0
         while max_refinements is None or served < max_refinements:
@@ -439,8 +432,7 @@ class VisualizationClient:
                 have_exact_volume = True
             else:
                 raise RemoteError(f"unexpected stream unit {kind.name}")
-            self.stats["refinements"] += 1
-            count("remote_refinements")
+            self._bump("refinements")
             served += 1
             yield assembled()
 

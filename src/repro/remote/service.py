@@ -362,6 +362,12 @@ class VisualizationService:
     def _default_extract(frame, threshold, resolution):
         return extract(frame, threshold, volume_resolution=resolution)
 
+    def _bump(self, key: str, inc: int = 1) -> None:
+        """Count one event: ``stats[key]`` and the ``service_<key>``
+        trace counter move together."""
+        self.stats[key] += inc
+        count(f"service_{key}", inc)
+
     # ------------------------------------------------------------------
     # lifecycle (thread-hosted event loop behind a blocking API)
     # ------------------------------------------------------------------
@@ -475,8 +481,7 @@ class VisualizationService:
             writer.close()
             return
         if len(self._sessions) >= self.max_sessions:
-            self.stats["sessions_shed"] += 1
-            count("service_sessions_shed")
+            self._bump("sessions_shed")
             try:
                 await asyncio.wait_for(
                     protocol.send_message_async(
@@ -497,8 +502,7 @@ class VisualizationService:
         self._next_sid += 1
         session = _Session(self._next_sid, reader, writer, self.queue_depth)
         self._sessions[session.sid] = session
-        self.stats["sessions_total"] += 1
-        count("service_sessions")
+        self._bump("sessions_total")
         session.worker = asyncio.ensure_future(self._session_worker(session))
         try:
             await self._session_reader(session)
@@ -523,16 +527,14 @@ class VisualizationService:
                 )
             except asyncio.TimeoutError:
                 # idle or slowloris: a message must arrive whole in time
-                self.stats["timeouts"] += 1
-                count("service_timeouts")
+                self._bump("timeouts")
                 return
             except TruncatedMessageError:
                 # the peer hung up (possibly mid-message): a disconnect,
                 # not stream damage -- don't count it as a protocol error
                 return
             except ProtocolError:
-                self.stats["protocol_errors"] += 1
-                count("service_protocol_errors")
+                self._bump("protocol_errors")
                 return
             except (ConnectionError, OSError):
                 return
@@ -540,20 +542,17 @@ class VisualizationService:
                 if msg.payload == self.shutdown_token:
                     self._stop_event.set()
                     return
-                self.stats["unauthorized_shutdowns"] += 1
-                count("service_unauthorized_shutdowns")
+                self._bump("unauthorized_shutdowns")
                 await self._reply(
                     session,
                     Message(MessageType.ERROR, b"unauthorized shutdown ignored"),
                 )
                 continue
-            self.stats["requests"] += 1
-            count("service_requests")
+            self._bump("requests")
             try:
                 session.queue.put_nowait((msg, time.perf_counter()))
             except asyncio.QueueFull:
-                self.stats["shed_requests"] += 1
-                count("service_shed_requests")
+                self._bump("shed_requests")
                 await self._reply(
                     session,
                     Message(
@@ -579,8 +578,7 @@ class VisualizationService:
             except asyncio.TimeoutError:
                 # deadline covers the reply write too: a session that
                 # stopped reading can't park this worker -- shed and move on
-                self.stats["timeouts"] += 1
-                count("service_timeouts")
+                self._bump("timeouts")
                 try:
                     await asyncio.wait_for(
                         self._reply(
@@ -600,8 +598,7 @@ class VisualizationService:
             except (ConnectionError, OSError):
                 return
             except Exception:
-                self.stats["handler_errors"] += 1
-                count("service_handler_errors")
+                self._bump("handler_errors")
             finally:
                 session.active = False
 
@@ -611,14 +608,13 @@ class VisualizationService:
         # served + shed == requests invariant is externally observable)
         if msg.type == MessageType.LIST_FRAMES:
             payload = protocol.encode_frame_list(f.step for f in self.frames)
-            self.stats["served"] += 1
+            self._bump("served")
             await self._reply(session, Message(MessageType.FRAME_LIST, payload))
         elif msg.type == MessageType.GET_HYBRID:
             try:
                 index, threshold, resolution = protocol.decode_get_hybrid(msg.payload)
             except ProtocolError as exc:
-                self.stats["protocol_errors"] += 1
-                count("service_protocol_errors")
+                self._bump("protocol_errors")
                 await self._reply(session, Message(MessageType.ERROR, str(exc).encode()))
                 return
             if not 0 <= index < len(self.frames):
@@ -637,13 +633,12 @@ class VisualizationService:
                     session, Message(MessageType.ERROR, str(exc).encode())
                 )
                 return
-            self.stats["served"] += 1
-            count("service_served")
+            self._bump("served")
             await self._reply(session, Message(MessageType.HYBRID_FRAME, payload))
         elif msg.type == MessageType.REFINE:
             await self._handle_refine(session, msg)
         elif msg.type == MessageType.GET_STATS:
-            self.stats["served"] += 1
+            self._bump("served")
             await self._reply(
                 session,
                 Message(MessageType.STATS, protocol.encode_stats(self.stats_snapshot())),
@@ -663,8 +658,7 @@ class VisualizationService:
         try:
             sid, index, threshold, resolution, eye = protocol.decode_refine(msg.payload)
         except ProtocolError as exc:
-            self.stats["protocol_errors"] += 1
-            count("service_protocol_errors")
+            self._bump("protocol_errors")
             await self._reply(session, Message(MessageType.ERROR, str(exc).encode()))
             return
         if not 0 <= index < len(self.frames):
@@ -699,8 +693,7 @@ class VisualizationService:
                     self._pool, self._open_stream, index, threshold, resolution, eye
                 )
                 session.streams[sid] = stream
-                self.stats["streams"] += 1
-                count("service_streams")
+                self._bump("streams")
             if stream.pos >= stream.total:
                 session.streams.pop(sid, None)
                 payload = protocol.encode_lod_frame(
@@ -712,16 +705,13 @@ class VisualizationService:
                     sid, kind, stream.pos, stream.total, unit_payload
                 )
                 stream.pos += 1
-                self.stats["refinements"] += 1
-                count("service_refinements")
+                self._bump("refinements")
         except Exception as exc:
             session.streams.pop(sid, None)
-            self.stats["extraction_errors"] += 1
-            count("service_extraction_errors")
+            self._bump("extraction_errors")
             await self._reply(session, Message(MessageType.ERROR, str(exc).encode()))
             return
-        self.stats["served"] += 1
-        count("service_served")
+        self._bump("served")
         await self._reply(session, Message(MessageType.LOD_FRAME, payload))
 
     def _open_stream(self, index, threshold, resolution, eye) -> _RefineStream:
@@ -751,11 +741,9 @@ class VisualizationService:
             key = ("lod_base", stream.index, stream.threshold, stream.resolution)
             payload = self.cache.get(key)
             if payload is not None:
-                self.stats["cache_hits"] += 1
-                count("service_cache_hits")
+                self._bump("cache_hits")
             else:
-                self.stats["cache_misses"] += 1
-                count("service_cache_misses")
+                self._bump("cache_misses")
                 payload = await loop.run_in_executor(
                     self._pool, self._build_base,
                     stream.index, stream.threshold, stream.resolution,
@@ -805,8 +793,7 @@ class VisualizationService:
             sent = await protocol.send_message_async(
                 session.writer, message, bandwidth_bps=self.bandwidth_bps
             )
-        self.stats["bytes_sent"] += sent
-        count("service_bytes_sent", sent)
+        self._bump("bytes_sent", sent)
 
     # ------------------------------------------------------------------
     # the shared coalescing extraction path
@@ -814,25 +801,21 @@ class VisualizationService:
     async def _get_encoded(self, index: int, threshold: float, resolution: int) -> bytes:
         key = (int(index), float(threshold), int(resolution))
         if not self.breaker.allow(index):
-            self.stats["quarantined"] += 1
-            count("service_quarantined")
+            self._bump("quarantined")
             raise RuntimeError(
                 f"frame {index} quarantined after repeated extraction failures"
             )
         payload = self.cache.get(key)
         if payload is not None:
-            self.stats["cache_hits"] += 1
-            count("service_cache_hits")
+            self._bump("cache_hits")
             return payload
         task = self._inflight.get(key)
         if task is None:
-            self.stats["cache_misses"] += 1
-            count("service_cache_misses")
+            self._bump("cache_misses")
             task = asyncio.ensure_future(self._compute(key))
             self._inflight[key] = task
         else:
-            self.stats["coalesced"] += 1
-            count("service_coalesced")
+            self._bump("coalesced")
         # shield: a waiter's cancellation (disconnect, deadline) must not
         # cancel the shared computation other sessions are waiting on
         return await asyncio.shield(task)
@@ -848,15 +831,13 @@ class VisualizationService:
                     )
                 payload = protocol.encode_hybrid(hybrid)
         except Exception:
-            self.stats["extraction_errors"] += 1
-            count("service_extraction_errors")
+            self._bump("extraction_errors")
             self.breaker.record_failure(index)
             raise
         finally:
             self._inflight.pop(key, None)
         self.breaker.record_success(index)
-        self.stats["extractions"] += 1
-        count("service_extractions")
+        self._bump("extractions")
         self.cache.put(key, payload)
         return payload
 

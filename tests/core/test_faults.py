@@ -8,7 +8,9 @@ worker.
 """
 
 import threading
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,17 @@ def _raise_on_three(x):
     if x == 3:
         raise ValueError("task three is broken")
     return x
+
+
+def _mark_or_fail_on_one(task):
+    """Shard 1 fails at once; every other shard takes 0.1 s and leaves
+    a marker file, so the markers count the shards that ran."""
+    i, marks = task
+    if i == 1:
+        raise ValueError("shard one is damaged")
+    time.sleep(0.1)
+    (Path(marks) / f"{i}.done").touch()
+    return i
 
 
 class TestFaultPlanDeterminism:
@@ -149,6 +162,14 @@ class TestRunShards:
         """A bug in the shard function must not be retried into a loop."""
         with pytest.raises(ValueError, match="task three"):
             run_shards(_raise_on_three, [1, 2, 3, 4], workers=2)
+
+    def test_task_error_cancels_unstarted_shards(self, tmp_path):
+        """A failing shard ends the pass: the shards no worker has
+        started are cancelled, not run before the error surfaces."""
+        tasks = [(i, str(tmp_path)) for i in range(24)]
+        with pytest.raises(ValueError, match="shard one"):
+            run_shards(_mark_or_fail_on_one, tasks, workers=2)
+        assert len(list(tmp_path.glob("*.done"))) < len(tasks) // 2
 
     def test_survives_one_worker_crash(self, tmp_path):
         tasks = list(range(6))

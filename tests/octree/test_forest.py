@@ -8,6 +8,7 @@ import repro.octree.forest as forest_mod
 from repro.core.checkpoint import Checkpoint
 from repro.core.dataset import as_dataset
 from repro.core.errors import FormatError
+from repro.core.store import create_store
 from repro.hybrid.renderer import HybridRenderer
 from repro.octree.extraction import extract
 from repro.octree.forest import ForestStore, partition_forest, render_forest
@@ -125,6 +126,28 @@ class TestPartitionForest:
         path.write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match=f"brick {entry['id']}: .* manifest says"):
             ForestStore.open(out).validate()
+
+
+class TestDamagedInput:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("explicit_bounds", [True, False], ids=["lo_hi", "data_bounds"])
+    def test_flipped_byte_raises_format_error(
+        self, particles, tmp_path, workers, explicit_bounds
+    ):
+        """One flipped byte in one input shard fails the forest
+        partition with a FormatError naming that shard at every worker
+        count, whether the bounds are given or read from the data."""
+        store = create_store(tmp_path / "src", particles, shard_rows=4096)
+        path = store.shard_path(2)
+        raw = bytearray(path.read_bytes())
+        raw[0] ^= 0x01  # lowest mantissa byte: the coordinate stays finite
+        path.write_bytes(bytes(raw))
+        bounds = dict(lo=[-10.0] * 3, hi=[10.0] * 3) if explicit_bounds else {}
+        with pytest.raises(FormatError, match=path.name):
+            partition_forest(
+                store, tmp_path / "f", "xyz", bricks=2, max_level=MAX_LEVEL,
+                capacity=CAPACITY, workers=workers, **bounds,
+            )
 
 
 class TestCrashResume:

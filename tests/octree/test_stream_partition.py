@@ -3,15 +3,22 @@
 import numpy as np
 import pytest
 
+import repro.octree.stream_partition as stream_mod
+from repro.core.checkpoint import Checkpoint
 from repro.core.dataset import as_dataset
-from repro.core.errors import SimulatedCrash
+from repro.core.errors import FormatError, SimulatedCrash
 from repro.core.faults import FaultPlan
 from repro.core.store import create_store
 from repro.core.trace import capture
 from repro.octree.extraction import extract
 from repro.octree.octree import morton_keys
 from repro.octree.partition import partition
-from repro.octree.stream_partition import NODES_FILE, PartitionedStore, partition_store
+from repro.octree.stream_partition import (
+    NODES_FILE,
+    PartitionedStore,
+    _count_task,
+    partition_store,
+)
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +98,63 @@ class TestEquivalence:
         assert tracer.gauges["peak_rss_bytes"] > 0
 
 
+class _FailOnShard:
+    """A pass-1 task that raises on one shard; module level so the
+    worker processes of ``workers=2`` can unpickle it."""
+
+    def __init__(self, shard: int):
+        self.shard = shard
+
+    def __call__(self, task):
+        if task[1] == self.shard:
+            raise RuntimeError(f"injected failure on shard {self.shard}")
+        return _count_task(task)
+
+
+class TestDamagedInput:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("explicit_bounds", [True, False], ids=["lo_hi", "data_bounds"])
+    def test_flipped_byte_raises_format_error(
+        self, tmp_path, particles, workers, explicit_bounds
+    ):
+        """One flipped byte in one input shard fails the partition with
+        a FormatError naming that shard at every worker count, whether
+        the bounds are given or read from the data."""
+        store = create_store(tmp_path / "src", particles, shard_rows=4096)
+        path = store.shard_path(3)
+        raw = bytearray(path.read_bytes())
+        raw[0] ^= 0x01  # lowest mantissa byte: the coordinate stays finite
+        path.write_bytes(bytes(raw))
+        bounds = dict(lo=[-10.0] * 3, hi=[10.0] * 3) if explicit_bounds else {}
+        with pytest.raises(FormatError, match=path.name):
+            partition_store(
+                store, tmp_path / "out", "xyz", max_level=5, capacity=48,
+                workers=workers, **bounds,
+            )
+
+
 class TestCheckpointResume:
+    def test_workers2_keeps_the_shards_before_the_failure(
+        self, tmp_path, store, incore, monkeypatch
+    ):
+        """At ``workers=2`` a pass-1 failure on shard k leaves shards
+        0..k-1 recorded in the checkpoint, and the resumed run is
+        byte-equal to the in-core partition."""
+        k = 3
+        assert store.n_shards > k + 1
+        ck = tmp_path / "ck"
+        kw = dict(max_level=5, capacity=48, workers=2, checkpoint_dir=ck)
+        monkeypatch.setattr(stream_mod, "_count_task", _FailOnShard(k))
+        with pytest.raises(RuntimeError, match="injected"):
+            partition_store(store, tmp_path / "out", "xyz", **kw)
+        assert sorted(Checkpoint(ck).steps("pass1")) == list(range(k))
+        monkeypatch.undo()
+
+        ps = partition_store(store, tmp_path / "out", "xyz", **kw)
+        assert_frames_identical(ps, incore)
+        assert ps.store.to_array().tobytes() == incore.particles.tobytes()
+        assert ps.nodes.tobytes() == incore.nodes.tobytes()
+
     def test_torn_write_then_resume_identical(self, tmp_path, store, incore):
         """A crash torn mid-write of a per-shard artifact must leave a
         resumable checkpoint; the resumed run matches the in-core

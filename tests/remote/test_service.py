@@ -19,6 +19,7 @@ import pytest
 from repro.core.dataset import as_dataset
 from repro.core.errors import RemoteError, RetryExhaustedError, ServiceBusyError
 from repro.core.faults import FaultPlan
+from repro.core.trace import capture
 from repro.octree.extraction import extract
 from repro.octree.partition import partition
 from repro.remote import protocol
@@ -398,6 +399,28 @@ class TestStats:
         for key in ("requests", "served", "shed_requests", "bytes_sent",
                     "timeouts", "quarantined", "uptime_s"):
             assert key in stats
+
+    def test_every_stats_event_reaches_the_trace(self, frames):
+        """Each reply kind bumps ``stats["served"]`` and the
+        ``service_served`` trace counter together, and every other
+        stats counter of the service and the client moves with its
+        ``service_<key>`` / ``remote_<key>`` trace counter."""
+        thr = float(np.percentile(frames[0].nodes["density"], 60))
+        with capture(enabled=True) as tracer:
+            with VisualizationService(frames) as service:
+                with VisualizationClient(service.address) as client:
+                    client.list_frames()
+                    client.get_stats()
+                    client.get_hybrid(0, thr, resolution=8)
+        # read after stop: a reply's bytes_sent lands once its write drains
+        stats = service.stats
+        assert stats["served"] == 3
+        assert tracer.counters["service_served"] == stats["served"]
+        for key, value in stats.items():
+            assert tracer.counters.get(f"service_{key}", 0) == value, key
+        for key, value in client.stats.items():
+            if key != "seconds":
+                assert tracer.counters.get(f"remote_{key}", 0) == value, key
 
     def test_snapshot_without_traffic(self, frames):
         with VisualizationService(frames) as service:

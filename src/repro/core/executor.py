@@ -15,6 +15,12 @@ exceptions raised *by the shard function itself* are not retried
 has started and re-raises as soon as it collects the error.  Only
 pool breakage is retried.
 
+When the parent's tracer is enabled, each task runs in its worker
+under :func:`repro.core.trace.capture`, and the parent merges the
+worker's spans and counters under the span that launched the pass, so
+a traced run counts the same at any worker count.  Untraced runs ship
+nothing.
+
 Recovery is visible in the tracer:
 
 - ``parallel_pool_breaks``     -- pools lost to worker death
@@ -39,12 +45,21 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 
-from repro.core.trace import count, span
+from repro.core.trace import capture, count, get_tracer, span
 
 __all__ = ["run_shards"]
 
 _UNSET = object()
+
+
+def _traced(fn, task):
+    """Run one task in a worker under a fresh tracer; return its result
+    and the tracer's snapshot."""
+    with capture(enabled=True) as tracer:
+        result = fn(task)
+    return result, tracer.snapshot()
 
 
 def run_shards(
@@ -78,6 +93,10 @@ def run_shards(
             out.append(r)
         return out
 
+    tracer = get_tracer()
+    traced = tracer.enabled
+    prefix = tracer.current_path()
+    submit_fn = partial(_traced, fn) if traced else fn
     results = [_UNSET] * len(tasks)
     pending = list(range(len(tasks)))
     attempt = 0
@@ -99,7 +118,7 @@ def run_shards(
         broke = False
         try:
             with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
-                futures = [(i, pool.submit(fn, tasks[i])) for i in pending]
+                futures = [(i, pool.submit(submit_fn, tasks[i])) for i in pending]
                 for i, future in futures:
                     try:
                         results[i] = future.result()
@@ -111,6 +130,9 @@ def run_shards(
                         # started rather than run the rest of the pass
                         pool.shutdown(cancel_futures=True)
                         raise
+                    if traced:
+                        results[i], snapshot = results[i]
+                        tracer.merge(snapshot, prefix=prefix)
                     if on_result is not None:
                         on_result(tasks[i], results[i])
         except BrokenProcessPool:

@@ -70,8 +70,11 @@ def _unit_direction(field_fn, pts: np.ndarray, floor: float):
     return v / safe[:, None], mag
 
 
-def _rk4_direction(field_fn, pts: np.ndarray, h: float, floor: float) -> np.ndarray:
-    k1, _ = _unit_direction(field_fn, pts, floor)
+def _rk4_direction(
+    field_fn, pts: np.ndarray, h: float, floor: float, k1: np.ndarray
+) -> np.ndarray:
+    """The RK4 direction from ``pts``, given ``k1``, the unit direction
+    there."""
     k2, _ = _unit_direction(field_fn, pts + 0.5 * h * k1, floor)
     k3, _ = _unit_direction(field_fn, pts + 0.5 * h * k2, floor)
     k4, _ = _unit_direction(field_fn, pts + h * k3, floor)
@@ -115,11 +118,14 @@ def _trace(field_fn, seeds, direction, step, max_steps, floor, loop_tolerance=No
     """The one RK4 stepping loop: advance every seed in lockstep.
 
     All active lines share each RK4 field evaluation; finished lines
-    drop out.  Every seed starts active, so a seed outside
-    ``field_fn.inside`` still takes its first step.  ``direction`` is a
-    scalar sign or a per-seed (N,) array of signs.  Returns the raw
-    trails (seed first, one vertex per accepted step) and their
-    terminations.
+    drop out.  A step makes 4 field evaluations: k2, k3, k4 and the
+    one at the new vertex, whose unit direction serves both the
+    magnitude test and, for a kept line, the next step's k1 (the seeds
+    take one evaluation up front).  Every seed starts active, so a seed
+    outside ``field_fn.inside`` still takes its first step.
+    ``direction`` is a scalar sign or a per-seed (N,) array of signs.
+    Returns the raw trails (seed first, one vertex per accepted step)
+    and their terminations.
     """
     seeds = np.atleast_2d(np.asarray(seeds, dtype=np.float64))
     n = len(seeds)
@@ -137,12 +143,15 @@ def _trace(field_fn, seeds, direction, step, max_steps, floor, loop_tolerance=No
         for istep in range(max_steps):
             if not active.any():
                 break
+            if istep == 0:
+                # unit direction at each line's last vertex: its next k1
+                k1 = _unit_direction(field_fn, p, floor)[0]
             idx = np.flatnonzero(active)
             h = signs[idx] * step
-            d = _rk4_direction(field_fn, p[idx], h, floor)
+            d = _rk4_direction(field_fn, p[idx], h, floor, k1[idx])
             p_new = p[idx] + h * d
             ins = field_fn.inside(p_new)
-            _, mag = _unit_direction(field_fn, p_new, floor)
+            unit, mag = _unit_direction(field_fn, p_new, floor)
             keep = ins & (mag >= floor)
             kept = idx[keep]
             buf[n_pts[kept], kept] = p_new[keep]
@@ -152,6 +161,7 @@ def _trace(field_fn, seeds, direction, step, max_steps, floor, loop_tolerance=No
                 terms[died] = np.where(ins[~keep], "weak", "domain")
                 active[died] = False
             p[kept] = p_new[keep]
+            k1[kept] = unit[keep]
             if loop_tolerance is not None and istep > 10:
                 # each row's norm as a 1-D vector (a BLAS dot): a
                 # row-wise norm rounds differently and can close a line

@@ -32,6 +32,9 @@ __all__ = [
     "make_multicell_structure",
 ]
 
+# ramp values per block of RadiusProfile.__call__ (z values x cells)
+_PROFILE_BLOCK = 1 << 16
+
 
 def squircle_disk(n: int) -> np.ndarray:
     """Map an (n+1)^2 grid on [-1, 1]^2 to the unit disk.
@@ -84,27 +87,37 @@ class RadiusProfile:
         return z0, z0 + self.cell_length
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        """Radius at axial positions z (vectorized)."""
+        """Radius at axial positions z (vectorized).
+
+        Every cell's ramps are evaluated together, a bounded block of z
+        at a time, so the temporaries stay a fixed size whatever the
+        length of ``z``."""
         z = np.asarray(z, dtype=np.float64)
-        r = np.full(z.shape, self.iris_radius)
         blend = self.blend_fraction * min(self.cell_length, self.iris_length)
         if blend <= 0.0:
+            r = np.full(z.shape, self.iris_radius)
             for i in range(self.n_cells):
                 z0, z1 = self.cell_z_range(i)
                 inside = (z >= z0) & (z <= z1)
                 r = np.where(inside, self.cell_radius, r)
             return r
-        for i in range(self.n_cells):
-            z0, z1 = self.cell_z_range(i)
-            # cosine ramp up at z0, down at z1
-            up = np.clip((z - (z0 - blend)) / (2 * blend), 0.0, 1.0)
-            down = np.clip(((z1 + blend) - z) / (2 * blend), 0.0, 1.0)
+        z0, z1 = np.array([self.cell_z_range(i) for i in range(self.n_cells)]).T[:, :, None]
+        flat = z.reshape(-1)
+        r = np.empty(flat.shape)
+        cols = max(_PROFILE_BLOCK // self.n_cells, 1)
+        for b in range(0, flat.size, cols):
+            zb, rb = flat[b : b + cols], r[b : b + cols]
+            # cosine ramp up at z0, down at z1, one row per cell
+            up = np.clip((zb - (z0 - blend)) / (2 * blend), 0.0, 1.0)
+            down = np.clip(((z1 + blend) - zb) / (2 * blend), 0.0, 1.0)
             s = 0.5 - 0.5 * np.cos(np.pi * up)
             e = 0.5 - 0.5 * np.cos(np.pi * down)
-            r = np.maximum(
-                r, self.iris_radius + (self.cell_radius - self.iris_radius) * np.minimum(s, e)
-            )
-        return r
+            ramp = self.iris_radius + (self.cell_radius - self.iris_radius) * np.minimum(s, e)
+            rb[...] = self.iris_radius
+            for row in ramp:
+                np.maximum(rb, row, out=rb)
+        # [()] turns a 0-d result into a scalar, as np.maximum would
+        return r.reshape(z.shape)[()]
 
 
 @dataclass(frozen=True)
@@ -209,10 +222,14 @@ class AcceleratorStructure:
         """r(theta, z) of the wall, including port bumps."""
         theta = np.asarray(theta, dtype=np.float64)
         z = np.asarray(z, dtype=np.float64)
+        return self._wall(theta, z, [port.angular_window(theta) for port in self.ports])
+
+    def _wall(self, theta, z, windows) -> np.ndarray:
+        """:meth:`wall_radius` given each port's angular window."""
         base = self.profile(z)
         s = np.ones(np.broadcast(theta, z).shape)
-        for port in self.ports:
-            s = s + port.bump * port.angular_window(theta) * port.axial_window(z)
+        for port, window in zip(self.ports, windows):
+            s = s + port.bump * window * port.axial_window(z)
         return base * s
 
     def inside(self, points: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
@@ -220,27 +237,35 @@ class AcceleratorStructure:
 
         ``rtol`` is a relative skin tolerance so points *on* the wall
         (e.g. the mesh's own surface vertices) count as inside."""
-        p = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        z_ok = (p[:, 2] >= -rtol * self.length) & (
-            p[:, 2] <= self.length * (1.0 + rtol)
-        )
-        theta = np.arctan2(p[:, 1], p[:, 0])
-        r = np.hypot(p[:, 0], p[:, 1])
-        wall = self.wall_radius(theta, np.clip(p[:, 2], 0.0, self.length))
-        return z_ok & (r <= wall * (1.0 + rtol))
+        return self._regions(points, rtol=rtol)[0]
 
     def port_region(self, port: Port, points: np.ndarray) -> np.ndarray:
         """Mask of points in the port's drive region (near the wall on
         the port side, within its z-range)."""
+        return self._regions(points, [port])[1][0]
+
+    def _regions(self, points, ports=(), rtol: float = 1e-9):
+        """The vacuum mask at ``points`` and the drive region of each of
+        ``ports``, from one evaluation of theta, r and the wall: the
+        helper behind :meth:`inside`, :meth:`port_region` and the
+        solver's masks."""
         p = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        z0, z1 = port.z_range
         theta = np.arctan2(p[:, 1], p[:, 0])
         r = np.hypot(p[:, 0], p[:, 1])
-        wall = self.wall_radius(theta, np.clip(p[:, 2], 0.0, self.length))
+        windows = [port.angular_window(theta) for port in self.ports]
+        wall = self._wall(theta, np.clip(p[:, 2], 0.0, self.length), windows)
+        z_ok = (p[:, 2] >= -rtol * self.length) & (
+            p[:, 2] <= self.length * (1.0 + rtol)
+        )
+        vacuum = z_ok & (r <= wall * (1.0 + rtol))
         near_wall = r >= 0.55 * wall
-        in_window = port.angular_window(theta) > 0.3
-        in_z = (p[:, 2] >= z0) & (p[:, 2] <= z1)
-        return near_wall & in_window & in_z & self.inside(p)
+        regions = []
+        for port in ports:
+            z0, z1 = port.z_range
+            in_window = port.angular_window(theta) > 0.3
+            in_z = (p[:, 2] >= z0) & (p[:, 2] <= z1)
+            regions.append(near_wall & in_window & in_z & vacuum)
+        return vacuum, regions
 
     def bounds(self):
         return self.mesh.bounds()

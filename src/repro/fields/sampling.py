@@ -15,6 +15,64 @@ import numpy as np
 __all__ = ["sample_staggered", "YeeSampler", "AnalyticSampler"]
 
 
+# points per gather: bounds the (8, B, C) index and value arrays
+_BLOCK = 4096
+
+
+class _Components:
+    """C staggered scalar components stored back to back in one flat
+    array, sampled trilinearly in one gather per block of points.
+
+    Component c has ``shapes[c]`` samples, its sample (0, 0, 0) at world
+    position ``origins[c]``, and samples spaced by ``cell``.  Every
+    value takes the per-element arithmetic of the one-component
+    trilinear sample, in its order, so a component reads the same bits
+    however many components share the call.
+    """
+
+    def __init__(self, flat, shapes, origins, cell):
+        dims = np.array(shapes, dtype=np.int64)            # (C, 3)
+        self.flat = flat
+        self.last = dims - 1
+        self.top = np.maximum(dims - 2, 0)
+        ny, nz = dims[:, 1], dims[:, 2]
+        self.strides = np.stack([ny * nz, nz, np.ones_like(nz)], axis=1)
+        self.starts = np.concatenate([[0], np.cumsum(dims.prod(axis=1))[:-1]])
+        self.origins = np.asarray(origins, dtype=np.float64).reshape(len(dims), 3)
+        self.cell = cell
+
+    def __call__(self, points) -> np.ndarray:
+        """(N, C) samples; a point outside a component's samples reads 0."""
+        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        out = np.empty((len(pts), len(self.origins)))
+        for b in range(0, len(pts), _BLOCK):
+            out[b : b + _BLOCK] = self._sample(pts[b : b + _BLOCK])
+        return out
+
+    def _sample(self, pts) -> np.ndarray:
+        rel = (pts[:, None, :] - self.origins) / self.cell       # (B, C, 3)
+        inside = np.all((rel >= 0.0) & (rel <= self.last), axis=2)
+        i0 = np.clip(np.floor(rel).astype(np.int64), 0, self.top)
+        f = np.clip(rel - i0, 0.0, 1.0)
+        # per axis: the lower and upper sample's flat offset, and weight
+        at = np.stack([i0, np.minimum(i0 + 1, self.last)]) * self.strides
+        w = np.stack([1 - f, f])                                 # (2, B, C, 3)
+        # corner a + 2b + 4c takes x sample a, y sample b, z sample c
+        idx = (
+            at[:, None, None, ..., 2] + at[None, :, None, ..., 1] + at[None, None, :, ..., 0]
+            + self.starts
+        )
+        terms = self.flat[idx] * w[None, None, :, ..., 0]
+        terms *= w[None, :, None, ..., 1]
+        terms *= w[:, None, None, ..., 2]
+        terms = terms.reshape(8, *inside.shape)
+        out = terms[0] + terms[1]
+        for term in terms[2:]:
+            out += term
+        out[~inside] = 0.0
+        return out
+
+
 def sample_staggered(
     arr: np.ndarray, origin: np.ndarray, cell: np.ndarray, points: np.ndarray
 ) -> np.ndarray:
@@ -23,30 +81,7 @@ def sample_staggered(
     ``origin`` is the world position of sample (0, 0, 0); samples are
     spaced by ``cell``.  Points outside return 0.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    rel = (pts - origin) / cell
-    shape = np.array(arr.shape)
-    inside = np.all((rel >= 0.0) & (rel <= shape - 1), axis=1)
-    i0 = np.clip(np.floor(rel).astype(np.int64), 0, np.maximum(shape - 2, 0))
-    f = np.clip(rel - i0, 0.0, 1.0)
-    out = np.zeros(len(pts))
-    ix, iy, iz = i0[:, 0], i0[:, 1], i0[:, 2]
-    jx = np.minimum(ix + 1, shape[0] - 1)
-    jy = np.minimum(iy + 1, shape[1] - 1)
-    jz = np.minimum(iz + 1, shape[2] - 1)
-    fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
-    out = (
-        arr[ix, iy, iz] * (1 - fx) * (1 - fy) * (1 - fz)
-        + arr[jx, iy, iz] * fx * (1 - fy) * (1 - fz)
-        + arr[ix, jy, iz] * (1 - fx) * fy * (1 - fz)
-        + arr[jx, jy, iz] * fx * fy * (1 - fz)
-        + arr[ix, iy, jz] * (1 - fx) * (1 - fy) * fz
-        + arr[jx, iy, jz] * fx * (1 - fy) * fz
-        + arr[ix, jy, jz] * (1 - fx) * fy * fz
-        + arr[jx, jy, jz] * fx * fy * fz
-    )
-    out[~inside] = 0.0
-    return out
+    return _Components(np.ravel(arr), [arr.shape], [origin], cell)(points)[:, 0]
 
 
 class YeeSampler:
@@ -55,7 +90,8 @@ class YeeSampler:
     The sampler holds *copies* of the component arrays, so it stays
     valid (a frozen snapshot) while the solver keeps stepping -- this
     is what "storing the precomputed field lines rather than the raw
-    data" operates on.
+    data" operates on.  The three copies are one flat array, and a
+    call samples all three components in one gather.
     """
 
     def __init__(self, solver, field: str = "E"):
@@ -64,18 +100,16 @@ class YeeSampler:
         self.field = field
         self.structure = solver.structure
         names = ("ex", "ey", "ez") if field == "E" else ("hx", "hy", "hz")
-        self._comps = [getattr(solver, n).copy() for n in names]
-        self._origins = [solver.component_origin(n) for n in names]
-        self._cell = solver.d.copy()
+        comps = [getattr(solver, n) for n in names]
+        self._components = _Components(
+            np.concatenate([c.ravel() for c in comps]),
+            [c.shape for c in comps],
+            [solver.component_origin(n) for n in names],
+            solver.d.copy(),
+        )
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return np.column_stack(
-            [
-                sample_staggered(c, o, self._cell, pts)
-                for c, o in zip(self._comps, self._origins)
-            ]
-        )
+        return self._components(points)
 
     def inside(self, points: np.ndarray) -> np.ndarray:
         return self.structure.inside(points)

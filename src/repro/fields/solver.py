@@ -16,6 +16,17 @@ RF power enters through *soft sources* in the input-port regions and
 is absorbed by a conductive sponge in output-port regions, emulating
 reflection/transmission through open ports.
 
+Tau3P's hex mesh covers only the structure's interior; here the Yee
+grid spans the structure's bounding box, and only 16 % of the E nodes
+of the 12-cell structure are vacuum.  :meth:`TimeDomainSolver.step`
+therefore updates only the *stepped box*: the index bounds of every
+vacuum E node (drive and sponge nodes are vacuum nodes), widened by 2
+cells on each side and clipped to the grid.  Outside that box the
+full-grid update only ever leaves +0.0 while every field value is
+finite, so the box step is then byte-equal to it (see
+:meth:`~TimeDomainSolver.step` for why and for what differs once a
+field overflows).
+
 Units: c = eps0 = mu0 = 1.
 """
 
@@ -127,17 +138,26 @@ class TimeDomainSolver:
         return self.lo + np.array(off) * self.d
 
     def _build_masks(self) -> None:
-        """Vacuum masks per E component and port drive/sponge masks."""
+        """Vacuum masks per E component, port drive/sponge masks, and
+        the stepped box.
+
+        The wall is evaluated once per E component; the port regions
+        come from the Ez evaluation.  ``_box`` maps each of the six
+        component names to the slices of its array over the box's
+        cells (``n + 1`` nodes along a node axis, ``n`` samples along a
+        staggered one).
+        """
+        structure = self.structure
         self._mask = {}
         for which in ("ex", "ey", "ez"):
             pts, shape = self._component_points(which)
-            self._mask[which] = self.structure.inside(pts).reshape(shape)
-        # drive: Ez sample points in input-port regions
-        pts, shape = self._component_points("ez")
+            vacuum, regions = structure._regions(pts, structure.ports if which == "ez" else ())
+            self._mask[which] = vacuum.reshape(shape)
+        # drive: Ez sample points (the last pass) in input-port regions
         drive = np.zeros(shape, dtype=bool)
         sponge = np.zeros(shape)
-        for port in self.structure.ports:
-            region = self.structure.port_region(port, pts).reshape(shape)
+        for port, region in zip(structure.ports, regions):
+            region = region.reshape(shape)
             if port.kind == "input":
                 drive |= region
             else:
@@ -145,6 +165,20 @@ class TimeDomainSolver:
         self._drive_mask = drive
         self._sponge = sponge
         self._n_drive = int(drive.sum())
+
+        vacuum = np.concatenate([np.argwhere(m) for m in self._mask.values()])
+        if len(vacuum):
+            lo = np.maximum(vacuum.min(axis=0) - 2, 0)
+            hi = np.minimum(vacuum.max(axis=0) + 2, self.shape)
+        else:
+            lo, hi = np.zeros(3, dtype=np.int64), np.array(self.shape)
+        self._box = {
+            name: tuple(
+                slice(a, b + (size > n))
+                for a, b, size, n in zip(lo, hi, getattr(self, name).shape, self.shape)
+            )
+            for name in ("ex", "ey", "ez", "hx", "hy", "hz")
+        }
 
     # ------------------------------------------------------------------
     # time stepping
@@ -157,11 +191,33 @@ class TimeDomainSolver:
         return self.drive_amplitude * ramp * np.sin(w * t)
 
     def step(self) -> None:
-        """One leapfrog step: H half-behind E, standard Yee ordering."""
+        """One leapfrog step: H half-behind E, standard Yee ordering.
+
+        Only the stepped box is updated: the full-grid update runs on
+        views of the six arrays, the masks, the drive and the sponge
+        over the box's cells, in the same operation order, so a box
+        edge acts as a PEC wall.  While every field value is finite
+        this is byte-equal to stepping the whole grid.  In the full
+        step an E node outside the vacuum is multiplied by 0 each
+        step, so it holds +0.0 or -0.0; an H node
+        stays +0.0 while every E node in its curl is +-0.0 (x - (+-0.0)
+        is +0.0 for x = +0.0); and a masked E node stays +0.0 while
+        every H node in its curl is +0.0.  So only the vacuum E nodes,
+        the H within one cell of them, and the masked E nodes within
+        one cell of those H ever differ from +0.0, and the box holds
+        them all, with a node to spare inside its edges.  Once a
+        value overflows to inf (a ``dt`` above the Courant limit), a
+        masked E node next to it becomes inf * 0 = NaN: the full step
+        spreads that NaN one cell a step over the whole grid, the box
+        step stops it at the box's edges, so the arrays then differ
+        outside the box.  Fields written outside the box are not
+        stepped.  ``dt`` is read on every step.
+        """
         dt = self.dt
         dx, dy, dz = self.d
-        ex, ey, ez = self.ex, self.ey, self.ez
-        hx, hy, hz = self.hx, self.hy, self.hz
+        box = self._box
+        ex, ey, ez = self.ex[box["ex"]], self.ey[box["ey"]], self.ez[box["ez"]]
+        hx, hy, hz = self.hx[box["hx"]], self.hy[box["hy"]], self.hz[box["hz"]]
 
         # -- update H from curl E -------------------------------------
         hx -= dt * (
@@ -188,16 +244,16 @@ class TimeDomainSolver:
         # -- port drive (soft source on Ez) ----------------------------
         t_mid = self.time + 0.5 * dt
         if self._n_drive:
-            ez[self._drive_mask] += dt * self._source_value(t_mid)
+            ez[self._drive_mask[box["ez"]]] += dt * self._source_value(t_mid)
 
         # -- output-port sponge (conductive absorber) ------------------
         if self.sponge_sigma > 0.0:
-            ez *= 1.0 / (1.0 + dt * self._sponge)
+            ez *= 1.0 / (1.0 + dt * self._sponge[box["ez"]])
 
         # -- PEC walls: tangential E vanishes outside the vacuum ------
-        ex *= self._mask["ex"]
-        ey *= self._mask["ey"]
-        ez *= self._mask["ez"]
+        ex *= self._mask["ex"][box["ex"]]
+        ey *= self._mask["ey"][box["ey"]]
+        ez *= self._mask["ez"][box["ez"]]
 
         self.time += dt
         self.step_count += 1

@@ -20,12 +20,21 @@ from repro.core.atomic import atomic_write_bytes
 from repro.core.errors import SimulatedCrash
 from repro.core.executor import run_shards
 from repro.core.faults import CrashAlways, CrashOnce, FaultPlan
-from repro.core.trace import capture
+from repro.core.store import create_store
+from repro.core.trace import capture, count, span
 
 
 # module level so ProcessPoolExecutor can pickle it
 def _square(x):
     return x * x
+
+
+def _counted_square(x):
+    """Square under a span, bumping two counters."""
+    with span("square"):
+        count("squares")
+        count("square_bytes", 8 * x)
+        return x * x
 
 
 def _raise_on_three(x):
@@ -190,6 +199,50 @@ class TestRunShards:
                 )
         assert results == [_square(t) for t in tasks]
         assert tracer.counters.get("parallel_serial_fallbacks", 0) == len(tasks)
+
+
+class TestWorkerTraces:
+    """A traced run counts the same at any worker count: each worker's
+    spans and counters are merged into the parent's tracer."""
+
+    def test_counters_and_spans_reach_the_parent(self):
+        tasks = list(range(6))
+        seen = {}
+        for workers in (1, 2):
+            with capture(enabled=True) as tracer:
+                with span("pass"):
+                    assert run_shards(_counted_square, tasks, workers=workers) == [
+                        x * x for x in tasks
+                    ]
+            seen[workers] = tracer.snapshot()
+        for snap in seen.values():
+            assert snap["counters"]["squares"] == len(tasks)
+            assert snap["counters"]["square_bytes"] == 8 * sum(tasks)
+            assert snap["spans"]["pass/square"]["count"] == len(tasks)
+
+    def test_untraced_run_ships_nothing(self):
+        with capture(enabled=False) as tracer:
+            assert run_shards(_counted_square, [1, 2, 3], workers=2) == [1, 4, 9]
+        assert tracer.snapshot()["counters"] == {} and tracer.snapshot()["spans"] == {}
+
+    def test_store_counters_equal_at_one_and_two_workers(self, tmp_path):
+        from repro.octree.stream_partition import partition_store
+
+        rng = np.random.default_rng(5)
+        particles = rng.normal(0.0, 1.0, (16 * 512, 6))
+        store = create_store(tmp_path / "store", particles, shard_rows=512)
+        assert store.n_shards == 16
+        names = ("store_shard_read", "store_shard_read_bytes", "store_shard_write")
+        seen = {}
+        for workers in (1, 2):
+            with capture(enabled=True) as tracer:
+                partition_store(
+                    store, tmp_path / f"part{workers}", max_level=4, capacity=64,
+                    workers=workers,
+                )
+            seen[workers] = [tracer.counters.get(name, 0) for name in names]
+        assert seen[1] == seen[2]
+        assert all(value > 0 for value in seen[1])
 
 
 class TestParallelSeedingUnderCrash:

@@ -1,14 +1,14 @@
 """Measurement helpers the benches report.
 
-Size accounting and frame-rate estimates; image metrics live in
-:mod:`repro.render.image`.
+Size accounting, frame-rate estimates and latency percentiles; image
+metrics live in :mod:`repro.render.image`.
 """
 
 from __future__ import annotations
 
 import time
 
-__all__ = ["size_report", "fps_estimate", "human_bytes", "Timer"]
+__all__ = ["size_report", "fps_estimate", "human_bytes", "percentile", "Timer"]
 
 _UNITS = ["B", "KB", "MB", "GB", "TB", "PB"]
 
@@ -44,6 +44,15 @@ def fps_estimate(render_fn, repeats: int = 3) -> float:
         render_fn()
         best = min(best, time.perf_counter() - t0)
     return 1.0 / best if best > 0 else float("inf")
+
+
+def percentile(sorted_values, q: float) -> float:
+    """Nearest-rank percentile of an ascending sequence:
+    ``sorted_values[min(int(q * n), n - 1)]``, or 0.0 when it is empty."""
+    n = len(sorted_values)
+    if n == 0:
+        return 0.0
+    return float(sorted_values[min(int(q * n), n - 1)])
 
 
 class Timer:

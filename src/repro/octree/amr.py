@@ -81,6 +81,15 @@ def _validate_geometry(bricks: int, brick_cells: int) -> tuple[int, int]:
     return bricks, brick_cells
 
 
+def _level_map(levels, bricks: int) -> np.ndarray:
+    """A contiguous int8 ``(bricks, bricks, bricks)`` level map;
+    ``ValueError`` for any other shape."""
+    levels = np.ascontiguousarray(levels, dtype=np.int8)
+    if levels.shape != (bricks,) * 3:
+        raise ValueError("levels must be (bricks, bricks, bricks)")
+    return levels
+
+
 def _offsets_from_levels(levels: np.ndarray, brick_cells: int):
     """Derive the flat data offset of each root brick (``-1`` = empty).
 
@@ -234,9 +243,7 @@ class AmrVolume:
         self.lo = np.asarray(lo, dtype=np.float64)
         self.hi = np.asarray(hi, dtype=np.float64)
         self.bricks, self.brick_cells = _validate_geometry(bricks, brick_cells)
-        self.levels = np.ascontiguousarray(levels, dtype=np.int8)
-        if self.levels.shape != (self.bricks,) * 3:
-            raise ValueError("levels must be (bricks, bricks, bricks)")
+        self.levels = _level_map(levels, self.bricks)
         self.offsets, self.total_cells = _offsets_from_levels(
             self.levels, self.brick_cells
         )
@@ -419,34 +426,9 @@ class AmrVolume:
 
 
 # ----------------------------------------------------------------------
-def _coord_chunks(frame, cutoff: int, volume_from: str):
-    """Yield (n, 3) coordinate blocks, mirroring ``_streamed_volume``'s
-    cutoff / ``volume_from`` row selection for both in-core frames and
-    shard-streaming stores."""
-    cols = list(frame.columns)
-    if hasattr(frame, "chunks"):
-        offset = 0
-        for chunk in frame.chunks():
-            n_rows = len(chunk)
-            if volume_from == "rest" and offset + n_rows <= cutoff:
-                offset += n_rows
-                continue
-            rows = chunk if volume_from == "all" else chunk[max(cutoff - offset, 0):]
-            if len(rows):
-                yield rows[:, cols]
-            offset += n_rows
-    else:
-        coords = frame.coords
-        src = coords if volume_from == "all" else coords[cutoff:]
-        if len(src):
-            yield src
-
-
 def build_amr(
     frame,
     *,
-    cutoff: int = 0,
-    volume_from: str = "all",
     bricks: int = 8,
     brick_cells: int = 8,
     max_refine: int = 2,
@@ -454,19 +436,20 @@ def build_amr(
     byte_budget: int | None = None,
     levels: np.ndarray | None = None,
 ) -> AmrVolume:
-    """Build an adaptive volume over a partitioned frame or store.
+    """Build an adaptive volume over every particle of a partitioned
+    frame or store.
 
-    Streamed shard-by-shard like ``_streamed_volume``: pass 1
-    histograms the chunks into root-brick counts and fixes the brick
-    manifest, pass 2 deposits each chunk into the preallocated flat
-    array -- peak memory is one shard plus the (byte-budgeted) volume.
-    ``levels`` skips pass 1 with an externally planned map (the forest
-    path plans globally, then each rank deposits only its owned
-    bricks).  When neither budget is given, ``byte_budget`` defaults to
+    Read through ``frame.chunks`` (one chunk in core, one per shard
+    for a store): pass 1 histograms the chunks into root-brick counts
+    and fixes the brick manifest, pass 2 deposits each chunk into the
+    preallocated flat array -- peak memory is one shard plus the
+    (byte-budgeted) volume.  ``levels`` skips pass 1 with an externally
+    planned map (the forest path plans globally, then each rank
+    deposits only its owned bricks); a map that is not
+    ``(bricks, bricks, bricks)`` raises ``ValueError`` before any
+    pass.  When neither budget is given, ``byte_budget`` defaults to
     the flat ``64^3`` float32 footprint -- equal memory by default.
     """
-    if volume_from not in ("all", "rest"):
-        raise ValueError("volume_from must be 'all' or 'rest'")
     bricks, brick_cells = _validate_geometry(bricks, brick_cells)
     lo = np.asarray(frame.lo, dtype=np.float64)
     hi = np.asarray(frame.hi, dtype=np.float64)
@@ -475,9 +458,7 @@ def build_amr(
         if refine_budget is None and byte_budget is None:
             byte_budget = 64**3 * 4
         with span("amr_plan", bricks=bricks):
-            counts = brick_particle_counts(
-                _coord_chunks(frame, cutoff, volume_from), lo, hi, bricks
-            )
+            counts = brick_particle_counts(frame.chunks(frame.columns), lo, hi, bricks)
             levels = plan_amr_levels(
                 counts,
                 brick_cells=brick_cells,
@@ -486,13 +467,13 @@ def build_amr(
                 byte_budget=byte_budget,
             )
     else:
-        levels = np.asarray(levels, dtype=np.int8)
+        levels = _level_map(levels, bricks)
 
     levels_flat = levels.reshape(-1)
     offsets, total_cells = _offsets_from_levels(levels, brick_cells)
     acc = np.zeros(total_cells, dtype=np.float64)
     with span("amr_deposit", bricks=bricks, cells=total_cells):
-        for coords in _coord_chunks(frame, cutoff, volume_from):
+        for coords in frame.chunks(frame.columns):
             _deposit_chunk(
                 coords, lo, hi, bricks, brick_cells, levels_flat, offsets, acc
             )

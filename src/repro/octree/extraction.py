@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.beams.spacecharge import deposit_cic
 from repro.core.trace import count, span
 from repro.hybrid.representation import HybridFrame
 from repro.octree.partition import PartitionedFrame
 
-__all__ = ["extract", "extraction_sizes", "threshold_for_point_budget"]
+__all__ = ["density_volume", "extract", "extraction_sizes", "threshold_for_point_budget"]
 
 
 def _halo_densities(nodes: np.ndarray, cutoff: int) -> np.ndarray:
@@ -42,37 +41,12 @@ def _halo_densities(nodes: np.ndarray, cutoff: int) -> np.ndarray:
     return np.repeat(nodes["density"], take)
 
 
-def _streamed_volume(frame, cutoff: int, res, volume_from: str) -> np.ndarray:
-    """Shard-by-shard CIC deposition over a partitioned store."""
-    grid = np.zeros(res)
-    cols = list(frame.columns)
-    offset = 0
-    for chunk in frame.chunks():
-        n_rows = len(chunk)
-        if volume_from == "rest" and offset + n_rows <= cutoff:
-            offset += n_rows
-            continue
-        rows = chunk if volume_from == "all" else chunk[max(cutoff - offset, 0):]
-        if len(rows):
-            deposit_cic(rows[:, cols], res, frame.lo, frame.hi, out=grid)
-        offset += n_rows
-    return grid
-
-
-def _density_volume(frame, cutoff: int, resolution: int, volume_from: str) -> np.ndarray:
-    """The extraction's f4 density volume: CIC counts over the cell
-    volume.  A partitioned store's all-particle counts are its stored
-    volume; ``volume_from="rest"`` and in-core frames deposit."""
-    res = (int(resolution),) * 3
-    if isinstance(frame, PartitionedFrame):
-        coords = frame.coords
-        vol_src = coords if volume_from == "all" else coords[cutoff:]
-        counts = deposit_cic(vol_src, res, frame.lo, frame.hi) if len(vol_src) else np.zeros(res)
-    elif volume_from == "all":
-        counts = frame.volume_counts(res[0])
-    else:
-        counts = _streamed_volume(frame, cutoff, res, "rest")
-    cell_volume = float(np.prod((frame.hi - frame.lo) / (np.array(res) - 1)))
+def density_volume(counts: np.ndarray, lo, hi) -> np.ndarray:
+    """The f4 density volume of a node-centered CIC count grid over the
+    box ``[lo, hi]``: each count over the grid's cell volume.  The one
+    counts-to-density step of extraction, the forest's shared grid,
+    the LOD coarse volume and a stream's VOLUME unit."""
+    cell_volume = float(np.prod((hi - lo) / (np.array(counts.shape) - 1)))
     return (counts / cell_volume).astype(np.float32)
 
 
@@ -81,13 +55,11 @@ def extract(
     threshold_density: float,
     *,
     volume_resolution: int = 64,
-    volume_from: str = "all",
     point_attributes=(),
     adaptive: bool = False,
     amr_bricks: int = 8,
     amr_brick_cells: int = 8,
     amr_max_refine: int = 2,
-    amr_refine_budget: int | None = None,
     amr_byte_budget: int | None = None,
 ) -> HybridFrame:
     """Extract a hybrid representation at a threshold density.
@@ -95,20 +67,18 @@ def extract(
     Parameters
     ----------
     frame : a partitioned frame (nodes and particles density-sorted) --
-        either an in-core :class:`PartitionedFrame` or an out-of-core
-        :class:`repro.octree.stream_partition.PartitionedStore`, whose
-        halo prefix is read shard-by-shard and whose all-particle
-        density volume is the store's own
-        (:meth:`~repro.octree.stream_partition.PartitionedStore.volume_counts`,
-        binned shard-by-shard on first use; peak memory stays at one
-        shard plus the halo, never the full frame)
+        an in-core :class:`PartitionedFrame` or an out-of-core
+        :class:`repro.octree.stream_partition.PartitionedStore`; both
+        answer ``read_prefix`` (the halo prefix), ``chunks`` and
+        ``volume_counts`` (the all-particle CIC counts, which a store
+        bins shard-by-shard on first use and then keeps; peak memory
+        stays at one shard plus the halo, never the full frame)
     threshold_density : nodes with density strictly below this store
         their particles explicitly; NaN raises ``ValueError``
     volume_resolution : density volume grid size per axis (paper: 64^3
-        for the mixed rendering, 256^3 for the volume-only comparison)
-    volume_from : "all" deposits every particle into the volume
-        (regions may overlap, per Figure 3); "rest" deposits only the
-        non-point remainder (disjoint regions)
+        for the mixed rendering, 256^3 for the volume-only comparison);
+        every particle is deposited, so the volume- and point-rendered
+        regions may overlap (Figure 3)
     point_attributes : names of derived per-point quantities to carry
         (see :mod:`repro.hybrid.attributes`) -- the paper's "some
         dynamically calculated property ... such as temperature or
@@ -122,27 +92,21 @@ def extract(
     amr_bricks, amr_brick_cells, amr_max_refine : AMR brick geometry
         (root bricks per axis, level-0 cells per brick axis, deepest
         refinement level)
-    amr_refine_budget, amr_byte_budget : refinement criterion (at most
-        one; see :func:`repro.octree.amr.plan_amr_levels`).  When
-        neither is given the byte budget defaults to the flat volume's
-        own footprint (``volume_resolution^3 * 4``) -- equal memory.
+    amr_byte_budget : the refinement budget in payload bytes (see
+        :func:`repro.octree.amr.plan_amr_levels`); defaults to the flat
+        volume's own footprint (``volume_resolution^3 * 4``) -- equal
+        memory.
 
     Tuning arguments are keyword-only; passing them positionally
     raises ``TypeError`` (the one-release ``DeprecationWarning`` shim
     was removed).
     """
-    if volume_from not in ("all", "rest"):
-        raise ValueError("volume_from must be 'all' or 'rest'")
     if np.isnan(threshold_density):
         raise ValueError("threshold_density must not be NaN")
-    streaming = not isinstance(frame, PartitionedFrame)
 
-    with span("point_prefix", streaming=streaming):
+    with span("point_prefix"):
         cutoff = frame.density_cutoff_index(threshold_density)
-        if streaming:
-            halo_particles = frame.read_prefix(cutoff)
-        else:
-            halo_particles = frame.particles[:cutoff]
+        halo_particles = frame.read_prefix(cutoff)
         halo = halo_particles[:, list(frame.columns)]
         halo_dens = _halo_densities(frame.nodes, cutoff)
     attributes = {}
@@ -152,24 +116,21 @@ def extract(
         with span("point_attributes"):
             attributes = compute_attributes(halo_particles, point_attributes)
 
-    with span("volume_deposit", resolution=int(volume_resolution), streaming=streaming):
-        volume = _density_volume(frame, cutoff, volume_resolution, volume_from)
+    with span("volume_deposit", resolution=int(volume_resolution)):
+        volume = density_volume(frame.volume_counts(int(volume_resolution)), frame.lo, frame.hi)
     count("points_extracted", cutoff)
 
     meta = {}
     if adaptive:
         from repro.octree.amr import build_amr
 
-        if amr_refine_budget is None and amr_byte_budget is None:
+        if amr_byte_budget is None:
             amr_byte_budget = int(volume_resolution) ** 3 * 4
         meta["amr"] = build_amr(
             frame,
-            cutoff=cutoff,
-            volume_from=volume_from,
             bricks=amr_bricks,
             brick_cells=amr_brick_cells,
             max_refine=amr_max_refine,
-            refine_budget=amr_refine_budget,
             byte_budget=amr_byte_budget,
         )
 
@@ -209,7 +170,6 @@ def extraction_sizes(
     amr_bricks: int = 8,
     amr_brick_cells: int = 8,
     amr_max_refine: int = 2,
-    amr_refine_budget: int | None = None,
     amr_byte_budget: int | None = None,
 ):
     """File-size / point-count table across a threshold sweep.
@@ -229,23 +189,17 @@ def extraction_sizes(
     out = []
     amr_bytes = 0
     if adaptive:
-        from repro.octree.amr import (
-            _coord_chunks,
-            amr_plan_nbytes,
-            brick_particle_counts,
-            plan_amr_levels,
-        )
+        from repro.octree.amr import amr_plan_nbytes, brick_particle_counts, plan_amr_levels
 
-        if amr_refine_budget is None and amr_byte_budget is None:
+        if amr_byte_budget is None:
             amr_byte_budget = int(volume_resolution) ** 3 * 4
         counts = brick_particle_counts(
-            _coord_chunks(frame, 0, "all"), frame.lo, frame.hi, amr_bricks
+            frame.chunks(frame.columns), frame.lo, frame.hi, amr_bricks
         )
         levels = plan_amr_levels(
             counts,
             brick_cells=amr_brick_cells,
             max_refine=amr_max_refine,
-            refine_budget=amr_refine_budget,
             byte_budget=amr_byte_budget,
         )
         amr_bytes = amr_plan_nbytes(levels, amr_brick_cells)

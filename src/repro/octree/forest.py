@@ -59,6 +59,7 @@ from repro.core.errors import FormatError
 from repro.core.executor import run_shards
 from repro.core.store import DEFAULT_SHARD_ROWS, ShardedStore, shard_name, write_manifest
 from repro.core.trace import count, gauge_peak_rss, span
+from repro.octree.extraction import _halo_densities, density_volume, extract
 from repro.octree.octree import check_build, morton_keys, plot_columns
 from repro.octree.partition import PartitionedFrame
 from repro.octree.stream_partition import (
@@ -569,8 +570,6 @@ def _brick_extract_task(task):
     sum.  With ``amr_bricks`` set, the brick's particles are also
     histogrammed into the global AMR root grid so the parent can plan
     one shared brick manifest."""
-    from repro.octree.extraction import _halo_densities
-
     brick_dir, brick_id, threshold, res, work_dir, amr_bricks = task
     with span("forest_brick_render", which="extract", brick=int(brick_id)):
         ps = PartitionedStore.open(brick_dir)
@@ -580,10 +579,10 @@ def _brick_extract_task(task):
         counts = ps.volume_counts(int(res))
         amr_hist = None
         if amr_bricks:
-            from repro.octree.amr import _coord_chunks, brick_particle_counts
+            from repro.octree.amr import brick_particle_counts
 
             amr_hist = brick_particle_counts(
-                _coord_chunks(ps, 0, "all"), ps.lo, ps.hi, int(amr_bricks)
+                ps.chunks(ps.columns), ps.lo, ps.hi, int(amr_bricks)
             )
         nz = np.nonzero(counts)
         if nz[0].size:
@@ -742,8 +741,6 @@ def render_forest(
             amr_byte_budget = int(volume_resolution) ** 3 * 4
 
     if mode == "gather":
-        from repro.octree.extraction import extract
-
         frame = forest.to_partitioned_frame()
         hybrid = extract(
             frame,
@@ -794,10 +791,7 @@ def render_forest(
                 point_maxes.append(pmax)
             if hist is not None:
                 amr_hist = hist if amr_hist is None else amr_hist + hist
-        cell_volume = float(
-            np.prod((forest.hi - forest.lo) / (np.array((res,) * 3) - 1))
-        )
-        volume32 = (counts / cell_volume).astype(np.float32)
+        volume32 = density_volume(counts, forest.lo, forest.hi)
         candidates = [float(volume32.max())] if volume32.size else []
         candidates += point_maxes
         dmax = renderer.max_density

@@ -63,6 +63,7 @@ import numpy as np
 from repro.core.errors import FormatError
 from repro.core.store import attach_lod_manifest
 from repro.core.trace import count, span
+from repro.octree.extraction import density_volume
 from repro.octree.octree import morton_decode
 
 __all__ = ["build_lod", "LodHierarchy", "node_centers"]
@@ -410,22 +411,18 @@ class LodHierarchy:
                 self._mips[k] = self._read_file(_mip_file(k), "<f8").reshape(m, m, m)
         return self._mips[k]
 
-    def _cell_volume(self, res: int) -> float:
-        lo, hi = self.pstore.lo, self.pstore.hi
-        return float(np.prod((hi - lo) / (np.array((res,) * 3) - 1)))
-
     def coarse_volume(self, resolution: int) -> np.ndarray:
         """An approximate f4 density volume at the requested
         resolution, nearest-neighbor resampled from the coarsest mip
         -- the one-round-trip first image."""
         k = self.mip_levels - 1
         m = self.mip_base >> k
-        density = self.mip(k) / self._cell_volume(m)
+        density = density_volume(self.mip(k), self.pstore.lo, self.pstore.hi)
         r = int(resolution)
         idx = np.clip(
             np.rint(np.arange(r) * (m - 1) / max(r - 1, 1)).astype(np.int64), 0, m - 1
         )
-        return density[np.ix_(idx, idx, idx)].astype(np.float32)
+        return density[np.ix_(idx, idx, idx)]
 
     # ------------------------------------------------------------------
     def schedule(self, n_nodes: int, eye, unit_points: int = 8192):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.beams.spacecharge import deposit_cic
 from repro.core.trace import count, span
 from repro.octree.format import _check_node_table
 from repro.octree.octree import (
@@ -41,6 +42,10 @@ __all__ = ["PartitionedFrame", "partition"]
 @dataclass
 class PartitionedFrame:
     """A density-sorted, octree-partitioned particle frame.
+
+    It answers the three calls extraction makes of any partitioned
+    frame, as :class:`repro.octree.stream_partition.PartitionedStore`
+    does: :meth:`read_prefix`, :meth:`chunks` and :meth:`volume_counts`.
 
     Attributes
     ----------
@@ -89,6 +94,20 @@ class PartitionedFrame:
         length -- the key property extraction exploits."""
         n_below = int(np.searchsorted(self.nodes["density"], threshold_density, side="left"))
         return int(self.nodes["count"][:n_below].sum())
+
+    def read_prefix(self, n_particles: int) -> np.ndarray:
+        """The first ``n_particles`` rows of the particle file, as a view."""
+        return self.particles[: int(n_particles)]
+
+    def chunks(self, columns=None):
+        """The particle file (optionally only the given columns) as one
+        chunk; a store yields one per shard."""
+        yield self.particles if columns is None else self.particles[:, list(columns)]
+
+    def volume_counts(self, resolution: int) -> np.ndarray:
+        """The all-particle CIC count grid at ``resolution`` per axis,
+        deposited on each call (a store keeps its grid on disk)."""
+        return deposit_cic(self.coords, (int(resolution),) * 3, self.lo, self.hi)
 
     def validate(self) -> None:
         """Cheap structural invariants; raises FormatError on damage."""

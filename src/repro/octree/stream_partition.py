@@ -53,6 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.beams.spacecharge import deposit_cic
 from repro.core.atomic import atomic_write_bytes
 from repro.core.checkpoint import Checkpoint
 from repro.core.dataset import as_dataset
@@ -67,7 +68,6 @@ from repro.core.store import (
     write_manifest,
 )
 from repro.core.trace import count, gauge_peak_rss, span
-from repro.octree.extraction import _streamed_volume
 from repro.octree.format import _check_node_table, read_nodes_file, write_nodes_file
 from repro.octree.octree import (
     check_build,
@@ -216,12 +216,14 @@ class PartitionedStore:
         """The all-particle CIC count grid at ``resolution`` per axis.
 
         The first call at a resolution deposits every particle, shard
-        by shard, and saves the f8 grid as ``volume_<resolution>.bin``
-        in the store directory; every later call, in any process,
-        reads that file instead.  The file is bound to this store's
-        commit (shard CRCs and node table), so one left by an earlier
-        partition in the same directory is re-deposited and replaced;
-        a damaged one raises :class:`FormatError`.  All volume files
+        by shard into one f8 grid, and saves it as
+        ``volume_<resolution>.bin`` in the store directory; every later
+        call, in any process, reads that file instead (an in-core
+        :class:`PartitionedFrame` deposits on each call).  The file is
+        bound to this store's commit (shard CRCs and node table), so
+        one left by an earlier partition in the same directory is
+        re-deposited and replaced; a damaged one raises
+        :class:`FormatError`.  All volume files
         together stay within the particle payload (``n * 48`` bytes):
         a grid that does not fit, or whose write fails with an
         ``OSError`` (a read-only store), is returned unsaved.
@@ -232,7 +234,9 @@ class PartitionedStore:
         if grid is not None:
             count("volume_file_hits")
             return grid
-        grid = _streamed_volume(self, 0, (res,) * 3, "all")
+        grid = np.zeros((res,) * 3)
+        for coords in self.chunks(self.columns):
+            deposit_cic(coords, grid.shape, self.lo, self.hi, out=grid)
         count("volume_deposits")
         head = _VOLUME_FIELDS.pack(_VOLUME_MAGIC, res, self._volume_binding())
         payload = np.ascontiguousarray(grid, dtype="<f8").tobytes()

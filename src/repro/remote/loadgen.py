@@ -36,6 +36,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
+from repro.core.metrics import percentile
 from repro.remote import protocol
 from repro.remote.protocol import Message, MessageType
 
@@ -87,10 +88,7 @@ class FleetReport:
 
     def percentile(self, q: float) -> float:
         """Nearest-rank latency percentile over all served requests."""
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        return ordered[min(int(q * len(ordered)), len(ordered) - 1)]
+        return percentile(sorted(self.latencies), q)
 
     def summary(self) -> dict:
         """Scalar digest (the shape persisted in BENCH_service.json)."""

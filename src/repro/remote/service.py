@@ -61,9 +61,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.core.errors import ProtocolError, TruncatedMessageError
+from repro.core.metrics import percentile
 from repro.core.trace import count, span
 from repro.hybrid.representation import HybridFrame
-from repro.octree.extraction import _density_volume, extract
+from repro.octree.extraction import density_volume, extract
 from repro.remote import protocol
 from repro.remote.protocol import LodKind, Message, MessageType
 
@@ -759,9 +760,9 @@ class VisualizationService:
             )
             return LodKind.POINTS, protocol.encode_lod_points(rows, pts, dens)
         # the exact volume: extract's, at the stream's resolution
+        frame, res = self.frames[stream.index], stream.resolution
         volume = await loop.run_in_executor(
-            self._pool, _density_volume,
-            self.frames[stream.index], 0, stream.resolution, "all",
+            self._pool, lambda: density_volume(frame.volume_counts(res), frame.lo, frame.hi)
         )
         return LodKind.VOLUME, protocol.encode_lod_volume(volume)
 
@@ -860,16 +861,8 @@ class VisualizationService:
             cache_bytes=self.cache.nbytes,
             cache_hit_rate=(hits / (hits + misses)) if hits + misses else 0.0,
             queue_depth=sum(s.queue.qsize() for s in self._sessions.values()),
-            p50_ms=_percentile(lat, 0.50) * 1e3,
-            p99_ms=_percentile(lat, 0.99) * 1e3,
+            p50_ms=percentile(lat, 0.50) * 1e3,
+            p99_ms=percentile(lat, 0.99) * 1e3,
             uptime_s=time.monotonic() - self._t_started,
         )
         return snap
-
-
-def _percentile(sorted_values, q: float) -> float:
-    """Nearest-rank percentile of an ascending list (0.0 when empty)."""
-    if not sorted_values:
-        return 0.0
-    i = min(int(q * len(sorted_values)), len(sorted_values) - 1)
-    return float(sorted_values[i])

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.core.metrics import Timer, fps_estimate, human_bytes, size_report
+from repro.core.metrics import Timer, fps_estimate, human_bytes, percentile, size_report
 
 
 class TestHumanBytes:
@@ -39,3 +39,34 @@ class TestTiming:
         with Timer() as t:
             time.sleep(0.01)
         assert t.seconds >= 0.009
+
+
+class TestPercentile:
+    """Nearest rank: ``sorted[min(int(q * n), n - 1)]``, 0.0 when empty --
+    the one formula behind the service's STATS and the fleet report."""
+
+    def test_empty(self):
+        for q in (0.0, 0.5, 0.99, 1.0):
+            assert percentile([], q) == 0.0
+
+    def test_one_sample(self):
+        for q in (0.0, 0.5, 0.99, 1.0):
+            assert percentile([0.25], q) == 0.25
+
+    def test_hundred_samples(self):
+        values = [i / 100 for i in range(100)]
+        assert percentile(values, 0.0) == 0.0
+        assert percentile(values, 0.5) == 0.5
+        assert percentile(values, 0.505) == 0.5
+        assert percentile(values, 0.99) == 0.99
+        assert percentile(values, 1.0) == 0.99
+        assert type(percentile(values, 0.5)) is float
+
+    def test_fleet_report_summary(self):
+        from repro.remote.loadgen import FleetReport
+
+        values = [i / 100 for i in range(100)]
+        report = FleetReport(latencies=values[::-1])
+        summary = report.summary()
+        assert (summary["p50_s"], summary["p99_s"]) == (0.5, 0.99)
+        assert FleetReport().summary()["p99_s"] == 0.0

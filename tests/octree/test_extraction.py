@@ -46,22 +46,12 @@ class TestExtract:
 
     def test_volume_mass_conserved(self, frame):
         """'all' mode deposits every particle into the volume."""
-        h = extract(frame, 0.0, volume_resolution=16, volume_from="all")
+        h = extract(frame, 0.0, volume_resolution=16)
         res = np.array(h.volume.shape)
         cell_vol = np.prod((h.hi - h.lo) / (res - 1))
         assert float(h.volume.sum()) * cell_vol == pytest.approx(
             frame.n_particles, rel=1e-5
         )
-
-    def test_volume_from_rest_excludes_points(self, frame):
-        thr = float(np.percentile(frame.nodes["density"], 60))
-        h_all = extract(frame, thr, volume_resolution=16, volume_from="all")
-        h_rest = extract(frame, thr, volume_resolution=16, volume_from="rest")
-        assert h_rest.volume.sum() < h_all.volume.sum()
-
-    def test_bad_volume_from(self, frame):
-        with pytest.raises(ValueError):
-            extract(frame, 1.0, volume_from="some")
 
     def test_point_densities_below_threshold(self, frame):
         thr = float(np.percentile(frame.nodes["density"], 70))

@@ -227,13 +227,6 @@ class TestStreamingExtraction:
             img_a.rgba.astype(np.float32), img_b.rgba.astype(np.float32), maxulp=1
         )
 
-    def test_volume_from_rest(self, tmp_path, store, incore):
-        ps = partition_store(store, tmp_path / "out", "xyz", max_level=5, capacity=48)
-        threshold = float(np.percentile(incore.nodes["density"], 60))
-        a = extract(incore, threshold, volume_resolution=16, volume_from="rest")
-        b = extract(ps, threshold, volume_resolution=16, volume_from="rest")
-        np.testing.assert_array_max_ulp(a.volume, b.volume, maxulp=1)
-
     def test_point_attributes_streaming(self, tmp_path, store, incore):
         ps = partition_store(store, tmp_path / "out", "xyz", max_level=5, capacity=48)
         threshold = float(np.percentile(incore.nodes["density"], 60))

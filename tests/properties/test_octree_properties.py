@@ -113,7 +113,7 @@ class TestPartitionProperties:
     def test_extraction_conserves_mass(self, particles, q):
         pf = partition(as_dataset(particles), "xyz", max_level=4, capacity=16)
         t = float(np.quantile(pf.nodes["density"], q))
-        h = extract(pf, t, volume_resolution=8, volume_from="all")
+        h = extract(pf, t, volume_resolution=8)
         res = np.array(h.volume.shape)
         cell_vol = float(np.prod((h.hi - h.lo) / (res - 1)))
         np.testing.assert_allclose(

@@ -429,6 +429,13 @@ class TestStats:
         assert snap["p50_ms"] == 0.0
         assert snap["sessions_total"] == 0
 
+    def test_snapshot_percentiles_are_nearest_rank(self, frames):
+        with VisualizationService(frames) as service:
+            service._latencies.extend(i / 1e5 for i in range(99, -1, -1))
+            snap = service.stats_snapshot()
+        assert snap["p50_ms"] == 50 / 1e5 * 1e3
+        assert snap["p99_ms"] == 99 / 1e5 * 1e3
+
 
 class TestLifecycle:
     def test_stop_idempotent(self, frames):

@@ -62,13 +62,29 @@ class TestExtractContract:
     def test_positional_tuning_raises(self, frame):
         t = float(np.percentile(frame.nodes["density"], 50))
         with pytest.raises(TypeError):
-            extract(frame, t, 16, "rest")
+            extract(frame, t, 16)
 
     def test_keyword_shape_is_silent(self, frame):
         t = float(np.percentile(frame.nodes["density"], 50))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            extract(frame, t, volume_resolution=16, volume_from="rest")
+            extract(frame, t, volume_resolution=16)
+
+    def test_volume_from_raises(self, frame):
+        """The test-only ``volume_from`` knob is gone: every extraction
+        deposits all particles into its volume."""
+        with pytest.raises(TypeError):
+            extract(frame, 1.0, volume_resolution=16, volume_from="rest")
+
+    def test_build_amr_cutoff_raises(self, frame):
+        """``build_amr`` always covers every particle; its ``cutoff``
+        and ``volume_from`` parameters are gone."""
+        from repro.octree.amr import build_amr
+
+        with pytest.raises(TypeError):
+            build_amr(frame, cutoff=10)
+        with pytest.raises(TypeError):
+            build_amr(frame, volume_from="all")
 
 
 class TestRenderMixedContract:

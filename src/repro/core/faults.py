@@ -123,11 +123,13 @@ class FaultPlan:
 class FaultySocket:
     """A socket proxy that injects the plan's stream faults.
 
-    Receive-side opportunities (per ``recv`` call): latency, drop,
-    corruption (one flipped byte), truncation (prefix delivered, link
-    closed).  Send-side opportunities (per ``sendall``): drop.  All
-    other attributes delegate to the wrapped socket, so the proxy can
-    stand in anywhere a socket is used.
+    Receive-side opportunities (per ``recv`` or ``recv_into`` call):
+    latency, drop, corruption (one flipped byte), truncation (prefix
+    delivered, link closed).  ``recv`` is ``recv_into`` on a fresh
+    buffer, so both draw the same decisions in the same order.
+    Send-side opportunities (per ``sendall``): drop.  All other
+    attributes delegate to the wrapped socket, so the proxy can stand
+    in anywhere a socket is used.
     """
 
     def __init__(self, sock, plan: FaultPlan):
@@ -138,20 +140,25 @@ class FaultySocket:
         return getattr(self._sock, name)
 
     def recv(self, n: int) -> bytes:
+        buf = bytearray(n)
+        got = self.recv_into(buf, n)
+        return bytes(buf[:got])
+
+    def recv_into(self, buffer, nbytes: int = 0) -> int:
         plan = self._plan
         if plan.fire("latency", plan.latency):
             time.sleep(plan.latency_s)
         if plan.fire("drop", plan.drop):
             self._sock.close()
             raise ConnectionResetError("fault injection: link dropped")
-        data = self._sock.recv(n)
-        if data and plan.fire("truncate", plan.truncate):
-            keep = 1 + plan.rng("truncate_len").randrange(len(data))
+        got = self._sock.recv_into(buffer, nbytes)
+        if got and plan.fire("truncate", plan.truncate):
+            keep = 1 + plan.rng("truncate_len").randrange(got)
             self._sock.close()
-            return data[:keep]
-        if data and plan.fire("corrupt", plan.corrupt):
-            data = plan.corrupt_bytes(data)
-        return data
+            return keep
+        if got and plan.fire("corrupt", plan.corrupt):
+            buffer[:got] = plan.corrupt_bytes(bytes(buffer[:got]))
+        return got
 
     def sendall(self, data: bytes) -> None:
         plan = self._plan

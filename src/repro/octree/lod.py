@@ -366,13 +366,13 @@ class LodHierarchy:
         level = int(level)
         node_ids = np.asarray(node_ids, dtype=np.int64)
         offs = self.index[level]
-        sizes = (offs[node_ids + 1] - offs[node_ids]).astype(np.int64)
+        starts = offs[node_ids]
+        sizes = (offs[node_ids + 1] - starts).astype(np.int64)
         total = int(sizes.sum())
-        sel = np.empty(total, dtype=np.int64)
-        pos = 0
-        for j, sz in zip(node_ids, sizes):
-            sel[pos : pos + sz] = np.arange(offs[j], offs[j + 1])
-            pos += sz
+        # each node's run offs[j]..offs[j+1], concatenated in id order
+        sel = np.arange(total, dtype=np.int64) + np.repeat(
+            starts - (np.cumsum(sizes) - sizes), sizes
+        )
         name = _base_rows_file() if level == self.levels else _delta_rows_file(level)
         rows = np.array(self._memmap(name, "<i8")[sel]) if total else np.empty(0, "<i8")
         if level == 0:

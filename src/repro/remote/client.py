@@ -364,7 +364,10 @@ class VisualizationClient:
         carried on progressive streams.
 
         Raises :class:`~repro.core.errors.RemoteError` if the server
-        ends the stream before full coverage (premature DONE).
+        ends the stream before full coverage (premature DONE), and
+        :class:`~repro.core.errors.ProtocolError` for a unit whose rows
+        leave the halo ``[0, n_total)``, repeat inside the unit, or
+        were received before.
         """
         stream_id = self._next_stream_id
         self._next_stream_id += 1
@@ -392,17 +395,38 @@ class VisualizationClient:
                 raise RemoteError(f"expected BASE stream unit, got {kind.name}")
             base, rows, n_total = protocol.decode_lod_base(payload)
         volume = base.volume
-        rows_acc = rows
-        pts_acc = base.points
-        dens_acc = base.point_densities
+        # base and deltas tile the halo rows [0, n_total) exactly once,
+        # so each unit scatters into place by its rows, and the received
+        # rows in index order are the stream's points in file order
+        points = np.empty((n_total, 3), dtype=np.float32)
+        densities = np.empty(n_total, dtype=np.float32)
+        received = np.zeros(n_total, dtype=bool)
+        n_received = 0
         have_exact_volume = False
 
-        def assembled() -> HybridFrame:
-            order = np.argsort(rows_acc, kind="stable")
+        def scatter(rows, pts, dens) -> None:
+            nonlocal n_received
+            problem = None
+            if len(rows) and (rows.min() < 0 or rows.max() >= n_total):
+                problem = f"a row outside [0, {n_total})"
+            elif received[rows].any():
+                problem = "a row already received"
+            else:
+                received[rows] = True
+                n_received += len(rows)
+                if np.count_nonzero(received) != n_received:
+                    problem = "a row twice"
+            if problem is not None:
+                self._bump("errors")
+                raise ProtocolError(f"stream {stream_id}: a unit carries {problem}")
+            points[rows] = pts
+            densities[rows] = dens
+
+        def assembled(pts, dens) -> HybridFrame:
             return HybridFrame(
                 volume=volume,
-                points=pts_acc[order],
-                point_densities=dens_acc[order],
+                points=pts,
+                point_densities=dens,
                 lo=base.lo,
                 hi=base.hi,
                 threshold=base.threshold,
@@ -410,23 +434,25 @@ class VisualizationClient:
                 plot_type=base.plot_type,
             )
 
+        # the first image is the base sample alone, put in row order by
+        # sorting it: scattering it first would fault in fresh pages
+        # across all n_total rows before the first image
+        order = np.argsort(rows, kind="stable")
         self._bump("frames")
-        yield assembled()
+        yield assembled(base.points[order], base.point_densities[order])
+        scatter(rows, base.points, base.point_densities)
         served = 0
         while max_refinements is None or served < max_refinements:
             _, kind, _, _, payload = pull()
             if kind == protocol.LodKind.DONE:
-                if len(rows_acc) != n_total or not have_exact_volume:
+                if n_received != n_total or not have_exact_volume:
                     raise RemoteError(
-                        f"stream ended after {len(rows_acc)}/{n_total} points "
+                        f"stream ended after {n_received}/{n_total} points "
                         f"(exact volume: {have_exact_volume})"
                     )
                 return
             if kind == protocol.LodKind.POINTS:
-                r, p, d = protocol.decode_lod_points(payload)
-                rows_acc = np.concatenate([rows_acc, r])
-                pts_acc = np.concatenate([pts_acc, p])
-                dens_acc = np.concatenate([dens_acc, d])
+                scatter(*protocol.decode_lod_points(payload))
             elif kind == protocol.LodKind.VOLUME:
                 volume = protocol.decode_lod_volume(payload)
                 have_exact_volume = True
@@ -434,7 +460,8 @@ class VisualizationClient:
                 raise RemoteError(f"unexpected stream unit {kind.name}")
             self._bump("refinements")
             served += 1
-            yield assembled()
+            idx = np.flatnonzero(received)
+            yield assembled(points.take(idx, axis=0), densities.take(idx))
 
     def throughput_bps(self) -> float:
         """Mean received throughput over all requests so far."""

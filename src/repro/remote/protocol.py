@@ -47,8 +47,9 @@ from repro.core.errors import (
 )
 from repro.hybrid.representation import HybridFrame
 
-__all__ = ["MessageType", "Message", "LodKind", "send_message", "recv_message",
-           "send_message_async", "recv_message_async",
+__all__ = ["MessageType", "Message", "LodKind", "frame_message",
+           "send_message", "recv_message",
+           "send_message_async", "send_framed_async", "recv_message_async",
            "encode_hybrid", "decode_hybrid", "encode_busy", "decode_busy",
            "encode_stats", "decode_stats",
            "encode_refine", "decode_refine",
@@ -95,6 +96,20 @@ class Message:
     payload: bytes = b""
 
 
+def frame_message(message: Message) -> bytes:
+    """The message's wire bytes: the header, CRC32 included, then the
+    payload.  A sender that repeats one reply frames it once and
+    writes the same bytes on every send."""
+    header = _FRAME_HEADER.pack(
+        PROTOCOL_MAGIC,
+        PROTOCOL_VERSION,
+        int(message.type),
+        len(message.payload),
+        zlib.crc32(message.payload) & 0xFFFFFFFF,
+    )
+    return header + message.payload
+
+
 def send_message(sock, message: Message, bandwidth_bps: float | None = None) -> int:
     """Send a message; returns bytes sent.
 
@@ -103,14 +118,7 @@ def send_message(sock, message: Message, bandwidth_bps: float | None = None) -> 
     """
     import time
 
-    header = _FRAME_HEADER.pack(
-        PROTOCOL_MAGIC,
-        PROTOCOL_VERSION,
-        int(message.type),
-        len(message.payload),
-        zlib.crc32(message.payload) & 0xFFFFFFFF,
-    )
-    data = header + message.payload
+    data = frame_message(message)
     if bandwidth_bps is None:
         sock.sendall(data)
     else:
@@ -122,17 +130,31 @@ def send_message(sock, message: Message, bandwidth_bps: float | None = None) -> 
     return len(data)
 
 
-def _recv_exact(sock, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
-        part = sock.recv(min(n - len(buf), 1 << 20))
+# a declared length is allocated up front up to this size; past it the
+# buffer doubles as bytes arrive, because the header's length field is
+# not CRC-covered: a damaged or hostile one must not make the receiver
+# commit gigabytes before a byte of payload has arrived
+_RECV_PREALLOC = 64 << 20
+
+
+def _recv_exact(sock, n: int) -> bytearray:
+    """Receive exactly ``n`` bytes into one buffer, in reads of at most
+    1 MiB."""
+    buf = bytearray(min(n, _RECV_PREALLOC))
+    got = 0
+    while got < n:
+        want = min(n - got, 1 << 20)
+        if got + want > len(buf):
+            buf += bytes(min(max(len(buf), want), n - len(buf)))
+        with memoryview(buf)[got:] as view:
+            part = sock.recv_into(view, want)
         if not part:
             raise TruncatedMessageError(
                 f"peer closed the connection mid-message "
-                f"({len(buf)}/{n} bytes received)"
+                f"({got}/{n} bytes received)"
             )
-        buf.extend(part)
-    return bytes(buf)
+        got += part
+    return buf
 
 
 def _unpack_header(head: bytes):
@@ -165,7 +187,9 @@ def _check_payload(payload: bytes, crc: int, length: int, mtype: int) -> Message
 
 
 def recv_message(sock) -> Message:
-    """Read exactly one framed message from the socket.
+    """Read exactly one framed message from the socket (``sock`` needs
+    ``recv_into``); the payload is the ``bytearray`` it was received
+    into.
 
     Raises :class:`BadMagicError`, :class:`BadVersionError`,
     :class:`MessageTooLargeError`, :class:`ChecksumError`, or
@@ -191,14 +215,16 @@ async def send_message_async(
     ``bandwidth_bps`` throttles by sleeping between chunks without
     blocking the event loop, mirroring :func:`send_message`.
     """
-    header = _FRAME_HEADER.pack(
-        PROTOCOL_MAGIC,
-        PROTOCOL_VERSION,
-        int(message.type),
-        len(message.payload),
-        zlib.crc32(message.payload) & 0xFFFFFFFF,
-    )
-    data = header + message.payload
+    return await send_framed_async(writer, frame_message(message), bandwidth_bps)
+
+
+async def send_framed_async(
+    writer: asyncio.StreamWriter,
+    data: bytes,
+    bandwidth_bps: float | None = None,
+) -> int:
+    """Write one message already framed by :func:`frame_message`;
+    returns bytes sent.  Throttles as :func:`send_message_async`."""
     if bandwidth_bps is None:
         writer.write(data)
         await writer.drain()
@@ -401,7 +427,7 @@ def decode_lod_frame(payload: bytes):
         kind = LodKind(kind)
     except (struct.error, ValueError) as exc:
         raise ProtocolError(f"malformed LOD_FRAME payload: {exc}") from exc
-    return sid, kind, seq, total, payload[_LOD_FRAME.size:]
+    return sid, kind, seq, total, memoryview(payload)[_LOD_FRAME.size:]
 
 
 def encode_lod_base(frame: HybridFrame, rows: np.ndarray, n_total: int) -> bytes:
@@ -428,13 +454,14 @@ def decode_lod_base(payload: bytes):
             f"LOD base payload truncated ({len(payload)} bytes, frame "
             f"blob declares {blob_len})"
         )
-    frame = HybridFrame.from_bytes(payload[off : off + blob_len], source="<wire>")
-    rows = np.frombuffer(payload, dtype="<i8", offset=off + blob_len).copy()
-    if len(rows) != frame.n_points:
+    frame = HybridFrame.from_bytes(bytes(payload[off : off + blob_len]), source="<wire>")
+    rows_bytes = len(payload) - off - blob_len
+    if rows_bytes != 8 * frame.n_points:
         raise ProtocolError(
-            f"LOD base carries {len(rows)} row indices for "
+            f"LOD base carries {rows_bytes} bytes of row indices for "
             f"{frame.n_points} points"
         )
+    rows = np.frombuffer(payload, dtype="<i8", offset=off + blob_len).copy()
     return frame, rows, int(n_total)
 
 
@@ -450,7 +477,9 @@ def encode_lod_points(rows: np.ndarray, points: np.ndarray, densities: np.ndarra
 
 
 def decode_lod_points(payload: bytes):
-    """Decode a POINTS unit; returns ``(rows, points, densities)``."""
+    """Decode a POINTS unit; returns ``(rows, points, densities)`` as
+    views of the payload, for a caller that scatters them at once (the
+    views are unaligned and keep the whole payload alive)."""
     try:
         (n,) = _U64.unpack_from(payload, 0)
     except struct.error as exc:
@@ -462,11 +491,11 @@ def decode_lod_points(payload: bytes):
             f"expected for {n} points"
         )
     off = _U64.size
-    rows = np.frombuffer(payload, dtype="<i8", count=n, offset=off).copy()
+    rows = np.frombuffer(payload, dtype="<i8", count=n, offset=off)
     off += n * 8
-    points = np.frombuffer(payload, dtype="<f4", count=n * 3, offset=off).reshape(n, 3).copy()
+    points = np.frombuffer(payload, dtype="<f4", count=n * 3, offset=off).reshape(n, 3)
     off += n * 12
-    densities = np.frombuffer(payload, dtype="<f4", count=n, offset=off).copy()
+    densities = np.frombuffer(payload, dtype="<f4", count=n, offset=off)
     return rows, points, densities
 
 

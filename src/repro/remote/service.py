@@ -23,8 +23,9 @@ Load-sharing and resilience machinery, in request order:
 - **Coalescing result cache**: results are keyed by
   ``(frame, threshold, resolution)`` exactly like the render-side
   ``frame_cache``; identical requests hit a byte-bounded LRU of
-  encoded payloads, and a stampede on a cold key coalesces onto one
-  in-flight extraction (one unit of work, N sends).
+  replies framed for the wire (header and CRC computed once, on
+  insert), and a stampede on a cold key coalesces onto one in-flight
+  extraction (one unit of work, N sends).
 - **Deadlines and cancellation**: a session must deliver each framed
   message within ``session_timeout`` (slowloris defense -- partial
   headers don't hold a connection open) and each request must complete
@@ -72,12 +73,17 @@ __all__ = ["VisualizationService", "ResultCache", "CircuitBreaker"]
 
 
 class ResultCache:
-    """Byte-bounded LRU of encoded reply payloads.
+    """Byte-bounded LRU of encoded replies.
 
     Keys are ``(frame_index, threshold, resolution)`` -- the same
     "identical inputs => identical bytes" shape as the render-side
-    frame-geometry cache.  Values are the fully encoded HYBRID_FRAME
-    payloads, so a hit costs one dict lookup and one send.
+    frame-geometry cache.  Their values are whole HYBRID_FRAME
+    messages, framed once by :func:`~repro.remote.protocol.frame_message`
+    (header, CRC32 and payload), so a hit costs one dict lookup and
+    one write of the stored bytes.  ``("lod_base", ...)`` keys hold
+    LOD BASE unit payloads, which every send wraps in its own
+    stream's LOD_FRAME header.  The byte bound counts every stored
+    byte.
     """
 
     def __init__(self, max_bytes: int = 64 << 20):
@@ -628,14 +634,14 @@ class VisualizationService:
                 )
                 return
             try:
-                payload = await self._get_encoded(index, threshold, resolution)
+                data = await self._get_framed(index, threshold, resolution)
             except Exception as exc:
                 await self._reply(
                     session, Message(MessageType.ERROR, str(exc).encode())
                 )
                 return
             self._bump("served")
-            await self._reply(session, Message(MessageType.HYBRID_FRAME, payload))
+            await self._send(session, data)
         elif msg.type == MessageType.REFINE:
             await self._handle_refine(session, msg)
         elif msg.type == MessageType.GET_STATS:
@@ -754,17 +760,34 @@ class VisualizationService:
             return LodKind.BASE, payload
         if unit[0] == "points":
             _, level, node_ids = unit
-            lod = self.frames[stream.index].lod
-            rows, pts, dens = await loop.run_in_executor(
-                self._pool, lod.delta_points, level, node_ids
+            payload = await loop.run_in_executor(
+                self._pool, self._build_points, stream.index, level, node_ids
             )
-            return LodKind.POINTS, protocol.encode_lod_points(rows, pts, dens)
-        # the exact volume: extract's, at the stream's resolution
-        frame, res = self.frames[stream.index], stream.resolution
-        volume = await loop.run_in_executor(
-            self._pool, lambda: density_volume(frame.volume_counts(res), frame.lo, frame.hi)
+            return LodKind.POINTS, payload
+        payload = await loop.run_in_executor(
+            self._pool, self._build_volume, stream.index, stream.resolution
         )
-        return LodKind.VOLUME, protocol.encode_lod_volume(volume)
+        return LodKind.VOLUME, payload
+
+    # these run in the pool and open their spans there: the span stack
+    # is per thread, and sessions interleave on the loop thread
+    def _build_points(self, index, level, node_ids) -> bytes:
+        """A POINTS unit: one level's delta rows of the scheduled nodes."""
+        with span("service_refine", frame=index, level=level):
+            rows, pts, dens = self.frames[index].lod.delta_points(level, node_ids)
+            payload = protocol.encode_lod_points(rows, pts, dens)
+        count("service_unit_bytes", len(payload))
+        return payload
+
+    def _build_volume(self, index, resolution) -> bytes:
+        """The VOLUME unit: extract's exact volume at the stream's
+        resolution."""
+        frame = self.frames[index]
+        with span("service_lod_volume", frame=index, resolution=resolution):
+            volume = density_volume(frame.volume_counts(resolution), frame.lo, frame.hi)
+            payload = protocol.encode_lod_volume(volume)
+        count("service_unit_bytes", len(payload))
+        return payload
 
     def _build_base(self, index, threshold, resolution, n_nodes, n_total) -> bytes:
         """The BASE unit: coarsest sample of the halo + mip volume."""
@@ -790,26 +813,32 @@ class VisualizationService:
             return protocol.encode_lod_base(base, rows, n_total)
 
     async def _reply(self, session: _Session, message: Message) -> None:
+        await self._send(session, protocol.frame_message(message))
+
+    async def _send(self, session: _Session, data: bytes) -> None:
+        """Write one framed message under the session's write lock."""
         async with session.write_lock:
-            sent = await protocol.send_message_async(
-                session.writer, message, bandwidth_bps=self.bandwidth_bps
+            sent = await protocol.send_framed_async(
+                session.writer, data, bandwidth_bps=self.bandwidth_bps
             )
         self._bump("bytes_sent", sent)
 
     # ------------------------------------------------------------------
     # the shared coalescing extraction path
     # ------------------------------------------------------------------
-    async def _get_encoded(self, index: int, threshold: float, resolution: int) -> bytes:
+    async def _get_framed(self, index: int, threshold: float, resolution: int) -> bytes:
+        """The HYBRID_FRAME reply for one request, framed for the wire:
+        from the cache, a coalesced extraction, or a new one."""
         key = (int(index), float(threshold), int(resolution))
         if not self.breaker.allow(index):
             self._bump("quarantined")
             raise RuntimeError(
                 f"frame {index} quarantined after repeated extraction failures"
             )
-        payload = self.cache.get(key)
-        if payload is not None:
+        data = self.cache.get(key)
+        if data is not None:
             self._bump("cache_hits")
-            return payload
+            return data
         task = self._inflight.get(key)
         if task is None:
             self._bump("cache_misses")
@@ -830,7 +859,9 @@ class VisualizationService:
                         self._pool, self._extract_fn,
                         self.frames[index], threshold, resolution,
                     )
-                payload = protocol.encode_hybrid(hybrid)
+                data = protocol.frame_message(
+                    Message(MessageType.HYBRID_FRAME, protocol.encode_hybrid(hybrid))
+                )
         except Exception:
             self._bump("extraction_errors")
             self.breaker.record_failure(index)
@@ -839,8 +870,8 @@ class VisualizationService:
             self._inflight.pop(key, None)
         self.breaker.record_success(index)
         self._bump("extractions")
-        self.cache.put(key, payload)
-        return payload
+        self.cache.put(key, data)
+        return data
 
     # ------------------------------------------------------------------
     # observability

@@ -7,6 +7,7 @@ parallel seeder producing identical lines with and without a crashed
 worker.
 """
 
+import socket
 import threading
 import time
 import warnings
@@ -96,6 +97,43 @@ class TestFaultPlanDeterminism:
             while not plan.fire("corrupt", 0.5):
                 pass
         assert tracer.counters.get("faults_injected_corrupt", 0) >= 1
+
+
+class TestFaultySocket:
+    @staticmethod
+    def _receive(via: str):
+        """Chunks one seeded plan lets through a socket receiving 16 KiB
+        in 100-byte reads (until the plan truncates the link)."""
+        plan = FaultPlan(seed=2, corrupt=0.3, latency=0.3, latency_s=0.0, truncate=0.02)
+        a, b = socket.socketpair()
+        a.sendall(bytes(range(256)) * 64)
+        a.close()
+        sock = plan.wrap_socket(b)
+        chunks = []
+        try:
+            while not plan.injected.get("truncate"):
+                if via == "recv":
+                    chunk = sock.recv(100)
+                else:
+                    buf = bytearray(100)
+                    chunk = bytes(buf[: sock.recv_into(buf, 100)])
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        finally:
+            b.close()
+        return chunks, plan.injected
+
+    def test_recv_into_sees_the_same_faults_as_recv(self):
+        via_recv, injected = self._receive("recv")
+        via_recv_into, injected_into = self._receive("recv_into")
+        # seed 2 fires every kind before the link is cut mid-stream
+        assert injected["corrupt"] >= 1 and injected["latency"] >= 1
+        assert injected["truncate"] == 1
+        assert injected_into == injected
+        assert via_recv_into == via_recv
+        clean = bytes(range(256)) * 64
+        assert b"".join(via_recv) != clean[: sum(map(len, via_recv))]
 
 
 class TestAtomicWrites:

@@ -122,6 +122,59 @@ class TestBuild:
             build_lod(pstore, mip_base=4)  # below the floor
 
 
+def _reference_delta(lod, level, node_ids):
+    """``LodHierarchy.delta`` as it stood with a per-node loop, kept
+    verbatim as the reference for the one-expression selection."""
+    from repro.octree.lod import _base_file, _base_rows_file, _delta_file, _delta_rows_file
+
+    self = lod
+    level = int(level)
+    node_ids = np.asarray(node_ids, dtype=np.int64)
+    offs = self.index[level]
+    sizes = (offs[node_ids + 1] - offs[node_ids]).astype(np.int64)
+    total = int(sizes.sum())
+    sel = np.empty(total, dtype=np.int64)
+    pos = 0
+    for j, sz in zip(node_ids, sizes):
+        sel[pos : pos + sz] = np.arange(offs[j], offs[j + 1])
+        pos += sz
+    name = _base_rows_file() if level == self.levels else _delta_rows_file(level)
+    rows = np.array(self._memmap(name, "<i8")[sel]) if total else np.empty(0, "<i8")
+    if level == 0:
+        data = self.pstore.store.gather_rows(rows)
+    else:
+        dname = _base_file() if level == self.levels else _delta_file(level)
+        mm = self._memmap(dname, "<f8", (6,))
+        data = np.array(mm[sel]) if total else np.empty((0, 6), "<f8")
+    return rows, data, sizes
+
+
+class TestDeltaReference:
+    """The vectorized node selection reads the same rows as the loop."""
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_bytes_equal_the_loop(self, pstore, level):
+        lod = pstore.lod
+        sizes = lod.level_sizes(level)
+        empty_nodes = np.flatnonzero(sizes == 0)
+        full_nodes = np.flatnonzero(sizes > 0)
+        rng = np.random.default_rng(level)
+        cases = [
+            np.array([], dtype=np.int64),
+            np.arange(lod.n_nodes),
+            rng.permutation(lod.n_nodes)[: lod.n_nodes // 3],
+            np.concatenate([full_nodes[:3], empty_nodes[:4], full_nodes[-2:]]),
+            empty_nodes[:5],
+        ]
+        assert level == 2 or len(empty_nodes) > 0  # zero-size nodes occur
+        for ids in cases:
+            got = lod.delta(level, ids)
+            want = _reference_delta(lod, level, ids)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+
 class TestMips:
     def test_mip0_is_bitwise_the_extraction_volume(self, pstore):
         thr = float(np.percentile(pstore.nodes["density"], 60))

@@ -1,7 +1,7 @@
-"""PERF -- forest-of-octrees partition + sort-last compositing.
+"""PERF -- forest-of-octrees partition, extracted and rendered as one frame.
 
 Two measurements for the distributed forest pipeline
-(``repro.octree.forest`` / ``repro.render.compositor``):
+(``repro.octree.forest``):
 
 * *throughput*: a 10^8-particle synthetic beam (4.8 GB of raw float64,
   scaled by ``REPRO_SCALE``) is written as a sharded store and
@@ -10,19 +10,26 @@ Two measurements for the distributed forest pipeline
   enables.  The machine's ``cpu_count`` is recorded alongside -- the
   speedup floor is only meaningful with >= 4 cores, and the gate
   (``scripts/check.sh --gate forest``) skips it otherwise.  The last
-  forest then renders through the sort-last path; the compositor's
-  ``composite_merge`` span is the composite time.
-* *equivalence*: at 10^6 particles the forest gather mode must
-  reproduce the single-octree image **bitwise**, and the sort-last
-  composite must stay within the pinned brick-boundary tolerance.
+  forest is then rendered out of core (``render_forest``: one extract
+  of the forest, one render) in a **subprocess**, whose ``VmHWM`` is the
+  render's own peak RSS.
+* *equivalence*: at 10^6 particles ``render_forest`` must reproduce
+  the in-core single octree: the forest's nodes and particle file
+  bitwise, its halo points bitwise, and its volume and image within one
+  float32 ULP, flat and adaptive (the ULP rows are the larger of the
+  two), as ``bench_sharded_store.py`` checks the streamed store.
 
 Writes ``BENCH_forest.json``; ``scripts/check.sh --gate forest`` gates
 on the recorded flags.
 """
 
+import json
 import os
 import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -78,41 +85,95 @@ def _throughput_sweep(tmp, store) -> dict:
     return rows, forest
 
 
+# Runs in a fresh interpreter: open the forest, render it at the 20th
+# percentile, and report the time and the interpreter's own peak RSS
+# (VmHWM, reset at exec) as JSON on stdout.
+_CHILD = r"""
+import json, sys, time
+import numpy as np
+from repro.core.trace import gauge_peak_rss
+from repro.hybrid.renderer import HybridRenderer
+from repro.octree.forest import ForestStore, render_forest
+from repro.render.camera import Camera
+
+forest = ForestStore.open(sys.argv[1])
+t0 = time.perf_counter()
+fb = render_forest(
+    forest,
+    camera=Camera.fit_bounds(forest.lo, forest.hi, width=160, height=160),
+    renderer=HybridRenderer(n_slices=24, point_batch_size=500_000),
+    threshold_percentile=20.0, volume_resolution=64,
+)
+t_render = time.perf_counter() - t0
+threshold = float(np.percentile(forest.nodes["density"], 20.0))
+print(json.dumps({
+    "t_render_s": t_render,
+    "peak_rss_bytes": int(gauge_peak_rss()),
+    "n_points": int(forest.density_cutoff_index(threshold)),
+    "image_sum": float(fb.rgba.sum()),
+    "image_nonzero": bool(np.any(fb.rgba[..., 3] > 0.0)),
+}))
+"""
+
+
+def _render_child(forest_dir) -> dict:
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    old = env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = src + (os.pathsep + old if old else "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(forest_dir)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"render child failed:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _max_ulp(a, b) -> int:
+    """Largest distance in float32 units in the last place."""
+    a = np.asarray(a, dtype=np.float32).view(np.int32).astype(np.int64)
+    b = np.asarray(b, dtype=np.float32).view(np.int32).astype(np.int64)
+    return int(np.max(np.abs(a - b))) if a.size else 0
+
+
 def _equivalence(tmp) -> dict:
-    """Forest gather must be bitwise; sort-last within pinned tolerance."""
+    """The forest against the in-core single octree: bitwise partition
+    and halo, volume and image within one ULP, flat and adaptive."""
     particles = np.concatenate(list(_beam_blocks(N_PARTICLES_EQ, seed=3)))
     pf = partition(as_dataset(particles), "xyz", max_level=6, capacity=64)
     forest = partition_forest(
         particles, tmp / "eq_forest", "xyz", bricks=2, max_level=6, capacity=64
     )
     frame = forest.to_partitioned_frame()
-    nodes_bitwise = bool(np.array_equal(frame.nodes, pf.nodes))
-    particles_bitwise = bool(np.array_equal(frame.particles, pf.particles))
-
     threshold = float(np.percentile(pf.nodes["density"], 60))
     camera = Camera.fit_bounds(pf.lo, pf.hi, width=128, height=128)
-    single = HybridRenderer(n_slices=24).render(
-        extract(pf, threshold, volume_resolution=48), camera=camera
-    )
-    gathered = render_forest(
-        forest, camera=camera, renderer=HybridRenderer(n_slices=24),
-        threshold=threshold, volume_resolution=48, mode="gather",
-    )
-    composited = render_forest(
-        forest, camera=camera, renderer=HybridRenderer(n_slices=24),
-        threshold=threshold, volume_resolution=48, mode="sortlast",
-    )
+    points_bitwise, volume_ulp, image_ulp = True, 0, 0
+    for adaptive in (False, True):
+        single = extract(pf, threshold, volume_resolution=48, adaptive=adaptive)
+        ours = extract(forest, threshold, volume_resolution=48, adaptive=adaptive)
+        points_bitwise &= bool(
+            np.array_equal(single.points, ours.points)
+            and np.array_equal(single.point_densities, ours.point_densities)
+        )
+        volume_ulp = max(volume_ulp, _max_ulp(single.volume, ours.volume))
+        if adaptive:
+            volume_ulp = max(
+                volume_ulp, _max_ulp(single.meta["amr"].data, ours.meta["amr"].data)
+            )
+        image = render_forest(
+            forest, camera=camera, renderer=HybridRenderer(n_slices=24),
+            threshold=threshold, volume_resolution=48, adaptive=adaptive,
+        )
+        reference = HybridRenderer(n_slices=24).render(single, camera=camera)
+        image_ulp = max(image_ulp, _max_ulp(reference.rgba, image.rgba))
     return {
         "n_particles": int(N_PARTICLES_EQ),
-        "nodes_bitwise": nodes_bitwise,
-        "particles_bitwise": particles_bitwise,
-        "gather_image_bitwise": bool(np.array_equal(single.rgba, gathered.rgba)),
-        "sortlast_max_abs_diff": float(
-            np.max(np.abs(composited.rgba - single.rgba))
-        ),
-        "sortlast_identical_pixel_frac": float(
-            np.all(composited.rgba == single.rgba, axis=-1).mean()
-        ),
+        "nodes_bitwise": bool(np.array_equal(frame.nodes, pf.nodes)),
+        "particles_bitwise": bool(np.array_equal(frame.particles, pf.particles)),
+        "points_bitwise": points_bitwise,
+        "volume_max_ulp": volume_ulp,
+        "image_max_ulp": image_ulp,
     }
 
 
@@ -140,29 +201,21 @@ def test_forest_report(tmp_path_factory):
             / sweep[1]["particles_per_second"],
         }
 
-        # -- composited render of the full forest -------------------------
-        t0 = time.perf_counter()
-        fb = render_forest(
-            forest,
-            camera=Camera.fit_bounds(forest.lo, forest.hi, width=160, height=160),
-            renderer=HybridRenderer(n_slices=24, point_batch_size=500_000),
-            threshold_percentile=20.0, volume_resolution=64,
-            workers=WORKER_SWEEP[-1],
-        )
+        # -- out-of-core render of the full forest, in a subprocess -------
+        child = _render_child(forest.directory)
         results["render"] = {
-            "t_render_s": time.perf_counter() - t0,
+            "t_render_s": child["t_render_s"],
+            "peak_rss_mb": child["peak_rss_bytes"] / 1e6,
             "n_bricks": len(forest.brick_ids),
-            "image_sum": float(fb.rgba.sum()),
+            "n_points": child["n_points"],
+            "image_sum": child["image_sum"],
+            "image_nonzero": child["image_nonzero"],
         }
 
         # -- equivalence: forest == single octree --------------------------
         results["equivalence"] = _equivalence(tmp)
 
     tracer = traced_run(measure)
-    snap = tracer.snapshot()
-    results["render"]["t_composite_s"] = float(
-        snap["spans"].get("composite_merge", {}).get("wall", 0.0)
-    )
     record_bench("forest", tracer, extra=results)
 
     p, r, e = results["partition"], results["render"], results["equivalence"]
@@ -182,11 +235,11 @@ def test_forest_report(tmp_path_factory):
             f"  speedup x{p['speedup_2']:.2f} (2 workers), "
             f"x{p['speedup_4']:.2f} (4 workers)",
             f"render: {r['t_render_s']:.1f} s over {r['n_bricks']} bricks, "
-            f"composite {r['t_composite_s'] * 1e3:.0f} ms",
+            f"peak RSS {r['peak_rss_mb']:.0f} MB",
             f"equivalence at {e['n_particles']} particles: nodes bitwise "
             f"{e['nodes_bitwise']}, particles bitwise {e['particles_bitwise']}, "
-            f"gather image bitwise {e['gather_image_bitwise']}",
-            f"  sortlast max |diff| {e['sortlast_max_abs_diff']:.3g}, "
-            f"{e['sortlast_identical_pixel_frac']:.0%} of pixels bitwise",
+            f"points bitwise {e['points_bitwise']}",
+            f"  volume max ULP {e['volume_max_ulp']}, "
+            f"image max ULP {e['image_max_ulp']}",
         ],
     )

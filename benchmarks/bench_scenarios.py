@@ -17,7 +17,7 @@ Three measurements for ``repro.beams.scenario``:
   are visible in the recorded trace counters.  A second invocation
   must resume all 16 members from disk without re-running any.
 * *members are render-ready*: one landed member feeds the
-  forest-of-octrees partitioner (then the sort-last renderer) and the
+  forest-of-octrees partitioner (then the forest renderer) and the
   LOD builder -- the sweep's output plugs into the terascale
   visualization chain without conversion.  A member re-run under the
   same seed must reproduce its particle array bitwise (deterministic

@@ -117,11 +117,11 @@ GATES = {
         ],
     ),
     "forest": Gate(
-        "forest: 10^8-particle 4-worker partition speedup, gather bitwise, sort-last in tolerance",
-        # sort-last bricks render through the same compositor and memos, and
-        # every brick tree is built by the same plan as the partition reference
+        "forest: 10^8-particle 4-worker partition speedup, forest render == single octree",
+        # the forest renders through the same compositor and memos, and every
+        # brick tree is built by the same plan as the partition reference
         "tests/octree/test_forest.py tests/octree/test_partition_reference.py "
-        "tests/render/test_compositor.py tests/render/test_composite_reference.py "
+        "tests/render/test_composite_reference.py "
         "tests/render/test_point_fold.py tests/render/test_render_memos.py "
         "tests/test_public_api.py",
         "benchmarks/bench_forest.py",
@@ -129,9 +129,10 @@ GATES = {
         [
             Row("equivalence.nodes_bitwise"),
             Row("equivalence.particles_bitwise"),
-            Row("equivalence.gather_image_bitwise"),
-            Row("equivalence.sortlast_max_abs_diff", "<=", 0.1),
-            Row("render.t_composite_s", ">", 0.0),
+            Row("equivalence.points_bitwise"),
+            Row("equivalence.volume_max_ulp", "<=", 1),
+            Row("equivalence.image_max_ulp", "<=", 1),
+            Row("render.image_nonzero"),
             Row("partition.speedup_4", ">=", 2.5, cpus=4),
             Row("partition.speedup_4", "drift", same="cpu_count", cpus=4),
         ],

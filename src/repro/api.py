@@ -79,7 +79,6 @@ from repro.remote.loadgen import ChaosSchedule, FleetReport, run_fleet
 from repro.remote.service import VisualizationService
 from repro.render.amr import AmrRgbaVolume, amr_geometry_key, build_amr_geometry
 from repro.render.camera import Camera
-from repro.render.compositor import SortLastCompositor
 from repro.render.frame_cache import (
     FrameGeometry,
     FrameGeometryCache,
@@ -139,11 +138,10 @@ __all__ = [
     "amr_geometry_key",
     "build_amr_geometry",
     "gaussian_splat_fragments",
-    # forest-of-octrees partition + sort-last compositing (PR 6)
+    # forest-of-octrees partition
     "partition_forest",
     "render_forest",
     "ForestStore",
-    "SortLastCompositor",
     # field-line workflow stages
     "seed_density_proportional",
     "OrderedFieldLines",

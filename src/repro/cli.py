@@ -12,7 +12,7 @@ the same program boundaries over the library:
     repro extract   run/p50 --percentile 60 --out run/p50.hybrid
     repro render    run/p50.hybrid --out p50.ppm --size 512
     repro forest    partition run/store --bricks 2 --out run/forest
-    repro forest    render run/forest --out forest.ppm --workers 4
+    repro forest    render run/forest --out forest.ppm
     repro fieldlines --cells 3 --lines 150 --out lines.bin --image lines.ppm
     repro scenario  run spec.json --out run/final --set lattice.qf=5.5
     repro scenario  sweep spec.json --out run/sweep --axis lattice.qf=5,6 \\
@@ -150,11 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lod)
 
     p = sub.add_parser("forest", parents=[common],
-                       help="forest-of-octrees partition + sort-last render")
+                       help="forest-of-octrees partition + render")
     p.add_argument("action", choices=["partition", "render", "info"],
                    help="partition: build a forest of per-brick octrees "
                         "from a .frame file or sharded store; render: "
-                        "composite a forest to a PPM image; info: "
+                        "extract and render a forest to a PPM image; info: "
                         "describe a forest store")
     p.add_argument("path", help="input .frame / store directory "
                                 "(partition) or a forest directory")
@@ -169,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-level", type=int, default=bpipe_d["max_level"])
     p.add_argument("--capacity", type=int, default=bpipe_d["capacity"])
     p.add_argument("--workers", type=int, default=1,
-                   help="fan routing, per-brick partitioning, and "
-                        "per-brick rendering across processes")
+                   help="fan routing and per-brick partitioning "
+                        "across processes (partition)")
     p.add_argument("--checkpoint", default=None, metavar="DIR",
                    help="make the forest partition resumable at "
                         "per-shard / per-brick granularity")
@@ -184,16 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output image size (render)")
     p.add_argument("--slices", type=int, default=bpipe_d["n_slices"],
                    help="volume slices (render)")
-    p.add_argument("--mode", default="sortlast",
-                   choices=["sortlast", "gather"],
-                   help="sortlast: per-brick renders merged by the "
-                        "deterministic compositor; gather: reconstruct "
-                        "the single octree (bit-identical reference)")
     p.add_argument("--part", default="hybrid",
                    choices=["hybrid", "volume", "points"])
     p.add_argument("--adaptive", action="store_true",
                    help="render through octree-refined AMR volumes "
-                        "planned on one shared brick manifest (render)")
+                        "(render)")
     p.set_defaults(func=_cmd_forest)
 
     p = sub.add_parser("service", parents=[common],
@@ -506,19 +501,17 @@ def _cmd_forest(args) -> int:
         camera = Camera.fit_bounds(
             forest.lo, forest.hi, width=args.size, height=args.size
         )
-        with span("forest_render_cli", mode=args.mode, workers=args.workers):
+        with span("forest_render_cli"):
             fb = render_forest(
                 forest, camera=camera,
                 renderer=HybridRenderer(n_slices=args.slices),
                 threshold_percentile=args.percentile,
                 volume_resolution=args.resolution, part=args.part,
-                mode=args.mode, workers=args.workers,
                 adaptive=args.adaptive,
             )
         write_ppm(args.out, fb.to_rgb8())
         print(
-            f"composited {len(forest.brick_ids)} bricks ({args.mode}, "
-            f"{args.part}) -> {args.out}"
+            f"rendered {len(forest.brick_ids)} bricks ({args.part}) -> {args.out}"
         )
         return 0
     counts = [forest.brick_count(b) for b in forest.brick_ids]

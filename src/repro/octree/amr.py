@@ -39,9 +39,8 @@ Deposit
 Per-brick cloud-in-cell on a *cell-centered* local grid (texel
 centers, matching ``trilinear_sample``); a particle's CIC cloud is
 clamped inside its own brick, so every particle lands entirely in the
-brick that contains it -- mass is conserved, bricks never overlap,
-and a forest rank depositing only its own particles produces exactly
-its owned bricks (the sort-last property).  The kernel is a single
+brick that contains it -- mass is conserved and bricks never overlap.
+The kernel is a single
 ``np.bincount`` scatter over the concatenated flat array per corner,
 with per-particle brick resolution -- no per-brick Python loop.
 """
@@ -434,7 +433,6 @@ def build_amr(
     max_refine: int = 2,
     refine_budget: int | None = None,
     byte_budget: int | None = None,
-    levels: np.ndarray | None = None,
 ) -> AmrVolume:
     """Build an adaptive volume over every particle of a partitioned
     frame or store.
@@ -443,31 +441,25 @@ def build_amr(
     for a store): pass 1 histograms the chunks into root-brick counts
     and fixes the brick manifest, pass 2 deposits each chunk into the
     preallocated flat array -- peak memory is one shard plus the
-    (byte-budgeted) volume.  ``levels`` skips pass 1 with an externally
-    planned map (the forest path plans globally, then each rank
-    deposits only its owned bricks); a map that is not
-    ``(bricks, bricks, bricks)`` raises ``ValueError`` before any
-    pass.  When neither budget is given, ``byte_budget`` defaults to
-    the flat ``64^3`` float32 footprint -- equal memory by default.
+    (byte-budgeted) volume.  When neither budget is given,
+    ``byte_budget`` defaults to the flat ``64^3`` float32 footprint --
+    equal memory by default.
     """
     bricks, brick_cells = _validate_geometry(bricks, brick_cells)
     lo = np.asarray(frame.lo, dtype=np.float64)
     hi = np.asarray(frame.hi, dtype=np.float64)
 
-    if levels is None:
-        if refine_budget is None and byte_budget is None:
-            byte_budget = 64**3 * 4
-        with span("amr_plan", bricks=bricks):
-            counts = brick_particle_counts(frame.chunks(frame.columns), lo, hi, bricks)
-            levels = plan_amr_levels(
-                counts,
-                brick_cells=brick_cells,
-                max_refine=max_refine,
-                refine_budget=refine_budget,
-                byte_budget=byte_budget,
-            )
-    else:
-        levels = _level_map(levels, bricks)
+    if refine_budget is None and byte_budget is None:
+        byte_budget = 64**3 * 4
+    with span("amr_plan", bricks=bricks):
+        counts = brick_particle_counts(frame.chunks(frame.columns), lo, hi, bricks)
+        levels = plan_amr_levels(
+            counts,
+            brick_cells=brick_cells,
+            max_refine=max_refine,
+            refine_budget=refine_budget,
+            byte_budget=byte_budget,
+        )
 
     levels_flat = levels.reshape(-1)
     offsets, total_cells = _offsets_from_levels(levels, brick_cells)

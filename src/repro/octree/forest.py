@@ -1,4 +1,4 @@
-"""Forest-of-octrees partition with per-brick sort-last rendering.
+"""Forest-of-octrees partition, extracted and rendered as one frame.
 
 One global octree caps the pipeline at what a single partition pass
 can address.  Following the distributed forest-of-octrees design
@@ -7,9 +7,7 @@ grid of ``bricks``:sup:`3` axis-aligned *bricks* (``bricks`` a power
 of two, so each brick is an octant subtree root), routes every
 particle to its brick by Morton-key prefix, and builds one streamed
 :func:`repro.octree.stream_partition.partition_store` octree per
-brick.  Each brick then renders independently and the partial images
-merge through the deterministic sort-last compositor
-(:class:`repro.render.compositor.SortLastCompositor`).
+brick.
 
 **Equivalence to the single-octree path.**  Every brick octree is
 built against the *global* bounds, so Morton keys, leaf splits, and
@@ -21,14 +19,19 @@ rule, so brick leaves never spill across brick boundaries.  Whenever
 the global tree itself refines to ``brick_level`` everywhere non-empty
 (always true once every coarse region holds more than ``capacity``
 particles -- and trivially for ``bricks=1``), the forest's leaf set
-*is* the global leaf set, and :meth:`ForestStore.to_partitioned_frame`
-reconstructs a :class:`repro.octree.partition.PartitionedFrame` whose
-nodes and particle file are bitwise equal to the in-core
-``partition``'s.  ``render_forest(mode="gather")`` is therefore
-bit-identical to the single-octree image; ``mode="sortlast"`` regroups
-the same compositing arithmetic per brick (exact for disjoint point
-sets up to float rounding, approximate for the volume near brick
-boundaries -- see DESIGN.md).
+*is* the global leaf set, and :attr:`ForestStore.nodes` is the in-core
+``partition``'s node table, bitwise.
+
+**One frame.**  A :class:`ForestStore` answers the calls extraction
+makes of any partitioned frame (``nodes``, ``density_cutoff_index``,
+``read_prefix``, ``chunks``, ``volume_counts``), so
+:func:`repro.octree.extraction.extract` and
+:func:`repro.octree.amr.build_amr` run on it out of core: the halo is
+merged from the bricks' own file prefixes (the paper's contiguous
+low-density prefix, a small fraction of the particles), and the volume
+is the bricks' stored count grids summed.  :func:`render_forest`
+extracts once and renders the result once, so the forest image is the
+single octree's -- no per-brick partial images and no seams.
 
 Crash safety mirrors the rest of the package: routing is one task per
 input shard and partitioning one task per brick, both run through
@@ -39,8 +42,8 @@ for a store) whether it runs in this process or a worker.  A
 brick as its result is collected, in task order, so a killed run
 resumes where it died, and a failing task cancels the ones not yet
 started.  Trace vocabulary: ``forest_partition_stage`` spans per
-stage, ``forest_brick_partition`` / ``forest_brick_render`` per brick,
-and ``composite_merge`` in the compositor.
+stage and ``forest_brick_partition`` per brick; a render traces as
+extraction (``point_prefix``, ``volume_deposit``) and the renderer.
 """
 
 from __future__ import annotations
@@ -56,11 +59,10 @@ from repro.core.atomic import atomic_write_bytes
 from repro.core.checkpoint import Checkpoint
 from repro.core.dataset import as_dataset
 from repro.core.errors import FormatError
-from repro.core.executor import run_shards
 from repro.core.store import DEFAULT_SHARD_ROWS, ShardedStore, shard_name, write_manifest
 from repro.core.trace import count, gauge_peak_rss, span
-from repro.octree.extraction import _halo_densities, density_volume, extract
-from repro.octree.octree import check_build, morton_keys, plot_columns
+from repro.octree.extraction import extract
+from repro.octree.octree import check_build, morton_decode, morton_keys, plot_columns
 from repro.octree.partition import PartitionedFrame
 from repro.octree.stream_partition import (
     PartitionedStore,
@@ -68,7 +70,6 @@ from repro.octree.stream_partition import (
     _run_steps,
     partition_store,
 )
-from repro.render.compositor import SortLastCompositor
 
 __all__ = ["ForestStore", "partition_forest", "render_forest"]
 
@@ -355,10 +356,11 @@ def partition_forest(
 class ForestStore:
     """An opened forest of per-brick partitioned octrees.
 
-    The rank-oriented face of the partition: each non-empty brick is an
-    independent :class:`PartitionedStore` a worker (or rank) can open,
-    extract, and render on its own; the manifest pins the shared global
-    bounds, tree parameters, and per-brick particle counts.
+    Each non-empty brick is an independent :class:`PartitionedStore`;
+    the manifest pins the shared global bounds, tree parameters, and
+    per-brick particle counts.  The forest as a whole answers the calls
+    extraction makes of a partitioned frame, as the single octree it
+    reconstructs (module docstring).
     """
 
     def __init__(self, directory, manifest: dict):
@@ -377,6 +379,7 @@ class ForestStore:
             int(e["id"]): int(e["n_particles"]) for e in manifest["brick_table"]
         }
         self._open: dict[int, PartitionedStore] = {}
+        self._table = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -436,18 +439,9 @@ class ForestStore:
 
     def brick_bounds(self, brick_id: int):
         """Axis-aligned world bounds of one brick's octant."""
-        from repro.render.compositor import brick_ijk
-
-        ijk = np.array(brick_ijk(int(brick_id), self.brick_level), dtype=np.float64)
+        ijk = morton_decode([int(brick_id)], self.brick_level)[0].astype(np.float64)
         size = (self.hi - self.lo) / self.bricks
         return self.lo + ijk * size, self.lo + (ijk + 1.0) * size
-
-    def node_densities(self) -> np.ndarray:
-        """Concatenated node densities across all bricks (the global
-        leaf-density multiset; threshold percentiles match the
-        single-octree partition's)."""
-        parts = [self.brick(b).nodes["density"] for b in self.brick_ids]
-        return np.concatenate(parts) if parts else np.empty(0)
 
     def nbytes(self) -> int:
         """On-disk footprint across all brick stores."""
@@ -481,58 +475,109 @@ class ForestStore:
             )
 
     # ------------------------------------------------------------------
-    def to_partitioned_frame(self) -> PartitionedFrame:
-        """Gather the forest back into one in-core partitioned frame.
+    # the calls extract makes of any partitioned frame
+    def _global_table(self):
+        """The global density-sorted node table, with each node's
+        brick (index into :attr:`brick_ids`) and its start in that
+        brick's file; built once.
 
         Bricks are walked in ascending Morton-prefix order and each
-        brick's (density-sorted) node table is unsorted back to leaf
-        (depth-first Morton) order; the concatenation is exactly the
-        global tree's leaf order, so the stable density re-sort and the
-        per-leaf particle copies reproduce the single-octree
-        ``partition`` result **bitwise** whenever the forest and global
-        leaf sets coincide (module docstring).  Materializes the whole
-        frame in RAM -- the verification/gather path, not the scaling
-        path.
+        brick's node table is unsorted back to leaf (depth-first
+        Morton) order, so the concatenation is the global tree's leaf
+        order and the stable density sort gives the single octree's
+        table (module docstring).  A brick's own table is that same
+        sort over its own leaves, so the global nodes of one brick
+        keep its file order.
         """
-        leaf_tables = []
-        store_of = []
-        for idx, b in enumerate(self.brick_ids):
-            ps = self.brick(b)
-            nodes = ps.nodes
-            shift = (3 * (self.max_level - nodes["level"].astype(np.int64))).astype(
-                np.uint64
-            )
-            first_key = nodes["key"].astype(np.uint64) << shift
-            order = np.argsort(first_key, kind="stable")
-            leaf_tables.append(nodes[order])
-            store_of.append(np.full(len(nodes), idx, dtype=np.int64))
-        if not leaf_tables:
-            raise FormatError("forest holds no particles")
-        leaves = np.concatenate(leaf_tables)
-        store_of = np.concatenate(store_of)
+        if self._table is None:
+            leaf_tables, brick_of = [], []
+            for idx, b in enumerate(self.brick_ids):
+                nodes = self.brick(b).nodes
+                shift = (3 * (self.max_level - nodes["level"].astype(np.int64))).astype(
+                    np.uint64
+                )
+                order = np.argsort(nodes["key"].astype(np.uint64) << shift, kind="stable")
+                leaf_tables.append(nodes[order])
+                brick_of.append(np.full(len(nodes), idx, dtype=np.int64))
+            if not leaf_tables:
+                raise FormatError("forest holds no particles")
+            leaves = np.concatenate(leaf_tables)
+            order = np.argsort(leaves["density"], kind="stable")
+            nodes = leaves[order]
+            local_start = nodes["start"].astype(np.int64)
+            counts = nodes["count"].astype(np.int64)
+            nodes["start"] = (np.cumsum(counts) - counts).astype(np.uint64)
+            self._table = (nodes, np.concatenate(brick_of)[order], local_start)
+        return self._table
 
-        dens_order = np.argsort(leaves["density"], kind="stable")
-        nodes_sorted = leaves[dens_order].copy()
-        counts = nodes_sorted["count"].astype(np.int64)
-        nodes_sorted["start"] = np.concatenate(
-            [[0], np.cumsum(counts)[:-1]]
-        ).astype(np.uint64)
+    @property
+    def nodes(self) -> np.ndarray:
+        """The single octree's node table, sorted by increasing density
+        (``start`` indexes the global particle order)."""
+        return self._global_table()[0]
 
-        brick_arrays = [self.brick(b).store.to_array() for b in self.brick_ids]
-        src_store = store_of[dens_order]
-        src_start = leaves["start"].astype(np.int64)[dens_order]
-        blocks = [
-            brick_arrays[src_store[k]][src_start[k] : src_start[k] + counts[k]]
-            for k in range(len(nodes_sorted))
-        ]
-        particles = (
-            np.concatenate(blocks) if blocks else np.empty((0, 6), dtype=np.float64)
+    def density_cutoff_index(self, threshold_density: float) -> int:
+        """Number of leading particles in nodes below the threshold."""
+        nodes = self.nodes
+        n_below = int(np.searchsorted(nodes["density"], threshold_density, side="left"))
+        return int(nodes["count"][:n_below].sum())
+
+    def read_prefix(self, n_particles: int) -> np.ndarray:
+        """The first ``n_particles`` rows of the single octree's
+        particle file, read from each brick's own file prefix.
+
+        The prefix's global nodes that fall in one brick are a prefix
+        of that brick's node table, so each brick reads rows
+        ``[0, m)`` and one ``np.repeat`` index puts the rows in global
+        node order.  Reads nothing past the prefix.
+        """
+        nodes, brick_of, local_start = self._global_table()
+        n = min(max(int(n_particles), 0), self.n_particles)
+        counts = nodes["count"].astype(np.int64)
+        ends = np.cumsum(counts)
+        k = int(np.searchsorted(ends, n)) + 1 if n else 0  # nodes the prefix touches
+        counts = counts[:k]
+        if k:
+            counts[-1] -= int(ends[k - 1]) - n  # the last one may be cut
+        per_brick = np.bincount(
+            brick_of[:k], weights=counts, minlength=len(self.brick_ids)
+        ).astype(np.int64)
+        block = np.concatenate(
+            [self.brick(b).read_prefix(m) for b, m in zip(self.brick_ids, per_brick)]
         )
+        # node j's rows sit at its brick's offset in ``block`` plus its
+        # brick-local start, and land at its global start
+        offset = np.cumsum(per_brick) - per_brick
+        shift = offset[brick_of[:k]] + local_start[:k] - nodes["start"][:k].astype(np.int64)
+        return block[np.repeat(shift, counts) + np.arange(n)]
+
+    def chunks(self, columns=None):
+        """Stream every brick's particle file shard by shard, bricks in
+        ascending order."""
+        for b in self.brick_ids:
+            yield from self.brick(b).chunks(columns)
+
+    def volume_counts(self, resolution: int) -> np.ndarray:
+        """The all-particle CIC count grid: the bricks' stored grids
+        (:meth:`PartitionedStore.volume_counts`) summed in ascending
+        brick order."""
+        res = int(resolution)
+        grid = np.zeros((res,) * 3)
+        for b in self.brick_ids:
+            grid += self.brick(b).volume_counts(res)
+        return grid
+
+    def to_partitioned_frame(self) -> PartitionedFrame:
+        """Gather the forest into one in-core partitioned frame: the
+        global node table and every particle in its order, bitwise the
+        single-octree ``partition`` result whenever the forest and
+        global leaf sets coincide (module docstring).  Materializes the
+        whole frame in RAM -- a verification path."""
         return PartitionedFrame(
             plot_type=self.plot_type,
             columns=self.columns,
-            particles=particles,
-            nodes=nodes_sorted,
+            particles=self.read_prefix(self.n_particles),
+            nodes=self.nodes.copy(),
             lo=self.lo.copy(),
             hi=self.hi.copy(),
             max_level=self.max_level,
@@ -548,114 +593,9 @@ class ForestStore:
         )
 
 
+
+
 # ----------------------------------------------------------------------
-# rendering
-def _grid_ownership(res: int, bricks: int) -> np.ndarray:
-    """Brick index (per axis) owning each of ``res`` grid vertices.
-
-    Vertex ``j`` sits at ``lo + j * (hi - lo) / (res - 1)``; it belongs
-    to the brick whose half-open world interval contains it, with the
-    global upper face assigned to the last brick.  Ownership is
-    disjoint, so the per-brick masked volumes tile the global grid.
-    """
-    j = np.arange(int(res), dtype=np.int64)
-    return np.minimum((j * int(bricks)) // max(int(res) - 1, 1), int(bricks) - 1)
-
-
-def _brick_extract_task(task):
-    """Phase A (picklable): extract one brick's halo and its float64
-    CIC counts on the *global* grid (the brick store's own volume,
-    :meth:`PartitionedStore.volume_counts`); halo goes to disk, the
-    counts' non-zero sub-box comes back for the parent's deterministic
-    sum.  With ``amr_bricks`` set, the brick's particles are also
-    histogrammed into the global AMR root grid so the parent can plan
-    one shared brick manifest."""
-    brick_dir, brick_id, threshold, res, work_dir, amr_bricks = task
-    with span("forest_brick_render", which="extract", brick=int(brick_id)):
-        ps = PartitionedStore.open(brick_dir)
-        cutoff = ps.density_cutoff_index(float(threshold))
-        halo = ps.read_prefix(cutoff)[:, list(ps.columns)]
-        dens = _halo_densities(ps.nodes, cutoff)
-        counts = ps.volume_counts(int(res))
-        amr_hist = None
-        if amr_bricks:
-            from repro.octree.amr import brick_particle_counts
-
-            amr_hist = brick_particle_counts(
-                ps.chunks(ps.columns), ps.lo, ps.hi, int(amr_bricks)
-            )
-        nz = np.nonzero(counts)
-        if nz[0].size:
-            bbox = [(int(ax.min()), int(ax.max()) + 1) for ax in nz]
-            sub = counts[
-                bbox[0][0] : bbox[0][1],
-                bbox[1][0] : bbox[1][1],
-                bbox[2][0] : bbox[2][1],
-            ].copy()
-        else:
-            bbox, sub = None, None
-        pos32 = halo.astype(np.float32)
-        dens32 = dens.astype(np.float32)
-        np.savez(
-            Path(work_dir) / f"halo_{int(brick_id):06d}.npz", pos=pos32, dens=dens32
-        )
-        pmax = float(dens32.max()) if len(dens32) else None
-    return (int(brick_id), bbox, sub, pmax, int(cutoff), amr_hist)
-
-
-def _brick_render_task(task):
-    """Phase B (picklable): render one brick's hybrid content against
-    the shared global density scale; returns the partial image.
-    ``amr_spec``, when set, is (brick_dir, masked level map, brick
-    geometry): the task re-opens its store and deposits only the AMR
-    bricks this rank owns, so the per-rank adaptive volumes tile the
-    global one exactly."""
-    (brick_id, halo_path, vol_sub, vol_off, res, lo_t, hi_t, threshold, step,
-     plot_type, renderer, camera, part, amr_spec) = task
-    from repro.hybrid.representation import HybridFrame
-
-    with span("forest_brick_render", which="render", brick=int(brick_id)):
-        data = np.load(halo_path)
-        volume = np.zeros((int(res),) * 3, dtype=np.float32)
-        if vol_sub is not None:
-            ox, oy, oz = vol_off
-            volume[
-                ox : ox + vol_sub.shape[0],
-                oy : oy + vol_sub.shape[1],
-                oz : oz + vol_sub.shape[2],
-            ] = vol_sub
-        meta = {}
-        if amr_spec is not None and part != "points":
-            from repro.octree.amr import build_amr
-
-            amr_dir, masked_levels, amr_bricks, amr_brick_cells = amr_spec
-            ps = PartitionedStore.open(amr_dir)
-            meta["amr"] = build_amr(
-                ps,
-                bricks=int(amr_bricks),
-                brick_cells=int(amr_brick_cells),
-                levels=masked_levels,
-            )
-        frame = HybridFrame(
-            volume=volume,
-            points=data["pos"],
-            point_densities=data["dens"],
-            lo=np.asarray(lo_t),
-            hi=np.asarray(hi_t),
-            threshold=float(threshold),
-            step=int(step),
-            plot_type=plot_type,
-            meta=meta,
-        )
-        if part == "volume":
-            fb = renderer.render_volume_part(frame, camera=camera)
-        elif part == "points":
-            fb = renderer.render_point_part(frame, camera=camera)
-        else:
-            fb = renderer.render(frame, camera=camera)
-    return (int(brick_id), fb.rgba, fb.depth)
-
-
 def render_forest(
     forest: ForestStore,
     *,
@@ -665,225 +605,56 @@ def render_forest(
     threshold_percentile: float = 60.0,
     volume_resolution: int = 64,
     part: str = "hybrid",
-    mode: str = "sortlast",
-    workers: int = 1,
     adaptive: bool = False,
-    amr_bricks: int | None = None,
+    amr_bricks: int = 8,
     amr_brick_cells: int = 8,
     amr_max_refine: int = 2,
     amr_byte_budget: int | None = None,
 ):
-    """Render a forest store to one composited image.
+    """Render a forest store: extract it out of core, then render once.
 
     Parameters
     ----------
     forest : an opened :class:`ForestStore`
     camera : defaults to fitting the global bounds
     renderer : a :class:`repro.hybrid.renderer.HybridRenderer` carrying
-        the transfer functions and tuning; its ``max_density`` (when
-        set) pins the shared normalization scale, otherwise the global
-        maximum density is computed and pinned automatically so every
-        brick classifies on the same scale
+        the transfer functions and tuning
     threshold : halo extraction threshold; defaults to the
         ``threshold_percentile``-th percentile of the forest's node
-        densities (same value the single-octree path would pick)
+        densities (the value the single-octree path picks)
     part : ``"hybrid"`` (default), ``"volume"``, or ``"points"``
-    mode : ``"sortlast"`` (default) renders each brick independently
-        and merges through :class:`SortLastCompositor` -- the scaling
-        path, exact for the point pass and approximate for the volume
-        pass near brick boundaries; ``"gather"`` reconstructs the
-        single-octree frame and renders it directly -- bit-identical to
-        the non-forest pipeline, for verification and small forests
-    workers : fan per-brick extraction and rendering across processes
-        (``sortlast`` only); the composited image is identical for any
-        worker count
-    adaptive : render through octree-refined AMR volumes
-        (:mod:`repro.octree.amr`): phase A additionally histograms
-        each forest brick's particles into a global AMR root grid, one
-        shared brick manifest is planned from the summed histogram,
-        and each phase-B rank deposits only the AMR bricks inside its
-        own forest brick (ownership masking) -- the per-rank adaptive
-        volumes tile the global one, so the composited image stays
-        worker-count deterministic.  The flat phase-A grid is still
-        built and still pins the shared density scale.
-    amr_bricks : AMR root bricks per axis; defaults to
-        ``max(8, forest.bricks)`` and must be a power-of-two multiple
-        of ``forest.bricks`` so AMR bricks nest in forest bricks
-    amr_brick_cells, amr_max_refine, amr_byte_budget : forwarded to
-        the planner (byte budget defaults to the flat volume's
-        ``volume_resolution^3 * 4`` -- equal memory)
+    volume_resolution, adaptive, amr_bricks, amr_brick_cells,
+    amr_max_refine, amr_byte_budget : as in
+        :func:`repro.octree.extraction.extract`
 
-    Returns the composited :class:`repro.render.framebuffer.Framebuffer`.
+    The forest answers extract's calls, so the hybrid frame is the
+    single octree's (points bitwise, volume within one float32 ULP of
+    the one-chunk deposit) and so is the returned
+    :class:`repro.render.framebuffer.Framebuffer`.
     """
     from repro.hybrid.renderer import HybridRenderer
     from repro.render.camera import Camera
 
     if part not in ("hybrid", "volume", "points"):
         raise ValueError("part must be 'hybrid', 'volume', or 'points'")
-    if mode not in ("sortlast", "gather"):
-        raise ValueError("mode must be 'sortlast' or 'gather'")
     renderer = renderer or HybridRenderer()
     camera = camera or Camera.fit_bounds(forest.lo, forest.hi, width=256, height=256)
     if threshold is None:
         threshold = float(
-            np.percentile(forest.node_densities(), float(threshold_percentile))
+            np.percentile(forest.nodes["density"], float(threshold_percentile))
         )
-
-    if adaptive:
-        if amr_bricks is None:
-            amr_bricks = max(8, int(forest.bricks))
-        amr_bricks = int(amr_bricks)
-        if amr_bricks % int(forest.bricks) or amr_bricks & (amr_bricks - 1):
-            raise ValueError(
-                "amr_bricks must be a power-of-two multiple of forest.bricks"
-            )
-        if amr_byte_budget is None:
-            amr_byte_budget = int(volume_resolution) ** 3 * 4
-
-    if mode == "gather":
-        frame = forest.to_partitioned_frame()
-        hybrid = extract(
-            frame,
-            threshold,
-            volume_resolution=int(volume_resolution),
-            adaptive=adaptive,
-            amr_bricks=amr_bricks if adaptive else 8,
-            amr_brick_cells=amr_brick_cells,
-            amr_max_refine=amr_max_refine,
-            amr_byte_budget=amr_byte_budget,
-        )
-        if part == "volume":
-            return renderer.render_volume_part(hybrid, camera=camera)
-        if part == "points":
-            return renderer.render_point_part(hybrid, camera=camera)
-        return renderer.render(hybrid, camera=camera)
-
-    # ---- sort-last -----------------------------------------------------
-    res = int(volume_resolution)
-    brick_ids = forest.brick_ids
-    work_dir = forest.directory / "_render_work"
-    work_dir.mkdir(exist_ok=True)
-    try:
-        # Phase A: per-brick halo extraction + global-grid CIC counts
-        tasks = [
-            (str(forest.directory / _brick_dir_name(b)), b, float(threshold),
-             res, str(work_dir), int(amr_bricks) if adaptive else 0)
-            for b in brick_ids
-        ]
-        results = run_shards(
-            _brick_extract_task, tasks, workers=int(workers), label="forest_extract"
-        )
-
-        # deterministic sum in ascending brick order recovers the global
-        # float64 counts grid (same addends as the single-path deposit,
-        # regrouped), then the single float32 cast fixes the scale
-        counts = np.zeros((res,) * 3, dtype=np.float64)
-        point_maxes = []
-        amr_hist = None
-        for brick_id, bbox, sub, pmax, _cutoff, hist in results:
-            if sub is not None:
-                counts[
-                    bbox[0][0] : bbox[0][1],
-                    bbox[1][0] : bbox[1][1],
-                    bbox[2][0] : bbox[2][1],
-                ] += sub
-            if pmax is not None:
-                point_maxes.append(pmax)
-            if hist is not None:
-                amr_hist = hist if amr_hist is None else amr_hist + hist
-        volume32 = density_volume(counts, forest.lo, forest.hi)
-        candidates = [float(volume32.max())] if volume32.size else []
-        candidates += point_maxes
-        dmax = renderer.max_density
-        if dmax is None:
-            dmax = max(candidates) if candidates else None
-
-        brick_renderer = HybridRenderer(
-            transfer=renderer.transfer,
-            point_colormap=renderer.point_colormap,
-            point_alpha=renderer.point_alpha,
-            point_size=renderer.point_size,
-            n_slices=renderer.n_slices,
-            normalizer_mode=renderer.normalizer_mode,
-            point_color_by=renderer.point_color_by,
-            cache=renderer.cache,
-            point_batch_size=renderer.point_batch_size,
-            max_density=dmax,
-            point_mode=renderer.point_mode,
-            splat_sigma=renderer.splat_sigma,
-            splat_scale=renderer.splat_scale,
-            volume_mode=renderer.volume_mode,
-        )
-
-        # one shared AMR brick manifest, planned from the global
-        # histogram -- every rank refines against the same level map
-        global_levels = None
-        if adaptive:
-            from repro.octree.amr import plan_amr_levels
-
-            if amr_hist is None:
-                amr_hist = np.zeros((int(amr_bricks),) * 3, dtype=np.int64)
-            global_levels = plan_amr_levels(
-                amr_hist,
-                brick_cells=int(amr_brick_cells),
-                max_refine=int(amr_max_refine),
-                byte_budget=int(amr_byte_budget),
-            )
-
-        # Phase B: independent brick renders on the shared scale
-        own = _grid_ownership(res, forest.bricks)
-        from repro.render.compositor import brick_ijk
-
-        tasks = []
-        for b in brick_ids:
-            if part != "points":
-                i, j, k = brick_ijk(b, forest.brick_level)
-                sx = np.flatnonzero(own == i)
-                sy = np.flatnonzero(own == j)
-                sz = np.flatnonzero(own == k)
-                vol_off = (int(sx[0]), int(sy[0]), int(sz[0]))
-                vol_sub = volume32[
-                    sx[0] : sx[-1] + 1, sy[0] : sy[-1] + 1, sz[0] : sz[-1] + 1
-                ].copy()
-            else:
-                vol_off, vol_sub = None, None
-            amr_spec = None
-            if adaptive and part != "points":
-                # ownership mask: an AMR brick belongs to the forest
-                # brick its box nests in (amr_bricks is a multiple of
-                # forest.bricks, so the tiling is exact)
-                i, j, k = brick_ijk(b, forest.brick_level)
-                g = int(amr_bricks) // int(forest.bricks)
-                masked = np.full(global_levels.shape, -1, dtype=np.int8)
-                masked[
-                    i * g : (i + 1) * g, j * g : (j + 1) * g, k * g : (k + 1) * g
-                ] = global_levels[
-                    i * g : (i + 1) * g, j * g : (j + 1) * g, k * g : (k + 1) * g
-                ]
-                amr_spec = (
-                    str(forest.directory / _brick_dir_name(b)), masked,
-                    int(amr_bricks), int(amr_brick_cells),
-                )
-            tasks.append(
-                (b, str(work_dir / f"halo_{b:06d}.npz"), vol_sub, vol_off, res,
-                 tuple(forest.lo), tuple(forest.hi), float(threshold),
-                 forest.step, forest.plot_type, brick_renderer, camera, part,
-                 amr_spec)
-            )
-        rendered = run_shards(
-            _brick_render_task, tasks, workers=int(workers), label="forest_render"
-        )
-        count("forest_brick_render", len(rendered))
-
-        from repro.render.framebuffer import Framebuffer
-
-        images = {}
-        for brick_id, rgba, depth in rendered:
-            fb = Framebuffer(camera.width, camera.height)
-            fb.rgba[...] = rgba
-            fb.depth[...] = depth
-            images[brick_id] = fb
-        compositor = SortLastCompositor(forest.lo, forest.hi, forest.bricks)
-        return compositor.composite(camera, images)
-    finally:
-        shutil.rmtree(work_dir, ignore_errors=True)
+    hybrid = extract(
+        forest,
+        threshold,
+        volume_resolution=int(volume_resolution),
+        adaptive=adaptive,
+        amr_bricks=amr_bricks,
+        amr_brick_cells=amr_brick_cells,
+        amr_max_refine=amr_max_refine,
+        amr_byte_budget=amr_byte_budget,
+    )
+    if part == "volume":
+        return renderer.render_volume_part(hybrid, camera=camera)
+    if part == "points":
+        return renderer.render_point_part(hybrid, camera=camera)
+    return renderer.render(hybrid, camera=camera)

@@ -119,10 +119,6 @@ class TestBuild:
         assert len(refined)
         assert np.all(refined >= 1) and np.all(refined <= 6)
 
-    def test_levels_override_skips_planning(self, beam_frame, beam_amr):
-        forced = build_amr(beam_frame, levels=beam_amr.levels)
-        assert np.array_equal(forced.data, beam_amr.data)
-
     def test_to_dense_shape_and_support(self, beam_amr):
         dense = beam_amr.to_dense(32)
         assert dense.shape == (32, 32, 32)

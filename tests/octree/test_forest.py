@@ -1,5 +1,8 @@
 """Forest-of-octrees partition: routing, equivalence, crash safety,
-worker invariance, and the two render modes."""
+worker invariance, the forest as one partitioned frame, and its
+render."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from repro.hybrid.renderer import HybridRenderer
 from repro.octree.extraction import extract
 from repro.octree.forest import ForestStore, partition_forest, render_forest
 from repro.octree.partition import partition
+from repro.octree.stream_partition import partition_store
 from repro.render.camera import Camera
 
 MAX_LEVEL = 5
@@ -68,10 +72,9 @@ class TestPartitionForest:
         assert np.array_equal(got.hi, global_frame.hi)
         got.validate()
 
-    def test_node_densities_match_global_multiset(self, forest, global_frame):
-        assert np.array_equal(
-            np.sort(forest.node_densities()), np.sort(global_frame.nodes["density"])
-        )
+    def test_nodes_equal_global_table(self, forest, global_frame):
+        assert np.array_equal(forest.nodes, global_frame.nodes)
+        assert forest.density_cutoff_index(np.inf) == forest.n_particles
 
     def test_bricks_one_degenerates_to_single_tree(
         self, particles, global_frame, tmp_path
@@ -206,48 +209,36 @@ class TestWorkerInvariance:
         assert np.array_equal(a.nodes, b.nodes)
         assert np.array_equal(a.particles, b.particles)
 
-    def test_render_workers_bitwise_identical(self, forest):
-        cam = Camera.fit_bounds(forest.lo, forest.hi, width=48, height=48)
-        kw = dict(
-            camera=cam, renderer=HybridRenderer(n_slices=12),
-            volume_resolution=24,
+    @pytest.fixture(scope="class")
+    def forest_w2(self, particles, tmp_path_factory):
+        out = tmp_path_factory.mktemp("forest_w2") / "store"
+        return partition_forest(
+            particles, out, "xyz", bricks=2, max_level=MAX_LEVEL,
+            capacity=CAPACITY, workers=2,
         )
-        one = render_forest(forest, workers=1, **kw)
-        two = render_forest(forest, workers=2, **kw)
-        assert np.array_equal(one.rgba, two.rgba)
-        assert np.array_equal(one.depth, two.depth)
 
-    def test_adaptive_render_workers_bitwise_identical(self, forest):
-        """The shared AMR manifest is planned globally before fan-out,
-        so per-rank deposits tile it and the composite is identical for
-        any worker count."""
+    def _renders(self, forest, forest_w2, **kw):
         cam = Camera.fit_bounds(forest.lo, forest.hi, width=48, height=48)
-        kw = dict(
-            camera=cam, renderer=HybridRenderer(n_slices=12),
-            volume_resolution=24, adaptive=True,
-        )
-        one = render_forest(forest, workers=1, **kw)
-        two = render_forest(forest, workers=2, **kw)
+        one = render_forest(forest, camera=cam, volume_resolution=24, **kw)
+        two = render_forest(forest_w2, camera=cam, volume_resolution=24, **kw)
         assert np.any(one.rgba[..., 3] > 0.0)
         assert np.array_equal(one.rgba, two.rgba)
         assert np.array_equal(one.depth, two.depth)
 
-    def test_splat_render_workers_bitwise_identical(self, forest):
-        """Gaussian-splat fragments are point-major and per-brick, so
-        the sort-last point pass stays worker-count deterministic."""
-        cam = Camera.fit_bounds(forest.lo, forest.hi, width=48, height=48)
-        kw = dict(
-            camera=cam,
-            renderer=HybridRenderer(
-                n_slices=12, point_mode="splat", splat_scale=0.5
-            ),
-            volume_resolution=24, part="points",
+    def test_render_workers_bitwise_identical(self, forest, forest_w2):
+        """Forests partitioned at workers 1 and 2 render the same bytes."""
+        self._renders(forest, forest_w2, renderer=HybridRenderer(n_slices=12))
+
+    def test_adaptive_render_workers_bitwise_identical(self, forest, forest_w2):
+        self._renders(
+            forest, forest_w2, renderer=HybridRenderer(n_slices=12), adaptive=True
         )
-        one = render_forest(forest, workers=1, **kw)
-        two = render_forest(forest, workers=2, **kw)
-        assert np.any(one.rgba[..., 3] > 0.0)
-        assert np.array_equal(one.rgba, two.rgba)
-        assert np.array_equal(one.depth, two.depth)
+
+    def test_splat_render_workers_bitwise_identical(self, forest, forest_w2):
+        self._renders(
+            forest, forest_w2, part="points",
+            renderer=HybridRenderer(n_slices=12, point_mode="splat", splat_scale=0.5),
+        )
 
 
 class TestRenderForest:
@@ -255,45 +246,45 @@ class TestRenderForest:
     def camera(self, forest):
         return Camera.fit_bounds(forest.lo, forest.hi, width=64, height=64)
 
-    def test_gather_mode_bitwise_vs_single_octree(
-        self, forest, global_frame, camera
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["flat", "adaptive"])
+    def test_render_bitwise_vs_single_octree(
+        self, forest, global_frame, camera, adaptive
     ):
         thr = float(np.percentile(global_frame.nodes["density"], 60))
-        renderer = HybridRenderer(n_slices=16)
-        single = renderer.render(
-            extract(global_frame, thr, volume_resolution=32), camera=camera
-        )
-        gathered = render_forest(
-            forest, camera=camera, renderer=HybridRenderer(n_slices=16),
-            threshold=thr, volume_resolution=32, mode="gather",
-        )
-        assert np.array_equal(single.rgba, gathered.rgba)
-        assert np.array_equal(single.depth, gathered.depth)
-
-    def test_sortlast_within_pinned_tolerance(self, forest, global_frame, camera):
-        """Sort-last regroups per-brick; the image matches the single
-        path up to the documented brick-boundary approximation.  The
-        tolerances here pin that approximation."""
-        thr = float(np.percentile(global_frame.nodes["density"], 60))
         single = HybridRenderer(n_slices=16).render(
-            extract(global_frame, thr, volume_resolution=32), camera=camera
+            extract(global_frame, thr, volume_resolution=32, adaptive=adaptive),
+            camera=camera,
         )
-        composited = render_forest(
+        rendered = render_forest(
             forest, camera=camera, renderer=HybridRenderer(n_slices=16),
-            threshold=thr, volume_resolution=32, mode="sortlast",
+            threshold=thr, volume_resolution=32, adaptive=adaptive,
         )
-        assert np.allclose(composited.rgba, single.rgba, atol=0.08)
-        identical = np.all(composited.rgba == single.rgba, axis=-1).mean()
-        assert identical >= 0.50, f"only {identical:.0%} of pixels bitwise-equal"
+        assert np.any(rendered.rgba[..., 3] > 0.0)
+        assert np.array_equal(single.rgba, rendered.rgba)
+        assert np.array_equal(single.depth, rendered.depth)
 
-    def test_sortlast_volume_part_renders(self, forest, camera):
+    def test_default_threshold_is_the_single_octree_percentile(
+        self, forest, global_frame, camera
+    ):
+        thr = float(np.percentile(global_frame.nodes["density"], 35))
+        a = render_forest(
+            forest, camera=camera, renderer=HybridRenderer(n_slices=12),
+            volume_resolution=24, threshold_percentile=35,
+        )
+        b = render_forest(
+            forest, camera=camera, renderer=HybridRenderer(n_slices=12),
+            volume_resolution=24, threshold=thr,
+        )
+        assert np.array_equal(a.rgba, b.rgba)
+
+    def test_volume_part_renders(self, forest, camera):
         fb = render_forest(
             forest, camera=camera, renderer=HybridRenderer(n_slices=12),
             volume_resolution=24, part="volume",
         )
         assert np.any(fb.rgba[..., 3] > 0.0)
 
-    def test_sortlast_points_part_renders(self, forest, camera):
+    def test_points_part_renders(self, forest, camera):
         fb = render_forest(
             forest, camera=camera, renderer=HybridRenderer(n_slices=12),
             volume_resolution=24, part="points",
@@ -301,8 +292,7 @@ class TestRenderForest:
         assert np.any(fb.rgba[..., 3] > 0.0)
 
     def test_pinned_max_density_respected(self, forest, camera):
-        """A caller-pinned ``max_density`` overrides the computed global
-        scale in both the sort-last and the single-brick renderers."""
+        """A caller-pinned ``max_density`` is the renderer's scale."""
         a = render_forest(
             forest, camera=camera,
             renderer=HybridRenderer(n_slices=12, max_density=1e4),
@@ -316,8 +306,8 @@ class TestRenderForest:
         assert np.array_equal(a.rgba, b.rgba)
 
     def test_adaptive_volume_part_renders(self, forest, camera):
-        """adaptive=True routes the volume pass through per-rank AMR
-        bricks and still produces a covered, finite image."""
+        """adaptive=True routes the volume pass through AMR bricks and
+        still produces a covered, finite image."""
         flat = render_forest(
             forest, camera=camera, renderer=HybridRenderer(n_slices=12),
             volume_resolution=24, part="volume",
@@ -333,11 +323,121 @@ class TestRenderForest:
         assert not np.array_equal(flat.rgba, amr.rgba)
 
     def test_bad_amr_bricks_rejected(self, forest):
-        with pytest.raises(ValueError, match="amr_bricks"):
+        with pytest.raises(ValueError, match="power of two"):
             render_forest(forest, adaptive=True, amr_bricks=6)
 
-    def test_bad_mode_and_part_rejected(self, forest):
-        with pytest.raises(ValueError, match="mode"):
-            render_forest(forest, mode="tiles")
+    def test_bad_part_rejected(self, forest):
         with pytest.raises(ValueError, match="part"):
             render_forest(forest, part="wireframe")
+
+
+def _frame_inputs():
+    """name -> particles: a beam, duplicated rows (ties in every node
+    density and coordinate), and a cloud in one octant of explicit
+    bounds, which leaves every other brick empty."""
+    rng = np.random.default_rng(29)
+    beam = np.vstack([rng.normal(0.0, 0.3, (6_000, 6)), rng.normal(0.0, 1.5, (600, 6))])
+    octant = np.column_stack(
+        [rng.uniform(0.05, 0.95, (3_000, 3)), rng.normal(0.0, 1.0, (3_000, 3))]
+    )
+    return {
+        "beam": beam,
+        "duplicates": np.repeat(beam[:1_500], 3, axis=0),
+        "octant": octant,
+    }
+
+
+FRAME_INPUTS = _frame_inputs()
+OCTANT_BOUNDS = dict(lo=[-1.0] * 3, hi=[1.0] * 3)
+
+
+def _max_ulp(a, b) -> int:
+    a = np.asarray(a, dtype=np.float32).view(np.int32).astype(np.int64)
+    b = np.asarray(b, dtype=np.float32).view(np.int32).astype(np.int64)
+    return int(np.max(np.abs(a - b))) if a.size else 0
+
+
+class TestForestAsPartitionedFrame:
+    """The forest answers extract's calls as the single octree it
+    reconstructs, whatever the brick count."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[(name, b) for name in sorted(FRAME_INPUTS) for b in (1, 2, 4)],
+        ids=lambda p: f"{p[0]}-bricks{p[1]}",
+    )
+    def case(self, request, tmp_path_factory):
+        name, bricks = request.param
+        particles = FRAME_INPUTS[name]
+        bounds = OCTANT_BOUNDS if name == "octant" else {}
+        out = tmp_path_factory.mktemp(f"{name}_{bricks}") / "forest"
+        forest = partition_forest(
+            particles, out, "xyz", bricks=bricks, max_level=MAX_LEVEL,
+            capacity=CAPACITY, shard_rows=500, **bounds,
+        )
+        # the single octree refined to the brick level everywhere, as
+        # every brick tree is; the in-core ``partition`` when that is
+        # where its capacity rule stops anyway
+        single = partition_store(
+            particles, out.parent / "single", "xyz", max_level=MAX_LEVEL,
+            capacity=CAPACITY, min_level=forest.brick_level, **bounds,
+        )
+        return name, forest, single
+
+    def test_is_the_single_octree(self, case):
+        name, forest, single = case
+        if name == "octant" and forest.bricks > 1:
+            assert len(forest.brick_ids) < forest.n_bricks  # empty bricks
+        frame = forest.to_partitioned_frame()
+        frame.validate()
+        assert np.array_equal(forest.nodes, single.nodes)
+        assert np.array_equal(frame.particles, single.store.to_array())
+
+    def test_read_prefix_at_every_cutoff_and_at_random(self, case):
+        _, forest, _ = case
+        particles = forest.to_partitioned_frame().particles
+        ends = np.cumsum(forest.nodes["count"].astype(np.int64))
+        rng = np.random.default_rng(4)
+        cuts = [0, *ends.tolist(), *rng.integers(0, forest.n_particles + 1, 40).tolist()]
+        for n in cuts:
+            got = forest.read_prefix(n)
+            assert got.dtype == np.float64 and got.shape == (n, 6)
+            assert np.array_equal(got, particles[:n]), n
+        for d in _densities(forest):
+            n = forest.density_cutoff_index(d)
+            assert np.array_equal(forest.read_prefix(n), particles[:n])
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["flat", "adaptive"])
+    def test_extract_matches_the_gathered_frame(self, case, adaptive):
+        _, forest, _ = case
+        frame = forest.to_partitioned_frame()
+        kw = dict(volume_resolution=17, adaptive=adaptive, amr_bricks=4, amr_brick_cells=4)
+        for t in _densities(forest):
+            ours = extract(forest, t, **kw)
+            ref = extract(frame, t, **kw)
+            assert np.array_equal(ours.points, ref.points)
+            assert np.array_equal(ours.point_densities, ref.point_densities)
+            assert _max_ulp(ours.volume, ref.volume) <= 1
+            if adaptive:
+                a, b = ours.meta["amr"], ref.meta["amr"]
+                assert np.array_equal(a.levels, b.levels)
+                assert _max_ulp(a.data, b.data) <= 1
+
+    def test_extract_reads_the_prefix_not_the_frame(self, case):
+        """With the bricks' volumes stored, a low-threshold extract
+        holds the halo and one grid, far below the particle payload."""
+        _, forest, _ = case
+        t = float(np.percentile(forest.nodes["density"], 5))
+        extract(forest, t, volume_resolution=8)  # deposits the bricks' volumes
+        tracemalloc.start()
+        try:
+            extract(forest, t, volume_resolution=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < forest.n_particles * 48 / 4
+
+
+def _densities(forest):
+    d = forest.nodes["density"]
+    return [-np.inf, 0.0, *np.percentile(d, [5, 25, 50, 90]).tolist(), np.inf]

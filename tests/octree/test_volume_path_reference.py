@@ -2,12 +2,11 @@
 
 In-core frames answer the store's three calls (``read_prefix``,
 ``chunks``, ``volume_counts``), and one ``density_volume`` turns count
-grids into the f4 volume for ``extract``, the forest's shared grid, the
-LOD coarse volume and a stream's VOLUME unit.  This module keeps the
-code that did that before verbatim -- ``_streamed_volume``,
-``_density_volume``, ``_coord_chunks``, ``build_amr``, ``extract``,
-``extraction_sizes``, the forest's phase-A task and normalization and
-the LOD's normalization (docstrings shortened, in-function imports
+grids into the f4 volume for ``extract``, the LOD coarse volume and a
+stream's VOLUME unit.  This module keeps the code that did that before
+verbatim -- ``_streamed_volume``, ``_density_volume``,
+``_coord_chunks``, ``build_amr``, ``extract``, ``extraction_sizes``
+and the LOD's normalization (docstrings shortened, in-function imports
 resolved to the copies here) -- and asserts type, dtype, shape and
 bytes equal on both backends, on beams and on adversarial inputs: one
 particle, every particle in one cell, and duplicated rows.
@@ -24,11 +23,9 @@ import numpy as np
 import pytest
 
 import repro.octree.amr as amr_mod
-import repro.octree.forest as forest_mod
 from repro.beams.spacecharge import deposit_cic
 from repro.core.dataset import as_dataset
 from repro.core.trace import capture, count, gauge, span
-from repro.hybrid.renderer import HybridRenderer
 from repro.hybrid.representation import HybridFrame
 from repro.octree.amr import (
     AmrVolume,
@@ -40,13 +37,11 @@ from repro.octree.amr import (
     plan_amr_levels,
 )
 from repro.octree.extraction import _halo_densities, extract, extraction_sizes
-from repro.octree.forest import partition_forest, render_forest
 from repro.octree.lod import build_lod
 from repro.octree.partition import PartitionedFrame, partition
 from repro.octree.stream_partition import PartitionedStore, partition_store
 from repro.remote.client import VisualizationClient
 from repro.remote.service import VisualizationService
-from repro.render.camera import Camera
 
 MAX_LEVEL = 4
 CAPACITY = 16
@@ -282,52 +277,6 @@ def old_extraction_sizes(
     return out
 
 
-def _old_brick_extract_task(task):
-    """Phase A of ``render_forest``."""
-    from pathlib import Path
-
-    brick_dir, brick_id, threshold, res, work_dir, amr_bricks = task
-    with span("forest_brick_render", which="extract", brick=int(brick_id)):
-        ps = PartitionedStore.open(brick_dir)
-        cutoff = ps.density_cutoff_index(float(threshold))
-        halo = ps.read_prefix(cutoff)[:, list(ps.columns)]
-        dens = _halo_densities(ps.nodes, cutoff)
-        counts = ps.volume_counts(int(res))
-        amr_hist = None
-        if amr_bricks:
-            amr_hist = brick_particle_counts(
-                _coord_chunks(ps, 0, "all"), ps.lo, ps.hi, int(amr_bricks)
-            )
-        nz = np.nonzero(counts)
-        if nz[0].size:
-            bbox = [(int(ax.min()), int(ax.max()) + 1) for ax in nz]
-            sub = counts[
-                bbox[0][0] : bbox[0][1],
-                bbox[1][0] : bbox[1][1],
-                bbox[2][0] : bbox[2][1],
-            ].copy()
-        else:
-            bbox, sub = None, None
-        pos32 = halo.astype(np.float32)
-        dens32 = dens.astype(np.float32)
-        np.savez(
-            Path(work_dir) / f"halo_{int(brick_id):06d}.npz", pos=pos32, dens=dens32
-        )
-        pmax = float(dens32.max()) if len(dens32) else None
-    return (int(brick_id), bbox, sub, pmax, int(cutoff), amr_hist)
-
-
-def _old_forest_volume(counts, lo, hi):
-    """``render_forest``'s inline normalization of the summed counts
-    (``forest.lo``/``forest.hi`` passed as ``lo``/``hi``)."""
-    res = counts.shape[0]
-    cell_volume = float(
-        np.prod((hi - lo) / (np.array((res,) * 3) - 1))
-    )
-    volume32 = (counts / cell_volume).astype(np.float32)
-    return volume32
-
-
 def _old_cell_volume(lod, res: int) -> float:
     lo, hi = lod.pstore.lo, lod.pstore.hi
     return float(np.prod((hi - lo) / (np.array((res,) * 3) - 1)))
@@ -352,15 +301,12 @@ def _old_store_counts(self, resolution):
 @contextlib.contextmanager
 def old_code():
     """Install the replaced volume path: in-core frames lose the three
-    calls, a store deposits through ``_streamed_volume``, and the
-    forest's phase A, its normalization and ``build_amr`` are the
-    copies above."""
+    calls, a store deposits through ``_streamed_volume``, and
+    ``build_amr`` is the copy above."""
     with pytest.MonkeyPatch.context() as mp:
         for name in ("read_prefix", "chunks", "volume_counts"):
             mp.delattr(PartitionedFrame, name)
         mp.setattr(PartitionedStore, "volume_counts", _old_store_counts)
-        mp.setattr(forest_mod, "_brick_extract_task", _old_brick_extract_task)
-        mp.setattr(forest_mod, "density_volume", _old_forest_volume)
         mp.setattr(amr_mod, "build_amr", old_build_amr)
         yield
 
@@ -525,35 +471,6 @@ class TestBuildAmr:
                 old = old_build_amr(frame, bricks=4, brick_cells=4, **budget)
             assert_amr_same(new, old)
 
-    def test_given_levels(self, backends):
-        _, pf, ps = backends
-        rng = np.random.default_rng(5)
-        levels = rng.integers(-1, 3, (4, 4, 4)).astype(np.int8)
-        for frame in (pf, ps):
-            new = amr_mod.build_amr(frame, bricks=4, brick_cells=4, levels=levels)
-            with old_code():
-                old = old_build_amr(frame, bricks=4, brick_cells=4, levels=levels)
-            assert_amr_same(new, old)
-
-
-    @pytest.mark.parametrize("shape", [(4, 4, 4), (16, 16, 16)])
-    def test_bad_level_map_raises_before_any_pass(self, shape):
-        """A map that is not (bricks,)*3 failed late: an IndexError in
-        the deposit for a smaller one, a ValueError after every chunk
-        for a larger one."""
-        pf = partition(as_dataset(INPUTS["beam"][0][:500]), "xyz", max_level=3)
-
-        class NoPass:
-            lo, hi, columns = pf.lo, pf.hi, pf.columns
-
-            def chunks(self, columns=None):
-                raise AssertionError("a pass ran before the level map was checked")
-
-        with pytest.raises(ValueError, match=r"levels must be \(bricks, bricks, bricks\)"):
-            amr_mod.build_amr(NoPass(), bricks=8, levels=np.zeros(shape, np.int8))
-        with pytest.raises(ValueError, match="levels must be"):
-            amr_mod.build_amr(pf, bricks=8, levels=np.zeros(shape, np.int8))
-
 
 class TestExtractionSizes:
     def test_adaptive(self, backends):
@@ -576,36 +493,6 @@ class TestLod:
             assert_same(lod.coarse_volume(r), old_coarse_volume(lod, r))
         with old_code():
             assert_same(lod.mip(0), ps.volume_counts(16))
-
-
-class TestForest:
-    @pytest.fixture(scope="class")
-    def forests(self, tmp_path_factory):
-        out = {}
-        for name in ("beam", "duplicates"):
-            particles, _ = INPUTS[name]
-            out[name] = partition_forest(
-                particles, tmp_path_factory.mktemp("forest") / name, "xyz",
-                bricks=2, max_level=MAX_LEVEL, capacity=CAPACITY,
-            )
-        return out
-
-    @pytest.mark.parametrize("name", ["beam", "duplicates"])
-    @pytest.mark.parametrize("adaptive", [False, True])
-    def test_sortlast_image(self, forests, name, adaptive):
-        forest = forests[name]
-        kw = dict(
-            camera=Camera.fit_bounds(forest.lo, forest.hi, width=40, height=40),
-            renderer=HybridRenderer(n_slices=10),
-            volume_resolution=17,
-            adaptive=adaptive,
-        )
-        new = render_forest(forest, **kw)
-        with old_code():
-            old = render_forest(forest, **kw)
-        assert np.any(new.rgba[..., 3] > 0.0)
-        assert_same(new.rgba, old.rgba)
-        assert_same(new.depth, old.depth)
 
 
 class TestStreamVolumeUnit:

@@ -54,7 +54,6 @@ MODULES = [
     "repro.hybrid.viewer",
     "repro.hybrid.animation",
     "repro.render.camera",
-    "repro.render.compositor",
     "repro.render.framebuffer",
     "repro.render.frame_cache",
     "repro.render.volume",
@@ -133,11 +132,10 @@ FACADE_REQUIRED = [
     "create_store",
     "partition_store",
     "PartitionedStore",
-    # the forest-of-octrees partition + sort-last compositor (PR 6)
+    # the forest-of-octrees partition
     "partition_forest",
     "render_forest",
     "ForestStore",
-    "SortLastCompositor",
     # the multi-tenant asyncio service + chaos fleet (PR 7)
     "VisualizationService",
     "ChaosSchedule",

@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.errors import FormatError
+
 __all__ = [
     "write_frame",
     "read_frame",
@@ -51,16 +53,32 @@ def write_frame(path, particles: np.ndarray, step: int = 0) -> int:
     return frame_nbytes(particles.shape[0])
 
 
+def _read_header(path, f):
+    """(particle count, step) from an open frame file; raises
+    :class:`FormatError` for a short header, a wrong magic, or a file
+    shorter than the header's count."""
+    head = f.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        raise FormatError(
+            f"{path}: truncated frame header ({len(head)} of {_HEADER.size} bytes)"
+        )
+    magic, n, step = _HEADER.unpack(head)
+    if magic != MAGIC:
+        raise FormatError(f"{path}: not a particle frame file")
+    size = os.fstat(f.fileno()).st_size
+    if size < frame_nbytes(n):
+        raise FormatError(
+            f"{path}: truncated frame (expected {n} particles, "
+            f"{frame_nbytes(n)} bytes; the file holds {size})"
+        )
+    return n, step
+
+
 def read_frame(path):
     """Read one frame; returns (particles (N, 6), step)."""
     with open(path, "rb") as f:
-        head = f.read(_HEADER.size)
-        magic, n, step = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: not a particle frame file")
+        n, step = _read_header(path, f)
         payload = f.read(n * 6 * 8)
-    if len(payload) != n * 6 * 8:
-        raise ValueError(f"{path}: truncated frame (expected {n} particles)")
     particles = np.frombuffer(payload, dtype="<f8").reshape(n, 6).copy()
     return particles, step
 
@@ -71,13 +89,11 @@ def read_frame_mmap(path):
     Returns (particles (N, 6) read-only memmap, step).  This is the
     right access path for the paper-scale frames (5 GB each at 100 M
     particles): the partitioning program streams the array without
-    holding it in RAM, and slicing reads only the touched pages.
+    holding it in RAM, and slicing reads only the touched pages.  The
+    header and the file size are checked before mapping.
     """
     with open(path, "rb") as f:
-        head = f.read(_HEADER.size)
-    magic, n, step = _HEADER.unpack(head)
-    if magic != MAGIC:
-        raise ValueError(f"{path}: not a particle frame file")
+        n, step = _read_header(path, f)
     particles = np.memmap(
         path, dtype="<f8", mode="r", offset=_HEADER.size, shape=(n, 6)
     )

@@ -854,11 +854,9 @@ class VisualizationService:
         index, threshold, resolution = key
         try:
             async with self._extract_sem:
-                with span("service_extract", frame=index, resolution=resolution):
-                    hybrid = await asyncio.get_running_loop().run_in_executor(
-                        self._pool, self._extract_fn,
-                        self.frames[index], threshold, resolution,
-                    )
+                hybrid = await asyncio.get_running_loop().run_in_executor(
+                    self._pool, self._extract, index, threshold, resolution
+                )
                 data = protocol.frame_message(
                     Message(MessageType.HYBRID_FRAME, protocol.encode_hybrid(hybrid))
                 )
@@ -872,6 +870,12 @@ class VisualizationService:
         self._bump("extractions")
         self.cache.put(key, data)
         return data
+
+    def _extract(self, index, threshold, resolution):
+        """One extraction, run in the pool, where its span opens (see
+        the note above ``_build_points``)."""
+        with span("service_extract", frame=index, resolution=resolution):
+            return self._extract_fn(self.frames[index], threshold, resolution)
 
     # ------------------------------------------------------------------
     # observability

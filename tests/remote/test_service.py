@@ -422,6 +422,40 @@ class TestStats:
             if key != "seconds":
                 assert tracer.counters.get(f"remote_{key}", 0) == value, key
 
+    def test_concurrent_misses_open_one_extract_span_each(self, frames):
+        """Two clients missing at once: every extraction opens its
+        ``service_extract`` span in the pool thread that runs it, so no
+        session's span nests in another's and the span count is the
+        extraction count."""
+
+        def slow_extract(frame, threshold, resolution):
+            time.sleep(0.02)  # keep both pool slots busy at once
+            return extract(frame, threshold, volume_resolution=resolution)
+
+        def fetch(address, index):
+            d = frames[index].nodes["density"]
+            with VisualizationClient(address, **CLIENT_KW) as client:
+                barrier.wait()
+                for q in (30, 40, 50, 60, 70, 80):
+                    client.get_hybrid(index, float(np.percentile(d, q)), resolution=8)
+
+        barrier = threading.Barrier(2)
+        with capture(enabled=True) as tracer:
+            with VisualizationService(frames, extract_fn=slow_extract) as service:
+                threads = [
+                    threading.Thread(target=fetch, args=(service.address, i))
+                    for i in (0, 1)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+        assert service.stats["extractions"] == 12
+        assert not any("service_extract/service_extract" in p for p in tracer.spans)
+        spans = [v["count"] for p, v in tracer.spans.items()
+                 if p.rsplit("/", 1)[-1] == "service_extract"]
+        assert sum(spans) == service.stats["extractions"]
+
     def test_snapshot_without_traffic(self, frames):
         with VisualizationService(frames) as service:
             snap = service.stats_snapshot()

@@ -289,6 +289,19 @@ class TestExitCodes:
                      "--out", str(tmp_path / "h.hybrid")]) == 3
         assert "repro: damaged data file:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keep", [0, 24 + 48 * 10 + 7], ids=["zero_byte", "truncated"])
+    def test_damaged_frame_store_create_exits_3(self, run_dir, tmp_path, capsys, keep):
+        """A frame cut inside its header or inside its payload fails
+        ``store create`` with one typed line, not a traceback."""
+        frame = sorted(run_dir.glob("*.frame"))[-1]
+        bad = tmp_path / "bad.frame"
+        bad.write_bytes(frame.read_bytes()[:keep])
+        assert main(["store", "create", str(bad), "--out", str(tmp_path / "st")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("repro: damaged data file:") and str(bad) in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert main(["info", str(tmp_path / "nope.hybrid")]) == 2
         assert "repro:" in capsys.readouterr().err

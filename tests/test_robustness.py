@@ -127,7 +127,7 @@ class TestTruncatedFiles:
     def test_zero_byte_frame_file(self, tmp_path):
         path = tmp_path / "empty.frame"
         path.write_bytes(b"")
-        with pytest.raises(Exception):
+        with pytest.raises(FormatError, match="truncated frame header"):
             read_frame(path)
 
     def test_garbage_files_raise_typed_format_error(self, tmp_path):

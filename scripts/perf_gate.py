@@ -132,9 +132,9 @@ GATES = {
             Row("equivalence.points_bitwise"),
             Row("equivalence.volume_max_ulp", "<=", 1),
             Row("equivalence.image_max_ulp", "<=", 1),
-            Row("render.image_nonzero"),
             Row("partition.speedup_4", ">=", 2.5, cpus=4),
             Row("partition.speedup_4", "drift", same="cpu_count", cpus=4),
+            Row("render.image_nonzero"),
         ],
     ),
     "service": Gate(

@@ -516,11 +516,8 @@ class ForestStore:
         (``start`` indexes the global particle order)."""
         return self._global_table()[0]
 
-    def density_cutoff_index(self, threshold_density: float) -> int:
-        """Number of leading particles in nodes below the threshold."""
-        nodes = self.nodes
-        n_below = int(np.searchsorted(nodes["density"], threshold_density, side="left"))
-        return int(nodes["count"][:n_below].sum())
+    # the frame's rule reads only ``nodes``, here the global table
+    density_cutoff_index = PartitionedFrame.density_cutoff_index
 
     def read_prefix(self, n_particles: int) -> np.ndarray:
         """The first ``n_particles`` rows of the single octree's

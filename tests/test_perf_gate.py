@@ -112,7 +112,9 @@ def nudges(name, index):
     drift row moves the baseline (x2, or /2 where lower is better) and
     puts the fresh value at the drift limit, so no constant row on the
     same path moves; every other row uses its nudged copy as its own
-    baseline, so no drift row moves.
+    baseline, so no drift row moves.  A drift nudge starts from a value
+    inside every constant row on its path: a value recorded on fewer
+    CPUs than a guarded floor needs may sit below that floor.
     """
     row = pg.GATES[name].rows[index]
     doc = committed(name)
@@ -121,6 +123,11 @@ def nudges(name, index):
     pairs = []
     if row.check in ("drift", "drift-"):
         now = pg.lookup(doc, row.path)
+        for other in pg.GATES[name].rows:
+            if other.path == row.path and other.check in (">", ">="):
+                now = max(now, other.limit)
+            elif other.path == row.path and other.check in ("<", "<="):
+                now = min(now, other.limit)
         was = 2.0 * now if row.check == "drift" else now / 2.0
         limit = (1.0 - pg.TOLERANCE if row.check == "drift" else 1.0 + pg.TOLERANCE) * was
         for value in _past(">=" if row.check == "drift" else "<=", limit):

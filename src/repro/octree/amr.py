@@ -40,9 +40,9 @@ Per-brick cloud-in-cell on a *cell-centered* local grid (texel
 centers, matching ``trilinear_sample``); a particle's CIC cloud is
 clamped inside its own brick, so every particle lands entirely in the
 brick that contains it -- mass is conserved and bricks never overlap.
-The kernel is a single
-``np.bincount`` scatter over the concatenated flat array per corner,
-with per-particle brick resolution -- no per-brick Python loop.
+The kernel is a single ``np.bincount`` scatter over the concatenated
+flat array per corner, with per-particle brick resolution -- no
+per-brick Python loop.
 """
 
 from __future__ import annotations

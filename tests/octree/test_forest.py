@@ -357,6 +357,11 @@ def _max_ulp(a, b) -> int:
     return int(np.max(np.abs(a - b))) if a.size else 0
 
 
+def _densities(forest):
+    d = forest.nodes["density"]
+    return [-np.inf, 0.0, *np.percentile(d, [5, 25, 50, 90]).tolist(), np.inf]
+
+
 class TestForestAsPartitionedFrame:
     """The forest answers extract's calls as the single octree it
     reconstructs, whatever the brick count."""
@@ -437,7 +442,3 @@ class TestForestAsPartitionedFrame:
             tracemalloc.stop()
         assert peak < forest.n_particles * 48 / 4
 
-
-def _densities(forest):
-    d = forest.nodes["density"]
-    return [-np.inf, 0.0, *np.percentile(d, [5, 25, 50, 90]).tolist(), np.inf]

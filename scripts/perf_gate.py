@@ -78,10 +78,11 @@ GATES = {
     ),
     "perf": Gate(
         "hot paths: frame-cache, batched-seeding and space-charge speedups, cached frame bitwise",
-        # the seeding reference and the lockstep tracer, and the compositor and
-        # point-fold references: the bench renders through the one-pass fold
+        # the seeding reference and the lockstep tracer, and the compositor,
+        # point-fold and slice-geometry references: the bench renders through
+        # the one-pass fold and builds geometry over the occupied box
         "tests/fieldlines/ tests/render/test_composite_reference.py "
-        "tests/render/test_point_fold.py",
+        "tests/render/test_point_fold.py tests/beams/test_cic_reference.py",
         "benchmarks/bench_frame_cache.py",
         "BENCH_frame_cache.json",
         [
@@ -118,10 +119,11 @@ GATES = {
     ),
     "forest": Gate(
         "forest: 10^8-particle 4-worker partition speedup, forest render == single octree",
-        # the forest renders through the same compositor and memos, and every
-        # brick tree is built by the same plan as the partition reference
+        # the forest renders through the same compositor, memos and slice
+        # geometry, and every brick tree is built by the same plan as the
+        # partition reference
         "tests/octree/test_forest.py tests/octree/test_partition_reference.py "
-        "tests/render/test_composite_reference.py "
+        "tests/render/test_composite_reference.py tests/beams/test_cic_reference.py "
         "tests/render/test_point_fold.py tests/render/test_render_memos.py "
         "tests/test_public_api.py",
         "benchmarks/bench_forest.py",

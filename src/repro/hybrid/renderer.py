@@ -12,11 +12,14 @@ transfer functions into an image:
 
 ``render_volume_part`` / ``render_point_part`` expose the two passes
 separately, reproducing the decomposition of the paper's Figure 4.
+
+Both classifications are memoized, one entry each, on the frame's
+content key (:attr:`HybridFrame.key`), the normalizer and the settings
+they read, so a further view of a frame pays only for projection, the
+point fold and slice compositing.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 
@@ -133,6 +136,7 @@ class HybridRenderer:
             raise ValueError("volume_mode must be 'auto' or 'flat'")
         self.volume_mode = volume_mode
         self._classified = None  # (key, read-only RGBA) of the last volume
+        self._points = None  # (key, (positions, RGBA, t), read-only) of the last points
 
     # ------------------------------------------------------------------
     def _frame_amr(self, frame: HybridFrame):
@@ -159,13 +163,14 @@ class HybridRenderer:
         A NaN position or density would drop its point silently, an
         infinite density would surface as a non-finite volume through
         ``max_density()``, and one NaN in the ``point_color_by``
-        attribute would turn every drawn point's color NaN."""
-        if not np.isfinite(frame.points).all():
+        attribute would turn every drawn point's color NaN.  Reads the
+        frame's once-per-frame :meth:`HybridFrame.non_finite`."""
+        bad = frame.non_finite()
+        if "points" in bad:
             raise ValueError("frame has non-finite point positions")
-        if not np.isfinite(frame.point_densities).all():
+        if "point_densities" in bad:
             raise ValueError("frame has non-finite point densities")
-        values = frame.attributes.get(self.point_color_by)
-        if values is not None and not np.isfinite(values).all():
+        if ("attributes", self.point_color_by) in bad:
             raise ValueError(
                 f"point attribute {self.point_color_by!r} has non-finite values"
             )
@@ -177,19 +182,17 @@ class HybridRenderer:
         or an :class:`repro.render.amr.AmrRgbaVolume` (classified
         per-brick cells) when the frame carries an adaptive volume and
         ``volume_mode='auto'``.  The last classification is memoized on
-        a digest of the density contents, the normalizer and the volume
-        transfer function, so an orbit classifies each volume once.
-        Raises ``ValueError`` on a non-finite density or point array
-        (:meth:`_check_points`).
+        the density half of the frame's key, the normalizer and the
+        volume transfer function, so an orbit classifies each volume
+        once, and frames at several thresholds sharing one volume share
+        one classification.  Raises ``ValueError`` on a non-finite
+        density or point array (:meth:`_check_points`).
         """
         norm = self._normalizer(frame)
         amr = self._frame_amr(frame)
-        density = frame.volume if amr is None else amr.data
         vtf = self.transfer.volume
         key = (
-            None if amr is None else int(amr.level_hash),
-            density.shape, density.dtype.str,
-            hashlib.blake2b(np.ascontiguousarray(density), digest_size=16).digest(),
+            frame.key[0], amr is None,
             norm.max_density, norm.mode,
             vtf.boundary, vtf.ramp, vtf.opacity,
             vtf.colormap.positions.tobytes(), vtf.colormap.colors.tobytes(),
@@ -200,8 +203,9 @@ class HybridRenderer:
             rgba = memo[1]
         else:
             count("classify_memo_miss")
-            if not np.isfinite(density).all():
+            if ("volume" if amr is None else "amr") in frame.non_finite():
                 raise ValueError("frame volume has non-finite densities")
+            density = frame.volume if amr is None else amr.data
             self._classified = None  # drop the old texture before building one
             rgba = self.transfer.volume_rgba(norm(density.astype(np.float64)))
             rgba.flags.writeable = False
@@ -215,8 +219,8 @@ class HybridRenderer:
     def classified_points(self, frame: HybridFrame):
         """Subsample and color the halo points.
 
-        Returns (positions (K, 3), rgba (K, 4)); the kept subset is the
-        deterministic low-discrepancy selection of
+        Returns read-only (positions (K, 3), rgba (K, 4)); the kept
+        subset is the deterministic low-discrepancy selection of
         :func:`repro.render.points.select_fraction`, so "three out of
         every four points are drawn" at fraction 0.75.
         """
@@ -225,10 +229,27 @@ class HybridRenderer:
 
     def _classify_points(self, frame: HybridFrame):
         """Like :meth:`classified_points` plus the kept points'
-        normalized densities (drives per-point splat radii)."""
+        normalized densities (drives per-point splat radii).
+
+        The last result is memoized on the point half of the frame's
+        key, the normalizer, the point transfer function and the point
+        colour settings; a hit reads no frame array."""
         if frame.n_points == 0:
             return np.empty((0, 3)), np.empty((0, 4)), np.empty(0)
         norm = self._normalizer(frame)
+        ptf, cmap = self.transfer.point, self.point_colormap
+        key = (
+            frame.key[1], norm.max_density, norm.mode,
+            ptf.boundary, ptf.ramp,
+            cmap.positions.tobytes(), cmap.colors.tobytes(),
+            self.point_alpha, self.point_color_by,
+        )
+        memo = self._points
+        if memo is not None and memo[0] == key:
+            count("classify_points_memo_hit")
+            return memo[1]
+        count("classify_points_memo_miss")
+        self._points = None
         t = norm(frame.point_densities.astype(np.float64))
         fractions = self.transfer.point_fraction(t)
         keep = select_fraction(frame.n_points, fractions)
@@ -249,7 +270,11 @@ class HybridRenderer:
             color_t = t[keep]
         rgba[:, :3] = self.point_colormap(color_t)
         rgba[:, 3] = self.point_alpha
-        return pos, rgba, t[keep]
+        result = (pos, rgba, t[keep])
+        for a in result:
+            a.flags.writeable = False
+        self._points = (key, result)
+        return result
 
     def _point_sigmas(self, t: np.ndarray) -> np.ndarray:
         """Per-point splat sigmas from normalized densities."""

@@ -43,12 +43,22 @@ properties (momentum magnitude, single-particle emittance, ...; see
 :mod:`repro.hybrid.attributes`) so points can be colored "based on
 some dynamically calculated property that the scientist is interested
 in" (paper section 2.5).
+
+A frame is immutable: its fields cannot be reassigned, its arrays,
+attribute values and AMR cells are read-only, and its ``attributes``
+and ``meta`` are read-only mappings.  Per-frame work is therefore done
+once per frame: the content :attr:`HybridFrame.key`,
+:meth:`HybridFrame.max_density` and the finiteness pass
+:meth:`HybridFrame.non_finite` are computed on first use and kept.
+Building or decoding a frame computes none of them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -63,9 +73,19 @@ FORMAT_VERSION_AMR = 3
 _HEADER = struct.Struct("<8sH3IQQd3d3d16s")
 
 
-@dataclass
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
 class HybridFrame:
-    """A hybrid volume + points representation of one time step."""
+    """A hybrid volume + points representation of one time step.
+
+    Immutable: the arrays it is given are made read-only in place (pass
+    a copy to keep a writeable one), and a changed frame is a new one
+    (``dataclasses.replace``).
+    """
 
     volume: np.ndarray                    # (rx, ry, rz) float32 density
     points: np.ndarray                    # (M, 3) float32 plot coords
@@ -77,32 +97,53 @@ class HybridFrame:
     plot_type: str = "xyz"
     attributes: dict = field(default_factory=dict)  # name -> (M,) float32
     meta: dict = field(default_factory=dict)
+    # key, max density and finiteness, each computed on first use
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.volume = np.ascontiguousarray(self.volume, dtype=np.float32)
-        self.points = np.ascontiguousarray(
-            np.atleast_2d(self.points), dtype=np.float32
-        )
-        if self.points.size == 0:
-            self.points = self.points.reshape(0, 3)
-        self.point_densities = np.ascontiguousarray(
-            self.point_densities, dtype=np.float32
-        )
-        self.lo = np.asarray(self.lo, dtype=np.float64)
-        self.hi = np.asarray(self.hi, dtype=np.float64)
-        if self.volume.ndim != 3:
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        volume = np.ascontiguousarray(self.volume, dtype=np.float32)
+        points = np.ascontiguousarray(np.atleast_2d(self.points), dtype=np.float32)
+        if points.size == 0:
+            points = points.reshape(0, 3)
+        point_densities = np.ascontiguousarray(self.point_densities, dtype=np.float32)
+        if volume.ndim != 3:
             raise ValueError("volume must be 3-D")
-        if self.points.shape[1] != 3:
+        if points.shape[1] != 3:
             raise ValueError("points must be (M, 3)")
-        if len(self.point_densities) != len(self.points):
+        if len(point_densities) != len(points):
             raise ValueError("one density per point required")
         clean_attrs = {}
         for name, values in self.attributes.items():
             values = np.ascontiguousarray(values, dtype=np.float32)
-            if len(values) != len(self.points):
+            if len(values) != len(points):
                 raise ValueError(f"attribute {name!r}: one value per point required")
             clean_attrs[str(name)] = values
-        self.attributes = clean_attrs
+        # frozen only once every check has passed
+        for values in clean_attrs.values():
+            _read_only(values)
+        amr = self.meta.get("amr")
+        if amr is not None:
+            _read_only(amr.data)
+            _read_only(amr.levels)
+        put("volume", _read_only(volume))
+        put("points", _read_only(points))
+        put("point_densities", _read_only(point_densities))
+        put("lo", _read_only(np.array(self.lo, dtype=np.float64)))
+        put("hi", _read_only(np.array(self.hi, dtype=np.float64)))
+        put("attributes", MappingProxyType(clean_attrs))
+        put("meta", MappingProxyType(dict(self.meta)))
+
+    def __reduce__(self):
+        # rebuilt through the constructor: mapping proxies do not pickle,
+        # and unpickled arrays would come back writeable
+        return type(self), (
+            self.volume, self.points, self.point_densities, self.lo, self.hi,
+            self.threshold, self.step, self.plot_type,
+            dict(self.attributes), dict(self.meta),
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -112,6 +153,57 @@ class HybridFrame:
     @property
     def resolution(self) -> tuple:
         return self.volume.shape
+
+    @property
+    def key(self) -> tuple:
+        """``(density digest, point digest)``: BLAKE2b digests of the
+        frame's contents, computed once per frame.
+
+        The density half covers the volume (and the AMR cells and level
+        map), the point half the points, their densities and the
+        attributes, so frames at several thresholds that share one
+        volume share the density half.
+        """
+        key = self._memo.get("key")
+        if key is None:
+            vol = hashlib.blake2b(digest_size=16)
+            vol.update(repr(self.volume.shape).encode())
+            vol.update(self.volume)
+            amr = self.meta.get("amr")
+            if amr is not None:
+                vol.update(repr((amr.bricks, amr.brick_cells, amr.level_hash)).encode())
+                vol.update(amr.data)
+            pts = hashlib.blake2b(digest_size=16)
+            pts.update(self.points)
+            pts.update(self.point_densities)
+            for name, values in self.attributes.items():
+                pts.update(name.encode() + b"\0")
+                pts.update(values)
+            key = self._memo["key"] = (vol.digest(), pts.digest())
+        return key
+
+    def non_finite(self) -> frozenset:
+        """The arrays holding a NaN or an infinity, computed once per frame.
+
+        Members are ``"volume"``, ``"points"``, ``"point_densities"``,
+        ``"amr"`` (the adaptive cells) and ``("attributes", name)``.
+        """
+        bad = self._memo.get("non_finite")
+        if bad is None:
+            arrays = {
+                "volume": self.volume,
+                "points": self.points,
+                "point_densities": self.point_densities,
+            }
+            amr = self.meta.get("amr")
+            if amr is not None:
+                arrays["amr"] = amr.data
+            for name, values in self.attributes.items():
+                arrays[("attributes", name)] = values
+            bad = self._memo["non_finite"] = frozenset(
+                name for name, a in arrays.items() if not np.isfinite(a).all()
+            )
+        return bad
 
     def nbytes(self) -> int:
         """Size of the payload (the number the paper's storage
@@ -127,9 +219,14 @@ class HybridFrame:
         )
 
     def max_density(self) -> float:
-        vol_max = float(self.volume.max()) if self.volume.size else 0.0
-        pt_max = float(self.point_densities.max()) if self.n_points else 0.0
-        return max(vol_max, pt_max)
+        """The larger of the volume's and the points' maximum density
+        (computed once per frame)."""
+        dmax = self._memo.get("max_density")
+        if dmax is None:
+            vol_max = float(self.volume.max()) if self.volume.size else 0.0
+            pt_max = float(self.point_densities.max()) if self.n_points else 0.0
+            dmax = self._memo["max_density"] = max(vol_max, pt_max)
+        return dmax
 
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:

@@ -19,7 +19,7 @@ reuses it:
 
 ``FrameGeometryCache``
     A byte-bounded LRU of geometries keyed on the camera/volume-shape/
-    bounds/slice-count tuple, with ``frame_cache_hit`` /
+    bounds/slice-count/box tuple, with ``frame_cache_hit`` /
     ``frame_cache_miss`` trace counters so cache effectiveness shows
     up in ``--trace`` output and the BENCH json.
 
@@ -32,6 +32,12 @@ A geometry also memoizes, per volume occupancy, which of its rows can
 see a voxel with nonzero alpha (:meth:`FrameGeometry.live_rows`, the
 compositor's empty-space skip), and counts those bytes toward the
 cache budget.
+
+A build may be restricted to an occupied voxel *box*: it then holds
+only the rows whose trilinear stencil reaches the box (every other row
+samples alpha-0 voxels only), while its depths, ``empty``,
+``full_rows`` and ``covered`` mask stay those of the whole volume.  The
+box is part of the key.
 """
 
 from __future__ import annotations
@@ -50,18 +56,19 @@ __all__ = [
     "frame_geometry_cache",
     "set_frame_geometry_cache",
     "geometry_key",
+    "occupied_box",
 ]
 
 
-def geometry_key(camera, vol_shape, lo, hi, n_slices: int):
-    """Hashable identity of a (camera, volume grid, slicing) combination.
+def geometry_key(camera, vol_shape, lo, hi, n_slices: int, box=None):
+    """Hashable identity of a (camera, volume grid, slicing, box) combination.
 
     Two calls produce equal keys exactly when a fresh
     :meth:`FrameGeometry.build` would produce identical geometry:
     every camera parameter, the volume's grid shape, the world bounds,
-    and the slice count all participate.  Volume *contents* and the
-    transfer function do not -- they are applied per frame on top of
-    the cached geometry.
+    the slice count and the occupied box (``None``: the whole grid)
+    all participate.  Volume *contents* and the transfer function do
+    not -- they are applied per frame on top of the cached geometry.
     """
     return (
         int(camera.width),
@@ -76,7 +83,52 @@ def geometry_key(camera, vol_shape, lo, hi, n_slices: int):
         tuple(float(v) for v in np.asarray(lo).ravel()),
         tuple(float(v) for v in np.asarray(hi).ravel()),
         int(n_slices),
+        None if box is None else tuple(int(b) for b in box),
     )
+
+
+def occupied_box(occupied: np.ndarray):
+    """The voxel box holding every ``True`` of a 3-D occupancy grid.
+
+    Returns ``(x0, x1, y0, y1, z0, z1)``, half-open index ranges,
+    ``(0, 0, 0, 0, 0, 0)`` when nothing is occupied, or ``None`` when
+    the box is the whole grid.
+    """
+    box = []
+    for axis in range(3):
+        others = tuple(a for a in range(3) if a != axis)
+        hit = np.flatnonzero(occupied.any(axis=others))
+        if len(hit) == 0:
+            return (0, 0, 0, 0, 0, 0)
+        box += [int(hit[0]), int(hit[-1]) + 1]
+    if box == [0, occupied.shape[0], 0, occupied.shape[1], 0, occupied.shape[2]]:
+        return None
+    return tuple(box)
+
+
+def _pixel_rect(camera, lo, hi) -> np.ndarray:
+    """Flat indices, ascending, of the pixels whose rays can meet the box [lo, hi].
+
+    The projection of a box wholly in front of the camera is the convex
+    hull of its projected corners, so a pixel whose center lies outside
+    their bounding rectangle sees none of it; the rectangle is widened
+    by one pixel on each side against rounding.  Every pixel (counted
+    as ``frame_geometry_full_screen``) when a corner is at or behind
+    ``near``, where that argument fails.
+    """
+    w, h = int(camera.width), int(camera.height)
+    corners = np.array(
+        [[x, y, z] for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2])]
+    )
+    xy, depth, _ = camera.project(corners)
+    if not np.all(depth > camera.near):
+        count("frame_geometry_full_screen")
+        return np.arange(w * h)
+    x0 = max(int(np.floor(xy[:, 0].min())) - 1, 0)
+    x1 = max(min(int(np.ceil(xy[:, 0].max())) + 1, w), x0)
+    y0 = max(int(np.floor(xy[:, 1].min())) - 1, 0)
+    y1 = max(min(int(np.ceil(xy[:, 1].max())) + 1, h), y0)
+    return (np.arange(y0, y1)[:, None] * w + np.arange(x0, x1)[None, :]).ravel()
 
 
 class FrameGeometry:
@@ -87,23 +139,29 @@ class FrameGeometry:
     key : the :func:`geometry_key` this geometry was built for
     d0, d1, slab : depth range of the volume and per-slab thickness
     depths : (n_slices,) slice-plane depths, back to front
-    pix : (R,) int32 flat pixel index of each covered sample
+    pix : (R,) int32 flat pixel index of each built sample
     row_start : (n_slices + 1,) row offsets; slice ``s`` owns rows
         ``row_start[s]:row_start[s + 1]``
     matrix : (R, n_voxels) CSR trilinear resampling operator
+    full_rows : samples inside the whole volume, built or not (``R``
+        unless the build was restricted to an occupied box)
     nbytes : approximate memory footprint, memos included (for cache
         budgeting)
 
-    ``empty`` geometries (volume entirely outside the depth range)
-    carry ``matrix=None`` and zero rows.
+    ``empty`` geometries (no sample inside the volume) carry
+    ``matrix=None`` and zero rows; a box-restricted build with no row
+    reaching its box also has ``matrix=None`` but is not ``empty``.
     """
 
     __slots__ = (
         "key", "d0", "d1", "slab", "depths", "pix", "row_start",
-        "matrix", "_own_bytes", "_covered", "_live",
+        "matrix", "full_rows", "_own_bytes", "_covered", "_live",
     )
 
-    def __init__(self, key, d0, d1, slab, depths, pix, row_start, matrix):
+    def __init__(
+        self, key, d0, d1, slab, depths, pix, row_start, matrix,
+        covered=None, full_rows=None,
+    ):
         self.key = key
         self.d0 = d0
         self.d1 = d1
@@ -112,6 +170,7 @@ class FrameGeometry:
         self.pix = pix
         self.row_start = row_start
         self.matrix = matrix
+        self.full_rows = int(row_start[-1]) if full_rows is None else int(full_rows)
         self._own_bytes = int(
             pix.nbytes
             + row_start.nbytes
@@ -122,7 +181,9 @@ class FrameGeometry:
                 else 0
             )
         )
-        self._covered = None  # (n_pixels,) bool mask, built on first use
+        # (n_pixels,) bool mask of covered pixels: stored by a box-restricted
+        # build, derived from ``pix`` on first use otherwise
+        self._covered = covered
         self._live = None  # (occupancy digest, live row indices or None = all)
 
     @property
@@ -136,7 +197,7 @@ class FrameGeometry:
 
     @property
     def empty(self) -> bool:
-        return self.matrix is None or self.matrix.shape[0] == 0
+        return self.full_rows == 0
 
     @property
     def n_slices(self) -> int:
@@ -147,23 +208,22 @@ class FrameGeometry:
         return slice(int(self.row_start[s]), int(self.row_start[s + 1]))
 
     def sample(self, flat_volume: np.ndarray) -> np.ndarray:
-        """Resample the volume at every covered sample of every slice.
+        """Resample the volume at every built sample of every slice.
 
         ``flat_volume`` is the (n_voxels, C) row-major flattened
         volume; returns (R, C) trilinearly interpolated values.
         """
-        if self.empty:
+        if self.matrix is None:
             return np.zeros((0, flat_volume.shape[1]))
         return self.matrix @ flat_volume
 
     def covered(self, n_pixels: int) -> np.ndarray:
         """(n_pixels,) bool mask of the pixels any slice covers (memoized)."""
-        mask = self._covered
-        if mask is None or len(mask) != n_pixels:
+        if self._covered is None:
             mask = np.zeros(n_pixels, dtype=bool)
             mask[self.pix] = True
             self._covered = mask
-        return mask
+        return self._covered
 
     def live_rows(self, occupied: np.ndarray) -> "FrameGeometry":
         """This geometry restricted to the rows that can see an occupied voxel.
@@ -178,6 +238,8 @@ class FrameGeometry:
         not kept, so a geometry used once holds no copy of its rows.
         Returns ``self`` when every row is live.
         """
+        if self.matrix is None:
+            return self
         key = hashlib.blake2b(np.packbits(occupied), digest_size=16).digest()
         memo = self._live
         if memo is None or memo[0] != key:
@@ -193,13 +255,21 @@ class FrameGeometry:
 
     # ------------------------------------------------------------------
     @classmethod
-    def build(cls, camera, vol_shape, lo, hi, n_slices: int) -> "FrameGeometry":
-        """Compute the geometry for one viewpoint (the cache-miss path)."""
+    def build(cls, camera, vol_shape, lo, hi, n_slices: int, box=None) -> "FrameGeometry":
+        """Compute the geometry for one viewpoint (the cache-miss path).
+
+        ``box`` (see :func:`occupied_box`) restricts the built rows to
+        those whose trilinear stencil reaches the occupied voxels; the
+        inside test still runs over the whole volume, so ``full_rows``
+        and the ``covered`` mask (stored as the slices are walked) are
+        the unrestricted geometry's.  Each built row's gather indices
+        and weights are the unrestricted build's, bit for bit.
+        """
         from repro.render.volume import volume_depth_range
 
         lo = np.asarray(lo, dtype=np.float64)
         hi = np.asarray(hi, dtype=np.float64)
-        key = geometry_key(camera, vol_shape, lo, hi, n_slices)
+        key = geometry_key(camera, vol_shape, lo, hi, n_slices, box)
         nx, ny, nz = (int(s) for s in vol_shape[:3])
 
         d0, d1 = volume_depth_range(camera, lo, hi)
@@ -214,6 +284,11 @@ class FrameGeometry:
         origins, dirs = camera.pixel_rays()
         cos = np.maximum(dirs @ camera.forward, 1e-9)
         box_span = np.maximum(hi - lo, 1e-300)
+        # the inside test runs over the pixels that can see the volume;
+        # rays and cosines are computed for every pixel, then gathered,
+        # so each pixel's values are the full-screen ones
+        rect = _pixel_rect(camera, lo, hi)
+        cos = cos[rect]
 
         # corner strides of the flattened (nx, ny, nz) grid; clamped
         # axes (grid one voxel wide) collapse their stride to zero
@@ -224,15 +299,23 @@ class FrameGeometry:
             [0, sx, sy, sx + sy, sz, sx + sz, sy + sz, sx + sy + sz],
             dtype=np.int64,
         )
+        # a row's stencil spans voxels c0..c0+1 on an axis (c0 alone when
+        # the axis is one voxel wide); it reaches the box when that span
+        # meets the box's range on all three axes
+        reach = None if box is None else [
+            (box[2 * a] - (n > 1), box[2 * a + 1]) for a, n in enumerate((nx, ny, nz))
+        ]
+        cov = None if box is None else np.zeros(len(rect), dtype=bool)
 
         pix_parts: list[np.ndarray] = []
         idx_parts: list[np.ndarray] = []
         w_parts: list[np.ndarray] = []
         row_start = np.zeros(n_slices + 1, dtype=np.int64)
+        full_rows = 0
         # index math one axis column at a time: the values of the
         # (H*W, 3) broadcasts, computed with full-length inner loops
-        eye = [origins[:, a] for a in range(3)]
-        ray = [np.ascontiguousarray(dirs[:, a]) for a in range(3)]
+        eye = [origins[rect, a] for a in range(3)]
+        ray = [dirs[rect, a] for a in range(3)]
         for s in range(n_slices):
             t = depths[s] / cos
             cx, cy, cz = (
@@ -242,26 +325,28 @@ class FrameGeometry:
             inside &= (cy >= 0.0) & (cy <= 1.0)
             inside &= (cz >= 0.0) & (cz <= 1.0)
             act = np.flatnonzero(inside)
+            full_rows += len(act)
+            if cov is not None:
+                cov |= inside
+            # cell-centered texel convention, identical to
+            # repro.render.volume.trilinear_sample; with a box, each
+            # axis drops the rows whose stencil misses the box's range
+            axes = []
+            for a, (c, n) in enumerate(((cx, nx), (cy, ny), (cz, nz))):
+                f = np.clip(c[act] * n - 0.5, 0.0, n - 1.0)
+                c0 = (
+                    np.minimum(f.astype(np.int64), n - 2)
+                    if n > 1 else np.zeros(len(act), np.int64)
+                )
+                if reach is not None:
+                    keep = (c0 >= reach[a][0]) & (c0 < reach[a][1])
+                    act, f, c0 = act[keep], f[keep], c0[keep]
+                    axes = [(g[keep], g0[keep]) for g, g0 in axes]
+                axes.append((f, c0))
             row_start[s + 1] = row_start[s] + len(act)
             if len(act) == 0:
                 continue
-            # cell-centered texel convention, identical to
-            # repro.render.volume.trilinear_sample
-            fx = np.clip(cx[act] * nx - 0.5, 0.0, nx - 1.0)
-            fy = np.clip(cy[act] * ny - 0.5, 0.0, ny - 1.0)
-            fz = np.clip(cz[act] * nz - 0.5, 0.0, nz - 1.0)
-            x0 = (
-                np.minimum(fx.astype(np.int64), nx - 2)
-                if nx > 1 else np.zeros(len(act), np.int64)
-            )
-            y0 = (
-                np.minimum(fy.astype(np.int64), ny - 2)
-                if ny > 1 else np.zeros(len(act), np.int64)
-            )
-            z0 = (
-                np.minimum(fz.astype(np.int64), nz - 2)
-                if nz > 1 else np.zeros(len(act), np.int64)
-            )
+            (fx, x0), (fy, y0), (fz, z0) = axes
             tx = fx - x0
             ty = fy - y0
             tz = fz - z0
@@ -279,15 +364,19 @@ class FrameGeometry:
             w[:, 7] = wx1 * wy1 * wz1
             base = (x0 * ny + y0) * nz + z0
             idx = base[:, None] + corner_offsets[None, :]
-            pix_parts.append(act.astype(np.int32))
+            pix_parts.append(rect[act].astype(np.int32))
             idx_parts.append(idx.astype(np.int32))
             w_parts.append(w)
 
+        covered = None
+        if cov is not None:
+            covered = np.zeros(len(dirs), dtype=bool)
+            covered[rect] = cov
         n_rows = int(row_start[-1])
         if n_rows == 0:
             return cls(
                 key, d0, d1, slab, depths,
-                np.zeros(0, np.int32), row_start, None,
+                np.zeros(0, np.int32), row_start, None, covered, full_rows,
             )
         pix = np.concatenate(pix_parts)
         data = np.concatenate(w_parts).ravel()
@@ -296,7 +385,7 @@ class FrameGeometry:
         matrix = sp.csr_matrix(
             (data, indices, indptr), shape=(n_rows, nx * ny * nz), copy=False
         )
-        return cls(key, d0, d1, slab, depths, pix, row_start, matrix)
+        return cls(key, d0, d1, slab, depths, pix, row_start, matrix, covered, full_rows)
 
 
 class FrameGeometryCache:
@@ -318,12 +407,13 @@ class FrameGeometryCache:
         self.misses = 0
 
     # ------------------------------------------------------------------
-    def get(self, camera, vol_shape, lo, hi, n_slices: int) -> FrameGeometry:
-        """Return the geometry for this viewpoint, building on a miss."""
-        key = geometry_key(camera, vol_shape, lo, hi, n_slices)
+    def get(self, camera, vol_shape, lo, hi, n_slices: int, box=None) -> FrameGeometry:
+        """Return the geometry for this viewpoint and occupied box,
+        building on a miss."""
+        key = geometry_key(camera, vol_shape, lo, hi, n_slices, box)
         return self.get_keyed(
             key,
-            lambda: FrameGeometry.build(camera, vol_shape, lo, hi, n_slices),
+            lambda: FrameGeometry.build(camera, vol_shape, lo, hi, n_slices, box),
             n_slices=n_slices,
         )
 

@@ -416,7 +416,62 @@ def geometry_cases(draw):
     return camera, shape, lo, hi, n_slices
 
 
+@st.composite
+def boxed_geometry_cases(draw):
+    """A geometry case plus an occupied voxel box: half-open index
+    ranges per axis, or the empty box (0, 0, 0, 0, 0, 0)."""
+    camera, shape, lo, hi, n_slices = draw(geometry_cases())
+    if draw(st.integers(0, 9)) == 0:
+        return camera, shape, lo, hi, n_slices, (0, 0, 0, 0, 0, 0)
+    box = []
+    for n in shape:
+        a = draw(st.integers(0, n - 1))
+        box += [a, draw(st.integers(a + 1, n))]
+    return camera, shape, lo, hi, n_slices, tuple(box)
+
+
+def assert_box_restriction(got: FrameGeometry, ref: FrameGeometry, camera, shape, box):
+    """``got`` is ``ref`` restricted to the rows whose stencil has a
+    voxel in ``box``, with ``ref``'s depths, row count and covered mask."""
+    assert (got.d0, got.d1, got.slab) == (ref.d0, ref.d1, ref.slab)
+    assert_same(got.depths, ref.depths)
+    assert got.full_rows == len(ref.pix) and got.empty == ref.empty
+    n_pixels = camera.width * camera.height
+    assert_same(got.covered(n_pixels), ref.covered(n_pixels))
+    if ref.matrix is None:
+        keep = np.zeros(0, dtype=bool)
+    else:
+        _, ny, nz = shape
+        v = ref.matrix.indices.reshape(-1, 8)
+        x, y, z = v // (ny * nz), (v // nz) % ny, v % nz
+        keep = (
+            (x >= box[0]) & (x < box[1]) & (y >= box[2]) & (y < box[3])
+            & (z >= box[4]) & (z < box[5])
+        ).any(axis=1)
+    rows = np.flatnonzero(keep)
+    assert_same(got.pix, ref.pix[keep])
+    assert_same(got.row_start, np.searchsorted(rows, ref.row_start))
+    if len(rows) == 0:
+        assert got.matrix is None
+        return
+    assert got.matrix.shape == (len(rows), ref.matrix.shape[1])
+    assert_same(got.matrix.data, ref.matrix.data.reshape(-1, 8)[rows].ravel())
+    assert_same(got.matrix.indices, ref.matrix.indices.reshape(-1, 8)[rows].ravel())
+    assert np.array_equal(got.matrix.indptr, np.arange(0, 8 * len(rows) + 1, 8))
+
+
 class TestGeometryReference:
+    @given(case=boxed_geometry_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_box_build_bitwise(self, case):
+        """A build over an occupied box equals the reference build
+        restricted to the rows whose stencil reaches the box."""
+        camera, shape, lo, hi, n_slices, box = case
+        got = FrameGeometry.build(camera, shape, lo, hi, n_slices, box)
+        assert got.key == geometry_key(camera, shape, lo, hi, n_slices, box)
+        ref = _ref_build_geometry(camera, shape, lo, hi, n_slices)
+        assert_box_restriction(got, ref, camera, shape, box)
+
     @given(case=geometry_cases())
     @settings(max_examples=80, deadline=None)
     def test_build_bitwise(self, case):

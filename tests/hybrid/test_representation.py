@@ -1,5 +1,9 @@
 """HybridFrame container and serialization."""
 
+import dataclasses
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 
@@ -40,9 +44,13 @@ class TestContainer:
 
     def test_max_density_covers_both(self):
         f = _frame()
-        f.volume[0, 0, 0] = 99.0
+        volume = f.volume.copy()
+        volume[0, 0, 0] = 99.0
+        f = dataclasses.replace(f, volume=volume)
         assert f.max_density() == pytest.approx(99.0)
-        f.point_densities[0] = 200.0
+        densities = f.point_densities.copy()
+        densities[0] = 200.0
+        f = dataclasses.replace(f, point_densities=densities)
         assert f.max_density() == pytest.approx(200.0)
 
     def test_validation(self):
@@ -115,3 +123,93 @@ class TestSerialization:
         )
         back = HybridFrame.from_bytes(f.to_bytes())
         assert back.resolution == (4, 8, 16)
+
+
+class TestImmutable:
+    def test_frozen_and_lazy(self, tmp_path, monkeypatch):
+        """Writing into any frame array, reassigning a field or adding
+        an attribute raises; building or decoding a frame computes no
+        key and makes no finiteness pass (the work waits for first use)."""
+        from repro.octree.amr import build_amr
+        from repro.octree.lod import build_lod
+        from repro.octree.stream_partition import partition_store
+        from repro.remote.client import VisualizationClient
+        from repro.remote.service import VisualizationService
+
+        calls = []
+
+        def spy(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        rng = np.random.default_rng(4)
+        p = np.vstack([rng.normal(0.0, 0.3, (6000, 6)), rng.normal(0.0, 1.8, (600, 6))])
+        ps = partition_store(p, tmp_path / "store", "xyz", max_level=4, capacity=64)
+        amr = build_amr(ps, bricks=2, brick_cells=4)
+        with monkeypatch.context() as m:
+            m.setattr(np, "isfinite", spy(np.isfinite))
+            m.setattr(hashlib, "blake2b", spy(hashlib.blake2b))
+            f = HybridFrame(
+                volume=rng.random((4, 4, 4)).astype(np.float32),
+                points=rng.random((5, 3)),
+                point_densities=rng.random(5),
+                lo=-np.ones(3),
+                hi=np.ones(3),
+                attributes={"energy": rng.random(5)},
+                meta={"amr": amr},
+            )
+            back = HybridFrame.from_bytes(f.to_bytes())
+        assert calls == []
+        for frame in (f, back):
+            assert frame._memo == {}
+            for a in (
+                frame.volume, frame.points, frame.point_densities, frame.lo,
+                frame.hi, frame.attributes["energy"], frame.meta["amr"].data,
+            ):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                frame.volume = np.zeros((2, 2, 2), np.float32)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                frame.threshold = 1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                frame.extra = 1
+            with pytest.raises(TypeError):
+                frame.attributes["energy"] = np.zeros(5, np.float32)
+            with pytest.raises(TypeError):
+                frame.meta["amr"] = None
+        # the lazily computed fields, once used, are kept and equal
+        assert back.key == f.key and back.max_density() == f.max_density()
+        assert back.non_finite() == f.non_finite() == frozenset()
+        assert set(f._memo) == set(back._memo) == {"key", "max_density", "non_finite"}
+
+        build_lod(ps, levels=2, ratio=4, seed=3, mip_base=16, mip_levels=2)
+        with VisualizationService([ps], unit_points=512) as svc:
+            with VisualizationClient(svc.address, timeout=5.0) as client:
+                thr = float(np.percentile(ps.nodes["density"], 60))
+                yields = list(client.iter_hybrid(0, thr, resolution=16))
+        assert len(yields) > 1
+        for frame in yields:
+            assert frame._memo == {}
+            with pytest.raises(ValueError, match="read-only"):
+                frame.points[0, 0] = 1.0
+
+    def test_key_follows_contents(self):
+        f = _frame()
+        same = HybridFrame.from_bytes(f.to_bytes())
+        assert same.key == f.key
+        moved = f.points.copy()
+        moved[3, 1] += 1.0
+        g = dataclasses.replace(f, points=moved)
+        assert g.key[0] == f.key[0] and g.key[1] != f.key[1]
+        volume = f.volume.copy()
+        volume[1, 2, 3] = 7.0
+        h = dataclasses.replace(f, volume=volume)
+        assert h.key[0] != f.key[0] and h.key[1] == f.key[1]
+        colored = dataclasses.replace(f, attributes={"energy": np.ones(f.n_points)})
+        assert colored.key[1] != f.key[1]
+        back = pickle.loads(pickle.dumps(colored))
+        assert back.key == colored.key and not back.attributes["energy"].flags.writeable

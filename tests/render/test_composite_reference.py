@@ -602,6 +602,114 @@ class TestPrefilledFramebuffer:
         assert got.depth.tobytes() == want.depth.tobytes()
 
 
+def one_box_scene(shape, occupy, seed=0, size=36, eye=None):
+    """An RGBA volume whose only nonzero alphas sit at ``occupy`` (an
+    index into the (X, Y, Z) grid), its bounds, a camera (``eye``: look
+    from there at the center) and a point-fragment stream."""
+    rng = np.random.default_rng(seed)
+    vol = rng.random(tuple(shape) + (4,))
+    alpha = np.zeros(shape)
+    alpha[occupy] = rng.uniform(0.2, 0.9, alpha[occupy].shape)
+    vol[..., 3] = alpha
+    lo, hi = np.array([-1.0, -0.8, -1.2]), np.array([1.1, 0.9, 1.0])
+    if eye is None:
+        camera = Camera.fit_bounds(lo, hi, direction=(1.0, 0.4, 0.7), width=size, height=size)
+    else:
+        camera = Camera(eye=eye, target=0.5 * (lo + hi) + 0.05, width=size, height=size)
+    pts = rng.normal(0.0, 0.6, (200, 3))
+    frags = point_fragments(camera, pts, rng.random((200, 4)), point_size=1)
+    return camera, vol, lo, hi, frags
+
+
+def assert_box_render(camera, vol, lo, hi, frags, fb=None, n_slices=12):
+    """Cold and warm renders over the occupied box equal the reference;
+    returns the cached geometry and the trace counters."""
+    def prefilled():
+        out = Framebuffer(camera.width, camera.height)
+        if fb is not None:
+            out.rgba[...] = fb.rgba
+            out.depth[...] = fb.depth
+        return out
+
+    cache = FrameGeometryCache()
+    kw = dict(point_fragments=frags, n_slices=n_slices)
+    with capture(enabled=True) as tracer:
+        got = [render_mixed(camera, vol, lo, hi, fb=prefilled(), cache=cache, **kw)
+               for _ in range(2)]
+    want = _ref_render_mixed(camera, vol, lo, hi, fb=prefilled(), cache=False, **kw)
+    for g in got:
+        assert_same_fb(g, want)
+    (geometry,) = cache._entries.values()
+    return geometry, dict(tracer.counters)
+
+
+CORNERS = [(x, y, z) for x in (0, -1) for y in (0, -1) for z in (0, -1)]
+FACES = [
+    (slice(None),) * a + (i,) + (slice(None),) * (2 - a) for a in range(3) for i in (0, -1)
+]
+
+
+class TestOccupiedBox:
+    """A geometry miss builds only the rows whose stencil reaches the
+    occupied voxel box; images equal full sampling's."""
+
+    @pytest.mark.parametrize("corner", CORNERS, ids=str)
+    def test_one_voxel_at_a_corner(self, corner):
+        case = one_box_scene((7, 6, 5), corner, seed=CORNERS.index(corner))
+        geometry, counters = assert_box_render(*case)
+        assert geometry.key[-1] is not None  # restricted to the box
+        assert 0 < len(geometry.pix) < geometry.full_rows
+        assert counters["slice_rows_skipped"] + counters["slice_rows_sampled"] == 2 * (
+            geometry.full_rows
+        )
+
+    @pytest.mark.parametrize("face", FACES, ids=str)
+    def test_one_voxel_slab_on_a_face(self, face):
+        geometry, _ = assert_box_render(*one_box_scene((7, 6, 5), face, seed=3))
+        assert len(geometry.pix) < geometry.full_rows
+
+    def test_full_occupancy(self):
+        case = one_box_scene((7, 6, 5), (slice(None),) * 3, seed=4)
+        geometry, counters = assert_box_render(*case)
+        assert geometry.key[-1] is None  # the whole grid: no restriction
+        assert counters.get("slice_rows_skipped", 0) == 0
+
+    @pytest.mark.parametrize(
+        "shape, occupy",
+        [((1, 7, 5), (0, 3, 2)), ((6, 1, 4), (slice(2, 4), 0, 1)),
+         ((5, 6, 1), (4, slice(None), 0)), ((1, 1, 1), (0, 0, 0))],
+        ids=["x1", "y1", "z1", "xyz1"],
+    )
+    def test_one_wide_axes(self, shape, occupy):
+        assert_box_render(*one_box_scene(shape, occupy, seed=5))
+
+    def test_eye_inside_the_box(self):
+        """A box corner behind ``near``: the inside test runs over
+        every pixel."""
+        case = one_box_scene((7, 6, 5), (slice(2, 5), 3, slice(1, 3)), eye=(0.1, 0.2, -0.3))
+        geometry, counters = assert_box_render(*case)
+        assert counters["frame_geometry_full_screen"] == 1
+        assert len(geometry.pix) < geometry.full_rows
+
+    def test_transparent_volume_keeps_its_covered_pixels(self):
+        """No voxel is occupied, so the box builds no row, but the
+        geometry is not empty: covered pixels of a (0.2, 0.3, 0.4, 0)
+        background are still written back, as full sampling does."""
+        camera, vol, lo, hi, frags = one_box_scene((7, 6, 5), (slice(0, 0),) * 3, seed=6)
+        assert not vol[..., 3].any()
+        fb = Framebuffer(camera.width, camera.height, background=(0.2, 0.3, 0.4, 0.0))
+        geometry, counters = assert_box_render(camera, vol, lo, hi, frags, fb=fb)
+        assert geometry.matrix is None and len(geometry.pix) == 0
+        assert not geometry.empty
+        assert counters["slice_rows_skipped"] == 2 * geometry.full_rows > 0
+        covered = geometry.covered(camera.width * camera.height)
+        got = render_mixed(camera, vol, lo, hi, fb=Framebuffer(
+            camera.width, camera.height, background=(0.2, 0.3, 0.4, 0.0)
+        ), n_slices=12)
+        assert np.all(got.rgba.reshape(-1, 4)[covered, 0] == 0.0)
+        assert np.all(got.rgba.reshape(-1, 4)[~covered, 0] == 0.2)
+
+
 class TestCachePolicies:
     @pytest.fixture
     def global_cache(self):

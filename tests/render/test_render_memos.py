@@ -3,9 +3,14 @@
 - :meth:`FrameGeometry.live_rows` keeps one live-row selection per
   geometry, and its bytes count toward the frame cache's budget.
 - :meth:`HybridRenderer.classify_volume` keeps one classification per
-  renderer, keyed on the density contents, the normalizer and the
-  volume transfer function.
+  renderer, keyed on the frame's density key, the normalizer and the
+  volume transfer function; the point classification keeps one entry
+  keyed on the frame's point key, the normalizer and the point
+  settings, and a hit reads no frame array.
 - Non-finite volumes and slice counts below one raise ``ValueError``.
+
+Frames are immutable, so a test that needs an edited frame builds a
+new one (:func:`edited`).
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.hybrid.renderer as hybrid_renderer
 from repro.core.dataset import as_dataset
 from repro.core.trace import capture
 from repro.hybrid.renderer import HybridRenderer
@@ -23,7 +29,7 @@ from repro.octree.extraction import extract
 from repro.octree.partition import partition
 from repro.render.amr import AmrRgbaVolume
 from repro.render.camera import Camera
-from repro.render.colormap import get_colormap
+from repro.render.colormap import Colormap, get_colormap
 from repro.render.frame_cache import FrameGeometry, FrameGeometryCache
 from repro.render.volume import render_mixed
 
@@ -52,13 +58,18 @@ def amr_frame(pf):
     )
 
 
-def private_copy(frame):
-    """A frame whose arrays this test may edit in place."""
-    meta = dict(frame.meta)
-    if "amr" in meta:
-        a = meta["amr"]
-        meta["amr"] = AmrVolume(a.lo, a.hi, a.bricks, a.brick_cells, a.levels, a.data.copy())
-    return dataclasses.replace(frame, volume=frame.volume.copy(), meta=meta)
+def edited(frame, index, value, array="volume"):
+    """A new frame equal to ``frame`` except ``array[index] = value``;
+    ``array`` names a frame array or ``"amr"``, the adaptive cells."""
+    if array == "amr":
+        a = frame.meta["amr"]
+        data = a.data.copy()
+        data[index] = value
+        amr = AmrVolume(a.lo, a.hi, a.bricks, a.brick_cells, a.levels, data)
+        return dataclasses.replace(frame, meta={**frame.meta, "amr": amr})
+    values = getattr(frame, array).copy()
+    values[index] = value
+    return dataclasses.replace(frame, **{array: values})
 
 
 def sparse_volume(seed=0, shape=(10, 9, 8)):
@@ -184,7 +195,7 @@ class TestClassifyMemo:
         ["boundary", "ramp", "opacity", "colormap", "max_density", "volume"],
     )
     def test_edit_reclassifies(self, frames, edit):
-        frame = private_copy(frames[0])
+        frame = frames[0]
         r = HybridRenderer()
         before, _, _ = self.classify_counts(r, frame)
         if edit == "boundary":
@@ -198,7 +209,7 @@ class TestClassifyMemo:
         elif edit == "max_density":
             r.max_density = 0.5 * frame.max_density()
         else:
-            frame.volume[: frame.volume.shape[0] // 2] = 0.0
+            frame = edited(frame, slice(None, frame.volume.shape[0] // 2), 0.0)
         after, hit, miss = self.classify_counts(r, frame)
         assert (hit, miss) == (0, 1)
         assert after is not before
@@ -207,7 +218,7 @@ class TestClassifyMemo:
         assert after.tobytes() != before.tobytes()
 
     def test_amr_memo(self, amr_frame):
-        frame = private_copy(amr_frame)
+        frame = amr_frame
         r = HybridRenderer()
         first, _, _ = self.classify_counts(r, frame)
         again, hit, _ = self.classify_counts(r, frame)
@@ -215,13 +226,13 @@ class TestClassifyMemo:
         assert again.flat_rgba is first.flat_rgba
         assert not again.flat_rgba.flags.writeable
         data = frame.meta["amr"].data
-        data[: len(data) // 2] = 0.0
-        edited, _, miss = self.classify_counts(r, frame)
+        frame = edited(frame, slice(None, len(data) // 2), 0.0, "amr")
+        changed, _, miss = self.classify_counts(r, frame)
         assert miss == 1
-        assert edited.flat_rgba.tobytes() == HybridRenderer().classify_volume(
+        assert changed.flat_rgba.tobytes() == HybridRenderer().classify_volume(
             frame
         ).flat_rgba.tobytes()
-        assert edited.flat_rgba.tobytes() != first.flat_rgba.tobytes()
+        assert changed.flat_rgba.tobytes() != first.flat_rgba.tobytes()
 
     def test_orbit_classifies_once(self, frames):
         """Thresholds sharing one volume, several views, two orbits:
@@ -240,11 +251,94 @@ class TestClassifyMemo:
         assert 0 < c["slice_rows_sampled"] < c["slice_rows_skipped"]
 
 
+class TestPointMemo:
+    def test_second_view_reads_no_frame_array(self, frames, monkeypatch):
+        """A second view of a frame calls none of the point selection,
+        the colormap or a finiteness check: both memos hit."""
+        frame = frames[0]
+        r = HybridRenderer(n_slices=8, cache=FrameGeometryCache())
+        r.render(frame, camera_at((1, 0.3, 0.5)))
+        calls = []
+
+        def spy(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        with monkeypatch.context() as m:
+            m.setattr(hybrid_renderer, "select_fraction", spy(hybrid_renderer.select_fraction))
+            m.setattr(Colormap, "__call__", spy(Colormap.__call__))
+            m.setattr(np, "isfinite", spy(np.isfinite))
+            with capture(enabled=True) as t:
+                fb = r.render(frame, camera_at((-0.4, 1.0, 0.2)))
+        assert calls == []
+        c = t.counters
+        assert (c["classify_memo_hit"], c["classify_points_memo_hit"]) == (1, 1)
+        assert "classify_points_memo_miss" not in c and "classify_memo_miss" not in c
+        fresh = HybridRenderer(n_slices=8, cache=False).render(
+            frame, camera_at((-0.4, 1.0, 0.2))
+        )
+        assert fb.rgba.tobytes() == fresh.rgba.tobytes()
+        assert fb.depth.tobytes() == fresh.depth.tobytes()
+
+    def test_hit_is_read_only_and_one_miss_per_frame(self, frames):
+        r = HybridRenderer(n_slices=8, cache=FrameGeometryCache())
+        cameras = [camera_at((np.cos(a), 0.35, np.sin(a))) for a in (0.0, 2.0, 4.0)]
+        with capture(enabled=True) as t:
+            for h in frames:
+                for c in cameras:
+                    r.render(h, c)
+        assert t.counters["classify_points_memo_miss"] == len(frames)
+        assert t.counters["classify_points_memo_hit"] == len(frames) * (len(cameras) - 1)
+        pos, rgba = r.classified_points(frames[-1])
+        want = HybridRenderer().classified_points(frames[-1])
+        assert pos.tobytes() == want[0].tobytes() and rgba.tobytes() == want[1].tobytes()
+        for a in (pos, rgba):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "edit",
+        ["boundary", "ramp", "alpha", "colormap", "color_by", "max_density", "points"],
+    )
+    def test_edit_reclassifies(self, frames, edit):
+        n = frames[0].n_points
+        frame = dataclasses.replace(
+            frames[0], attributes={"energy": np.linspace(0.0, 1.0, n)}
+        )
+        r = HybridRenderer()
+        before = r.classified_points(frame)
+        if edit == "boundary":
+            r.transfer.set_boundary(0.5, side="point")
+        elif edit == "ramp":
+            r.transfer.set_ramp(0.3, side="point")
+        elif edit == "alpha":
+            r.point_alpha = 0.2
+        elif edit == "colormap":
+            r.point_colormap = get_colormap("gray")
+        elif edit == "color_by":
+            r.point_color_by = "energy"
+        elif edit == "max_density":
+            r.max_density = 0.5 * frame.max_density()
+        else:
+            frame = edited(frame, slice(None, n // 2), 0.0, "point_densities")
+        with capture(enabled=True) as t:
+            after = r.classified_points(frame)
+        assert t.counters["classify_points_memo_miss"] == 1
+        fresh = HybridRenderer(
+            transfer=r.transfer, max_density=r.max_density, point_alpha=r.point_alpha,
+            point_colormap=r.point_colormap, point_color_by=r.point_color_by,
+        ).classified_points(frame)
+        assert [a.tobytes() for a in after] == [a.tobytes() for a in fresh]
+        assert [a.tobytes() for a in after] != [a.tobytes() for a in before]
+
+
 class TestInvalidInputs:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_density(self, frames, bad):
-        frame = private_copy(frames[0])
-        frame.volume[3, 4, 5] = bad
+        frame = edited(frames[0], (3, 4, 5), bad)
         r = HybridRenderer(n_slices=8)
         with pytest.raises(ValueError, match="non-finite"):
             r.render(frame, camera_at((1, 0.3, 0.5)))
@@ -265,15 +359,13 @@ class TestInvalidInputs:
         infinite density used to surface as a non-finite volume, a NaN
         attribute value as an all-NaN image, and NaN positions or
         densities were dropped silently."""
-        frame = private_copy(frames[0])
-        frame = dataclasses.replace(
-            frame,
-            points=frame.points.copy(),
-            point_densities=frame.point_densities.copy(),
-            attributes={"energy": np.linspace(0.0, 1.0, frame.n_points)},
-        )
-        target = frame.attributes["energy"] if array == "energy" else getattr(frame, array)
-        target.reshape(len(target), -1)[frame.n_points // 2, 0] = bad
+        n = frames[0].n_points
+        energy = np.linspace(0.0, 1.0, n)
+        if array == "energy":
+            energy[n // 2] = bad
+        frame = dataclasses.replace(frames[0], attributes={"energy": energy})
+        if array != "energy":
+            frame = edited(frame, (n // 2, 0) if array == "points" else n // 2, bad, array)
         r = HybridRenderer(n_slices=8, point_color_by="energy")
         with pytest.raises(ValueError, match=message):
             r.render(frame, camera_at((1, 0.3, 0.5)))
@@ -285,8 +377,7 @@ class TestInvalidInputs:
             )
 
     def test_non_finite_amr_density(self, amr_frame):
-        frame = private_copy(amr_frame)
-        frame.meta["amr"].data[7] = np.nan
+        frame = edited(amr_frame, 7, np.nan, "amr")
         with pytest.raises(ValueError, match="non-finite"):
             HybridRenderer(n_slices=8).render(frame, camera_at((1, 0.3, 0.5)))
 

@@ -74,6 +74,11 @@ _HEADER = struct.Struct("<8sH3IQQd3d3d16s")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` made read-only, copied first when it is a view: a view's
+    base would stay writeable, and a write through it would leave the
+    frame's key, maximum and finiteness stale."""
+    if a.base is not None:
+        a = a.copy()
     a.flags.writeable = False
     return a
 
@@ -83,7 +88,8 @@ class HybridFrame:
     """A hybrid volume + points representation of one time step.
 
     Immutable: the arrays it is given are made read-only in place (pass
-    a copy to keep a writeable one), and a changed frame is a new one
+    a copy to keep a writeable one; a view is copied, since its base
+    would stay writeable), and a changed frame is a new one
     (``dataclasses.replace``).
     """
 
@@ -122,12 +128,11 @@ class HybridFrame:
                 raise ValueError(f"attribute {name!r}: one value per point required")
             clean_attrs[str(name)] = values
         # frozen only once every check has passed
-        for values in clean_attrs.values():
-            _read_only(values)
+        clean_attrs = {name: _read_only(values) for name, values in clean_attrs.items()}
         amr = self.meta.get("amr")
         if amr is not None:
-            _read_only(amr.data)
-            _read_only(amr.levels)
+            amr.data = _read_only(amr.data)
+            amr.levels = _read_only(amr.levels)
         put("volume", _read_only(volume))
         put("points", _read_only(points))
         put("point_densities", _read_only(point_densities))

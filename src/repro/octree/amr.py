@@ -246,7 +246,9 @@ class AmrVolume:
         self.offsets, self.total_cells = _offsets_from_levels(
             self.levels, self.brick_cells
         )
-        self.data = np.ascontiguousarray(data, dtype=np.float32).reshape(-1)
+        data = np.ascontiguousarray(data, dtype=np.float32)
+        # a flat array is kept itself, not a view of it (a frame copies views)
+        self.data = data if data.ndim == 1 else data.reshape(-1)
         if len(self.data) != self.total_cells:
             raise ValueError(
                 f"data has {len(self.data)} cells, manifest expects "

@@ -37,7 +37,11 @@ A build may be restricted to an occupied voxel *box*: it then holds
 only the rows whose trilinear stencil reaches the box (every other row
 samples alpha-0 voxels only), while its depths, ``empty``,
 ``full_rows`` and ``covered`` mask stay those of the whole volume.  The
-box is part of the key.
+box is part of the key.  A cached geometry of the same view whose box
+contains a new box serves it, and a view builds the whole grid once a
+second box misses its cached one (:meth:`FrameGeometryCache.get`), so
+under transfer-function edits that move the box a view builds at most
+one non-empty box and the whole grid.
 """
 
 from __future__ import annotations
@@ -87,6 +91,9 @@ def geometry_key(camera, vol_shape, lo, hi, n_slices: int, box=None):
     )
 
 
+_EMPTY_BOX = (0, 0, 0, 0, 0, 0)
+
+
 def occupied_box(occupied: np.ndarray):
     """The voxel box holding every ``True`` of a 3-D occupancy grid.
 
@@ -99,11 +106,22 @@ def occupied_box(occupied: np.ndarray):
         others = tuple(a for a in range(3) if a != axis)
         hit = np.flatnonzero(occupied.any(axis=others))
         if len(hit) == 0:
-            return (0, 0, 0, 0, 0, 0)
+            return _EMPTY_BOX
         box += [int(hit[0]), int(hit[-1]) + 1]
     if box == [0, occupied.shape[0], 0, occupied.shape[1], 0, occupied.shape[2]]:
         return None
     return tuple(box)
+
+
+def _box_contains(outer, inner) -> bool:
+    """Whether voxel box ``outer`` (``None``: the whole grid) holds every
+    voxel of the box ``inner``; an empty box lies in every box."""
+    if outer is None or inner == _EMPTY_BOX:
+        return True
+    return all(
+        outer[2 * a] <= inner[2 * a] and inner[2 * a + 1] <= outer[2 * a + 1]
+        for a in range(3)
+    )
 
 
 def _pixel_rect(camera, lo, hi) -> np.ndarray:
@@ -408,9 +426,29 @@ class FrameGeometryCache:
 
     # ------------------------------------------------------------------
     def get(self, camera, vol_shape, lo, hi, n_slices: int, box=None) -> FrameGeometry:
-        """Return the geometry for this viewpoint and occupied box,
-        building on a miss."""
+        """Return a geometry for this viewpoint holding every row that
+        reaches the occupied ``box``, building on a miss.
+
+        A cached geometry of the same view built for a box containing
+        ``box`` serves it (the whole grid contains every box): the
+        compositor keeps only its rows that see an occupied voxel
+        (:meth:`FrameGeometry.live_rows`), which are the rows a build
+        over ``box`` holds, bit for bit.  When the view already holds a
+        geometry of a non-empty box that misses ``box``, the build
+        covers the whole grid, so while its geometries stay cached a
+        view builds one non-empty box and the whole grid at most, under
+        any sequence of transfer-function edits.
+        """
         key = geometry_key(camera, vol_shape, lo, hi, n_slices, box)
+        if box is not None and key not in self._entries:
+            view = key[:-1]
+            boxes = [k[-1] for k in self._entries if len(k) == len(key) and k[:-1] == view]
+            holding = [b for b in boxes if _box_contains(b, box)]
+            if holding:  # prefer a box geometry to the whole grid's
+                box = min(holding, key=lambda b: b is None)
+            elif any(b != _EMPTY_BOX for b in boxes):
+                box = None
+            key = view + (box,)
         return self.get_keyed(
             key,
             lambda: FrameGeometry.build(camera, vol_shape, lo, hi, n_slices, box),

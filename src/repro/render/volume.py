@@ -27,12 +27,11 @@ are sampled and composited: the rest premultiply to exactly 0, a no-op
 over-step, so the image is bit-identical to full sampling.  A geometry
 miss builds only the rows whose stencil reaches the volume's occupied
 voxel box (:func:`repro.render.frame_cache.occupied_box`), which is part
-of the cache key.
+of the cache key; a cached geometry of a box containing it serves it.
 """
 
 from __future__ import annotations
 
-import weakref
 from contextlib import nullcontext
 
 import numpy as np
@@ -195,35 +194,6 @@ def render_volume_mip(
     return fb
 
 
-# the last read-only volume scanned: (weak reference, occupancy, box)
-_last_scan = None
-
-
-def _scan_volume(volume: np.ndarray):
-    """Check a classified volume finite; return its occupancy and box.
-
-    ``volume`` is an (X, Y, Z, 4) RGBA grid, or (n_cells, 4) AMR cells,
-    which get no box.  An orbit hands one classified volume to every
-    view, so the result for a read-only array that owns its memory
-    (which nothing can write through) is kept for the next call with
-    that same array.
-    """
-    global _last_scan
-    memo = _last_scan
-    if memo is not None and memo[0]() is volume and not volume.flags.writeable:
-        return memo[1], memo[2]
-    flat = volume.reshape(-1, 4)
-    # a non-finite voxel would poison its pixels (0 * inf = NaN), and
-    # the empty-space skip is exact only for finite inputs
-    if not np.isfinite(flat).all():
-        raise ValueError("rgba_volume must be finite")
-    occupied = flat[:, 3] != 0
-    box = occupied_box(occupied.reshape(volume.shape[:3])) if volume.ndim == 4 else None
-    if not volume.flags.writeable and volume.base is None:
-        _last_scan = (weakref.ref(volume), occupied, box)
-    return occupied, box
-
-
 def _merge_fragment_batches(batches):
     """Concatenate per-shard fragment batches into one stream.
 
@@ -275,8 +245,8 @@ def render_mixed(
         ``False`` rebuilds the geometry for this call only (the
         uncached path), any :class:`FrameGeometryCache` uses that cache
     geometry : an explicit prebuilt :class:`FrameGeometry`, overriding
-        ``cache``; built for the whole grid or for this volume's
-        occupied box
+        ``cache``; built for the whole grid or for a box containing this
+        volume's occupied box
 
     All tuning arguments are keyword-only; passing them positionally
     raises ``TypeError`` (the one-release ``DeprecationWarning`` shim
@@ -323,24 +293,29 @@ def render_mixed(
     amr_mode = rgba_volume is not None and hasattr(rgba_volume, "flat_rgba")
     if amr_mode:
         flat = rgba_volume.flat_rgba
-        occupied, _ = _scan_volume(flat)
-        if geometry is None:
-            geometry = rgba_volume.geometry(camera, n_slices, cache)
     elif rgba_volume is not None:
         rgba_volume = np.ascontiguousarray(rgba_volume, dtype=np.float64)
         if rgba_volume.ndim != 4 or rgba_volume.shape[3] != 4:
             raise ValueError("rgba_volume must be (X, Y, Z, 4)")
-        grid = rgba_volume.shape[:3]
         flat = rgba_volume.reshape(-1, 4)
-        occupied, box = _scan_volume(rgba_volume)
-        if geometry is None:
-            if cache is None:
-                cache = frame_geometry_cache()
-            if cache is False:
-                with span("frame_geometry_build", n_slices=int(n_slices)):
-                    geometry = FrameGeometry.build(camera, grid, lo, hi, n_slices, box)
-            else:
-                geometry = cache.get(camera, grid, lo, hi, n_slices, box)
+    if rgba_volume is not None:
+        # a non-finite voxel would poison its pixels (0 * inf = NaN), and
+        # the empty-space skip is exact only for finite inputs
+        if not np.isfinite(flat).all():
+            raise ValueError("rgba_volume must be finite")
+        occupied = flat[:, 3] != 0
+    if geometry is None and amr_mode:
+        geometry = rgba_volume.geometry(camera, n_slices, cache)
+    elif geometry is None and rgba_volume is not None:
+        grid = rgba_volume.shape[:3]
+        box = occupied_box(occupied.reshape(grid))
+        if cache is None:
+            cache = frame_geometry_cache()
+        if cache is False:
+            with span("frame_geometry_build", n_slices=int(n_slices)):
+                geometry = FrameGeometry.build(camera, grid, lo, hi, n_slices, box)
+        else:
+            geometry = cache.get(camera, grid, lo, hi, n_slices, box)
 
     volume = rgba_volume is not None and not geometry.empty
     planes = geometry.n_slices if volume else 0
@@ -356,7 +331,7 @@ def render_mixed(
                 # empty-space skip: a row whose stencil sees only alpha-0
                 # voxels premultiplies to exactly 0, and its over-step is a
                 # no-op that never moves the depth buffer (rows outside
-                # the occupied box were never built)
+                # the geometry's box were never built)
                 live = geometry if occupied.all() else geometry.live_rows(occupied)
                 count("slice_rows_sampled", len(live.pix))
                 count("slice_rows_skipped", geometry.full_rows - len(live.pix))

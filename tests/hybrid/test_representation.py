@@ -197,6 +197,46 @@ class TestImmutable:
             with pytest.raises(ValueError, match="read-only"):
                 frame.points[0, 0] = 1.0
 
+    def test_views_are_copied(self):
+        """A frame holds copies of the views it is given (their bases stay
+        writeable), so a write through a base leaves the frame, its key,
+        maximum and finiteness as they were; arrays that own their memory
+        are kept as they are."""
+        from repro.octree.amr import AmrVolume
+
+        rng = np.random.default_rng(6)
+        bases = {
+            "volume": rng.random((2, 4, 4, 4)).astype(np.float32),
+            "points": rng.random((2, 6, 3)).astype(np.float32),
+            "point_densities": rng.random((2, 6)).astype(np.float32),
+            "energy": rng.random((2, 6)).astype(np.float32),
+            "amr": rng.random(2 * 64).astype(np.float32),
+        }
+        amr = AmrVolume(-np.ones(3), np.ones(3), 2, 2, np.zeros((2, 2, 2)), bases["amr"][:64])
+        f = HybridFrame(
+            volume=bases["volume"][0],
+            points=bases["points"][0],
+            point_densities=bases["point_densities"][0],
+            lo=-np.ones(3),
+            hi=np.ones(3),
+            attributes={"energy": bases["energy"][0]},
+            meta={"amr": amr},
+        )
+        held = [f.volume, f.points, f.point_densities, f.attributes["energy"], amr.data]
+        before = [a.copy() for a in held]
+        key, dmax = f.key, f.max_density()
+        for base in bases.values():
+            base[...] = np.inf
+        for a, b in zip(held, before):
+            assert a.tobytes() == b.tobytes()
+        # the kept key and maximum still describe the frame's contents
+        again = HybridFrame.from_bytes(f.to_bytes())
+        assert again.key == key and again.max_density() == dmax
+        assert again.non_finite() == frozenset()
+        own = np.ones((3, 3, 3), np.float32)
+        kept = HybridFrame(own, np.zeros((0, 3)), np.zeros(0), np.zeros(3), np.ones(3))
+        assert kept.volume is own
+
     def test_key_follows_contents(self):
         f = _frame()
         same = HybridFrame.from_bytes(f.to_bytes())

@@ -115,6 +115,84 @@ class TestInvalidation:
         assert not np.array_equal(a.rgba, b.rgba)
 
 
+def boxed(vol, box):
+    """``vol`` with alpha zeroed outside the voxel box ``box``."""
+    out = vol.copy()
+    keep = np.zeros(vol.shape[:3], dtype=bool)
+    keep[box[0]:box[1], box[2]:box[3], box[4]:box[5]] = True
+    out[~keep, 3] = 0.0
+    return out
+
+
+class TestBoxReuse:
+    """A cached geometry of the same view whose box contains a new box
+    serves it; a second box that misses builds the whole grid once."""
+
+    EMPTY = (0, 0, 0, 0, 0, 0)
+
+    def render_pair(self, scene, box, cache):
+        camera, vol, lo, hi, frags = scene
+        v = boxed(vol, box)
+        warm = render_mixed(
+            camera, v, lo, hi, point_fragments=frags, n_slices=16, cache=cache
+        )
+        ref = render_mixed(
+            camera, v, lo, hi, point_fragments=frags, n_slices=16, cache=False
+        )
+        assert warm.rgba.tobytes() == ref.rgba.tobytes()
+        assert warm.depth.tobytes() == ref.depth.tobytes()
+
+    def cached_boxes(self, scene, cache, boxes):
+        camera, vol, lo, hi, _ = scene
+        return [
+            b for b in boxes
+            if geometry_key(camera, vol.shape[:3], lo, hi, 16, b) in cache
+        ]
+
+    def test_edit_sweep_builds_box_then_whole_grid(self, scene):
+        """Shrinking, emptying, growing and whole-grid boxes from one
+        view: every image equals the uncached render, and the view
+        builds twice -- the first box, then the whole grid."""
+        sweep = [
+            (3, 8, 4, 9, 2, 7), (4, 7, 5, 8, 3, 6), self.EMPTY,
+            (2, 9, 4, 9, 2, 7), (5, 6, 6, 7, 4, 5), (0, 12, 0, 14, 0, 10),
+        ]
+        cache = FrameGeometryCache()
+        with capture(enabled=True) as t:
+            for box in sweep:
+                self.render_pair(scene, box, cache)
+        assert cache.stats()["misses"] == 2 and cache.stats()["hits"] == 4
+        assert self.cached_boxes(scene, cache, sweep[:5] + [None]) == [sweep[0], None]
+        # every covered row that is not sampled is counted, whatever box served it
+        camera, vol, lo, hi, _ = scene
+        full = FrameGeometry.build(camera, vol.shape[:3], lo, hi, 16).full_rows
+        c = t.counters
+        assert c["slice_rows_sampled"] + c["slice_rows_skipped"] == 2 * len(sweep) * full
+
+    def test_empty_box(self, scene):
+        """An empty box is held by every geometry of its view, and is not
+        a box that a later one misses."""
+        box = (3, 8, 4, 9, 2, 7)
+        cache = FrameGeometryCache()
+        for b in (box, self.EMPTY):
+            self.render_pair(scene, b, cache)
+        assert cache.stats()["misses"] == 1
+        cache = FrameGeometryCache()
+        for b in (self.EMPTY, box, self.EMPTY):
+            self.render_pair(scene, b, cache)
+        assert cache.stats()["misses"] == 2
+        assert self.cached_boxes(scene, cache, [self.EMPTY, box, None]) == [self.EMPTY, box]
+
+    def test_other_view_builds_its_own(self, scene):
+        camera, vol, lo, hi, _ = scene
+        cache = FrameGeometryCache()
+        render_mixed(camera, boxed(vol, (2, 9, 3, 10, 2, 8)), lo, hi, n_slices=16, cache=cache)
+        moved = Camera(eye=(2.6, 1.5, 3.0), target=(0, 0, 0), width=48, height=40)
+        render_mixed(moved, boxed(vol, (3, 8, 4, 9, 2, 7)), lo, hi, n_slices=16, cache=cache)
+        assert cache.stats()["misses"] == 2
+        assert geometry_key(moved, vol.shape[:3], lo, hi, 16, (3, 8, 4, 9, 2, 7)) in cache
+
+
 class TestCachePolicy:
     def test_lru_entry_bound(self, scene):
         camera, vol, lo, hi, _ = scene

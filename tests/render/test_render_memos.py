@@ -254,10 +254,13 @@ class TestClassifyMemo:
 class TestPointMemo:
     def test_second_view_reads_no_frame_array(self, frames, monkeypatch):
         """A second view of a frame calls none of the point selection,
-        the colormap or a finiteness check: both memos hit."""
+        the colormap or a finiteness check of a frame array: both memos
+        hit.  Only the compositor's own check of the classified RGBA
+        runs, once per render."""
         frame = frames[0]
         r = HybridRenderer(n_slices=8, cache=FrameGeometryCache())
         r.render(frame, camera_at((1, 0.3, 0.5)))
+        rgba = r.classify_volume(frame)
         calls = []
 
         def spy(fn):
@@ -267,13 +270,19 @@ class TestPointMemo:
 
             return wrapped
 
+        isfinite = np.isfinite
+
+        def finite_spy(a, *args, **kwargs):
+            calls.append("isfinite(rgba)" if np.shares_memory(a, rgba) else "isfinite")
+            return isfinite(a, *args, **kwargs)
+
         with monkeypatch.context() as m:
             m.setattr(hybrid_renderer, "select_fraction", spy(hybrid_renderer.select_fraction))
             m.setattr(Colormap, "__call__", spy(Colormap.__call__))
-            m.setattr(np, "isfinite", spy(np.isfinite))
+            m.setattr(np, "isfinite", finite_spy)
             with capture(enabled=True) as t:
                 fb = r.render(frame, camera_at((-0.4, 1.0, 0.2)))
-        assert calls == []
+        assert calls == ["isfinite(rgba)"]
         c = t.counters
         assert (c["classify_memo_hit"], c["classify_points_memo_hit"]) == (1, 1)
         assert "classify_points_memo_miss" not in c and "classify_memo_miss" not in c

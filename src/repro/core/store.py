@@ -27,7 +27,7 @@ vocabulary as every other on-disk format of the package.
 
 Reads are visible in a trace: every shard read bumps the
 ``store_shard_read`` counter and adds the bytes it copied out (whole
-shard, or the rows a prefix or gather touched) to
+shard, or the rows a prefix touched) to
 ``store_shard_read_bytes``; every shard written bumps ``store_shard_write``.
 """
 
@@ -56,8 +56,9 @@ __all__ = [
 MANIFEST_NAME = "store.json"
 STORE_MAGIC = "RPRSTORE"
 # v1: shards only.  v2 adds an optional "lod" section registering the
-# level-of-detail side files (see repro.octree.lod).  v1 stores open
-# unchanged -- the section is simply absent.
+# level-of-detail side files (see repro.octree.lod; the section carries
+# its own format version).  v1 stores open unchanged -- the section is
+# simply absent.
 STORE_VERSION = 2
 SUPPORTED_STORE_VERSIONS = (1, 2)
 DEFAULT_SHARD_ROWS = 262_144           # 12 MB of float64 particles
@@ -276,41 +277,6 @@ class ShardedStore:
             if isinstance(mm, np.memmap):
                 _evict_pages(mm._mmap)
             filled += b - a
-        return out
-
-    def gather_rows(self, rows) -> np.ndarray:
-        """Gather scattered global row indices into an (n, 6) array.
-
-        The access path of the finest LOD refinement level, whose
-        sampled rows are recorded as indices into the main particle
-        file instead of being duplicated on disk.  Rows are fetched in
-        ascending order (one memmap pass per touched shard) and
-        returned in the caller's order.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        out = np.empty((len(rows), 6), dtype=np.float64)
-        if len(rows) == 0:
-            return out
-        order = np.argsort(rows, kind="stable")
-        sorted_rows = rows[order]
-        if sorted_rows[0] < 0 or sorted_rows[-1] >= self.n_particles:
-            raise IndexError(
-                f"row indices [{sorted_rows[0]}, {sorted_rows[-1]}] out of "
-                f"range for a {self.n_particles}-particle store"
-            )
-        shard_ids = (
-            np.searchsorted(self._starts, sorted_rows, side="right") - 1
-        )
-        cut = np.flatnonzero(np.diff(shard_ids)) + 1
-        starts = np.concatenate([[0], cut])
-        ends = np.concatenate([cut, [len(sorted_rows)]])
-        for a, b in zip(starts, ends):
-            i = int(shard_ids[a])
-            mm = self.shard(i)
-            out[order[a:b]] = mm[sorted_rows[a:b] - self.shard_start(i)]
-            count("store_shard_read_bytes", int(b - a) * _ROW_BYTES)
-            if isinstance(mm, np.memmap):
-                _evict_pages(mm._mmap)
         return out
 
     @property

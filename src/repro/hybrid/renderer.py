@@ -150,11 +150,10 @@ class HybridRenderer:
         dmax = self.max_density
         if dmax is None:
             dmax = frame.max_density()
-            amr = self._frame_amr(frame)
-            if amr is not None:
+            if self._frame_amr(frame) is not None:
                 # refined cells resolve peaks the flat grid averages
                 # away; classify on the true maximum so they don't clip
-                dmax = max(dmax, amr.max_density())
+                dmax = max(dmax, frame.amr_max_density())
         return DensityNormalizer(max(dmax, 1e-300), mode=self.normalizer_mode)
 
     def _check_points(self, frame: HybridFrame) -> None:

@@ -103,7 +103,7 @@ class HybridFrame:
     plot_type: str = "xyz"
     attributes: dict = field(default_factory=dict)  # name -> (M,) float32
     meta: dict = field(default_factory=dict)
-    # key, max density and finiteness, each computed on first use
+    # key, max densities and finiteness, each computed on first use
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -231,6 +231,15 @@ class HybridFrame:
             vol_max = float(self.volume.max()) if self.volume.size else 0.0
             pt_max = float(self.point_densities.max()) if self.n_points else 0.0
             dmax = self._memo["max_density"] = max(vol_max, pt_max)
+        return dmax
+
+    def amr_max_density(self) -> float:
+        """The adaptive cells' maximum density, 0.0 without them
+        (computed once per frame)."""
+        dmax = self._memo.get("amr_max_density")
+        if dmax is None:
+            amr = self.meta.get("amr")
+            dmax = self._memo["amr_max_density"] = 0.0 if amr is None else amr.max_density()
         return dmax
 
     # ------------------------------------------------------------------

@@ -23,29 +23,35 @@ same seed reproduces the hierarchy bit for bit.
 
 **On-disk layout** (side files inside the store directory, registered
 in the ``lod`` section of a version-2 ``store.json`` manifest --
-version-1 stores without the section still open):
+version-1 stores without the section still open).  Every level is
+stored in the form the wire sends, so a refinement unit is slices of
+one level's two files, with no gather from the main store and no
+cast:
 
-    lod_base.bin           f8 (n, 6) rows of the coarsest sample
-                           (level = ``levels``), all nodes concatenated
-                           in node order
-    lod_base_rows.bin      i8 global row index of each base row
-    lod_delta_<l>.bin      f8 rows of refinement level ``l``
-                           (``levels-1`` .. 1): the sample members of
-                           level ``l`` that level ``l+1`` lacks
-    lod_delta_rows_<l>.bin i8 global row indices of the above
-    lod_delta_rows_0.bin   i8 indices only -- the finest level is the
-                           bulk of the data, so its rows are *gathered
-                           from the main store* at serve time instead
-                           of being duplicated on disk
+    lod_rows_<l>.bin       i8 global row index of each member of level
+                           ``l``, all nodes concatenated in node order:
+                           level ``levels`` is the base (the coarsest
+                           sample), a level ``l < levels`` holds the
+                           sample members of level ``l`` that level
+                           ``l+1`` lacks, and level 0 is the bulk
+    lod_points_<l>.bin     f4 (n, 3) plot-type columns of the same
+                           rows, cast element-wise from the f8 rows as
+                           the flat extraction casts them
     lod_index.bin          i8 (levels+1, n_nodes+1) per-level per-node
-                           offset table (row ``levels`` indexes the
-                           base files)
+                           offset table into the level files
     lod_mip_<k>.bin        f8 (m, m, m) CIC count grids,
                            ``m = mip_base >> k``, for k >= 1: 2x2x2 sum
                            pools of mip 0, which is no side file but
                            the store's own volume
                            (``PartitionedStore.volume_counts`` at
                            ``mip_base``, the grid ``extract`` reads)
+
+A particle costs 20 bytes at whatever level it lands.  The section
+carries a format ``version`` (:data:`LOD_VERSION`); a hierarchy of
+another version raises :class:`~repro.core.errors.FormatError` naming
+``repro lod build``, which rebuilds it from its seed.  Opening a
+hierarchy checks every side file's size and CRC32 against the manifest
+once and keeps the level files mapped for its lifetime.
 
 Because nodes are whole with respect to any threshold (the halo is
 always the first ``n`` nodes of the density-sorted table), the halo's
@@ -55,6 +61,7 @@ property the paper exploits for the particle file itself.
 
 from __future__ import annotations
 
+import os
 import zlib
 from pathlib import Path
 
@@ -66,33 +73,26 @@ from repro.core.trace import count, span
 from repro.octree.extraction import density_volume
 from repro.octree.octree import morton_decode
 
-__all__ = ["build_lod", "LodHierarchy", "node_centers"]
+__all__ = ["build_lod", "LodHierarchy", "node_centers", "LOD_VERSION"]
 
-_ROW_BYTES = 6 * 8
+# v1 stored f8 rows above level 0 and gathered level 0 from the main
+# store; v2 stores every level as i8 rows + f4 points
+LOD_VERSION = 2
 _BATCH_ROWS = 1 << 19   # rows read per node-batch during the build
+_CRC_CHUNK = 1 << 22    # bytes read per step of a side-file check
+_INDEX_FILE = "lod_index.bin"
 
 
-def _base_file() -> str:
-    return "lod_base.bin"
+def _rows_file(level: int) -> str:
+    return f"lod_rows_{int(level)}.bin"
 
 
-def _base_rows_file() -> str:
-    return "lod_base_rows.bin"
-
-
-def _delta_file(level: int) -> str:
-    return f"lod_delta_{int(level)}.bin"
-
-
-def _delta_rows_file(level: int) -> str:
-    return f"lod_delta_rows_{int(level)}.bin"
+def _points_file(level: int) -> str:
+    return f"lod_points_{int(level)}.bin"
 
 
 def _mip_file(k: int) -> str:
     return f"lod_mip_{int(k)}.bin"
-
-
-_INDEX_FILE = "lod_index.bin"
 
 
 def _sample_size(n: int, ratio: int, level: int) -> int:
@@ -119,11 +119,14 @@ def node_centers(nodes, lo, hi):
 
 
 class _Writer:
-    """Append-only side-file writer tracking size and running CRC32."""
+    """Side-file writer tracking size and running CRC32.  The bytes go
+    to a temp file renamed over the target on close, so a hierarchy
+    that still maps the old file keeps reading it whole."""
 
     def __init__(self, path: Path):
         self.path = path
-        self._f = open(path, "wb")
+        self._tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
+        self._f = open(self._tmp, "wb")
         self.crc = 0
         self.nbytes = 0
 
@@ -135,6 +138,7 @@ class _Writer:
 
     def close(self) -> dict:
         self._f.close()
+        os.replace(self._tmp, self.path)
         return {"bytes": int(self.nbytes), "crc32": int(self.crc & 0xFFFFFFFF)}
 
 
@@ -181,17 +185,16 @@ def build_lod(
     n_nodes = len(nodes)
     directory = Path(pstore.directory)
 
+    cols = list(pstore.columns)
     index = np.zeros((levels + 1, n_nodes + 1), dtype=np.int64)
-    writers = {levels: (_Writer(directory / _base_file()),
-                        _Writer(directory / _base_rows_file()))}
-    for lev in range(1, levels):
-        writers[lev] = (_Writer(directory / _delta_file(lev)),
-                        _Writer(directory / _delta_rows_file(lev)))
-    rows0_writer = _Writer(directory / _delta_rows_file(0))
+    writers = {lev: (_Writer(directory / _rows_file(lev)),
+                     _Writer(directory / _points_file(lev)))
+               for lev in range(levels + 1)}
 
     with span("lod_build", nodes=n_nodes, levels=levels):
         # batch contiguous node ranges so the particle file is read
-        # once, sequentially, a few hundred thousand rows at a time
+        # once, sequentially, a few hundred thousand rows at a time;
+        # each batch is cast to f4 once and written level by level
         j = 0
         while j < n_nodes:
             k = j
@@ -200,32 +203,29 @@ def build_lod(
                                    batch_rows + counts[k] <= _BATCH_ROWS):
                 batch_rows += counts[k]
                 k += 1
-            block = store.read_rows(starts[j], starts[j] + batch_rows)
+            start = int(starts[j])
+            points = store.read_rows(start, start + batch_rows)[:, cols].astype(np.float32)
+            picks = {lev: [] for lev in writers}
             for node in range(j, k):
                 c = int(counts[node])
-                local = int(starts[node] - starts[j])
+                local = int(starts[node]) - start
                 perm = np.random.default_rng([seed, node]).permutation(c)
-                sizes = [_sample_size(c, ratio, lev) for lev in range(levels + 1)]
-                sizes[0] = c
-                for lev in range(levels, 0, -1):
-                    a = 0 if lev == levels else sizes[lev + 1]
-                    sel = np.sort(perm[a:sizes[lev]])
-                    w_rows, w_idx = writers[lev]
-                    w_rows.write(block[local + sel])
-                    w_idx.write((starts[node] + sel).astype("<i8"))
+                # level l holds perm[sizes[l+1]:sizes[l]]
+                sizes = [c] + [_sample_size(c, ratio, lev) for lev in range(1, levels + 1)] + [0]
+                for lev in writers:
+                    sel = np.sort(perm[sizes[lev + 1]:sizes[lev]])
+                    picks[lev].append(local + sel)
                     index[lev, node + 1] = index[lev, node] + len(sel)
-                sel0 = np.sort(perm[sizes[1]:])
-                rows0_writer.write((starts[node] + sel0).astype("<i8"))
-                index[0, node + 1] = index[0, node] + len(sel0)
+            for lev, (w_rows, w_points) in writers.items():
+                sel = np.concatenate(picks[lev])
+                w_rows.write((start + sel).astype("<i8"))
+                w_points.write(points[sel])
             j = k
 
         files = {}
-        for lev, (w_rows, w_idx) in writers.items():
-            name = _base_file() if lev == levels else _delta_file(lev)
-            rname = _base_rows_file() if lev == levels else _delta_rows_file(lev)
-            files[name] = w_rows.close()
-            files[rname] = w_idx.close()
-        files[_delta_rows_file(0)] = rows0_writer.close()
+        for lev, (w_rows, w_points) in writers.items():
+            files[_rows_file(lev)] = w_rows.close()
+            files[_points_file(lev)] = w_points.close()
 
         w = _Writer(directory / _INDEX_FILE)
         w.write(index.astype("<i8"))
@@ -250,6 +250,7 @@ def build_lod(
                 files[_mip_file(k)] = w.close()
 
     manifest = {
+        "version": LOD_VERSION,
         "seed": int(seed),
         "ratio": ratio,
         "levels": levels,
@@ -259,6 +260,9 @@ def build_lod(
         "files": files,
     }
     attach_lod_manifest(directory, manifest)
+    for stale in directory.glob("lod_*.bin"):
+        if stale.name not in files:
+            stale.unlink()
     # keep the already-open store object coherent with the manifest we
     # just committed (a fresh open() would see it anyway)
     store._manifest["lod"] = manifest
@@ -271,16 +275,25 @@ def build_lod(
 class LodHierarchy:
     """A read-opened LOD hierarchy attached to a partitioned store.
 
-    Serves the progressive-stream content: :meth:`base` (the coarsest
-    sample of the halo prefix), :meth:`delta` (one refinement level's
-    rows for a set of nodes) and :meth:`coarse_volume` (the first
-    frame's volume).  :meth:`schedule` orders the refinement work by
-    screen-space error.
+    Serves the progressive-stream content as wire-ready arrays:
+    :meth:`base` (the coarsest sample of the halo prefix),
+    :meth:`delta` (one level's members of a set of nodes) and
+    :meth:`coarse_volume` (the first frame's volume).  :meth:`schedule`
+    orders the refinement work by screen-space error.  Opening checks
+    every level file's size and CRC32 against the manifest and maps it
+    read-only; the maps stay open for the hierarchy's lifetime.
     """
 
     def __init__(self, pstore, meta: dict):
         self.pstore = pstore
         self.directory = Path(pstore.directory)
+        version = meta.get("version", 1)
+        if version != LOD_VERSION:
+            raise FormatError(
+                f"{self.directory}: LOD hierarchy has format version {version}, "
+                f"this release reads version {LOD_VERSION}; rebuild it with "
+                f"'repro lod build {self.directory}'"
+            )
         self.seed = int(meta["seed"])
         self.ratio = int(meta["ratio"])
         self.levels = int(meta["levels"])
@@ -293,9 +306,15 @@ class LodHierarchy:
                 f"{self.directory}: LOD hierarchy covers {self.n_nodes} "
                 f"nodes, store has {len(pstore.nodes)}"
             )
-        self.index = self._read_file(
-            _INDEX_FILE, "<i8"
+        self.index = np.frombuffer(
+            self._checked(_INDEX_FILE).read_bytes(), dtype="<i8"
         ).reshape(self.levels + 1, self.n_nodes + 1)
+        # per level: (global rows i8 (n,), points f4 (n, 3))
+        self._level_files = [
+            (self._map(_rows_file(lev), "<i8", ()), self._map(_points_file(lev), "<f4", (3,)))
+            for lev in range(self.levels + 1)
+        ]
+        self._densities = pstore.nodes["density"].astype(np.float32)
         self._mips: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -308,95 +327,77 @@ class LodHierarchy:
             return None
         return cls(pstore, meta)
 
-    def _read_file(self, name: str, dtype: str, check: bool = True) -> np.ndarray:
+    def _checked(self, name: str) -> Path:
+        """The path of a registered side file whose size and CRC32
+        match the manifest (read in chunks, so a check holds no more
+        than one chunk in memory)."""
         entry = self._files.get(name)
         if entry is None:
             raise FormatError(f"{self.directory}: LOD manifest lacks {name}")
         path = self.directory / name
+        crc = 0
         try:
-            raw = path.read_bytes()
+            with open(path, "rb") as f:
+                size = os.fstat(f.fileno()).st_size
+                if size == int(entry["bytes"]):
+                    for chunk in iter(lambda: f.read(_CRC_CHUNK), b""):
+                        crc = zlib.crc32(chunk, crc)
         except OSError:
             raise FormatError(f"{path}: missing LOD side file") from None
-        if len(raw) != int(entry["bytes"]):
-            raise FormatError(
-                f"{path}: {len(raw)} bytes, manifest expects {entry['bytes']}"
-            )
-        if check and zlib.crc32(raw) != int(entry["crc32"]):
+        if size != int(entry["bytes"]):
+            raise FormatError(f"{path}: {size} bytes, manifest expects {entry['bytes']}")
+        if crc != int(entry["crc32"]):
             raise FormatError(f"{path}: LOD side file CRC mismatch")
-        return np.frombuffer(raw, dtype=dtype)
+        return path
 
-    def _memmap(self, name: str, dtype: str, row_shape=()) -> np.ndarray:
-        entry = self._files.get(name)
-        if entry is None:
-            raise FormatError(f"{self.directory}: LOD manifest lacks {name}")
-        itemsize = int(np.dtype(dtype).itemsize * max(int(np.prod(row_shape)), 1))
-        n = int(entry["bytes"]) // itemsize
+    def _map(self, name: str, dtype: str, row_shape: tuple) -> np.ndarray:
+        """A checked level file mapped read-only as ``(n,) + row_shape``."""
+        path = self._checked(name)
+        n = int(self._files[name]["bytes"]) // np.dtype((dtype, row_shape)).itemsize
         if n == 0:
-            return np.empty((0,) + tuple(row_shape), dtype=dtype)
-        return np.memmap(
-            self.directory / name, dtype=dtype, mode="r",
-            shape=(n,) + tuple(row_shape),
-        )
+            return np.empty((0,) + row_shape, dtype=dtype)
+        return np.asarray(np.memmap(path, dtype=dtype, mode="r", shape=(n,) + row_shape))
 
     # ------------------------------------------------------------------
     def level_sizes(self, level: int, n_nodes: int | None = None) -> np.ndarray:
-        """Per-node row counts of one level's delta (halo prefix)."""
+        """Per-node row counts of one level (halo prefix)."""
         n = self.n_nodes if n_nodes is None else int(n_nodes)
         row = self.index[int(level)]
         return (row[1 : n + 1] - row[:n]).astype(np.int64)
 
     def base(self, n_nodes: int):
-        """The coarsest sample of the first ``n_nodes`` nodes: a
-        contiguous prefix of the base files.  Returns ``(global_rows
-        i8, particle_rows f8)``."""
-        stop = int(self.index[self.levels, int(n_nodes)])
-        rows = np.array(self._memmap(_base_rows_file(), "<i8")[:stop])
-        data = np.array(self._memmap(_base_file(), "<f8", (6,))[:stop])
+        """The coarsest sample of the first ``n_nodes`` nodes as
+        wire-ready arrays ``(global_rows i8, points f4 (n, 3),
+        densities f4)``; the rows and points are read-only views of a
+        contiguous prefix of the base level's files."""
+        n = int(n_nodes)
+        stop = int(self.index[self.levels, n])
+        rows, points = self._level_files[self.levels]
         count("lod_base_reads")
-        return rows, data
+        dens = np.repeat(self._densities[:n], self.level_sizes(self.levels, n))
+        return rows[:stop], points[:stop], dens
 
     def delta(self, level: int, node_ids: np.ndarray):
-        """Refinement rows of one level for the given node indices.
-
-        Levels >= 1 read their dedicated side files; level 0 (the
-        bulk) gathers its rows from the main particle file via the
-        stored indices.  Returns ``(global_rows i8, particle_rows f8,
-        per_node_sizes i64)``.
-        """
+        """One level's members of the given nodes as wire-ready arrays
+        ``(global_rows i8, points f4 (n, 3), densities f4)``: each
+        node's run of the level's two files, in the order of
+        ``node_ids``.  The points are the flat extraction's
+        element-wise f4 casts, so reassembled streams are bitwise
+        identical to it."""
         level = int(level)
         node_ids = np.asarray(node_ids, dtype=np.int64)
         offs = self.index[level]
-        starts = offs[node_ids]
-        sizes = (offs[node_ids + 1] - starts).astype(np.int64)
-        total = int(sizes.sum())
-        # each node's run offs[j]..offs[j+1], concatenated in id order
-        sel = np.arange(total, dtype=np.int64) + np.repeat(
-            starts - (np.cumsum(sizes) - sizes), sizes
-        )
-        name = _base_rows_file() if level == self.levels else _delta_rows_file(level)
-        rows = np.array(self._memmap(name, "<i8")[sel]) if total else np.empty(0, "<i8")
-        if level == 0:
-            data = self.pstore.store.gather_rows(rows)
-        else:
-            dname = _base_file() if level == self.levels else _delta_file(level)
-            mm = self._memmap(dname, "<f8", (6,))
-            data = np.array(mm[sel]) if total else np.empty((0, 6), "<f8")
+        starts, stops = offs[node_ids], offs[node_ids + 1]
+        # each node's run offs[j]..offs[j+1], copied slice by slice: a
+        # third of the cost of one gather through a row index
+        runs = [slice(a, b) for a, b in zip(starts.tolist(), stops.tolist())]
+        rows, points = self._level_files[level]
         count("lod_delta_reads")
-        return rows, data, sizes
-
-    def delta_points(self, level: int, node_ids: np.ndarray):
-        """One refinement unit as wire-ready arrays: ``(global_rows
-        i8, points f4 (n, 3), densities f4)`` -- the same per-element
-        float32 conversions as the flat extraction, so reassembled
-        streams are bitwise identical to it."""
-        rows, data, sizes = self.delta(level, node_ids)
-        cols = list(self.pstore.columns)
-        pts = data[:, cols].astype(np.float32)
-        dens = np.repeat(
-            self.pstore.nodes["density"][np.asarray(node_ids, dtype=np.int64)],
-            sizes,
-        ).astype(np.float32)
-        return rows, pts, dens
+        return (
+            np.concatenate([rows[r] for r in runs] or [rows[:0]]),
+            np.concatenate([points[r] for r in runs] or [points[:0]]),
+            np.repeat(self._densities[node_ids], stops - starts),
+        )
 
     # ------------------------------------------------------------------
     def mip(self, k: int) -> np.ndarray:
@@ -408,7 +409,8 @@ class LodHierarchy:
             if k == 0:
                 self._mips[k] = self.pstore.volume_counts(m)
             else:
-                self._mips[k] = self._read_file(_mip_file(k), "<f8").reshape(m, m, m)
+                raw = self._checked(_mip_file(k)).read_bytes()
+                self._mips[k] = np.frombuffer(raw, dtype="<f8").reshape(m, m, m)
         return self._mips[k]
 
     def coarse_volume(self, resolution: int) -> np.ndarray:

@@ -80,9 +80,10 @@ class ResultCache:
     frame-geometry cache.  Their values are whole HYBRID_FRAME
     messages, framed once by :func:`~repro.remote.protocol.frame_message`
     (header, CRC32 and payload), so a hit costs one dict lookup and
-    one write of the stored bytes.  ``("lod_base", ...)`` keys hold
-    LOD BASE unit payloads, which every send wraps in its own
-    stream's LOD_FRAME header.  The byte bound counts every stored
+    one write of the stored bytes.  ``("lod_base", ...)`` and
+    ``("lod_volume", frame, resolution)`` keys hold LOD BASE and
+    VOLUME unit payloads, which every send wraps in its own stream's
+    LOD_FRAME header.  The byte bound counts every stored
     byte.
     """
 
@@ -674,15 +675,6 @@ class VisualizationService:
                 Message(MessageType.ERROR, f"frame index {index} out of range".encode()),
             )
             return
-        if getattr(self.frames[index], "lod", None) is None:
-            await self._reply(
-                session,
-                Message(
-                    MessageType.ERROR,
-                    f"frame {index} has no LOD hierarchy (build_lod first)".encode(),
-                ),
-            )
-            return
         stream = session.streams.get(sid)
         loop = asyncio.get_running_loop()
         try:
@@ -723,9 +715,13 @@ class VisualizationService:
 
     def _open_stream(self, index, threshold, resolution, eye) -> _RefineStream:
         """Compute one stream's deterministic refinement schedule
-        (runs in the extraction pool -- it touches the node table)."""
+        (runs in the extraction pool -- it touches the node table, and
+        the first touch of ``frame.lod`` opens and checks the
+        hierarchy, raising ``FormatError`` on a damaged or old one)."""
         frame = self.frames[index]
-        lod = frame.lod
+        lod = getattr(frame, "lod", None)
+        if lod is None:
+            raise ValueError(f"frame {index} has no LOD hierarchy (build_lod first)")
         n_below = int(
             np.searchsorted(frame.nodes["density"], float(threshold), side="left")
         )
@@ -746,17 +742,9 @@ class VisualizationService:
         unit = stream.units[stream.pos]
         if unit[0] == "base":
             key = ("lod_base", stream.index, stream.threshold, stream.resolution)
-            payload = self.cache.get(key)
-            if payload is not None:
-                self._bump("cache_hits")
-            else:
-                self._bump("cache_misses")
-                payload = await loop.run_in_executor(
-                    self._pool, self._build_base,
-                    stream.index, stream.threshold, stream.resolution,
-                    stream.n_nodes, stream.n_total,
-                )
-                self.cache.put(key, payload)
+            args = (stream.index, stream.threshold, stream.resolution,
+                    stream.n_nodes, stream.n_total)
+            payload, _ = await self._cached(key, self._build_base, *args)
             return LodKind.BASE, payload
         if unit[0] == "points":
             _, level, node_ids = unit
@@ -764,18 +752,34 @@ class VisualizationService:
                 self._pool, self._build_points, stream.index, level, node_ids
             )
             return LodKind.POINTS, payload
-        payload = await loop.run_in_executor(
-            self._pool, self._build_volume, stream.index, stream.resolution
+        key = ("lod_volume", stream.index, stream.resolution)
+        payload, hit = await self._cached(
+            key, self._build_volume, stream.index, stream.resolution
         )
+        if hit:
+            # a served unit all the same: its span and bytes, as a build counts them
+            with span("service_lod_volume", frame=stream.index, resolution=stream.resolution):
+                count("service_unit_bytes", len(payload))
         return LodKind.VOLUME, payload
+
+    async def _cached(self, key, build, *args):
+        """A unit payload from the result cache, or built in the pool
+        and cached; returns ``(payload, hit)``."""
+        payload = self.cache.get(key)
+        if payload is not None:
+            self._bump("cache_hits")
+            return payload, True
+        self._bump("cache_misses")
+        payload = await asyncio.get_running_loop().run_in_executor(self._pool, build, *args)
+        self.cache.put(key, payload)
+        return payload, False
 
     # these run in the pool and open their spans there: the span stack
     # is per thread, and sessions interleave on the loop thread
     def _build_points(self, index, level, node_ids) -> bytes:
-        """A POINTS unit: one level's delta rows of the scheduled nodes."""
+        """A POINTS unit: the scheduled nodes' runs of one level."""
         with span("service_refine", frame=index, level=level):
-            rows, pts, dens = self.frames[index].lod.delta_points(level, node_ids)
-            payload = protocol.encode_lod_points(rows, pts, dens)
+            payload = protocol.encode_lod_points(*self.frames[index].lod.delta(level, node_ids))
         count("service_unit_bytes", len(payload))
         return payload
 
@@ -794,15 +798,10 @@ class VisualizationService:
         frame = self.frames[index]
         lod = frame.lod
         with span("service_lod_base", frame=index, resolution=resolution):
-            rows, data = lod.base(n_nodes)
-            pts = data[:, list(frame.columns)].astype(np.float32)
-            dens = np.repeat(
-                frame.nodes["density"][:n_nodes],
-                lod.level_sizes(lod.levels, n_nodes),
-            ).astype(np.float32)
+            rows, points, dens = lod.base(n_nodes)
             base = HybridFrame(
                 volume=lod.coarse_volume(resolution),
-                points=pts,
+                points=points,
                 point_densities=dens,
                 lo=frame.lo,
                 hi=frame.hi,

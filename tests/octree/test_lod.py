@@ -10,20 +10,32 @@ this layer, without a server in the loop:
 - mip 0 is the store's own volume (no side file of its own), so
   divided by the cell volume it is *bitwise* the flat extraction
   volume at the mip base resolution,
-- the manifest round-trips (v2) and v1 stores still open (lod None).
+- the manifest round-trips (v2) and v1 stores still open (lod None),
+- every POINTS and BASE payload is byte-equal to the one the f8 layout
+  built (``_V1Lod``, LOD format version 1: f8 side files above level
+  0, level 0 gathered from the main store),
+- a damaged level file, or a hierarchy in another format version,
+  fails with ``FormatError`` wherever it is opened.
 """
 
 import hashlib
 import json
+import shutil
+import zlib
 
 import numpy as np
 import pytest
 
-from repro.core.errors import FormatError
+from repro.cli import main
+from repro.core.errors import FormatError, RemoteError
 from repro.core.store import STORE_VERSION, attach_lod_manifest
+from repro.hybrid.representation import HybridFrame
 from repro.octree.extraction import extract
-from repro.octree.lod import LodHierarchy, build_lod, node_centers
+from repro.octree.lod import LOD_VERSION, LodHierarchy, build_lod, node_centers
 from repro.octree.stream_partition import PartitionedStore, partition_store
+from repro.remote import protocol
+from repro.remote.client import VisualizationClient
+from repro.remote.service import VisualizationService
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +81,7 @@ class TestBuild:
             n = int(counts[j])
             perm = np.random.default_rng([9, j]).permutation(n)
             sizes = [max(1, -(-n // 4**l)) for l in range(lod.levels + 1)]
-            base_rows, _ = lod.base(j + 1)
+            base_rows = lod.base(j + 1)[0]
             got = base_rows[int(lod.index[lod.levels, j]):]
             expect = np.sort(perm[: sizes[lod.levels]]) + starts[j]
             assert np.array_equal(got, expect)
@@ -104,7 +116,7 @@ class TestBuild:
         flat extraction path."""
         lod = pstore.lod
         ids = np.array([0, 3, 5])
-        rows, pts, dens = lod.delta_points(1, ids)
+        rows, pts, dens = lod.delta(1, ids)
         raw = pstore.store.to_array()[rows]
         assert np.array_equal(pts, raw[:, list(pstore.columns)].astype(np.float32))
         sizes = lod.level_sizes(1)[ids]
@@ -122,11 +134,92 @@ class TestBuild:
             build_lod(pstore, mip_base=4)  # below the floor
 
 
-def _reference_delta(lod, level, node_ids):
-    """``LodHierarchy.delta`` as it stood with a per-node loop, kept
-    verbatim as the reference for the one-expression selection."""
-    from repro.octree.lod import _base_file, _base_rows_file, _delta_file, _delta_rows_file
+class _V1Lod:
+    """LOD format version 1, the f8 layout the wire-ready level files
+    replaced, written as its ``build_lod`` wrote it: f8 (n, 6) rows and
+    i8 indices for the base and levels >= 1, i8 indices only for level
+    0, whose rows were gathered from the main store at serve time.
+    ``meta`` is its manifest section (version 1 had no ``version``
+    key)."""
 
+    def __init__(self, pstore, directory, *, levels=2, ratio=4, seed=9):
+        self.pstore, self.directory, self.levels = pstore, directory, levels
+        counts = pstore.nodes["count"].astype(np.int64)
+        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        particles = pstore.store.to_array()
+        self.index = np.zeros((levels + 1, len(counts) + 1), dtype=np.int64)
+        out = {}
+        for node, c in enumerate(counts):
+            perm = np.random.default_rng([seed, node]).permutation(int(c))
+            sizes = [max(1, -(-int(c) // ratio**lev)) for lev in range(levels + 1)]
+            sizes[0] = int(c)
+            for lev in range(levels, 0, -1):
+                a = 0 if lev == levels else sizes[lev + 1]
+                sel = np.sort(perm[a:sizes[lev]])
+                name = _base_file() if lev == levels else _delta_file(lev)
+                rname = _base_rows_file() if lev == levels else _delta_rows_file(lev)
+                out.setdefault(name, []).append(particles[starts[node] + sel])
+                out.setdefault(rname, []).append((starts[node] + sel).astype("<i8"))
+                self.index[lev, node + 1] = self.index[lev, node] + len(sel)
+            sel0 = np.sort(perm[sizes[1]:])
+            out.setdefault(_delta_rows_file(0), []).append((starts[node] + sel0).astype("<i8"))
+            self.index[0, node + 1] = self.index[0, node] + len(sel0)
+        out["lod_index.bin"] = [self.index]
+        self._files = {}
+        for name, parts in out.items():
+            raw = np.concatenate(parts).tobytes()
+            (directory / name).write_bytes(raw)
+            self._files[name] = {"bytes": len(raw), "crc32": zlib.crc32(raw)}
+        self.meta = {
+            "seed": seed, "ratio": ratio, "levels": levels, "mip_base": 32,
+            "mip_levels": 1, "n_nodes": len(counts), "files": self._files,
+        }
+
+    def _memmap(self, name: str, dtype: str, row_shape=()) -> np.ndarray:
+        entry = self._files.get(name)
+        if entry is None:
+            raise FormatError(f"{self.directory}: LOD manifest lacks {name}")
+        itemsize = int(np.dtype(dtype).itemsize * max(int(np.prod(row_shape)), 1))
+        n = int(entry["bytes"]) // itemsize
+        if n == 0:
+            return np.empty((0,) + tuple(row_shape), dtype=dtype)
+        return np.memmap(
+            self.directory / name, dtype=dtype, mode="r",
+            shape=(n,) + tuple(row_shape),
+        )
+
+    def level_sizes(self, level, n_nodes):
+        n = int(n_nodes)
+        row = self.index[int(level)]
+        return (row[1 : n + 1] - row[:n]).astype(np.int64)
+
+    def base(self, n_nodes: int):
+        stop = int(self.index[self.levels, int(n_nodes)])
+        rows = np.array(self._memmap(_base_rows_file(), "<i8")[:stop])
+        data = np.array(self._memmap(_base_file(), "<f8", (6,))[:stop])
+        return rows, data
+
+
+def _base_file() -> str:
+    return "lod_base.bin"
+
+
+def _base_rows_file() -> str:
+    return "lod_base_rows.bin"
+
+
+def _delta_file(level: int) -> str:
+    return f"lod_delta_{int(level)}.bin"
+
+
+def _delta_rows_file(level: int) -> str:
+    return f"lod_delta_rows_{int(level)}.bin"
+
+
+def _reference_delta(lod, level, node_ids):
+    """``LodHierarchy.delta`` of the f8 layout with a per-node loop,
+    kept verbatim, with ``ShardedStore.gather_rows`` inlined for the
+    bulk level."""
     self = lod
     level = int(level)
     node_ids = np.asarray(node_ids, dtype=np.int64)
@@ -141,7 +234,19 @@ def _reference_delta(lod, level, node_ids):
     name = _base_rows_file() if level == self.levels else _delta_rows_file(level)
     rows = np.array(self._memmap(name, "<i8")[sel]) if total else np.empty(0, "<i8")
     if level == 0:
-        data = self.pstore.store.gather_rows(rows)
+        store = self.pstore.store
+        data = np.empty((len(rows), 6), dtype=np.float64)
+        if len(rows):
+            order = np.argsort(rows, kind="stable")
+            sorted_rows = rows[order]
+            shard_ids = np.searchsorted(store._starts, sorted_rows, side="right") - 1
+            cut = np.flatnonzero(np.diff(shard_ids)) + 1
+            starts = np.concatenate([[0], cut])
+            ends = np.concatenate([cut, [len(sorted_rows)]])
+            for a, b in zip(starts, ends):
+                i = int(shard_ids[a])
+                mm = store.shard(i)
+                data[order[a:b]] = mm[sorted_rows[a:b] - store.shard_start(i)]
     else:
         dname = _base_file() if level == self.levels else _delta_file(level)
         mm = self._memmap(dname, "<f8", (6,))
@@ -149,12 +254,53 @@ def _reference_delta(lod, level, node_ids):
     return rows, data, sizes
 
 
+def _reference_delta_points(lod, level, node_ids):
+    """``LodHierarchy.delta_points`` of the f8 layout, verbatim."""
+    rows, data, sizes = _reference_delta(lod, level, node_ids)
+    cols = list(lod.pstore.columns)
+    pts = data[:, cols].astype(np.float32)
+    dens = np.repeat(
+        lod.pstore.nodes["density"][np.asarray(node_ids, dtype=np.int64)],
+        sizes,
+    ).astype(np.float32)
+    return rows, pts, dens
+
+
+def _reference_base_payload(frame, lod, coarse_volume, threshold, n_nodes, n_total):
+    """The service's ``_build_base`` over the f8 layout, verbatim but
+    for the coarse volume, which the mips give either way."""
+    rows, data = lod.base(n_nodes)
+    pts = data[:, list(frame.columns)].astype(np.float32)
+    dens = np.repeat(
+        frame.nodes["density"][:n_nodes],
+        lod.level_sizes(lod.levels, n_nodes),
+    ).astype(np.float32)
+    base = HybridFrame(
+        volume=coarse_volume,
+        points=pts,
+        point_densities=dens,
+        lo=frame.lo,
+        hi=frame.hi,
+        threshold=float(threshold),
+        step=frame.step,
+        plot_type=frame.plot_type,
+    )
+    return protocol.encode_lod_base(base, rows, n_total)
+
+
+@pytest.fixture(scope="module")
+def v1_lod(tmp_path_factory, pstore):
+    return _V1Lod(pstore, tmp_path_factory.mktemp("v1_lod"))
+
+
 class TestDeltaReference:
-    """The vectorized node selection reads the same rows as the loop."""
+    """Every unit read from the level files is byte-equal to the unit
+    the f8 layout built: arrays and POINTS / BASE payloads."""
 
     @pytest.mark.parametrize("level", [0, 1, 2])
-    def test_bytes_equal_the_loop(self, pstore, level):
+    def test_bytes_equal_the_loop(self, pstore, v1_lod, level):
         lod = pstore.lod
+        assert lod.index.tobytes() == v1_lod.index.tobytes()
         sizes = lod.level_sizes(level)
         empty_nodes = np.flatnonzero(sizes == 0)
         full_nodes = np.flatnonzero(sizes > 0)
@@ -169,10 +315,25 @@ class TestDeltaReference:
         assert level == 2 or len(empty_nodes) > 0  # zero-size nodes occur
         for ids in cases:
             got = lod.delta(level, ids)
-            want = _reference_delta(lod, level, ids)
+            want = _reference_delta_points(v1_lod, level, ids)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
+            assert protocol.encode_lod_points(*got) == protocol.encode_lod_points(*want)
+
+    def test_base_payload_equals_the_f8_layout(self, pstore, v1_lod):
+        service = VisualizationService([pstore])
+        densities = pstore.nodes["density"]
+        for pct in (0, 10, 60, 100):
+            thr = float(np.percentile(densities, pct)) * (1.0 + 1e-9)
+            n_nodes = int(np.searchsorted(densities, thr, side="left"))
+            n_total = int(pstore.density_cutoff_index(thr))
+            for res in (16, 32):
+                got = service._build_base(0, thr, res, n_nodes, n_total)
+                want = _reference_base_payload(
+                    pstore, v1_lod, pstore.lod.coarse_volume(res), thr, n_nodes, n_total
+                )
+                assert got == want
 
 
 class TestMips:
@@ -261,9 +422,16 @@ class TestManifest:
         manifest = json.loads((pstore.directory / "store.json").read_text())
         assert manifest["version"] == STORE_VERSION == 2
         lod = manifest["lod"]
+        assert lod["version"] == LOD_VERSION
         assert lod["seed"] == 9 and lod["ratio"] == 4 and lod["levels"] == 2
         for entry in lod["files"].values():
             assert set(entry) == {"bytes", "crc32"}
+        # 20 bytes a particle at every level: i8 row + f4 (3,) point
+        level_bytes = sum(
+            e["bytes"] for name, e in lod["files"].items()
+            if name.startswith(("lod_rows_", "lod_points_"))
+        )
+        assert level_bytes == 20 * pstore.n_particles
 
     def test_reopen_from_disk(self, pstore):
         ps2 = PartitionedStore.open(pstore.directory)
@@ -317,23 +485,90 @@ class TestManifest:
             LodHierarchy.open(PartitionedStore.open(ps.directory))
 
 
-class TestGatherRows:
-    def test_matches_to_array(self, pstore):
-        rng = np.random.default_rng(5)
-        rows = rng.integers(0, pstore.n_particles, 500)
-        got = pstore.store.gather_rows(rows)
-        assert np.array_equal(got, pstore.store.to_array()[rows])
+def _level_files(levels=2):
+    return [f"lod_{kind}_{lev}.bin" for lev in range(levels + 1) for kind in ("rows", "points")]
 
-    def test_preserves_caller_order_and_duplicates(self, pstore):
-        rows = np.array([10, 3, 10, 0, pstore.n_particles - 1])
-        got = pstore.store.gather_rows(rows)
-        assert np.array_equal(got, pstore.store.to_array()[rows])
 
-    def test_out_of_range_raises(self, pstore):
-        with pytest.raises(IndexError):
-            pstore.store.gather_rows(np.array([pstore.n_particles]))
-        with pytest.raises(IndexError):
-            pstore.store.gather_rows(np.array([-1]))
+@pytest.fixture(scope="module")
+def built_dir(tmp_path_factory, particles):
+    """A small store with a built hierarchy, copied by each test that
+    damages or downgrades one."""
+    ps = partition_store(
+        particles, tmp_path_factory.mktemp("built") / "store", "xyz",
+        max_level=4, capacity=128, step=3,
+    )
+    build_lod(ps, levels=2, ratio=4, seed=5, mip_base=16, mip_levels=2)
+    return ps.directory
 
-    def test_empty(self, pstore):
-        assert pstore.store.gather_rows(np.empty(0, np.int64)).shape == (0, 6)
+
+def _copy_store(built_dir, tmp_path):
+    shutil.copytree(built_dir, tmp_path / "store")
+    return PartitionedStore.open(tmp_path / "store")
+
+
+class TestDamagedLevelFiles:
+    @pytest.mark.parametrize("damage", ["flip", "truncate"])
+    @pytest.mark.parametrize("name", _level_files())
+    def test_open_raises_naming_the_file(self, built_dir, tmp_path, name, damage):
+        """A flipped byte or a truncation in any level file fails the
+        hierarchy's open, so no unit of it is ever served."""
+        path = tmp_path / "store" / name
+        shutil.copytree(built_dir, tmp_path / "store")
+        raw = bytearray(path.read_bytes())
+        assert len(raw) > 4
+        if damage == "flip":
+            raw[len(raw) // 2] ^= 0x01
+        else:
+            del raw[-4:]
+        path.write_bytes(bytes(raw))
+        ps = PartitionedStore.open(tmp_path / "store")
+        with pytest.raises(FormatError, match=name):
+            LodHierarchy.open(ps)
+        with pytest.raises(FormatError, match=name):
+            ps.lod
+
+
+def _downgrade(ps):
+    """Give ``ps`` the hierarchy the f8 layout wrote: its side files
+    and its manifest section, which carries no format version."""
+    v1 = _V1Lod(ps, ps.directory, seed=5)
+    attach_lod_manifest(ps.directory, v1.meta)
+    return PartitionedStore.open(ps.directory)
+
+
+class TestOldFormat:
+    def test_open_names_the_store_and_the_rebuild(self, built_dir, tmp_path):
+        ps = _downgrade(_copy_store(built_dir, tmp_path))
+        with pytest.raises(FormatError, match="repro lod build") as exc:
+            LodHierarchy.open(ps)
+        assert str(ps.directory) in str(exc.value)
+
+    def test_cli_info_exits_3_and_build_serves(self, built_dir, tmp_path, capsys):
+        ps = _downgrade(_copy_store(built_dir, tmp_path))
+        assert main(["lod", "info", str(ps.directory)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("repro: damaged data file:") and "repro lod build" in err
+        assert len(err.strip().splitlines()) == 1
+        assert main(["lod", "build", str(ps.directory), "--mip-base", "16"]) == 0
+        assert not (ps.directory / "lod_base.bin").exists()  # the f8 layout is gone
+        ps = PartitionedStore.open(ps.directory)
+        assert main(["lod", "info", str(ps.directory)]) == 0
+        thr = float(np.percentile(ps.nodes["density"], 60))
+        with VisualizationService([ps], unit_points=512) as svc:
+            with VisualizationClient(svc.address, timeout=5.0) as client:
+                *_, last = client.iter_hybrid(0, thr, resolution=16)
+                flat = client.get_hybrid(0, thr, 16)
+        assert last.points.tobytes() == flat.points.tobytes()
+        assert last.volume.tobytes() == flat.volume.tobytes()
+
+    def test_refine_errors_and_the_session_still_serves(self, built_dir, tmp_path):
+        ps = _downgrade(_copy_store(built_dir, tmp_path))
+        thr = float(np.percentile(ps.nodes["density"], 60))
+        with VisualizationService([ps]) as svc:
+            with VisualizationClient(svc.address, timeout=5.0) as client:
+                with pytest.raises(RemoteError, match="repro lod build"):
+                    next(client.iter_hybrid(0, thr, resolution=16))
+                frame = client.get_hybrid(0, thr, 16)
+        want = extract(ps, thr, volume_resolution=16)
+        assert frame.points.tobytes() == want.points.tobytes()
+        assert frame.volume.tobytes() == want.volume.tobytes()

@@ -234,6 +234,29 @@ class TestClassifyMemo:
         ).flat_rgba.tobytes()
         assert changed.flat_rgba.tobytes() != first.flat_rgba.tobytes()
 
+    def test_amr_maximum_scanned_once(self, amr_frame, monkeypatch):
+        """Four renders of one adaptive frame scan its cells for their
+        maximum once, and draw what a pinned maximum draws."""
+        frame = dataclasses.replace(amr_frame)  # a fresh memo
+        amr = frame.meta["amr"]
+        pinned = HybridRenderer(
+            n_slices=8, max_density=max(frame.max_density(), float(amr.data.max()))
+        ).render(frame, camera_at((1, 0.3, 0.5)))
+        scans = []
+        real = AmrVolume.max_density
+
+        def spy(self):
+            scans.append(self)
+            return real(self)
+
+        monkeypatch.setattr(AmrVolume, "max_density", spy)
+        r = HybridRenderer(n_slices=8)
+        images = [r.render(frame, camera_at((1, 0.3, 0.5))) for _ in range(4)]
+        assert scans == [amr]
+        for image in images:
+            assert image.rgba.tobytes() == pinned.rgba.tobytes()
+            assert image.depth.tobytes() == pinned.depth.tobytes()
+
     def test_orbit_classifies_once(self, frames):
         """Thresholds sharing one volume, several views, two orbits:
         one classification, and most slice rows skipped."""

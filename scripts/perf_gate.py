@@ -64,7 +64,7 @@ class Gate(NamedTuple):
 GATES = {
     "faults": Gate(
         "resilience: fault harness, crash-safe executors, checkpoint resume, damaged remote links",
-        "tests/core/test_faults.py tests/core/test_checkpoint.py "
+        "tests/core/test_faults.py tests/core/test_checkpoint.py tests/core/test_checked_files.py "
         "tests/remote/test_faults_remote.py tests/remote/test_protocol.py tests/test_robustness.py",
         "benchmarks/bench_remote_faults.py",
         "BENCH_remote_faults.json",
@@ -101,6 +101,7 @@ GATES = {
         # the partition reference: the bench partitions through the same plan;
         # the LOD and stream suites read the stored density volume
         "tests/core/test_store.py tests/core/test_dataset.py tests/core/test_checkpoint.py "
+        "tests/core/test_checked_files.py "
         "tests/octree/test_format.py tests/octree/test_disk_extraction.py "
         "tests/octree/test_stream_partition.py tests/octree/test_partition_reference.py "
         "tests/octree/test_lod.py tests/remote/test_progressive.py "

@@ -47,7 +47,6 @@ from repro.core.trace import (
     get_tracer,
     span,
 )
-from repro.beams.io import frame_to_store
 from repro.beams.scenario import (
     ElementSpec,
     EnvelopeController,
@@ -124,7 +123,6 @@ __all__ = [
     "ShardedStore",
     "StoreWriter",
     "create_store",
-    "frame_to_store",
     "partition_store",
     "PartitionedStore",
     # LOD hierarchy + progressive streaming (PR 8)

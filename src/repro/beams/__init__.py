@@ -18,7 +18,6 @@ transport      vectorized symplectic linear maps
 spacecharge    cloud-in-cell deposition + FFT Poisson solver (PIC)
 simulation     time-stepping driver writing per-step particle frames
 diagnostics    rms sizes, emittances, halo parameter, density profiles
-io             the 6-double-per-particle binary frame format
 scenario       digital-twin layer: declarative lattice/scenario specs,
                closed-loop feedback controllers, ensemble sweep driver
 """
@@ -50,7 +49,6 @@ from repro.beams.scenario import (
     ScenarioSpec,
     run_sweep,
 )
-from repro.beams.io import write_frame, read_frame, frame_path, FrameWriter
 
 __all__ = [
     "gaussian_beam",
@@ -85,8 +83,4 @@ __all__ = [
     "ScenarioSpec",
     "Scenario",
     "run_sweep",
-    "write_frame",
-    "read_frame",
-    "frame_path",
-    "FrameWriter",
 ]

@@ -3,9 +3,9 @@
 ``BeamSimulation`` reproduces the data-generating side of the paper:
 an intense mismatched beam in a FODO quadrupole channel, advanced one
 lattice element per *step* with split-operator space-charge kicks.
-Frames (full (N, 6) particle arrays) can be kept in memory, streamed
-to a callback, or written to disk through
-:class:`repro.beams.io.FrameWriter`.
+Frames (full (N, 6) particle arrays) can be kept in memory or
+streamed to a callback; ``repro simulate`` writes each kept frame as a
+sharded store (:func:`repro.core.store.create_store`).
 
 The default configuration develops a clear core/halo structure within
 a few tens of cells: a dense elliptical core and a four-fold-symmetric

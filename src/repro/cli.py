@@ -8,7 +8,7 @@ separate view program ... is used on a desktop PC".  This CLI exposes
 the same program boundaries over the library:
 
     repro simulate  --out run/ --particles 100000 --cells 10
-    repro partition run/step_000050.frame --plot-type xyz --out run/p50
+    repro partition run/step_000050 --plot-type xyz --out run/p50
     repro extract   run/p50 --percentile 60 --out run/p50.hybrid
     repro render    run/p50.hybrid --out p50.ppm --size 512
     repro forest    partition run/store --bricks 2 --out run/forest
@@ -87,8 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", parents=[common],
-                       help="run a beam simulation, write frames")
-    p.add_argument("--out", required=True, help="output directory for frames")
+                       help="run a beam simulation, write each kept frame "
+                            "as a sharded store")
+    p.add_argument("--out", required=True,
+                   help="run directory; the frame of step N lands in "
+                        "OUT/step_NNNNNN")
     p.add_argument("--particles", type=int, default=beam_d["n_particles"])
     p.add_argument("--cells", type=int, default=beam_d["n_cells"])
     p.add_argument("--mismatch", type=float, default=beam_d["mismatch"])
@@ -98,9 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", parents=[common],
                        help="partition a particle frame")
-    p.add_argument("frame", help="a .frame file from `repro simulate`, or a "
-                                 "sharded store directory from `repro store "
-                                 "create` (partitioned out-of-core)")
+    p.add_argument("frame", help="a frame store directory from `repro "
+                                 "simulate` (run/step_NNNNNN), partitioned "
+                                 "out-of-core")
     p.add_argument("--out", required=True,
                    help="output partitioned store directory")
     p.add_argument("--plot-type", default=bpipe_d["plot_type"],
@@ -108,24 +111,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-level", type=int, default=bpipe_d["max_level"])
     p.add_argument("--capacity", type=int, default=bpipe_d["capacity"])
     p.add_argument("--workers", type=int, default=1,
-                   help="multiprocess partitioning with this many workers "
-                        "(store input only)")
+                   help="multiprocess partitioning with this many workers")
     p.add_argument("--checkpoint", default=None, metavar="DIR",
                    help="make the out-of-core partition resumable at "
-                        "per-shard granularity (store input only)")
+                        "per-shard granularity")
     p.set_defaults(func=_cmd_partition)
 
     p = sub.add_parser("store", parents=[common],
                        help="manage sharded out-of-core particle stores")
-    p.add_argument("action", choices=["create", "info", "verify"],
-                   help="create: build a store from a .frame file; "
-                        "info: describe a store; verify: check every "
+    p.add_argument("action", choices=["info", "verify"],
+                   help="info: describe a store; verify: check every "
                         "shard's CRC against the manifest")
-    p.add_argument("path", help="a .frame file (create) or a store directory")
-    p.add_argument("--out", default=None,
-                   help="output store directory (create)")
-    p.add_argument("--shard-rows", type=int, default=None,
-                   help="particles per shard (default 262144)")
+    p.add_argument("path", help="a store directory")
     p.set_defaults(func=_cmd_store)
 
     p = sub.add_parser("lod", parents=[common],
@@ -153,11 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="forest-of-octrees partition + render")
     p.add_argument("action", choices=["partition", "render", "info"],
                    help="partition: build a forest of per-brick octrees "
-                        "from a .frame file or sharded store; render: "
+                        "from a sharded store; render: "
                         "extract and render a forest to a PPM image; info: "
                         "describe a forest store")
-    p.add_argument("path", help="input .frame / store directory "
-                                "(partition) or a forest directory")
+    p.add_argument("path", help="input store directory (partition) or a "
+                                "forest directory")
     p.add_argument("--out", default=None,
                    help="forest output directory (partition) or .ppm "
                         "image (render)")
@@ -333,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", parents=[common],
                        help="describe any repro data file")
-    p.add_argument("path", help=".frame / .hybrid / packed lines file, or a "
-                                "store directory")
+    p.add_argument("path", help=".hybrid / packed lines file, or a store "
+                                "directory")
     p.set_defaults(func=_cmd_info)
 
     p = sub.add_parser("trace-report",
@@ -349,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommands
 # ----------------------------------------------------------------------
 def _cmd_simulate(args) -> int:
-    from repro.beams.io import FrameWriter
     from repro.beams.simulation import BeamConfig, BeamSimulation
+    from repro.core.store import create_store
 
     sim = BeamSimulation(
         BeamConfig(
@@ -360,46 +357,32 @@ def _cmd_simulate(args) -> int:
             seed=args.seed,
         ).resolved()
     )
-    writer = FrameWriter(args.out)
+    stores = []
+
+    def write(step, particles):
+        path = Path(args.out) / f"step_{step:06d}"
+        stores.append(create_store(path, particles, step=step))
+
     with span("simulate", n_particles=args.particles):
-        sim.run(on_frame=lambda s, p: writer.write(p, s), frame_every=args.frame_every)
-    print(
-        f"wrote {len(writer)} frames ({writer.total_bytes / 1e6:.1f} MB) to {args.out}"
-    )
+        sim.run(on_frame=write, frame_every=args.frame_every)
+    nbytes = sum(store.nbytes() for store in stores)
+    print(f"wrote {len(stores)} frames ({nbytes / 1e6:.1f} MB) to {args.out}")
     return 0
 
 
 def _cmd_partition(args) -> int:
     from repro.core.dataset import open_dataset
-    from repro.core.store import is_store_dir
-    from repro.octree.partition import partition
-    from repro.octree.stream_partition import PartitionedStore, partition_store
+    from repro.octree.stream_partition import partition_store
 
-    streaming = is_store_dir(args.frame)
-    if args.workers > 1 and not streaming:
-        print(
-            "repro: --workers applies to sharded store inputs; run "
-            f"`repro store create {args.frame} --out DIR` and partition DIR",
-            file=sys.stderr,
+    with span("partition", workers=args.workers):
+        ps = partition_store(
+            open_dataset(args.frame), args.out, args.plot_type,
+            max_level=args.max_level, capacity=args.capacity,
+            workers=args.workers, checkpoint_dir=args.checkpoint,
         )
-        return EXIT_USAGE
-    if streaming:
-        with span("partition", workers=args.workers, streaming=True):
-            ps = partition_store(
-                open_dataset(args.frame), args.out, args.plot_type,
-                max_level=args.max_level, capacity=args.capacity,
-                workers=args.workers, checkpoint_dir=args.checkpoint,
-            )
-    else:
-        with span("partition"):
-            pf = partition(
-                open_dataset(args.frame), args.plot_type,
-                max_level=args.max_level, capacity=args.capacity,
-            )
-        ps = PartitionedStore.from_frame(pf, args.out)
     print(
         f"partitioned {ps.n_particles} particles into {ps.n_nodes} nodes "
-        f"{'out-of-core ' if streaming else ''}({ps.nbytes() / 1e6:.1f} MB, "
+        f"out-of-core ({ps.nbytes() / 1e6:.1f} MB, "
         f"{ps.store.n_shards} shards) at {args.out}"
     )
     return 0
@@ -408,19 +391,6 @@ def _cmd_partition(args) -> int:
 def _cmd_store(args) -> int:
     from repro.core.store import ShardedStore
 
-    if args.action == "create":
-        from repro.beams.io import frame_to_store
-
-        if args.out is None:
-            raise SystemExit("store create needs --out DIR")
-        with span("store_create"):
-            store = frame_to_store(args.path, args.out, shard_rows=args.shard_rows)
-        print(
-            f"stored {store.n_particles} particles (step {store.step}) in "
-            f"{store.n_shards} shards ({store.nbytes() / 1e6:.1f} MB) "
-            f"at {args.out}"
-        )
-        return 0
     store = ShardedStore.open(args.path)
     if args.action == "verify":
         with span("store_verify", n_shards=store.n_shards):
@@ -657,7 +627,7 @@ def _cmd_render(args) -> int:
 def _cmd_fieldlines(args) -> int:
     from repro.core.config import FieldLinePipelineConfig
     from repro.core.pipeline import fieldline_pipeline
-    from repro.fieldlines.compact import pack_lines
+    from repro.fieldlines.compact import write_lines
     from repro.render.image import write_ppm
 
     result = fieldline_pipeline(
@@ -673,9 +643,8 @@ def _cmd_fieldlines(args) -> int:
     print(f"traced {len(result.ordered)} {args.field} lines in a "
           f"{args.cells}-cell structure")
     if args.out:
-        blob = pack_lines(result.ordered.lines)
-        Path(args.out).write_bytes(blob)
-        print(f"packed lines -> {args.out} ({len(blob) / 1e3:.1f} KB)")
+        nbytes = write_lines(args.out, result.ordered.lines)
+        print(f"packed lines -> {args.out} ({nbytes / 1e3:.1f} KB)")
     if args.image:
         write_ppm(args.image, result.image)
         print(f"rendered -> {args.image}")
@@ -876,13 +845,7 @@ def _cmd_info(args) -> int:
         return 0
     with open(path, "rb") as f:
         magic = f.read(8)
-    if magic == b"RPRFRAME":
-        from repro.beams.io import read_frame
-
-        particles, step = read_frame(path)
-        print(f"particle frame: step {step}, {len(particles)} particles, "
-              f"{path.stat().st_size / 1e6:.2f} MB")
-    elif magic == b"RPRHYBRD":
+    if magic == b"RPRHYBRD":
         from repro.hybrid.representation import HybridFrame
 
         h = HybridFrame.load(path)
@@ -894,9 +857,9 @@ def _cmd_info(args) -> int:
             f"threshold {h.threshold:.4g}, attributes: {attrs}"
         )
     elif magic == b"RPRLINES":
-        from repro.fieldlines.compact import unpack_lines
+        from repro.fieldlines.compact import read_lines
 
-        lines = unpack_lines(path.read_bytes())
+        lines = read_lines(path)
         total = sum(l.n_points for l in lines)
         print(f"packed field lines: {len(lines)} lines, {total} points, "
               f"{path.stat().st_size / 1e3:.1f} KB")

@@ -5,13 +5,12 @@ while frames fit in RAM, a dead end at the paper's 10^8-10^9 particle
 scale.  This module defines the :class:`ParticleDataset` protocol that
 both backends satisfy:
 
-* :class:`ArrayDataset` -- the legacy in-core array (or a memory-mapped
-  ``.frame`` payload), chunked virtually;
+* :class:`ArrayDataset` -- the legacy in-core array, chunked virtually;
 * :class:`repro.core.store.ShardedStore` -- the out-of-core sharded
   store, one chunk per shard (registered as a virtual subclass).
 
 :func:`open_dataset` is the single public constructor: hand it an
-ndarray, a ``.frame`` file, or a store directory and get back a
+ndarray or a store directory and get back a
 dataset that ``partition(...)`` / ``extract(...)`` consume directly.
 Raw-array call shapes keep working through :func:`as_dataset`, the
 internal (non-warning) coercion helper.
@@ -39,8 +38,7 @@ class ParticleDataset(abc.ABC):
     how many particles it holds, which simulation step it came from,
     and serves the rows as a sequence of ``(n_i, 6)`` chunks whose
     concatenation *is* the frame, in order.  Implementations decide
-    where the bytes live (RAM, a memory-mapped frame file, a sharded
-    store on disk).
+    where the bytes live (RAM, a sharded store on disk).
     """
 
     @property
@@ -101,9 +99,7 @@ class ArrayDataset(ParticleDataset):
     """In-core backend: a plain ``(N, 6)`` array behind the protocol.
 
     Chunking is virtual -- ``chunk(i)`` is a zero-copy row slice -- so
-    wrapping an array costs nothing.  Also wraps the ``np.memmap``
-    payload of :func:`repro.beams.io.read_frame_mmap`, which makes a
-    single monolithic ``.frame`` file streamable without conversion.
+    wrapping an array costs nothing.
     """
 
     def __init__(self, particles, step: int = 0, chunk_rows: int = DEFAULT_CHUNK_ROWS):
@@ -163,10 +159,12 @@ def open_dataset(source, step: int = 0) -> ParticleDataset:
 
     * an ``(N, 6)`` ndarray -> :class:`ArrayDataset` (zero-copy);
     * a sharded-store directory -> :class:`repro.core.store.ShardedStore`,
-      validated against its manifest;
-    * a ``.frame`` file -> :class:`ArrayDataset` over the file's
-      memory-mapped payload (the frame's own step wins);
+      validated against its manifest (``repro simulate`` writes one per
+      kept step);
     * an existing dataset -> returned as-is.
+
+    Any other path raises :class:`FormatError` naming ``repro
+    simulate``, which writes particle frames as sharded stores.
 
     This is the dataset-first public entry point: the object it
     returns goes straight into ``partition(...)`` / ``extract(...)``.
@@ -179,13 +177,11 @@ def open_dataset(source, step: int = 0) -> ParticleDataset:
         path = Path(source)
         if is_store_dir(path):
             return ShardedStore.open(path)
-        if path.is_file():
-            from repro.beams.io import read_frame_mmap
-
-            particles, frame_step = read_frame_mmap(path)
-            return ArrayDataset(particles, step=frame_step)
-        raise FormatError(f"{path}: neither a sharded store directory nor a frame file")
+        raise FormatError(
+            f"{path}: not a sharded store directory; particle frames are "
+            "sharded stores, written by `repro simulate`"
+        )
     raise TypeError(
         f"cannot open a dataset from {type(source).__name__}; expected an "
-        "(N, 6) array, a store directory, or a .frame file"
+        "(N, 6) array or a store directory"
     )

@@ -10,12 +10,14 @@ in a trace as the ``checkpoint_stages_resumed`` /
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.beams.simulation import BeamSimulation
+from repro.core.atomic import CheckedFile
 from repro.core.checkpoint import Checkpoint
 from repro.core.config import BeamPipelineConfig, FieldLinePipelineConfig
 from repro.core.dataset import as_dataset
@@ -33,6 +35,11 @@ from repro.octree.partition import PartitionedFrame, partition
 from repro.render.camera import Camera
 
 __all__ = ["BeamPipelineResult", "FieldLinePipelineResult", "beam_pipeline", "fieldline_pipeline"]
+
+# the seeding stage's per-element ledger (an npz) in a checkpoint
+_SEED_LEDGER = CheckedFile(
+    b"RPRLEDGR", 1, "seeding ledger", "fieldline_pipeline(checkpoint_dir=<new dir>)"
+)
 
 
 @dataclass
@@ -211,10 +218,10 @@ def fieldline_pipeline(
     if ckpt is not None and ckpt.done("seed"):
         count("checkpoint_stages_resumed")
         with span("seed_resume"):
-            from repro.fieldlines.compact import unpack_lines
+            from repro.fieldlines.compact import read_lines
 
-            lines = unpack_lines(ckpt.path("seed.lines").read_bytes())
-            ledger = np.load(ckpt.path("seed_ledger.npz"))
+            lines = read_lines(ckpt.path("seed.lines"))
+            ledger = np.load(io.BytesIO(_SEED_LEDGER.read(ckpt.path("seed_ledger.npz"))))
             ordered = OrderedFieldLines(
                 lines=lines,
                 desired=ledger["desired"],
@@ -232,15 +239,12 @@ def fieldline_pipeline(
                 loop_tolerance=0.02 if config.field == "B" else None,
             )
         if ckpt is not None:
-            from repro.core.atomic import atomic_write_bytes
-            from repro.fieldlines.compact import pack_lines
+            from repro.fieldlines.compact import write_lines
 
-            atomic_write_bytes(ckpt.path("seed.lines"), pack_lines(ordered.lines))
-            import io
-
+            write_lines(ckpt.path("seed.lines"), ordered.lines)
             buf = io.BytesIO()
             np.savez(buf, desired=ordered.desired, achieved=ordered.achieved)
-            atomic_write_bytes(ckpt.path("seed_ledger.npz"), buf.getvalue())
+            _SEED_LEDGER.write(ckpt.path("seed_ledger.npz"), buf.getvalue())
             ckpt.mark_done("seed", meta=json.dumps(ordered.meta, default=str))
     camera = Camera.fit_bounds(
         *structure.bounds(), width=config.image_size, height=config.image_size

@@ -36,7 +36,9 @@ from repro.fieldlines.sos import StripMesh, build_strips, render_strips
 from repro.fieldlines.streamtube import build_tubes, render_tubes
 from repro.fieldlines.illuminated import render_lines
 from repro.fieldlines.incremental import IncrementalViewer, density_correlation
-from repro.fieldlines.compact import pack_lines, unpack_lines, compression_report
+from repro.fieldlines.compact import (
+    pack_lines, unpack_lines, write_lines, read_lines, compression_report,
+)
 
 __all__ = [
     "FieldLine",
@@ -61,5 +63,7 @@ __all__ = [
     "density_correlation",
     "pack_lines",
     "unpack_lines",
+    "write_lines",
+    "read_lines",
     "compression_report",
 ]

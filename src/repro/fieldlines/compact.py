@@ -8,8 +8,6 @@ versus the pre-integrated lines (section 3.4 / Figure 9 discussion).
 
 Packed layout (little-endian):
 
-    magic  b"RPRLINES"
-    u16    format version (2)
     u64    n_lines
     u64    total points
     u8     quantized flag
@@ -18,8 +16,11 @@ Packed layout (little-endian):
     payload: points as f4 xyz (or u16 xyz quantized over the bounds),
              then |F| per point as f4
 
-Unpacking a truncated or non-line blob raises a typed
-:class:`repro.core.errors.FormatError`.
+A packed-line file (:func:`write_lines`) is that layout inside a
+:class:`repro.core.atomic.CheckedFile` (magic b"RPRLINES", version 3),
+so :func:`read_lines` raises a typed
+:class:`repro.core.errors.FormatError` naming a damaged, truncated or
+foreign file.
 """
 
 from __future__ import annotations
@@ -28,14 +29,15 @@ import struct
 
 import numpy as np
 
-from repro.core.errors import FormatError
+from repro.core.atomic import CheckedFile
 from repro.fieldlines.integrate import FieldLine
 
-__all__ = ["pack_lines", "unpack_lines", "compression_report"]
+__all__ = [
+    "pack_lines", "unpack_lines", "write_lines", "read_lines", "compression_report",
+]
 
-MAGIC = b"RPRLINES"
-FORMAT_VERSION = 2
-_HEADER = struct.Struct("<8sHQQB6d")
+_LINES = CheckedFile(b"RPRLINES", 3, "packed field-line", "repro fieldlines --out")
+_HEADER = struct.Struct("<QQB6d")
 
 
 def pack_lines(lines, quantize: bool = False) -> bytes:
@@ -61,9 +63,7 @@ def pack_lines(lines, quantize: bool = False) -> bytes:
     else:
         lo = np.zeros(3)
         hi = np.ones(3)
-    header = _HEADER.pack(
-        MAGIC, FORMAT_VERSION, n_lines, total, 1 if quantize else 0, *lo, *hi
-    )
+    header = _HEADER.pack(n_lines, total, 1 if quantize else 0, *lo, *hi)
     parts = [header, offsets.astype("<u4").tobytes()]
     if quantize:
         span = np.where(hi - lo <= 0, 1.0, hi - lo)
@@ -76,28 +76,12 @@ def pack_lines(lines, quantize: bool = False) -> bytes:
 
 
 def unpack_lines(data: bytes):
-    """Deserialize; returns a list of :class:`FieldLine` (tangents are
-    recomputed from the polyline)."""
-    if len(data) < _HEADER.size:
-        raise FormatError("not a packed field-line blob (truncated header)")
+    """Deserialize :func:`pack_lines` output; returns a list of
+    :class:`FieldLine` (tangents are recomputed from the polyline)."""
     fields = _HEADER.unpack_from(data, 0)
-    if fields[0] != MAGIC:
-        raise FormatError("not a packed field-line blob")
-    if fields[1] != FORMAT_VERSION:
-        raise FormatError(
-            f"unsupported packed-line format version {fields[1]} "
-            f"(expected {FORMAT_VERSION})"
-        )
-    n_lines, total, quantized = fields[2], fields[3], fields[4]
-    lo = np.array(fields[5:8])
-    hi = np.array(fields[8:11])
-    point_bytes = total * (6 if quantized else 12)
-    expected = _HEADER.size + (n_lines + 1) * 4 + point_bytes + total * 4
-    if len(data) < expected:
-        raise FormatError(
-            f"packed field-line blob truncated ({len(data)} bytes, "
-            f"{expected} expected for {n_lines} lines / {total} points)"
-        )
+    n_lines, total, quantized = fields[0], fields[1], fields[2]
+    lo = np.array(fields[3:6])
+    hi = np.array(fields[6:9])
     off = _HEADER.size
     offsets = np.frombuffer(data, dtype="<u4", count=n_lines + 1, offset=off)
     off += offsets.nbytes
@@ -126,6 +110,18 @@ def unpack_lines(data: bytes):
             FieldLine(points=p, tangents=tangents, magnitudes=mags[a:b], order=i)
         )
     return lines
+
+
+def write_lines(path, lines, quantize: bool = False) -> int:
+    """Write field lines as a checked packed-line file, atomically;
+    returns bytes written."""
+    return _LINES.write(path, pack_lines(lines, quantize=quantize))
+
+
+def read_lines(path):
+    """Read a packed-line file; raises
+    :class:`repro.core.errors.FormatError` naming ``path`` on damage."""
+    return unpack_lines(_LINES.read(path))
 
 
 def compression_report(mesh, lines, n_time_steps: int = 1, quantize: bool = False) -> dict:

@@ -8,11 +8,11 @@ field lines data possible.  The typical saving is about a factor of
 to reside in memory for interactive viewing."
 
 ``LineSequence`` is that store: one packed line file per time step on
-disk, a byte-budgeted cache in memory, and the storage accounting that
-compares the whole sequence against saving raw vertex fields.  Step
-files are written atomically (a killed writer never leaves a torn
-step), and loading a damaged step raises a typed
-:class:`repro.core.errors.FormatError`.
+disk (:func:`repro.fieldlines.compact.write_lines`), a byte-budgeted
+cache in memory, and the storage accounting that compares the whole
+sequence against saving raw vertex fields.  Step files are written
+atomically (a killed writer never leaves a torn step), and loading a
+damaged step raises a typed :class:`repro.core.errors.FormatError`.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import time
 from collections import OrderedDict
 from pathlib import Path
 
-from repro.core.atomic import atomic_write_bytes
-from repro.fieldlines.compact import pack_lines, unpack_lines
+from repro.fieldlines.compact import read_lines, write_lines
 
 __all__ = ["LineSequence"]
 
@@ -67,12 +66,11 @@ class LineSequence:
     # ------------------------------------------------------------------
     def save(self, step: int, lines) -> int:
         """Pack and write one step atomically; returns bytes written."""
-        blob = pack_lines(lines, quantize=self.quantize)
-        atomic_write_bytes(self._path(step), blob)
+        nbytes = write_lines(self._path(step), lines, quantize=self.quantize)
         # refresh the cache entry if present
         if step in self._cache:
             self._evict(step)
-        return len(blob)
+        return nbytes
 
     def _evict(self, step: int) -> None:
         lines = self._cache.pop(step)
@@ -94,7 +92,7 @@ class LineSequence:
             raise FileNotFoundError(f"no lines stored for step {step}")
         self.stats["misses"] += 1
         t0 = time.perf_counter()
-        lines = unpack_lines(path.read_bytes())
+        lines = read_lines(path)
         self.stats["load_seconds"] += time.perf_counter() - t0
         nbytes = self._lines_bytes(lines)
         if nbytes <= self.memory_budget_bytes:

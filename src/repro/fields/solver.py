@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.trace import span
 from repro.fields.geometry import AcceleratorStructure
 from repro.fields.mesh import HexMesh
 
@@ -77,11 +78,11 @@ class TimeDomainSolver:
         margin = 0.05 * float(np.max(hi - lo))
         self.lo = lo - margin
         self.hi = hi + margin
-        span = self.hi - self.lo
+        extent = self.hi - self.lo
         self.shape = tuple(
-            max(int(np.ceil(cells_per_unit * s)), 4) for s in span
+            max(int(np.ceil(cells_per_unit * s)), 4) for s in extent
         )
-        self.d = span / np.array(self.shape)
+        self.d = extent / np.array(self.shape)
         self.dt = courant_dt(*self.d, cfl=cfl)
         self.time = 0.0
         self.step_count = 0
@@ -261,10 +262,11 @@ class TimeDomainSolver:
     def run(self, n_steps: int, on_step=None, every: int = 1) -> None:
         """Advance ``n_steps``; ``on_step(solver)`` fires every
         ``every`` steps."""
-        for _ in range(int(n_steps)):
-            self.step()
-            if on_step is not None and self.step_count % every == 0:
-                on_step(self)
+        with span("solver_run", n_steps=int(n_steps)):
+            for _ in range(int(n_steps)):
+                self.step()
+                if on_step is not None and self.step_count % every == 0:
+                    on_step(self)
 
     def steps_for(self, duration: float) -> int:
         """Time steps needed to simulate ``duration`` time units --
@@ -316,6 +318,7 @@ class TimeDomainSolver:
         the raw per-time-step payload whose size the paper's 26 TB
         storage argument counts."""
         mesh = mesh if mesh is not None else self.structure.mesh
-        mesh.set_field("E", self.sample_e(mesh.vertices))
-        mesh.set_field("B", self.sample_b(mesh.vertices))
+        with span("fields_on_mesh", n_vertices=len(mesh.vertices)):
+            mesh.set_field("E", self.sample_e(mesh.vertices))
+            mesh.set_field("B", self.sample_b(mesh.vertices))
         return mesh

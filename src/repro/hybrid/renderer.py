@@ -65,9 +65,10 @@ class HybridRenderer:
         drawn subset and the composited image match the unbatched
         renderer.  ``None`` (default) projects everything at once.
     max_density : pin the density normalizer's scale instead of taking
-        it from each frame.  Bricked (forest) and animated renders pass
-        the global maximum here so every partial image is classified on
-        the same scale.  ``None`` (default) normalizes per frame.
+        it from each frame, so that several frames (say, the steps of
+        an animation) are classified on one scale.  No renderer in the
+        package pins it: a forest renders as one frame.  ``None``
+        (default) normalizes per frame.
     point_mode : 'sprite' (default) draws square point sprites;
         'splat' draws Gaussian splats
         (:func:`repro.render.points.gaussian_splat_fragments`) -- the

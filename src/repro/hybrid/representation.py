@@ -34,9 +34,11 @@ Version 3 is emitted only when the frame carries an adaptive volume
 bit-identical to previous releases, so flat extraction output is
 stable across this change (gated by ``scripts/check.sh --gate amr``).
 
-Writes are atomic (temp file + ``os.replace``); parsing a damaged
-blob raises a typed :class:`repro.core.errors.FormatError` describing
-what is wrong instead of numpy decode noise.
+A ``.hybrid`` file is this layout inside a
+:class:`repro.core.atomic.CheckedFile` (magic b"RPRHYBRD", version 4):
+written atomically and CRC-checked on load, so a damaged file raises a
+typed :class:`repro.core.errors.FormatError` naming it.  Parsing a
+damaged blob raises one too, instead of numpy decode noise.
 
 The optional *attributes* carry dynamically calculated per-point
 properties (momentum magnitude, single-particle emittance, ...; see
@@ -62,7 +64,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from repro.core.atomic import atomic_write_bytes
+from repro.core.atomic import CheckedFile
 from repro.core.errors import FormatError
 
 __all__ = ["HybridFrame"]
@@ -71,6 +73,7 @@ MAGIC = b"RPRHYBRD"
 FORMAT_VERSION = 2
 FORMAT_VERSION_AMR = 3
 _HEADER = struct.Struct("<8sH3IQQd3d3d16s")
+_HYBRID = CheckedFile(MAGIC, 4, "hybrid frame", "repro extract")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -280,14 +283,13 @@ class HybridFrame:
         return b"".join(parts)
 
     def save(self, path) -> int:
-        """Write the frame atomically; returns bytes written."""
-        return atomic_write_bytes(path, self.to_bytes())
+        """Write the frame as a checked ``.hybrid`` file; returns bytes
+        written."""
+        return _HYBRID.write(path, self.to_bytes())
 
     @classmethod
     def load(cls, path) -> "HybridFrame":
-        with open(path, "rb") as f:
-            raw = f.read()
-        return cls.from_bytes(raw, source=str(path))
+        return cls.from_bytes(_HYBRID.read(path), source=str(path))
 
     @classmethod
     def from_bytes(cls, raw: bytes, source: str = "<bytes>") -> "HybridFrame":
@@ -339,7 +341,7 @@ class HybridFrame:
                         f"{path}: truncated attribute trailer "
                         f"({n_attrs} attributes declared)"
                     )
-                attr_name = raw[off : off + 16].rstrip(b"\0").decode("ascii")
+                attr_name = bytes(raw[off : off + 16]).rstrip(b"\0").decode("ascii")
                 off += 16
                 values = np.frombuffer(raw, dtype="<f4", count=n_points, offset=off)
                 off += n_points * 4

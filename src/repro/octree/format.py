@@ -9,20 +9,18 @@ octree nodes are the ``partition.nodes`` file this module reads and
 writes.  The node file also carries the build metadata (plot type,
 bounds, levels).
 
-The file is written atomically (temp file + ``os.replace``, see
-:mod:`repro.core.atomic`): a process killed mid-save never leaves a
-torn file.  Reads validate magic, version, payload size and the node
-table itself, and raise :class:`repro.core.errors.FormatError` on
-damage instead of numpy decode noise or a later, unrelated failure.
+The file is a :class:`repro.core.atomic.CheckedFile` (magic
+b"RPRNODES", version 3): written atomically, and CRC-checked on read,
+so a damaged, truncated or foreign file raises
+:class:`repro.core.errors.FormatError` naming it.  Reads then check the
+node table itself, which a CRC cannot vouch for.
 
-Node file layout (little-endian):
+Payload layout (little-endian):
 
-    bytes 0..7   magic b"RPRNODES"
-    u16          format version (2)
-    header       struct: n_nodes u64, n_particles u64, max_level u32,
-                 capacity u32, step u64, lo 3xf8, hi 3xf8,
-                 plot type 16 bytes NUL padded
-    payload      NODE_DTYPE records
+    header       struct: n_particles u64, max_level u32, capacity u32,
+                 step u64, lo 3xf8, hi 3xf8, plot type 16 bytes NUL
+                 padded
+    nodes        NODE_DTYPE records, to the end of the payload
 """
 
 from __future__ import annotations
@@ -31,15 +29,14 @@ import struct
 
 import numpy as np
 
-from repro.core.atomic import atomic_write_bytes
+from repro.core.atomic import CheckedFile
 from repro.core.errors import FormatError
 from repro.octree.octree import NODE_DTYPE
 
-__all__ = ["write_nodes_file", "read_nodes_file", "FORMAT_VERSION"]
+__all__ = ["write_nodes_file", "read_nodes_file"]
 
-NODES_MAGIC = b"RPRNODES"
-FORMAT_VERSION = 2
-_NODES_HEADER = struct.Struct("<8sHQQIIQ3d3d16s")
+_NODES = CheckedFile(b"RPRNODES", 3, "partition nodes", "repro partition")
+_NODES_HEADER = struct.Struct("<QIIQ3d3d16s")
 
 
 def _check_node_table(nodes: np.ndarray, n_particles: int, source) -> None:
@@ -75,12 +72,9 @@ def write_nodes_file(
     hi,
     plot_type: str,
 ) -> int:
-    """Atomically write one RPRNODES file; returns bytes written."""
+    """Atomically write one node file; returns bytes written."""
     name = plot_type.encode("ascii")[:16].ljust(16, b"\0")
     header = _NODES_HEADER.pack(
-        NODES_MAGIC,
-        FORMAT_VERSION,
-        len(nodes),
         int(n_particles),
         int(max_level),
         int(capacity),
@@ -90,40 +84,22 @@ def write_nodes_file(
         name,
     )
     nodes = np.ascontiguousarray(nodes, dtype=NODE_DTYPE)
-    return atomic_write_bytes(path, header + nodes.tobytes())
+    return _NODES.write(path, header + nodes.tobytes())
 
 
 def read_nodes_file(path):
-    """Read and check one RPRNODES file.
+    """Read and check one node file.
 
     Returns ``(nodes, n_particles, max_level, capacity, step, lo, hi,
     plot_type)``; raises :class:`FormatError` on damage, including a
     node table that fails :func:`_check_node_table`.
     """
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < _NODES_HEADER.size:
-        raise FormatError(f"{path}: truncated node-file header")
+    raw = _NODES.read(path)
     fields = _NODES_HEADER.unpack_from(raw, 0)
-    if fields[0] != NODES_MAGIC:
-        raise FormatError(f"{path}: not a partition nodes file")
-    if fields[1] != FORMAT_VERSION:
-        raise FormatError(
-            f"{path}: unsupported format version {fields[1]} "
-            f"(expected {FORMAT_VERSION})"
-        )
-    n_nodes, n_particles, max_level, capacity, step = fields[2:7]
-    expected = _NODES_HEADER.size + n_nodes * NODE_DTYPE.itemsize
-    if len(raw) < expected:
-        raise FormatError(
-            f"{path}: truncated payload ({len(raw)} bytes, "
-            f"{expected} expected for {n_nodes} nodes)"
-        )
-    lo = np.array(fields[7:10])
-    hi = np.array(fields[10:13])
-    plot_type = fields[13].rstrip(b"\0").decode("ascii")
-    nodes = np.frombuffer(
-        raw, dtype=NODE_DTYPE, count=n_nodes, offset=_NODES_HEADER.size
-    ).copy()
+    n_particles, max_level, capacity, step = fields[:4]
+    lo = np.array(fields[4:7])
+    hi = np.array(fields[7:10])
+    plot_type = fields[10].rstrip(b"\0").decode("ascii")
+    nodes = np.frombuffer(raw, dtype=NODE_DTYPE, offset=_NODES_HEADER.size).copy()
     _check_node_table(nodes, n_particles, path)
     return nodes, n_particles, max_level, capacity, step, lo, hi, plot_type

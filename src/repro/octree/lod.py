@@ -316,6 +316,7 @@ class LodHierarchy:
         ]
         self._densities = pstore.nodes["density"].astype(np.float32)
         self._mips: dict[int, np.ndarray] = {}
+        self._coarse = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -416,15 +417,28 @@ class LodHierarchy:
     def coarse_volume(self, resolution: int) -> np.ndarray:
         """An approximate f4 density volume at the requested
         resolution, nearest-neighbor resampled from the coarsest mip
-        -- the one-round-trip first image."""
+        -- the one-round-trip first image.
+
+        The last resolution's volume is kept as an owning, read-only
+        array (a :class:`HybridFrame` takes it without a copy), so the
+        BASE unit of every stream at one resolution builds it once.
+        The memo is one ``(resolution, volume)`` tuple, replaced by one
+        assignment, so concurrent readers never see half of it.
+        """
+        r = int(resolution)
+        memo = self._coarse
+        if memo is not None and memo[0] == r:
+            return memo[1]
         k = self.mip_levels - 1
         m = self.mip_base >> k
         density = density_volume(self.mip(k), self.pstore.lo, self.pstore.hi)
-        r = int(resolution)
         idx = np.clip(
             np.rint(np.arange(r) * (m - 1) / max(r - 1, 1)).astype(np.int64), 0, m - 1
         )
-        return density[np.ix_(idx, idx, idx)]
+        volume = density[np.ix_(idx, idx, idx)]
+        volume.flags.writeable = False
+        self._coarse = (r, volume)
+        return volume
 
     # ------------------------------------------------------------------
     def schedule(self, n_nodes: int, eye, unit_points: int = 8192):

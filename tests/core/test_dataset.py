@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.beams.io import frame_to_store, write_frame
 from repro.core.dataset import ArrayDataset, ParticleDataset, as_dataset, open_dataset
 from repro.core.errors import FormatError
 from repro.core.store import ShardedStore, create_store
@@ -62,12 +61,13 @@ class TestOpenDataset:
         assert np.array_equal(ds.to_array(), particles)
 
     def test_frame_file(self, tmp_path, particles):
+        """Frames are stores; a file path is refused, naming the
+        command that writes frame stores."""
         path = tmp_path / "beam.frame"
-        write_frame(path, particles, step=12)
-        ds = open_dataset(str(path))
-        assert isinstance(ds, ArrayDataset)
-        assert ds.step == 12  # the frame's own step wins
-        assert np.array_equal(ds.to_array(), particles)
+        path.write_bytes(particles.tobytes())
+        with pytest.raises(FormatError, match="`repro simulate`") as info:
+            open_dataset(str(path))
+        assert str(path) in str(info.value)
 
     def test_dataset_passthrough(self, particles):
         ds = ArrayDataset(particles)
@@ -105,10 +105,13 @@ class TestAsDataset:
         assert wrapped.step == 4
 
 
+
 def test_frame_to_store(tmp_path, particles):
-    path = tmp_path / "beam.frame"
-    write_frame(path, particles, step=21)
-    st = frame_to_store(path, tmp_path / "st", shard_rows=777)
+    """A frame store re-shards into another store, which keeps the
+    particles and takes the shard size and step it is given."""
+    create_store(tmp_path / "step_000021", particles, step=21)
+    frame = open_dataset(tmp_path / "step_000021")
+    st = create_store(tmp_path / "st", frame, shard_rows=777, step=frame.step)
     assert st.step == 21
     assert st.shard_rows == 777
     assert np.array_equal(st.to_array(), particles)

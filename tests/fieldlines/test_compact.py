@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.fieldlines.compact import compression_report, pack_lines, unpack_lines
+from repro.core.errors import FormatError
+from repro.fieldlines.compact import (
+    compression_report, pack_lines, read_lines, unpack_lines, write_lines,
+)
 from repro.fieldlines.integrate import FieldLine
 
 
@@ -60,9 +63,20 @@ class TestPackUnpack:
     def test_empty(self):
         assert unpack_lines(pack_lines([])) == []
 
-    def test_bad_magic(self):
-        with pytest.raises(ValueError):
-            unpack_lines(b"GARBAGE!" + bytes(64))
+    def test_bad_magic(self, tmp_path):
+        path = tmp_path / "l.bin"
+        path.write_bytes(b"GARBAGE!" + bytes(64))
+        with pytest.raises(FormatError, match="not a packed field-line file"):
+            read_lines(path)
+
+    def test_file_roundtrip(self, tmp_path):
+        lines = _lines()
+        path = tmp_path / "l.bin"
+        assert write_lines(path, lines, quantize=True) == path.stat().st_size
+        back = read_lines(path)
+        for a, b in zip(unpack_lines(pack_lines(lines, quantize=True)), back):
+            assert np.array_equal(a.points, b.points)
+            assert np.array_equal(a.magnitudes, b.magnitudes)
 
     def test_tangents_recomputed_unit(self):
         back = unpack_lines(pack_lines(_lines(2, 10)))

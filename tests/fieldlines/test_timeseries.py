@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.dataset import as_dataset
 from repro.fieldlines.integrate import FieldLine
 from repro.fieldlines.timeseries import LineSequence
 
@@ -86,44 +85,46 @@ class TestLineSequence:
         assert rep["compression_factor"] > 1.0
 
 
+
 class TestFrameMmap:
+    """A frame store's shards memory-map read-only: the access path for
+    paper-scale frames (5 GB per 100 M-particle step), which reads only
+    the pages a slice touches."""
+
     def test_mmap_matches_read(self, tmp_path, rng):
-        from repro.beams.io import read_frame, read_frame_mmap, write_frame
+        from repro.core.store import create_store
 
         particles = rng.standard_normal((500, 6))
-        path = tmp_path / "m.frame"
-        write_frame(path, particles, step=8)
-        full, step_a = read_frame(path)
-        mapped, step_b = read_frame_mmap(path)
-        assert step_a == step_b == 8
-        assert np.array_equal(np.asarray(mapped), full)
+        store = create_store(tmp_path / "step_000008", particles, step=8)
+        mapped = store.shard(0)
+        assert store.step == 8
+        assert np.array_equal(np.asarray(mapped), store.read_shard(0))
+        assert np.array_equal(np.asarray(mapped), particles)
 
     def test_mmap_readonly(self, tmp_path, rng):
-        from repro.beams.io import read_frame_mmap, write_frame
+        from repro.core.store import create_store
 
-        path = tmp_path / "m.frame"
-        write_frame(path, rng.standard_normal((10, 6)))
-        mapped, _ = read_frame_mmap(path)
+        store = create_store(tmp_path / "f", rng.standard_normal((10, 6)))
+        mapped = store.shard(0)
         with pytest.raises((ValueError, OSError)):
             mapped[0, 0] = 99.0
 
-    def test_mmap_bad_magic(self, tmp_path):
-        from repro.beams.io import read_frame_mmap
+    def test_mmap_bad_magic(self, tmp_path, rng):
+        from repro.core.store import MANIFEST_NAME, ShardedStore, create_store
 
-        path = tmp_path / "bad.frame"
-        path.write_bytes(b"NOTAFRAM" + bytes(64))
+        create_store(tmp_path / "f", rng.standard_normal((10, 6)))
+        manifest = tmp_path / "f" / MANIFEST_NAME
+        manifest.write_text(manifest.read_text().replace("RPRSTORE", "NOTAFRAM"))
         with pytest.raises(ValueError):
-            read_frame_mmap(path)
+            ShardedStore.open(tmp_path / "f")
 
     def test_mmap_partition_integration(self, tmp_path, rng):
         """The partitioner consumes the memmap directly."""
-        from repro.beams.io import read_frame_mmap, write_frame
+        from repro.core.dataset import as_dataset
+        from repro.core.store import create_store
         from repro.octree.partition import partition
 
-        particles = rng.standard_normal((2000, 6))
-        path = tmp_path / "big.frame"
-        write_frame(path, particles, step=1)
-        mapped, step = read_frame_mmap(path)
-        pf = partition(as_dataset(np.asarray(mapped)), "xyz", max_level=4, step=step)
+        store = create_store(tmp_path / "f", rng.standard_normal((2000, 6)), step=1)
+        pf = partition(as_dataset(store.shard(0)), "xyz", max_level=4, step=store.step)
         pf.validate()
         assert pf.n_particles == 2000

@@ -141,3 +141,18 @@ class TestSymmetry:
         )
         ez = solver.sample_e(probes)[:, 2]
         assert np.allclose(ez, ez[0], rtol=1e-6, atol=1e-9)
+
+
+class TestTrace:
+    def test_run_and_mesh_sampling_open_program_spans(self):
+        from repro.core.trace import capture
+
+        s = make_multicell_structure(1, n_xy=4, n_z_per_unit=4)
+        solver = TimeDomainSolver(s, cells_per_unit=5.0)
+        with capture(enabled=True) as tracer:
+            solver.run(3)
+            solver.fields_on_mesh()
+        assert tracer.spans["solver_run"]["count"] == 1
+        assert tracer.spans["solver_run"]["attrs"]["n_steps"] == 3
+        assert tracer.spans["fields_on_mesh"]["count"] == 1
+        assert solver.step_count == 3

@@ -335,6 +335,32 @@ class TestDeltaReference:
                 )
                 assert got == want
 
+    def test_base_units_build_the_coarse_volume_once(self, pstore, monkeypatch):
+        """Two streams' BASE units at one resolution resample the
+        coarsest mip once, and the frame keeps the memo uncopied."""
+        import repro.octree.lod as lod_module
+
+        builds = []
+        real = lod_module.density_volume
+
+        def spy(*args):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lod_module, "density_volume", spy)
+        service = VisualizationService([pstore])
+        thr = float(np.percentile(pstore.nodes["density"], 60))
+        n_nodes = int(np.searchsorted(pstore.nodes["density"], thr, side="left"))
+        n_total = int(pstore.density_cutoff_index(thr))
+        first = service._build_base(0, thr, 24, n_nodes, n_total)
+        assert service._build_base(0, thr, 24, n_nodes, n_total) == first
+        assert len(builds) == 1
+        volume = pstore.lod.coarse_volume(24)
+        assert not volume.flags.writeable and volume.base is None
+        assert HybridFrame(volume=volume, points=np.zeros((0, 3), np.float32),
+                           point_densities=np.zeros(0, np.float32),
+                           lo=pstore.lo, hi=pstore.hi).volume is volume
+
 
 class TestMips:
     def test_mip0_is_bitwise_the_extraction_volume(self, pstore):

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.beams.io import read_frame, write_frame
+from repro.core.dataset import open_dataset
+from repro.core.store import create_store
 from repro.fieldlines.compact import pack_lines, unpack_lines
 from repro.fieldlines.integrate import FieldLine
 from repro.hybrid.representation import HybridFrame
@@ -22,11 +23,11 @@ class TestFrameFormat:
     )
     @settings(max_examples=30, deadline=None)
     def test_roundtrip(self, tmp_path_factory, particles, step):
-        path = tmp_path_factory.mktemp("frames") / "f.frame"
-        write_frame(path, particles, step=step)
-        back, back_step = read_frame(path)
-        assert back_step == step
-        assert np.array_equal(back, particles)
+        path = tmp_path_factory.mktemp("frames") / "step"
+        create_store(path, particles, shard_rows=64, step=step)
+        back = open_dataset(path)
+        assert back.step == step
+        assert np.array_equal(back.to_array(), particles)
 
 
 class TestHybridFormat:

@@ -24,13 +24,16 @@ def run_dir(tmp_path_factory):
 
 class TestSimulate:
     def test_frames_written(self, run_dir):
-        frames = sorted(run_dir.glob("*.frame"))
-        assert len(frames) == 2  # steps 0 and 10
+        from repro.core.store import ShardedStore
+
+        frames = sorted(run_dir.glob("step_*"))
+        assert [f.name for f in frames] == ["step_000000", "step_000010"]
+        assert [ShardedStore.open(f).step for f in frames] == [0, 10]
 
 
 class TestPartitionExtractRender:
     def test_full_chain(self, run_dir, tmp_path, capsys):
-        frame = sorted(run_dir.glob("*.frame"))[-1]
+        frame = run_dir / "step_000010"
         stem = tmp_path / "p"
         assert main(["partition", str(frame), "--out", str(stem),
                      "--max-level", "5"]) == 0
@@ -54,7 +57,7 @@ class TestPartitionExtractRender:
         assert img.sum() > 0
 
     def test_render_parts(self, run_dir, tmp_path):
-        frame = sorted(run_dir.glob("*.frame"))[-1]
+        frame = run_dir / "step_000010"
         stem = tmp_path / "p2"
         main(["partition", str(frame), "--out", str(stem), "--max-level", "4"])
         hybrid = tmp_path / "h2.hybrid"
@@ -66,20 +69,25 @@ class TestPartitionExtractRender:
                          "--part", part]) == 0
             assert out.exists()
 
-    def test_parallel_partition_of_frame_file_exits_2(self, run_dir, tmp_path,
-                                                      capsys):
-        """--workers applies to store inputs; on a frame file it is a
-        usage error, never silently ignored."""
-        frame = sorted(run_dir.glob("*.frame"))[-1]
-        stem = tmp_path / "pp"
-        assert main(["partition", str(frame), "--out", str(stem),
-                     "--max-level", "5", "--workers", "2"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro:") and "repro store create" in err
-        assert not stem.exists()
+    def test_partition_at_any_worker_count(self, tmp_path):
+        """Simulate output partitions with any worker count, to the
+        same bytes."""
+        run = tmp_path / "run"
+        assert main(["simulate", "--out", str(run), "--particles", "3000",
+                     "--cells", "1", "--frame-every", "5"]) == 0
+        outs = []
+        for workers in ("2", "1"):
+            out = tmp_path / f"p{workers}"
+            assert main(["partition", str(run / "step_000005"), "--out", str(out),
+                         "--max-level", "5", "--workers", workers]) == 0
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].glob("shard_*.bin"))
+        assert names == sorted(p.name for p in outs[1].glob("shard_*.bin"))
+        for name in ["partition.nodes", *names]:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_absolute_threshold(self, run_dir, tmp_path):
-        frame = sorted(run_dir.glob("*.frame"))[-1]
+        frame = run_dir / "step_000010"
         stem = tmp_path / "pt"
         main(["partition", str(frame), "--out", str(stem), "--max-level", "4"])
         hybrid = tmp_path / "ht.hybrid"
@@ -103,9 +111,9 @@ class TestFieldlines:
 
 class TestInfo:
     def test_identifies_every_format(self, run_dir, tmp_path, capsys):
-        frame = sorted(run_dir.glob("*.frame"))[-1]
+        frame = run_dir / "step_000010"
         assert main(["info", str(frame)]) == 0
-        assert "particle frame" in capsys.readouterr().out
+        assert "sharded store: step 10, 4000 particles" in capsys.readouterr().out
 
         stem = tmp_path / "pi"
         main(["partition", str(frame), "--out", str(stem), "--max-level", "4"])
@@ -248,7 +256,7 @@ class TestExtractStoredVolume:
 
         from repro.octree.stream_partition import PartitionedStore
 
-        frame = sorted(run_dir.glob("*.frame"))[-1]
+        frame = run_dir / "step_000010"
         stem = tmp_path / "pd"
         main(["partition", str(frame), "--out", str(stem), "--max-level", "4"])
         ps = PartitionedStore.open(stem)
@@ -289,18 +297,25 @@ class TestExitCodes:
                      "--out", str(tmp_path / "h.hybrid")]) == 3
         assert "repro: damaged data file:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("keep", [0, 24 + 48 * 10 + 7], ids=["zero_byte", "truncated"])
-    def test_damaged_frame_store_create_exits_3(self, run_dir, tmp_path, capsys, keep):
-        """A frame cut inside its header or inside its payload fails
-        ``store create`` with one typed line, not a traceback."""
-        frame = sorted(run_dir.glob("*.frame"))[-1]
-        bad = tmp_path / "bad.frame"
-        bad.write_bytes(frame.read_bytes()[:keep])
-        assert main(["store", "create", str(bad), "--out", str(tmp_path / "st")]) == 3
+    @pytest.mark.parametrize("keep", [0, None], ids=["zero_byte", "frame_file"])
+    def test_frame_file_partition_exits_3(self, run_dir, tmp_path, capsys, keep):
+        """A file where a frame store belongs (an empty one, or a frame
+        file in the single-file layout of earlier releases) fails
+        ``partition`` with one typed line naming ``repro simulate``."""
+        import struct
+
+        from repro.core.dataset import open_dataset
+
+        particles = open_dataset(run_dir / "step_000010").to_array()
+        bad = tmp_path / "step_000010.frame"
+        raw = struct.pack("<8sQQ", b"RPRFRAME", len(particles), 10) + particles.tobytes()
+        bad.write_bytes(raw[:keep])
+        assert main(["partition", str(bad), "--out", str(tmp_path / "p")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("repro: damaged data file:") and str(bad) in err
+        assert "`repro simulate`" in err
         assert len(err.strip().splitlines()) == 1
-        assert "Traceback" not in err
+        assert not (tmp_path / "p").exists()
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert main(["info", str(tmp_path / "nope.hybrid")]) == 2
@@ -324,14 +339,17 @@ class TestExitCodes:
 
 
 class TestStoreWorkflow:
-    """The out-of-core chain: store create -> partition -> extract."""
+    """The out-of-core chain on a frame store re-sharded at 1024 rows:
+    store verify -> partition -> extract."""
 
     @pytest.fixture(scope="class")
     def store_dir(self, run_dir, tmp_path_factory):
-        frame = sorted(run_dir.glob("*.frame"))[-1]
+        from repro.core.dataset import open_dataset
+        from repro.core.store import create_store
+
+        frame = open_dataset(run_dir / "step_000010")
         d = tmp_path_factory.mktemp("store") / "st"
-        assert main(["store", "create", str(frame), "--out", str(d),
-                     "--shard-rows", "1024"]) == 0
+        create_store(d, frame, shard_rows=1024, step=frame.step)
         return d
 
     def test_store_info_and_verify(self, store_dir, capsys):
@@ -341,9 +359,10 @@ class TestStoreWorkflow:
         assert "CRC32 verified" in capsys.readouterr().out
 
     def test_store_verify_detects_damage(self, run_dir, tmp_path, capsys):
-        frame = sorted(run_dir.glob("*.frame"))[-1]
+        import shutil
+
         d = tmp_path / "st"
-        assert main(["store", "create", str(frame), "--out", str(d)]) == 0
+        shutil.copytree(run_dir / "step_000010", d)
         shard = sorted(d.glob("shard_*.bin"))[0]
         raw = bytearray(shard.read_bytes())
         raw[7] ^= 0xFF
@@ -353,10 +372,13 @@ class TestStoreWorkflow:
 
     def test_streaming_chain_matches_incore(self, run_dir, store_dir,
                                             tmp_path, capsys):
-        frame = sorted(run_dir.glob("*.frame"))[-1]
+        from repro.core.dataset import open_dataset
+        from repro.octree.partition import partition
+        from repro.octree.stream_partition import PartitionedStore
+
         stem = tmp_path / "p"
-        assert main(["partition", str(frame), "--out", str(stem),
-                     "--max-level", "4"]) == 0
+        pf = partition(open_dataset(run_dir / "step_000010"), "xyz", max_level=4)
+        PartitionedStore.from_frame(pf, stem)
 
         out = tmp_path / "pstore"
         assert main(["partition", str(store_dir), "--out", str(out),

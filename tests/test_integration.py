@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.beams.io import FrameWriter
 from repro.beams.simulation import BeamConfig, BeamSimulation
-from repro.core.dataset import as_dataset
+from repro.core.dataset import as_dataset, open_dataset
+from repro.core.store import create_store
 from repro.hybrid.renderer import HybridRenderer
 from repro.hybrid.viewer import FrameViewer
 from repro.octree.extraction import extract, threshold_for_point_budget
@@ -16,22 +16,28 @@ from repro.render.image import structural_detail
 
 
 class TestBeamWorkflow:
-    """simulate -> write frames -> partition -> extract -> view."""
+    """simulate -> write frame stores -> partition -> extract -> view."""
 
     def test_disk_based_workflow(self, tmp_path):
         sim = BeamSimulation(
             BeamConfig(n_particles=6_000, n_cells=2, seed=3, sc_grid=(16, 16, 16)).resolved()
         )
-        writer = FrameWriter(tmp_path / "raw")
-        sim.run(on_frame=lambda s, p: writer.write(p, s), frame_every=5)
-        assert len(writer) >= 2
+        stores = {}
+        sim.run(
+            on_frame=lambda s, p: stores.setdefault(
+                s, create_store(tmp_path / "raw" / f"step_{s:06d}", p, step=s)
+            ),
+            frame_every=5,
+        )
+        assert len(stores) >= 2
 
         hybrid_dir = tmp_path / "hybrid"
         hybrid_dir.mkdir()
         threshold = None
-        for step in writer.steps_written:
-            particles = writer.read(step)
-            pf = partition(as_dataset(particles), "xyz", max_level=5, capacity=32, step=step)
+        for step in sorted(stores):
+            frame = open_dataset(tmp_path / "raw" / f"step_{step:06d}")
+            assert frame.step == step
+            pf = partition(frame, "xyz", max_level=5, capacity=32)
             PartitionedStore.from_frame(pf, tmp_path / f"part_{step:04d}")
             ps = PartitionedStore.open(tmp_path / f"part_{step:04d}")
             if threshold is None:
@@ -40,7 +46,7 @@ class TestBeamWorkflow:
             h.save(hybrid_dir / f"frame_{step:04d}.hybrid")
 
         viewer = FrameViewer(hybrid_dir, renderer=HybridRenderer(n_slices=12))
-        assert len(viewer) == len(writer)
+        assert len(viewer) == len(stores)
         cam = Camera.fit_bounds(
             viewer.frame(0).lo, viewer.frame(0).hi, width=48, height=48
         )
@@ -49,7 +55,7 @@ class TestBeamWorkflow:
 
         # hybrid frames are much smaller than the raw frames
         hybrid_bytes = sum(p.stat().st_size for p in hybrid_dir.glob("*.hybrid"))
-        assert hybrid_bytes < writer.total_bytes
+        assert hybrid_bytes < sum(store.nbytes() for store in stores.values())
 
     def test_hybrid_size_independent_of_input_size(self):
         """Paper section 2.5: large runs reduce to the same hybrid
@@ -97,7 +103,7 @@ class TestFieldLineWorkflow:
     """solve -> seed -> pack -> unpack -> render."""
 
     def test_solver_to_rendering(self, tmp_path):
-        from repro.fieldlines.compact import compression_report, pack_lines, unpack_lines
+        from repro.fieldlines.compact import compression_report, read_lines, write_lines
         from repro.fieldlines.seeding import seed_density_proportional
         from repro.fieldlines.sos import build_strips, render_strips
         from repro.fields.geometry import make_multicell_structure
@@ -116,9 +122,8 @@ class TestFieldLineWorkflow:
         )
         assert len(ordered) >= 1
 
-        blob = pack_lines(ordered.lines)
-        (tmp_path / "lines.bin").write_bytes(blob)
-        back = unpack_lines((tmp_path / "lines.bin").read_bytes())
+        write_lines(tmp_path / "lines.bin", ordered.lines)
+        back = read_lines(tmp_path / "lines.bin")
         assert len(back) == len(ordered)
 
         rep = compression_report(mesh, ordered.lines)

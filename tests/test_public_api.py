@@ -27,7 +27,6 @@ MODULES = [
     "repro.beams.simulation",
     "repro.beams.cavity",
     "repro.beams.diagnostics",
-    "repro.beams.io",
     "repro.beams.scenario",
     "repro.beams.scenario.spec",
     "repro.beams.scenario.feedback",

@@ -9,8 +9,7 @@ output.
 import numpy as np
 import pytest
 
-from repro.beams.io import read_frame, write_frame
-from repro.core.dataset import as_dataset
+from repro.core.dataset import as_dataset, open_dataset
 from repro.core.errors import FormatError, SimulatedCrash
 from repro.core.faults import FaultPlan
 from repro.core.store import create_store
@@ -127,13 +126,13 @@ class TestTruncatedFiles:
     def test_zero_byte_frame_file(self, tmp_path):
         path = tmp_path / "empty.frame"
         path.write_bytes(b"")
-        with pytest.raises(FormatError, match="truncated frame header"):
-            read_frame(path)
+        with pytest.raises(FormatError, match="not a sharded store directory"):
+            open_dataset(path)
 
     def test_garbage_files_raise_typed_format_error(self, tmp_path):
         """Foreign bytes under our extensions fail with FormatError,
         not numpy/struct decode noise."""
-        from repro.fieldlines.compact import unpack_lines
+        from repro.fieldlines.compact import read_lines
 
         garbage = tmp_path / "junk.hybrid"
         garbage.write_bytes(b"\x00" * 256)
@@ -144,8 +143,9 @@ class TestTruncatedFiles:
         (tmp_path / "junk" / "store.json").write_bytes(b"\xff" * 128)
         with pytest.raises(FormatError):
             PartitionedStore.open(tmp_path / "junk")
+        (tmp_path / "junk.lines").write_bytes(b"not a packed line blob at all")
         with pytest.raises(FormatError):
-            unpack_lines(b"not a packed line blob at all")
+            read_lines(tmp_path / "junk.lines")
 
     def test_format_error_is_still_a_value_error(self):
         """Pre-existing ``except ValueError`` call sites keep working."""

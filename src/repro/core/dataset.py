@@ -163,8 +163,9 @@ def open_dataset(source, step: int = 0) -> ParticleDataset:
       kept step);
     * an existing dataset -> returned as-is.
 
-    Any other path raises :class:`FormatError` naming ``repro
-    simulate``, which writes particle frames as sharded stores.
+    A path that does not exist raises :class:`FileNotFoundError`; any
+    other path raises :class:`FormatError` naming ``repro simulate``,
+    which writes particle frames as sharded stores.
 
     This is the dataset-first public entry point: the object it
     returns goes straight into ``partition(...)`` / ``extract(...)``.
@@ -177,6 +178,8 @@ def open_dataset(source, step: int = 0) -> ParticleDataset:
         path = Path(source)
         if is_store_dir(path):
             return ShardedStore.open(path)
+        if not path.exists():
+            raise FileNotFoundError(f"{path}: no such sharded store")
         raise FormatError(
             f"{path}: not a sharded store directory; particle frames are "
             "sharded stores, written by `repro simulate`"

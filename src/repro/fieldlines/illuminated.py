@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.render.camera import Camera
 from repro.render.colormap import Colormap, get_colormap
-from repro.render.framebuffer import Framebuffer, composite_fragments
+from repro.render.framebuffer import Framebuffer, resolve_fragments
 from repro.render.shading import line_illumination
 
 __all__ = ["line_fragments", "render_lines"]
@@ -134,8 +134,5 @@ def render_lines(
     else:
         rgba = np.column_stack([rgb, np.full(len(rgb), alpha)])
 
-    layer, depth = composite_fragments(pix, dep, rgba, fb.n_pixels)
-    fb.layer_over(
-        layer.reshape(fb.height, fb.width, 4), depth.reshape(fb.height, fb.width)
-    )
+    fb.pixels_over(*resolve_fragments(pix, dep, rgba))
     return fb

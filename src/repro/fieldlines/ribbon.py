@@ -154,8 +154,5 @@ def render_ribbons(
     t = np.clip((mag - lo) / max(hi - lo, 1e-300), 0.0, 1.0)
     rgb = phong(normals, view, view, cmap(t))
     frags.attrs["rgb"] = rgb
-    rgba, depth = resolve_opaque(frags, fb.n_pixels)
-    fb.layer_over(
-        rgba.reshape(fb.height, fb.width, 4), depth.reshape(fb.height, fb.width)
-    )
+    fb.pixels_over(*resolve_opaque(frags))
     return fb

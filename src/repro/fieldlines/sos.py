@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.trace import count, span
 from repro.render.camera import Camera
 from repro.render.colormap import Colormap, get_colormap
-from repro.render.framebuffer import Framebuffer, composite_fragments
+from repro.render.framebuffer import Framebuffer, resolve_fragments
 from repro.render.raster import rasterize, resolve_opaque
 from repro.render.shading import halo_profile, strip_shading
 
@@ -62,27 +62,6 @@ class StripMesh:
         return len(self.vertices)
 
 
-def _side_vectors(points: np.ndarray, tangents: np.ndarray, eye: np.ndarray) -> np.ndarray:
-    """Unit vectors across the strip: T x (eye - p), degenerate spans
-    (tangent parallel to the view ray) reuse the previous side."""
-    view = eye[None, :] - points
-    side = np.cross(tangents, view)
-    norms = np.linalg.norm(side, axis=1)
-    good = norms > 1e-12
-    if not good.all():
-        # forward-fill from the nearest good neighbor
-        fallback = np.array([1.0, 0.0, 0.0])
-        last = fallback
-        for i in range(len(side)):
-            if good[i]:
-                last = side[i] / norms[i]
-            else:
-                side[i] = last
-                norms[i] = 1.0
-    side = side / np.where(norms < 1e-12, 1.0, norms)[:, None]
-    return side
-
-
 def build_strip(line, camera: Camera, width: float) -> StripMesh:
     """Build one self-orienting strip for a field line."""
     return build_strips([line], camera, width)
@@ -99,61 +78,86 @@ def build_strips(
     With ``width_by_magnitude`` the strip width scales with the local
     field magnitude (the paper's Figure 6 (e) "wider version ... with
     line density textured according to local field strength").
+
+    Every line of two or more points is built in one pass over the
+    concatenated vertices; only the arc-length prefix sums run per
+    line, and the forward fill of a degenerate side per vertex.
     """
-    verts = []
-    tris = []
-    v_coords = []
-    u_coords = []
-    mags = []
-    ids = []
-    v_offset = 0
     eye = np.asarray(camera.eye, dtype=np.float64)
     with span("build_strips", n_lines=len(lines)):
+        ids, kept = [], []
         for li, line in enumerate(lines):
-            pts = line.points
-            if len(pts) < 2:
-                continue
-            side = _side_vectors(pts, line.tangents, eye)
-            w = np.full(len(pts), width)
-            if width_by_magnitude:
-                peak = max(float(line.magnitudes.max()), 1e-300)
-                w = width * (0.35 + 0.65 * line.magnitudes / peak)
-            left = pts - side * (w[:, None] / 2.0)
-            right = pts + side * (w[:, None] / 2.0)
-            k = len(pts)
-            strip_verts = np.empty((2 * k, 3))
-            strip_verts[0::2] = left
-            strip_verts[1::2] = right
-            u = line.arc_lengths() / max(width, 1e-12)
-            i = np.arange(k - 1)
-            a = v_offset + 2 * i
-            b = a + 1
-            c = a + 2
-            d = a + 3
-            strip_tris = np.concatenate(
-                [np.stack([a, b, c], axis=1), np.stack([b, d, c], axis=1)]
+            if len(line.points) >= 2:
+                ids.append(li)
+                kept.append(line)
+        if not kept:
+            empty3 = np.empty((0, 3))
+            empty = np.empty(0)
+            return StripMesh(
+                empty3, np.empty((0, 3), dtype=np.int64), empty, empty, empty, empty
             )
-            verts.append(strip_verts)
-            tris.append(strip_tris)
-            v_coords.append(np.tile([0.0, 1.0], k))
-            u_coords.append(np.repeat(u, 2))
-            mags.append(np.repeat(line.magnitudes, 2))
-            ids.append(np.full(2 * k, li))
-            v_offset += 2 * k
+        k = np.array([len(line.points) for line in kept])
+        ends = np.cumsum(k)
+        starts = ends - k
+        n = int(ends[-1])
+        pts = np.concatenate([line.points for line in kept])
+        mags = np.concatenate([line.magnitudes for line in kept])
 
-    if not verts:
-        empty3 = np.empty((0, 3))
-        empty = np.empty(0)
-        return StripMesh(empty3, np.empty((0, 3), dtype=np.int64), empty, empty, empty, empty)
-    mesh = StripMesh(
-        vertices=np.vstack(verts),
-        triangles=np.vstack(tris).astype(np.int64),
-        v_coord=np.concatenate(v_coords),
-        u_coord=np.concatenate(u_coords),
-        magnitude=np.concatenate(mags),
-        line_id=np.concatenate(ids),
-        meta={"width": width, "n_lines": len(lines)},
-    )
+        # side = normalize(T x (eye - p)); a degenerate side (tangent
+        # along the view ray) takes the previous good one on its line,
+        # or +x before the first
+        side = np.cross(np.concatenate([line.tangents for line in kept]), eye - pts)
+        norms = np.linalg.norm(side, axis=1)
+        good = norms > 1e-12
+        if not good.all():
+            for i0, i1 in zip(starts.tolist(), ends.tolist()):
+                if good[i0:i1].all():
+                    continue
+                last = np.array([1.0, 0.0, 0.0])
+                for i in range(i0, i1):
+                    if good[i]:
+                        last = side[i] / norms[i]
+                    else:
+                        side[i] = last
+                        norms[i] = 1.0
+        side /= np.where(norms < 1e-12, 1.0, norms)[:, None]
+
+        if width_by_magnitude:
+            peak = np.maximum(np.maximum.reduceat(mags, starts), 1e-300)
+            w = width * (0.35 + 0.65 * mags / np.repeat(peak, k))
+            half = side * (w[:, None] / 2.0)
+        else:
+            half = side * (width / 2.0)
+        vertices = np.empty((2 * n, 3))
+        vertices[0::2] = pts - half
+        vertices[1::2] = pts + half
+
+        # arc length: one prefix sum per line (a global cumsum minus each
+        # line's offset rounds differently)
+        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        arc = np.zeros(n)
+        for i0, i1 in zip(starts.tolist(), ends.tolist()):
+            np.cumsum(seg[i0 : i1 - 1], out=arc[i0 + 1 : i1])
+
+        # a segment joins vertex pairs (a, b = a + 1) and (c = a + 2,
+        # d = a + 3); each line lists its (a, b, c) triangles, then its
+        # (b, d, c) ones
+        m = k - 1
+        a = 2 * np.delete(np.arange(n), ends - 1)
+        row = np.arange(len(a)) + np.repeat(np.cumsum(m) - m, m)
+        triangles = np.empty((2 * len(a), 3), dtype=np.int64)
+        triangles[row] = np.column_stack([a, a + 1, a + 2])
+        triangles[row + np.repeat(m, m)] = np.column_stack([a + 1, a + 3, a + 2])
+
+        mesh = StripMesh(
+            vertices=vertices,
+            triangles=triangles,
+            v_coord=np.tile([0.0, 1.0], n),
+            u_coord=np.repeat(arc / max(width, 1e-12), 2),
+            magnitude=np.repeat(mags, 2),
+            line_id=np.repeat(np.array(ids, dtype=np.int64), 2 * k),
+            meta={"width": width, "n_lines": len(lines)},
+        )
     count("triangles_emitted", mesh.n_triangles)
     return mesh
 
@@ -181,57 +185,51 @@ def render_strips(
     magnitude_range : (lo, hi) normalization for color/alpha, default
         the mesh's own range
     """
-    if fb is None:
-        fb = Framebuffer(camera.width, camera.height)
-    if strips.n_triangles == 0:
-        return fb
-    cmap = get_colormap(colormap) if isinstance(colormap, str) else colormap
+    frags = None
+    if strips.n_triangles:
+        with span("rasterize", n_triangles=strips.n_triangles):
+            frags = rasterize(
+                camera,
+                strips.vertices,
+                strips.triangles,
+                {"v": strips.v_coord, "mag": strips.magnitude},
+            )
 
-    with span("rasterize", n_triangles=strips.n_triangles):
-        frags = rasterize(
-            camera,
-            strips.vertices,
-            strips.triangles,
-            {"v": strips.v_coord, "mag": strips.magnitude},
-        )
-    if len(frags) == 0:
-        return fb
+    # the framebuffer, shading, resolve and over: only the pixels the
+    # strips cover are composited
+    with span("strip_composite", n_fragments=0 if frags is None else len(frags)):
+        if fb is None:
+            fb = Framebuffer(camera.width, camera.height)
+        if frags is None or len(frags) == 0:
+            return fb
+        cmap = get_colormap(colormap) if isinstance(colormap, str) else colormap
+        v = frags.attrs["v"][:, 0]
+        mag = frags.attrs["mag"][:, 0]
+        if magnitude_range is None:
+            lo, hi = float(strips.magnitude.min()), float(strips.magnitude.max())
+        else:
+            lo, hi = magnitude_range
+        t = (mag - lo) / max(hi - lo, 1e-300)
+        base_rgb = cmap(np.clip(t, 0.0, 1.0))
 
-    v = frags.attrs["v"][:, 0]
-    mag = frags.attrs["mag"][:, 0]
-    if magnitude_range is None:
-        lo, hi = float(strips.magnitude.min()), float(strips.magnitude.max())
-    else:
-        lo, hi = magnitude_range
-    t = (mag - lo) / max(hi - lo, 1e-300)
-    base_rgb = cmap(np.clip(t, 0.0, 1.0))
+        if shading == "bump":
+            rgb = strip_shading(v, base_rgb)
+        elif shading == "flat":
+            rgb = base_rgb
+        else:
+            raise ValueError("shading must be 'bump' or 'flat'")
 
-    if shading == "bump":
-        rgb = strip_shading(v, base_rgb)
-    elif shading == "flat":
-        rgb = base_rgb
-    else:
-        raise ValueError("shading must be 'bump' or 'flat'")
+        if halo_core is not None:
+            rgb = rgb * halo_profile(v, core=halo_core)[:, None]
 
-    if halo_core is not None:
-        rgb = rgb * halo_profile(v, core=halo_core)[:, None]
-
-    transparent = alpha_by_magnitude or base_alpha < 1.0
-    if not transparent:
-        frags.attrs["rgb"] = rgb
-        rgba, depth = resolve_opaque(frags, fb.n_pixels)
-        fb.layer_over(
-            rgba.reshape(fb.height, fb.width, 4),
-            depth.reshape(fb.height, fb.width),
-        )
-    else:
-        alpha = np.full(len(rgb), base_alpha)
-        if alpha_by_magnitude:
-            alpha = alpha * np.clip(t, 0.05, 1.0)
-        rgba_frag = np.column_stack([rgb, alpha])
-        layer, depth = composite_fragments(frags.pix, frags.depth, rgba_frag, fb.n_pixels)
-        fb.layer_over(
-            layer.reshape(fb.height, fb.width, 4),
-            depth.reshape(fb.height, fb.width),
-        )
+        transparent = alpha_by_magnitude or base_alpha < 1.0
+        if not transparent:
+            frags.attrs["rgb"] = rgb
+            fb.pixels_over(*resolve_opaque(frags))
+        else:
+            alpha = np.full(len(rgb), base_alpha)
+            if alpha_by_magnitude:
+                alpha = alpha * np.clip(t, 0.05, 1.0)
+            rgba_frag = np.column_stack([rgb, alpha])
+            fb.pixels_over(*resolve_fragments(frags.pix, frags.depth, rgba_frag))
     return fb

@@ -171,8 +171,5 @@ def render_tubes(
     headlight = camera.forward * -1.0
     rgb = phong(normals, headlight, headlight, base_rgb)
     frags.attrs["rgb"] = rgb
-    rgba, depth = resolve_opaque(frags, fb.n_pixels)
-    fb.layer_over(
-        rgba.reshape(fb.height, fb.width, 4), depth.reshape(fb.height, fb.width)
-    )
+    fb.pixels_over(*resolve_opaque(frags))
     return fb

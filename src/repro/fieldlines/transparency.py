@@ -9,7 +9,7 @@ Three tools for seeing inside very dense line data:
   transparency to de-emphasize the remaining data", Figure 6 (i));
 - the transparent compositing itself rides on the order-independent
   per-pixel fragment sort of
-  :func:`repro.render.framebuffer.composite_fragments`, the software
+  :func:`repro.render.framebuffer.resolve_fragments`, the software
   equivalent of the GeForce 3 path the paper cites.
 """
 

@@ -3,15 +3,19 @@
 Two compositing primitives cover everything the paper's renderer does:
 
 ``composite_over``
-    Full-image *over* operator, used to layer volume slices and image
-    passes back-to-front.
+    The *over* operator on (..., 4) RGBA rows: volume slices and image
+    passes layer back-to-front with it, over the whole frame
+    (:meth:`Framebuffer.layer_over`) or over the pixels a pass covers
+    (:meth:`Framebuffer.pixels_over`).
 
-``composite_fragments``
+``resolve_fragments``
     Per-pixel *under* compositing of an unordered fragment stream
-    (pixel index, depth, premultipliable RGBA).  This is the software
-    stand-in for the order-independent transparency path on the GeForce
-    3 (paper section 3.3.3): fragments are sorted per pixel by depth and
-    folded front-to-back with a fully vectorized segmented scan.
+    (pixel index, depth, premultipliable RGBA), returned at the pixels
+    it touches.  This is the software stand-in for the
+    order-independent transparency path on the GeForce 3 (paper
+    section 3.3.3): fragments are sorted per pixel by depth and folded
+    front-to-back with a fully vectorized segmented scan.
+    ``composite_fragments`` is its full-frame form.
 
 Its core, ``accumulate_fragments``, also folds the depth ranges of the
 hybrid renderer's halo points in one pass, each range exactly as on
@@ -27,6 +31,7 @@ __all__ = [
     "Framebuffer",
     "composite_over",
     "composite_fragments",
+    "resolve_fragments",
     "accumulate_fragments",
     "fragment_order",
 ]
@@ -53,7 +58,7 @@ def composite_fragments(
     rgba: np.ndarray,
     n_pixels: int,
 ):
-    """Composite an unordered fragment stream per pixel.
+    """Composite an unordered fragment stream per pixel, full frame.
 
     Parameters
     ----------
@@ -64,9 +69,33 @@ def composite_fragments(
 
     Returns
     -------
-    out_rgba : (n_pixels, 4) composited color per pixel
+    out_rgba : (n_pixels, 4) composited color per pixel (zero where no
+        fragment landed)
     out_depth : (n_pixels,) depth of the nearest contributing fragment
         (+inf where no fragment landed)
+
+    The fold is :func:`resolve_fragments`, scattered into full-size
+    arrays.
+    """
+    out_rgba = np.zeros((n_pixels, 4))
+    out_depth = np.full(n_pixels, np.inf)
+    pix, col, near = resolve_fragments(pixels, depths, rgba)
+    out_rgba[pix] = col
+    out_depth[pix] = near
+    return out_rgba, out_depth
+
+
+def resolve_fragments(pixels: np.ndarray, depths: np.ndarray, rgba: np.ndarray):
+    """Composite an unordered fragment stream per pixel, at the pixels
+    it touches.
+
+    Returns
+    -------
+    pix : (U,) int64 touched flat pixel indices, ascending
+    rgba : (U, 4) composited color per touched pixel, non-premultiplied
+    depth : (U,) depth of the nearest contributing fragment
+
+    -- the form :meth:`Framebuffer.pixels_over` takes.
 
     Notes
     -----
@@ -79,19 +108,11 @@ def composite_fragments(
     trick so the whole operation stays vectorized regardless of how
     many fragments pile up in one pixel.
     """
-    out_rgba = np.zeros((n_pixels, 4))
-    out_depth = np.full(n_pixels, np.inf)
     upix, pm, near, _ = accumulate_fragments(pixels, depths, rgba)
-    if upix.size == 0:
-        return out_rgba, out_depth
-    out_rgba[upix] = pm
-    out_depth[upix] = near
-
     # un-premultiply
-    a = out_rgba[:, 3:4]
-    safe = np.where(a <= 0.0, 1.0, a)
-    out_rgba[:, :3] /= safe
-    return out_rgba, out_depth
+    a = pm[:, 3:4]
+    pm[:, :3] /= np.where(a <= 0.0, 1.0, a)
+    return upix, pm, near
 
 
 def fragment_order(pixels: np.ndarray, depths: np.ndarray, thresholds=()):
@@ -270,7 +291,16 @@ class Framebuffer:
         self.clear()
 
     def clear(self) -> None:
-        self.rgba[...] = self.background
+        # one pixel, then doubling block copies: broadcasting the (4,)
+        # background runs an inner loop 4 long and costs several times
+        # as much
+        flat = self.rgba.reshape(-1, 4)
+        flat[0] = self.background
+        n, total = 1, len(flat)
+        while n < total:
+            k = min(n, total - n)
+            flat[n : n + k] = flat[:k]
+            n += k
         self.depth[...] = np.inf
 
     @property
@@ -289,25 +319,37 @@ class Framebuffer:
 
     def layer_over(self, layer_rgba: np.ndarray, layer_depth: np.ndarray | None = None) -> None:
         """Composite a full-size layer over the framebuffer, optionally
-        updating depth where the layer is visibly present."""
+        updating depth where the layer is visibly present.
+
+        Every pixel goes through the operator, so a pixel the layer
+        leaves empty (alpha 0) is rewritten as rgb * a / a, and its rgb
+        becomes zero where its own alpha is 0.  Passes that cover part
+        of the frame use :meth:`pixels_over`."""
         if layer_rgba.shape != self.rgba.shape:
             raise ValueError("layer shape mismatch")
-        composite_over_under_depth = layer_rgba  # naming clarity only
-        composite_over(self.rgba.reshape(-1, 4), composite_over_under_depth.reshape(-1, 4))
+        composite_over(self.rgba.reshape(-1, 4), layer_rgba.reshape(-1, 4))
         if layer_depth is not None:
             present = layer_rgba[..., 3] > 1e-4
             self.depth[present] = np.minimum(self.depth[present], layer_depth[present])
 
-    def layer_under(self, layer_rgba: np.ndarray, layer_depth: np.ndarray | None = None) -> None:
-        """Composite a layer *under* the current framebuffer content."""
-        if layer_rgba.shape != self.rgba.shape:
-            raise ValueError("layer shape mismatch")
-        tmp = layer_rgba.reshape(-1, 4).copy()
-        composite_over(tmp, self.rgba.reshape(-1, 4).copy())
-        self.rgba[...] = tmp.reshape(self.rgba.shape)
-        if layer_depth is not None:
-            present = layer_rgba[..., 3] > 1e-4
-            self.depth[present] = np.minimum(self.depth[present], layer_depth[present])
+    def pixels_over(
+        self, pix: np.ndarray, rgba: np.ndarray, depth: np.ndarray | None = None
+    ) -> None:
+        """Composite non-premultiplied ``rgba`` (P, 4) over the unique
+        flat pixels ``pix``, with :meth:`layer_over`'s arithmetic and
+        depth rule (depth moves where alpha > 1e-4).
+
+        A covered pixel ends bit for bit as under :meth:`layer_over` of
+        the full-size layer that holds ``rgba`` at ``pix`` and zeros
+        elsewhere; every other pixel keeps its exact bytes.
+        """
+        flat = self.rgba.reshape(-1, 4)
+        flat[pix] = composite_over(flat.take(pix, axis=0), rgba)
+        if depth is not None:
+            present = rgba[:, 3] > 1e-4
+            up = pix[present]
+            d = self.depth.reshape(-1)
+            d[up] = np.minimum(d[up], depth[present])
 
     def to_rgb8(self) -> np.ndarray:
         """Flatten against the background color and quantize to uint8."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.trace import count
 from repro.render.camera import Camera
-from repro.render.framebuffer import Framebuffer, composite_fragments
+from repro.render.framebuffer import Framebuffer, resolve_fragments
 
 __all__ = [
     "select_fraction",
@@ -67,7 +67,7 @@ def point_fragments(
     Returns
     -------
     (pix, depth, rgba) arrays suitable for
-    :func:`repro.render.framebuffer.composite_fragments` and
+    :func:`repro.render.framebuffer.resolve_fragments` and
     :func:`repro.render.volume.render_mixed`.
     """
     if point_size < 1:
@@ -223,9 +223,5 @@ def render_points(
     if fb is None:
         fb = Framebuffer(camera.width, camera.height)
     pix, dep, col = point_fragments(camera, points, rgba, point_size=point_size)
-    layer, ldepth = composite_fragments(pix, dep, col, fb.n_pixels)
-    fb.layer_over(
-        layer.reshape(fb.height, fb.width, 4),
-        ldepth.reshape(fb.height, fb.width),
-    )
+    fb.pixels_over(*resolve_fragments(pix, dep, col))
     return fb

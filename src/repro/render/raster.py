@@ -6,9 +6,12 @@ perspective-correct interpolated vertex attributes and can be resolved
 two ways, matching the two hardware paths the paper uses:
 
 - ``resolve_opaque``: classic z-buffer (nearest fragment wins),
-- ``composite_fragments`` (in :mod:`repro.render.framebuffer`):
+- ``resolve_fragments`` (in :mod:`repro.render.framebuffer`):
   per-pixel depth-sorted blending, the software equivalent of the
   GeForce 3 order-independent transparency path.
+
+Both return only the pixels the fragments cover, which
+:meth:`repro.render.framebuffer.Framebuffer.pixels_over` composites.
 
 The inner loop is vectorized across triangles: triangles are grouped
 into buckets of similar bounding-box size and each bucket is scanned
@@ -229,25 +232,23 @@ def _raster_chunk(
     return Fragments(pix, frag_depth, attrs, tri_global)
 
 
-def resolve_opaque(frags: Fragments, n_pixels: int, rgb_attr: str = "rgb"):
+def resolve_opaque(frags: Fragments, rgb_attr: str = "rgb"):
     """Classic z-buffer resolve: nearest fragment per pixel wins.
 
-    Returns
-    -------
-    rgba : (n_pixels, 4) with alpha 1 where covered
-    depth : (n_pixels,) nearest depth (+inf where empty)
+    Returns the covered pixels only, in the form
+    :meth:`repro.render.framebuffer.Framebuffer.pixels_over` takes:
+
+    pix : (P,) unique flat pixel indices, ascending
+    rgba : (P, 4) the winner's rgb clipped to [0, 1], alpha 1
+    depth : (P,) nearest depth
     """
-    rgba = np.zeros((n_pixels, 4))
-    depth_out = np.full(n_pixels, np.inf)
     if len(frags) == 0:
-        return rgba, depth_out
+        return np.empty(0, dtype=np.int64), np.empty((0, 4)), np.empty(0)
     order, _ = fragment_order(frags.pix, frags.depth)
     pix = frags.pix[order]
     first = np.ones(pix.size, dtype=bool)
     first[1:] = pix[1:] != pix[:-1]
     idx = order[first]
-    rgb = frags.attrs[rgb_attr][idx]
-    rgba[frags.pix[idx], :3] = np.clip(rgb[:, :3], 0.0, 1.0)
-    rgba[frags.pix[idx], 3] = 1.0
-    depth_out[frags.pix[idx]] = frags.depth[idx]
-    return rgba, depth_out
+    rgba = np.ones((idx.size, 4))
+    rgba[:, :3] = np.clip(frags.attrs[rgb_attr][idx][:, :3], 0.0, 1.0)
+    return pix[first], rgba, frags.depth[idx]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.render.camera import Camera
-from repro.render.framebuffer import Framebuffer, composite_fragments
+from repro.render.framebuffer import Framebuffer, resolve_fragments
 
 __all__ = ["draw_polyline", "draw_box", "draw_structure_outline"]
 
@@ -56,10 +56,7 @@ def draw_polyline(
     rgba = np.empty((len(pix), 4))
     rgba[:, :3] = np.asarray(color, dtype=np.float64)
     rgba[:, 3] = alpha
-    layer, depth = composite_fragments(pix, dep, rgba, fb.n_pixels)
-    fb.layer_over(
-        layer.reshape(fb.height, fb.width, 4), depth.reshape(fb.height, fb.width)
-    )
+    fb.pixels_over(*resolve_fragments(pix, dep, rgba))
     return fb
 
 

@@ -85,9 +85,14 @@ class TestOpenDataset:
         blo, bhi = b.bounds()
         assert np.array_equal(alo, blo) and np.array_equal(ahi, bhi)
 
-    def test_unrecognized_path(self, tmp_path):
-        with pytest.raises(FormatError):
+    def test_missing_path(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="no such sharded store"):
             open_dataset(tmp_path / "nope")
+
+    def test_unrecognized_path(self, tmp_path):
+        (tmp_path / "plain").mkdir()
+        with pytest.raises(FormatError, match="not a sharded store directory"):
+            open_dataset(tmp_path / "plain")
 
     def test_unrecognized_type(self):
         with pytest.raises(TypeError):

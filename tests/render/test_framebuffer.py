@@ -120,13 +120,32 @@ class TestFramebuffer:
         assert fb.depth[0, 0] == 3.0
         assert np.isinf(fb.depth[1, 1])
 
-    def test_layer_under_keeps_existing_on_top(self):
-        fb = Framebuffer(1, 1)
-        top = np.zeros((1, 1, 4)); top[0, 0] = [1, 0, 0, 1]
-        fb.layer_over(top)
-        under = np.zeros((1, 1, 4)); under[0, 0] = [0, 1, 0, 1]
-        fb.layer_under(under)
-        assert np.allclose(fb.rgba[0, 0, :3], [1, 0, 0])
+    @pytest.mark.parametrize("background", [(0.2, 0.3, 0.4, 0.0), (-0.0, -0.0, -0.0, -0.0)])
+    @pytest.mark.parametrize("size", [(1, 1), (3, 1), (7, 5), (256, 256)])
+    def test_clear_equals_broadcast_fill(self, background, size):
+        fb = Framebuffer(*size, background=background)
+        rgba, depth = fb.rgba, fb.depth
+        want = np.empty_like(rgba)
+        want[...] = np.asarray(background, dtype=np.float64)
+        assert rgba.tobytes() == want.tobytes()
+        fb.rgba[...] = 0.5
+        fb.depth[...] = 1.0
+        fb.clear()
+        assert fb.rgba is rgba and fb.depth is depth
+        assert rgba.tobytes() == want.tobytes()
+        assert np.all(np.isinf(depth))
+
+    def test_pixels_over_updates_covered_pixels_only(self):
+        fb = Framebuffer(3, 1, background=(0.2, 0.3, 0.4, 0.0))
+        fb.depth[...] = 5.0
+        before = fb.rgba.copy()
+        pix = np.array([0, 2])
+        rgba = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1e-5]])
+        fb.pixels_over(pix, rgba, np.array([3.0, 1.0]))
+        assert fb.rgba[0, 0].tolist() == [1.0, 0.0, 0.0, 1.0]
+        assert fb.rgba[0, 1].tobytes() == before[0, 1].tobytes()
+        # depth moves only where the pass is visibly present
+        assert fb.depth[0].tolist() == [3.0, 5.0, 5.0]
 
     def test_to_rgb8_blends_background(self):
         fb = Framebuffer(1, 1, background=(1.0, 1.0, 1.0, 0.0))

@@ -273,7 +273,11 @@ class TestTieStreams:
     def test_resolve_opaque(self, case):
         pix, depths, rgba, n_pixels, _ = case
         frags = Fragments(pix, depths, {"rgb": rgba[:, :3]}, np.arange(len(pix)))
-        got = resolve_opaque(frags, n_pixels)
+        upix, col, near = resolve_opaque(frags)
+        # the covered pixels, scattered into the reference's full frame
+        got = (np.zeros((n_pixels, 4)), np.full(n_pixels, np.inf))
+        got[0][upix] = col
+        got[1][upix] = near
         want = _ref_resolve_opaque(frags, n_pixels)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()

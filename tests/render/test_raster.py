@@ -109,13 +109,13 @@ class TestResolveOpaque:
         rgb = np.zeros((8, 3))
         rgb[4:, 0] = 1.0  # near quad (z=1 is closer to eye at z=5) is red
         f = rasterize(cam, verts, tris, {"rgb": rgb})
-        rgba, depth = resolve_opaque(f, cam.width * cam.height)
+        pix, rgba, depth = resolve_opaque(f)
+        assert pix.tolist() == list(range(cam.width * cam.height))
         assert np.allclose(rgba[:, 0], 1.0)
         assert np.allclose(rgba[:, 3], 1.0)
         assert depth.max() == pytest.approx(depth.min(), rel=0.3)
 
     def test_empty_fragments(self):
         f = Fragments.empty(["rgb"], [3])
-        rgba, depth = resolve_opaque(f, 16)
-        assert np.all(rgba == 0)
-        assert np.all(np.isinf(depth))
+        pix, rgba, depth = resolve_opaque(f)
+        assert pix.shape == (0,) and rgba.shape == (0, 4) and depth.shape == (0,)

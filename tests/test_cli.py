@@ -324,6 +324,16 @@ class TestExitCodes:
                      "--out", str(tmp_path / "h.hybrid")]) == 2
         assert "repro:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["partition"], ["forest", "partition"]])
+    def test_missing_frame_store_exits_2(self, tmp_path, capsys, command):
+        missing = tmp_path / "nope"
+        assert main([*command, str(missing), "--out", str(tmp_path / "p")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ") and str(missing) in err
+        assert "no such sharded store" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "p").exists()
+
     def test_exit_codes_are_distinct(self):
         from repro.cli import (
             EXIT_FORMAT_ERROR,

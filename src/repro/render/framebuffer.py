@@ -332,12 +332,11 @@ class Framebuffer:
             present = layer_rgba[..., 3] > 1e-4
             self.depth[present] = np.minimum(self.depth[present], layer_depth[present])
 
-    def pixels_over(
-        self, pix: np.ndarray, rgba: np.ndarray, depth: np.ndarray | None = None
-    ) -> None:
-        """Composite non-premultiplied ``rgba`` (P, 4) over the unique
-        flat pixels ``pix``, with :meth:`layer_over`'s arithmetic and
-        depth rule (depth moves where alpha > 1e-4).
+    def pixels_over(self, pix: np.ndarray, rgba: np.ndarray, depth: np.ndarray) -> None:
+        """Composite non-premultiplied ``rgba`` (P, 4) with ``depth``
+        (P,) over the unique flat pixels ``pix``, with
+        :meth:`layer_over`'s arithmetic and depth rule (depth moves
+        where alpha > 1e-4).
 
         A covered pixel ends bit for bit as under :meth:`layer_over` of
         the full-size layer that holds ``rgba`` at ``pix`` and zeros
@@ -345,11 +344,10 @@ class Framebuffer:
         """
         flat = self.rgba.reshape(-1, 4)
         flat[pix] = composite_over(flat.take(pix, axis=0), rgba)
-        if depth is not None:
-            present = rgba[:, 3] > 1e-4
-            up = pix[present]
-            d = self.depth.reshape(-1)
-            d[up] = np.minimum(d[up], depth[present])
+        present = rgba[:, 3] > 1e-4
+        up = pix[present]
+        d = self.depth.reshape(-1)
+        d[up] = np.minimum(d[up], depth[present])
 
     def to_rgb8(self) -> np.ndarray:
         """Flatten against the background color and quantize to uint8."""

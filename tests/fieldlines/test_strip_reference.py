@@ -8,7 +8,8 @@ and transparent; streamtubes; ribbons; illuminated lines;
 :meth:`Framebuffer.pixels_over`.  The ``_ref_*`` functions below are
 what these replaced, kept verbatim: the per-line strip builder and the
 two full-frame paths, ``resolve_opaque`` -> ``layer_over`` and
-``composite_fragments`` -> ``layer_over``.
+``composite_fragments`` -> ``layer_over``, whose full-frame resolves
+are the references of ``tests/render/test_composite_reference.py``.
 
 Every ``StripMesh`` array must equal the reference byte for byte.  A
 renderer pass is checked against the full-frame path on the same
@@ -42,20 +43,17 @@ from repro.fieldlines.sos import StripMesh, build_strips, render_strips
 from repro.fieldlines.streamtube import build_tubes, render_tubes
 from repro.fieldlines.transparency import render_with_emphasis
 from repro.render.camera import Camera
-from repro.render.framebuffer import (
-    Framebuffer,
-    accumulate_fragments,
-    composite_over,
-    fragment_order,
-)
+from repro.render.framebuffer import Framebuffer, composite_over
 from repro.render.points import render_points
 from repro.render.raster import Fragments
 from repro.render.wireframe import draw_box, draw_polyline
 
+from ..render.test_composite_reference import _ref_composite_fragments, _ref_resolve_opaque
+
 
 # ----------------------------------------------------------------------
-# reference: the per-line strip builder and the full-frame compositing
-# paths, verbatim
+# reference: the per-line strip builder and the full-frame over,
+# verbatim; the full-frame resolves are test_composite_reference's
 def _ref_side_vectors(points: np.ndarray, tangents: np.ndarray, eye: np.ndarray) -> np.ndarray:
     """Unit vectors across the strip: T x (eye - p), degenerate spans
     (tangent parallel to the view ray) reuse the previous side."""
@@ -138,39 +136,6 @@ def _ref_build_strips(
     )
 
 
-def _ref_resolve_opaque(frags: Fragments, n_pixels: int, rgb_attr: str = "rgb"):
-    rgba = np.zeros((n_pixels, 4))
-    depth_out = np.full(n_pixels, np.inf)
-    if len(frags) == 0:
-        return rgba, depth_out
-    order, _ = fragment_order(frags.pix, frags.depth)
-    pix = frags.pix[order]
-    first = np.ones(pix.size, dtype=bool)
-    first[1:] = pix[1:] != pix[:-1]
-    idx = order[first]
-    rgb = frags.attrs[rgb_attr][idx]
-    rgba[frags.pix[idx], :3] = np.clip(rgb[:, :3], 0.0, 1.0)
-    rgba[frags.pix[idx], 3] = 1.0
-    depth_out[frags.pix[idx]] = frags.depth[idx]
-    return rgba, depth_out
-
-
-def _ref_composite_fragments(pixels, depths, rgba, n_pixels: int):
-    out_rgba = np.zeros((n_pixels, 4))
-    out_depth = np.full(n_pixels, np.inf)
-    upix, pm, near, _ = accumulate_fragments(pixels, depths, rgba)
-    if upix.size == 0:
-        return out_rgba, out_depth
-    out_rgba[upix] = pm
-    out_depth[upix] = near
-
-    # un-premultiply
-    a = out_rgba[:, 3:4]
-    safe = np.where(a <= 0.0, 1.0, a)
-    out_rgba[:, :3] /= safe
-    return out_rgba, out_depth
-
-
 def _ref_layer_over(fb: Framebuffer, layer_rgba, layer_depth=None) -> None:
     if layer_rgba.shape != fb.rgba.shape:
         raise ValueError("layer shape mismatch")
@@ -219,7 +184,7 @@ class PassSpy:
             )
             return real_fragments(pixels, depths, rgba)
 
-        def over(fb, pix, rgba, depth=None):
+        def over(fb, pix, rgba, depth):
             before = (fb.rgba.copy(), fb.depth.copy())
             real_over(fb, pix, rgba, depth)
             self.states.append((before, (fb.rgba.copy(), fb.depth.copy()), np.asarray(pix)))

@@ -21,7 +21,7 @@ from repro.render.camera import Camera
 from repro.render.colormap import Colormap, get_colormap
 from repro.render.framebuffer import Framebuffer
 from repro.render.raster import rasterize, resolve_opaque
-from repro.render.shading import phong
+from repro.render.shading import magnitude_t, phong
 
 __all__ = ["build_ribbons", "render_ribbons"]
 
@@ -146,13 +146,8 @@ def render_ribbons(
     facing = normals @ view
     normals = np.where(facing[:, None] < 0.0, -normals, normals)
 
-    mag = frags.attrs["mag"][:, 0]
-    if magnitude_range is None:
-        lo, hi = float(ribbons.magnitude.min()), float(ribbons.magnitude.max())
-    else:
-        lo, hi = magnitude_range
-    t = np.clip((mag - lo) / max(hi - lo, 1e-300), 0.0, 1.0)
-    rgb = phong(normals, view, view, cmap(t))
+    t = magnitude_t(frags.attrs["mag"][:, 0], ribbons.magnitude, magnitude_range)
+    rgb = phong(normals, view, view, cmap(np.clip(t, 0.0, 1.0)))
     frags.attrs["rgb"] = rgb
     fb.pixels_over(*resolve_opaque(frags))
     return fb

@@ -23,10 +23,10 @@ import numpy as np
 
 from repro.core.trace import count, span
 from repro.render.camera import Camera
-from repro.render.colormap import Colormap, get_colormap
+from repro.render.colormap import Colormap
 from repro.render.framebuffer import Framebuffer, resolve_fragments
 from repro.render.raster import rasterize, resolve_opaque
-from repro.render.shading import halo_profile, strip_shading
+from repro.render.shading import magnitude_t, strip_colors
 
 __all__ = ["StripMesh", "build_strip", "build_strips", "render_strips"]
 
@@ -202,34 +202,16 @@ def render_strips(
             fb = Framebuffer(camera.width, camera.height)
         if frags is None or len(frags) == 0:
             return fb
-        cmap = get_colormap(colormap) if isinstance(colormap, str) else colormap
-        v = frags.attrs["v"][:, 0]
-        mag = frags.attrs["mag"][:, 0]
-        if magnitude_range is None:
-            lo, hi = float(strips.magnitude.min()), float(strips.magnitude.max())
-        else:
-            lo, hi = magnitude_range
-        t = (mag - lo) / max(hi - lo, 1e-300)
-        base_rgb = cmap(np.clip(t, 0.0, 1.0))
-
-        if shading == "bump":
-            rgb = strip_shading(v, base_rgb)
-        elif shading == "flat":
-            rgb = base_rgb
-        else:
-            raise ValueError("shading must be 'bump' or 'flat'")
-
-        if halo_core is not None:
-            rgb = rgb * halo_profile(v, core=halo_core)[:, None]
-
-        transparent = alpha_by_magnitude or base_alpha < 1.0
-        if not transparent:
+        t = magnitude_t(frags.attrs["mag"][:, 0], strips.magnitude, magnitude_range)
+        rgb, alpha = strip_colors(
+            frags.attrs["v"][:, 0], t, colormap, shading, halo_core, base_alpha,
+            alpha_by_magnitude,
+        )
+        if not (alpha_by_magnitude or base_alpha < 1.0):
             frags.attrs["rgb"] = rgb
             fb.pixels_over(*resolve_opaque(frags))
         else:
-            alpha = np.full(len(rgb), base_alpha)
-            if alpha_by_magnitude:
-                alpha = alpha * np.clip(t, 0.05, 1.0)
-            rgba_frag = np.column_stack([rgb, alpha])
-            fb.pixels_over(*resolve_fragments(frags.pix, frags.depth, rgba_frag))
+            fb.pixels_over(
+                *resolve_fragments(frags.pix, frags.depth, np.column_stack([rgb, alpha]))
+            )
     return fb

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.render.camera import Camera
-from repro.render.colormap import Colormap, get_colormap
+from repro.render.colormap import Colormap
 from repro.render.framebuffer import Framebuffer
 from repro.render.raster import rasterize, resolve_opaque
-from repro.render.shading import phong
+from repro.render.shading import magnitude_t, tube_colors
 
 __all__ = ["TubeMesh", "build_tubes", "render_tubes"]
 
@@ -148,8 +148,6 @@ def render_tubes(
         fb = Framebuffer(camera.width, camera.height)
     if tubes.n_triangles == 0:
         return fb
-    cmap = get_colormap(colormap) if isinstance(colormap, str) else colormap
-
     frags = rasterize(
         camera,
         tubes.vertices,
@@ -158,18 +156,7 @@ def render_tubes(
     )
     if len(frags) == 0:
         return fb
-    mag = frags.attrs["mag"][:, 0]
-    if magnitude_range is None:
-        lo, hi = float(tubes.magnitude.min()), float(tubes.magnitude.max())
-    else:
-        lo, hi = magnitude_range
-    t = np.clip((mag - lo) / max(hi - lo, 1e-300), 0.0, 1.0)
-    base_rgb = cmap(t)
-    normals = frags.attrs["normal"]
-    nn = np.linalg.norm(normals, axis=1, keepdims=True)
-    normals = normals / np.where(nn < 1e-12, 1.0, nn)
-    headlight = camera.forward * -1.0
-    rgb = phong(normals, headlight, headlight, base_rgb)
-    frags.attrs["rgb"] = rgb
+    t = magnitude_t(frags.attrs["mag"][:, 0], tubes.magnitude, magnitude_range)
+    frags.attrs["rgb"] = tube_colors(frags.attrs["normal"], t, colormap, -camera.forward)
     fb.pixels_over(*resolve_opaque(frags))
     return fb

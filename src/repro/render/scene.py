@@ -22,13 +22,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.render.camera import Camera
-from repro.render.colormap import Colormap, get_colormap
+from repro.render.colormap import Colormap
 from repro.render.framebuffer import Framebuffer
 from repro.render.points import gaussian_splat_fragments, point_fragments
 from repro.render.raster import rasterize
-from repro.render.shading import halo_profile, phong, strip_shading
+from repro.render.shading import magnitude_t, strip_colors, tube_colors
 from repro.render.volume import render_mixed
-from repro.render.wireframe import _polyline_fragments
+from repro.render.wireframe import sample_polylines, structure_outline
 
 __all__ = ["Scene"]
 
@@ -78,10 +78,10 @@ class Scene:
         alpha_by_magnitude: bool = False,
         magnitude_range=None,
     ) -> "Scene":
-        """Self-orienting strips (or ribbons), shaded to fragments."""
+        """Self-orienting strips (or ribbons), shaded to fragments as
+        ``render_strips`` shades them (:func:`strip_colors`)."""
         if strips.n_triangles == 0:
             return self
-        cmap = get_colormap(colormap) if isinstance(colormap, str) else colormap
         frags = rasterize(
             self.camera,
             strips.vertices,
@@ -90,25 +90,10 @@ class Scene:
         )
         if len(frags) == 0:
             return self
-        v = frags.attrs["v"][:, 0]
-        mag = frags.attrs["mag"][:, 0]
-        if magnitude_range is None:
-            lo, hi = float(strips.magnitude.min()), float(strips.magnitude.max())
-        else:
-            lo, hi = magnitude_range
-        t = np.clip((mag - lo) / max(hi - lo, 1e-300), 0.0, 1.0)
-        base = cmap(t)
-        if shading == "bump":
-            rgb = strip_shading(v, base)
-        elif shading == "flat":
-            rgb = base
-        else:
-            raise ValueError("shading must be 'bump' or 'flat'")
-        if halo_core is not None:
-            rgb = rgb * halo_profile(v, core=halo_core)[:, None]
-        a = np.full(len(rgb), alpha)
-        if alpha_by_magnitude:
-            a = a * np.clip(t, 0.05, 1.0)
+        t = magnitude_t(frags.attrs["mag"][:, 0], strips.magnitude, magnitude_range)
+        rgb, a = strip_colors(
+            frags.attrs["v"][:, 0], t, colormap, shading, halo_core, alpha, alpha_by_magnitude
+        )
         self._push(frags.pix, frags.depth, np.column_stack([rgb, a]))
         return self
 
@@ -119,10 +104,10 @@ class Scene:
         alpha: float = 1.0,
         magnitude_range=None,
     ) -> "Scene":
-        """Phong-shaded streamtubes to fragments."""
+        """Phong-shaded streamtubes to fragments, as ``render_tubes``
+        shades them (:func:`tube_colors`)."""
         if tubes.n_triangles == 0:
             return self
-        cmap = get_colormap(colormap) if isinstance(colormap, str) else colormap
         frags = rasterize(
             self.camera,
             tubes.vertices,
@@ -131,60 +116,31 @@ class Scene:
         )
         if len(frags) == 0:
             return self
-        normals = frags.attrs["normal"]
-        nn = np.linalg.norm(normals, axis=1, keepdims=True)
-        normals = normals / np.where(nn < 1e-12, 1.0, nn)
-        mag = frags.attrs["mag"][:, 0]
-        if magnitude_range is None:
-            lo, hi = float(tubes.magnitude.min()), float(tubes.magnitude.max())
-        else:
-            lo, hi = magnitude_range
-        t = np.clip((mag - lo) / max(hi - lo, 1e-300), 0.0, 1.0)
-        headlight = -self.camera.forward
-        rgb = phong(normals, headlight, headlight, cmap(t))
-        self._push(
-            frags.pix, frags.depth,
-            np.column_stack([rgb, np.full(len(rgb), alpha)]),
-        )
+        t = magnitude_t(frags.attrs["mag"][:, 0], tubes.magnitude, magnitude_range)
+        rgb = tube_colors(frags.attrs["normal"], t, colormap, -self.camera.forward)
+        self._push(frags.pix, frags.depth, np.column_stack([rgb, np.full(len(rgb), alpha)]))
+        return self
+
+    def _add_polylines(self, polylines, color, alpha) -> "Scene":
+        pix, dep, _, _ = sample_polylines(self.camera, polylines)
+        rgba = np.empty((len(pix), 4))
+        rgba[:, :3] = np.asarray(color, dtype=np.float64)
+        rgba[:, 3] = alpha
+        self._push(pix, dep, rgba)
         return self
 
     def add_polyline(self, points, color=(0.45, 0.45, 0.5), alpha: float = 1.0) -> "Scene":
-        pix, dep = _polyline_fragments(self.camera, points)
-        if len(pix):
-            rgba = np.empty((len(pix), 4))
-            rgba[:, :3] = np.asarray(color, dtype=np.float64)
-            rgba[:, 3] = alpha
-            self._push(pix, dep, rgba)
-        return self
+        return self._add_polylines([points], color, alpha)
 
     def add_wireframe_structure(
         self, structure, color=(0.4, 0.42, 0.48), alpha: float = 0.5,
         half: str | None = None, n_rings: int = 24, n_theta: int = 48,
         n_axial: int = 8,
     ) -> "Scene":
-        """Structure outline rings + axial lines as fragments."""
-        if half not in (None, "front", "back"):
-            raise ValueError("half must be None, 'front', or 'back'")
-        if half == "back":
-            thetas = np.linspace(np.pi, 2 * np.pi, n_theta)
-        elif half == "front":
-            thetas = np.linspace(0.0, np.pi, n_theta)
-        else:
-            thetas = np.linspace(0.0, 2 * np.pi, n_theta + 1)
-        for z in np.linspace(0.0, structure.length, n_rings):
-            r = structure.wall_radius(thetas, np.full_like(thetas, z))
-            ring = np.column_stack(
-                [r * np.cos(thetas), r * np.sin(thetas), np.full_like(thetas, z)]
-            )
-            self.add_polyline(ring, color=color, alpha=alpha)
-        z_fine = np.linspace(0.0, structure.length, 96)
-        for theta in np.linspace(thetas[0], thetas[-1], n_axial):
-            r = structure.wall_radius(np.full_like(z_fine, theta), z_fine)
-            self.add_polyline(
-                np.column_stack([r * np.cos(theta), r * np.sin(theta), z_fine]),
-                color=color, alpha=alpha,
-            )
-        return self
+        """Structure outline rings + axial lines as fragments
+        (:func:`repro.render.wireframe.structure_outline`)."""
+        polylines = structure_outline(structure, half, n_rings, n_theta, n_axial)
+        return self._add_polylines(polylines, color, alpha)
 
     def add_volume(self, rgba_volume, lo=None, hi=None) -> "Scene":
         """The (single) classified density volume -- a dense

@@ -10,17 +10,26 @@ Reproduces the paper's perception toolkit (section 3.3):
 - ``halo_profile``: black rims outside a core width, the haloing cue.
 - ``line_illumination``: the tangent-based lighting of the illuminated
   field lines baseline (Stalling, Zoeckler, Hege [13]).
+
+``magnitude_t``, ``strip_colors`` and ``tube_colors`` color the
+fragments of field-line strips and tubes, for the direct renderers and
+for :class:`repro.render.scene.Scene` alike.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.render.colormap import Colormap, get_colormap
+
 __all__ = [
     "strip_shading",
     "halo_profile",
     "line_illumination",
     "phong",
+    "magnitude_t",
+    "strip_colors",
+    "tube_colors",
 ]
 
 
@@ -131,3 +140,57 @@ def line_illumination(
         base = np.broadcast_to(base, t.shape[:-1] + (3,))
     out = base * (ambient + diffuse * dif[..., None]) + specular * spec[..., None]
     return np.clip(out, 0.0, 1.0)
+
+
+def magnitude_t(mag: np.ndarray, magnitudes: np.ndarray, magnitude_range=None) -> np.ndarray:
+    """Fragment magnitudes as colormap coordinates, ``(mag - lo) / (hi -
+    lo)``, not clipped.  ``magnitude_range`` is (lo, hi); by default the
+    range of ``magnitudes``."""
+    if magnitude_range is None:
+        lo, hi = float(magnitudes.min()), float(magnitudes.max())
+    else:
+        lo, hi = magnitude_range
+    return (mag - lo) / max(hi - lo, 1e-300)
+
+
+def strip_colors(
+    v: np.ndarray,
+    t: np.ndarray,
+    colormap: Colormap | str,
+    shading: str,
+    halo_core: float | None,
+    alpha: float,
+    alpha_by_magnitude: bool,
+):
+    """RGB and alpha of strip fragments.
+
+    The colormap at ``t`` (:func:`magnitude_t`), shaded as a lit tube
+    (``shading='bump'``, :func:`strip_shading`) or not ('flat'),
+    darkened to a halo outside ``halo_core`` (None: no halo); alpha is
+    ``alpha``, scaled by ``t`` clipped to [0.05, 1] when
+    ``alpha_by_magnitude``.  Returns (rgb (F, 3), alpha (F,)).
+    """
+    cmap = get_colormap(colormap) if isinstance(colormap, str) else colormap
+    rgb = cmap(np.clip(t, 0.0, 1.0))
+    if shading == "bump":
+        rgb = strip_shading(v, rgb)
+    elif shading != "flat":
+        raise ValueError("shading must be 'bump' or 'flat'")
+    if halo_core is not None:
+        rgb = rgb * halo_profile(v, core=halo_core)[:, None]
+    a = np.full(len(rgb), alpha)
+    if alpha_by_magnitude:
+        a = a * np.clip(t, 0.05, 1.0)
+    return rgb, a
+
+
+def tube_colors(
+    normals: np.ndarray, t: np.ndarray, colormap: Colormap | str, headlight: np.ndarray
+) -> np.ndarray:
+    """Phong-lit RGB of tube fragments: the colormap at ``t``
+    (:func:`magnitude_t`) under a headlight, on the interpolated
+    normals made unit length."""
+    cmap = get_colormap(colormap) if isinstance(colormap, str) else colormap
+    nn = np.linalg.norm(normals, axis=1, keepdims=True)
+    normals = normals / np.where(nn < 1e-12, 1.0, nn)
+    return phong(normals, headlight, headlight, cmap(np.clip(t, 0.0, 1.0)))

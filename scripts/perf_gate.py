@@ -163,6 +163,7 @@ GATES = {
     "lod": Gate(
         "progressive streaming: time to first image vs a flat fetch, valid prefixes, exact end",
         "tests/octree/test_lod.py tests/remote/test_progressive.py "
+        "tests/remote/test_stream_assembly_reference.py "
         "tests/remote/test_control_loops.py tests/remote/test_protocol.py tests/test_public_api.py",
         "benchmarks/bench_lod.py",
         "BENCH_lod.json",

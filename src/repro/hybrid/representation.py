@@ -93,7 +93,9 @@ class HybridFrame:
     Immutable: the arrays it is given are made read-only in place (pass
     a copy to keep a writeable one; a view is copied, since its base
     would stay writeable), and a changed frame is a new one
-    (``dataclasses.replace``).
+    (``dataclasses.replace``).  The one remaining way to write a
+    frame's data is through the ``.base`` of a progressive stream's
+    intermediate frame (:meth:`_over_prefix`), whose owner never does.
     """
 
     volume: np.ndarray                    # (rx, ry, rz) float32 density
@@ -143,6 +145,28 @@ class HybridFrame:
         put("hi", _read_only(np.array(self.hi, dtype=np.float64)))
         put("attributes", MappingProxyType(clean_attrs))
         put("meta", MappingProxyType(dict(self.meta)))
+
+    @classmethod
+    def _over_prefix(cls, like: "HybridFrame", volume, points, point_densities):
+        """``like``'s bounds, threshold, step and plot type over
+        ``volume`` and the prefix views ``points`` and
+        ``point_densities``, made read-only and kept as views.
+
+        Only for buffers whose owner never writes below the length of
+        a view it has handed out: ``VisualizationClient.iter_hybrid``'s
+        arrival-order buffers, which only append past the rows they
+        have yielded.  Everything else goes through the constructor,
+        which copies a view.
+        """
+        frame = cls(
+            volume=volume, points=points[:0], point_densities=point_densities[:0],
+            lo=like.lo, hi=like.hi, threshold=like.threshold, step=like.step,
+            plot_type=like.plot_type,
+        )
+        for name, view in (("points", points), ("point_densities", point_densities)):
+            view.flags.writeable = False
+            object.__setattr__(frame, name, view)
+        return frame
 
     def __reduce__(self):
         # rebuilt through the constructor: mapping proxies do not pickle,

@@ -346,17 +346,26 @@ class VisualizationClient:
         Speaks the pull-based LOD protocol: the first round-trip
         returns a coarse but *valid* :class:`HybridFrame` (the
         coarsest stored subsample of the halo plus a mip-resampled
-        volume), and each further round-trip merges one refinement
+        volume), and each further round-trip takes in one refinement
         unit, served by the server in screen-space-error priority
         order against ``eye`` (``None``: the frame's box center).
 
-        Every yielded frame is valid and monotonically more complete
-        -- its points are the file-order subset received so far -- and
+        Every yielded frame is valid and monotonically more complete.
+        Until the stream is complete its points are the units received
+        so far in arrival order, the base sample first as the wire
+        carries it, so each yield's points are a prefix of the next
+        yield's; the frames are read-only views of one buffer per
+        stream, which only grows past them.  Once every row and the
+        exact volume have arrived the frame is put in row order, and
         when the stream runs to completion the **last yielded frame is
         bit-identical to** :meth:`get_hybrid`'s for the same request.
         ``max_refinements`` stops early after that many units (the
-        caller keeps the best frame so far; the server discards the
-        stream when the session ends or on its next DONE pull).
+        caller keeps the best frame so far).  A stream not run to DONE
+        -- stopped early, or left by the caller -- keeps its slot on
+        the server until the session ends or the session opens more
+        than ``max_streams`` streams, which evicts the least recently
+        pulled one; a later pull on an evicted stream raises
+        :class:`~repro.core.errors.RemoteError`.
 
         The degradation policy does not apply here: ordering quality
         over time is this path's whole job, so the requested
@@ -366,8 +375,8 @@ class VisualizationClient:
         Raises :class:`~repro.core.errors.RemoteError` if the server
         ends the stream before full coverage (premature DONE), and
         :class:`~repro.core.errors.ProtocolError` for a unit whose rows
-        leave the halo ``[0, n_total)``, repeat inside the unit, or
-        were received before.
+        leave the halo ``[0, n_total)``, were received before, or
+        repeat inside the unit.
         """
         stream_id = self._next_stream_id
         self._next_stream_id += 1
@@ -394,74 +403,80 @@ class VisualizationClient:
             if kind != protocol.LodKind.BASE:
                 raise RemoteError(f"expected BASE stream unit, got {kind.name}")
             base, rows, n_total = protocol.decode_lod_base(payload)
+        # the first image is the base frame as decoded: no n_total
+        # buffer is touched before it
+        self._bump("frames")
+        yield base
+        # base and deltas tile the halo rows [0, n_total) exactly once:
+        # each unit is appended in arrival order, and where[row] is the
+        # row's arrival position (-1 until it arrives)
         volume = base.volume
-        # base and deltas tile the halo rows [0, n_total) exactly once,
-        # so each unit scatters into place by its rows, and the received
-        # rows in index order are the stream's points in file order
         points = np.empty((n_total, 3), dtype=np.float32)
         densities = np.empty(n_total, dtype=np.float32)
-        received = np.zeros(n_total, dtype=bool)
+        where = np.full(n_total, -1, dtype=np.int64)
         n_received = 0
         have_exact_volume = False
 
-        def scatter(rows, pts, dens) -> None:
+        def append(rows, pts, dens) -> None:
             nonlocal n_received
+            k, u = n_received, len(rows)
             problem = None
-            if len(rows) and (rows.min() < 0 or rows.max() >= n_total):
+            if u and (rows.min() < 0 or rows.max() >= n_total):
                 problem = f"a row outside [0, {n_total})"
-            elif received[rows].any():
+            elif (where[rows] >= 0).any():
                 problem = "a row already received"
             else:
-                received[rows] = True
-                n_received += len(rows)
-                if np.count_nonzero(received) != n_received:
+                slots = np.arange(k, k + u)
+                where[rows] = slots
+                if (where[rows] != slots).any():
                     problem = "a row twice"
             if problem is not None:
                 self._bump("errors")
                 raise ProtocolError(f"stream {stream_id}: a unit carries {problem}")
-            points[rows] = pts
-            densities[rows] = dens
+            points[k : k + u] = pts
+            densities[k : k + u] = dens
+            n_received = k + u
 
-        def assembled(pts, dens) -> HybridFrame:
-            return HybridFrame(
-                volume=volume,
-                points=pts,
-                point_densities=dens,
-                lo=base.lo,
-                hi=base.hi,
-                threshold=base.threshold,
-                step=base.step,
-                plot_type=base.plot_type,
+        def assembled() -> HybridFrame:
+            if n_received == n_total and have_exact_volume:
+                # complete: the halo rows in file order, as get_hybrid sends them
+                return HybridFrame(
+                    volume=volume,
+                    points=points.take(where, axis=0),
+                    point_densities=densities.take(where),
+                    lo=base.lo,
+                    hi=base.hi,
+                    threshold=base.threshold,
+                    step=base.step,
+                    plot_type=base.plot_type,
+                )
+            return HybridFrame._over_prefix(
+                base, volume, points[:n_received], densities[:n_received]
             )
 
-        # the first image is the base sample alone, put in row order by
-        # sorting it: scattering it first would fault in fresh pages
-        # across all n_total rows before the first image
-        order = np.argsort(rows, kind="stable")
-        self._bump("frames")
-        yield assembled(base.points[order], base.point_densities[order])
-        scatter(rows, base.points, base.point_densities)
+        append(rows, base.points, base.point_densities)
         served = 0
         while max_refinements is None or served < max_refinements:
-            _, kind, _, _, payload = pull()
-            if kind == protocol.LodKind.DONE:
-                if n_received != n_total or not have_exact_volume:
-                    raise RemoteError(
-                        f"stream ended after {n_received}/{n_total} points "
-                        f"(exact volume: {have_exact_volume})"
-                    )
-                return
-            if kind == protocol.LodKind.POINTS:
-                scatter(*protocol.decode_lod_points(payload))
-            elif kind == protocol.LodKind.VOLUME:
-                volume = protocol.decode_lod_volume(payload)
-                have_exact_volume = True
-            else:
-                raise RemoteError(f"unexpected stream unit {kind.name}")
-            self._bump("refinements")
-            served += 1
-            idx = np.flatnonzero(received)
-            yield assembled(points.take(idx, axis=0), densities.take(idx))
+            with span("remote_stream_unit", frame=frame_index, resolution=resolution):
+                _, kind, _, _, payload = pull()
+                if kind == protocol.LodKind.DONE:
+                    if n_received != n_total or not have_exact_volume:
+                        raise RemoteError(
+                            f"stream ended after {n_received}/{n_total} points "
+                            f"(exact volume: {have_exact_volume})"
+                        )
+                    return
+                if kind == protocol.LodKind.POINTS:
+                    append(*protocol.decode_lod_points(payload))
+                elif kind == protocol.LodKind.VOLUME:
+                    volume = protocol.decode_lod_volume(payload)
+                    have_exact_volume = True
+                else:
+                    raise RemoteError(f"unexpected stream unit {kind.name}")
+                self._bump("refinements")
+                served += 1
+                frame = assembled()
+            yield frame
 
     def throughput_bps(self) -> float:
         """Mean received throughput over all requests so far."""

@@ -478,7 +478,7 @@ def encode_lod_points(rows: np.ndarray, points: np.ndarray, densities: np.ndarra
 
 def decode_lod_points(payload: bytes):
     """Decode a POINTS unit; returns ``(rows, points, densities)`` as
-    views of the payload, for a caller that scatters them at once (the
+    views of the payload, for a caller that copies them at once (the
     views are unaligned and keep the whole payload alive)."""
     try:
         (n,) = _U64.unpack_from(payload, 0)

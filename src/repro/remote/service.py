@@ -220,7 +220,7 @@ class _Session:
     """Per-connection state: bounded request queue + write lock."""
 
     __slots__ = ("sid", "reader", "writer", "queue", "write_lock", "worker",
-                 "active", "streams")
+                 "active", "streams", "evicted")
 
     def __init__(self, sid: int, reader, writer, depth: int):
         self.sid = sid
@@ -230,7 +230,10 @@ class _Session:
         self.write_lock = asyncio.Lock()
         self.worker: asyncio.Task | None = None
         self.active = False  # True while the worker is serving a request
+        # open streams, least recently pulled first, and the ids of the
+        # last evicted ones (at most max_streams), whose next pull is refused
         self.streams: dict[int, _RefineStream] = {}
+        self.evicted: dict[int, None] = {}
 
 
 class _RefineStream:
@@ -289,6 +292,9 @@ class VisualizationService:
     bandwidth_bps : optional outgoing throttle emulating a slow link
     extract_fn : extraction callable (testing seam; defaults to
         :func:`repro.octree.extraction.extract`)
+    max_streams : progressive streams a session keeps open; opening one
+        more evicts the session's least recently pulled stream, whose
+        next pull is answered with an ERROR
     """
 
     def __init__(
@@ -321,7 +327,7 @@ class VisualizationService:
         self.shed_retry_after = float(shed_retry_after)
         self.bandwidth_bps = bandwidth_bps
         self._extract_fn = extract_fn or self._default_extract
-        self.max_streams = int(max_streams)
+        self.max_streams = max(int(max_streams), 1)
         self.unit_points = int(unit_points)
         self.shutdown_token = secrets.token_bytes(16)
 
@@ -363,6 +369,7 @@ class VisualizationService:
             "unauthorized_shutdowns": 0,
             "bytes_sent": 0,
             "streams": 0,
+            "streams_evicted": 0,
             "refinements": 0,
         }
 
@@ -675,26 +682,36 @@ class VisualizationService:
                 Message(MessageType.ERROR, f"frame index {index} out of range".encode()),
             )
             return
-        stream = session.streams.get(sid)
+        streams = session.streams
+        stream = streams.pop(sid, None)
         loop = asyncio.get_running_loop()
         try:
             if stream is None:
-                if len(session.streams) >= self.max_streams:
+                if sid in session.evicted:
+                    del session.evicted[sid]
                     await self._reply(
                         session,
                         Message(
                             MessageType.ERROR,
-                            f"session stream limit ({self.max_streams}) reached".encode(),
+                            f"stream {sid} was evicted: session stream limit "
+                            f"({self.max_streams}) reached".encode(),
                         ),
                     )
                     return
                 stream = await loop.run_in_executor(
                     self._pool, self._open_stream, index, threshold, resolution, eye
                 )
-                session.streams[sid] = stream
                 self._bump("streams")
+                if len(streams) >= self.max_streams:
+                    # a stream not run to DONE is never pulled again by a
+                    # caller that stopped early or left the loop
+                    oldest = next(iter(streams))
+                    del streams[oldest]
+                    session.evicted[oldest] = None
+                    if len(session.evicted) > self.max_streams:
+                        del session.evicted[next(iter(session.evicted))]
+                    self._bump("streams_evicted")
             if stream.pos >= stream.total:
-                session.streams.pop(sid, None)
                 payload = protocol.encode_lod_frame(
                     sid, LodKind.DONE, stream.pos, stream.total
                 )
@@ -705,8 +722,8 @@ class VisualizationService:
                 )
                 stream.pos += 1
                 self._bump("refinements")
+                streams[sid] = stream  # now the most recently pulled
         except Exception as exc:
-            session.streams.pop(sid, None)
             self._bump("extraction_errors")
             await self._reply(session, Message(MessageType.ERROR, str(exc).encode()))
             return

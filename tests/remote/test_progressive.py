@@ -10,8 +10,10 @@ The contract under test (ISSUE 8's tentpole acceptance):
   resolution and away from it (either way the exact volume is read
   from the store's ``volume_<res>.bin``),
 - refinement order is deterministic for a fixed eye,
-- frames without a built hierarchy, and streams past the per-session
-  limit, are refused with typed errors.
+- frames without a built hierarchy are refused with typed errors, and
+  past the per-session stream limit the least recently pulled stream
+  is evicted: its next pull is refused with a typed error, so streams
+  stopped early never lock the session.
 """
 
 import numpy as np
@@ -184,14 +186,16 @@ class TestRefusals:
             next(client.iter_hybrid(99, 1.0, resolution=32))
 
     def test_stream_limit_is_enforced(self, pstore, service):
+        """Opening a stream past the limit evicts the open one, whose
+        next pull is refused."""
         thr = threshold_of(pstore)
         with VisualizationService([pstore], max_streams=1) as svc:
             with VisualizationClient(svc.address, **CLIENT_KW) as c:
                 it1 = c.iter_hybrid(0, thr, resolution=32)
                 next(it1)  # stream 1 open and unfinished
-                with pytest.raises(RemoteError, match="stream"):
-                    next(c.iter_hybrid(0, thr, resolution=32, eye=(9.0, 9.0, 9.0)))
-                it1.close()
+                next(c.iter_hybrid(0, thr, resolution=32, eye=(9.0, 9.0, 9.0)))
+                with pytest.raises(RemoteError, match="stream 0 was evicted"):
+                    next(it1)
 
     def test_streams_die_with_the_session(self, pstore):
         thr = threshold_of(pstore)
@@ -203,6 +207,57 @@ class TestRefusals:
             # new session: the old session's stream holds no slot
             with VisualizationClient(svc.address, **CLIENT_KW) as c2:
                 assert len(list(c2.iter_hybrid(0, thr, resolution=32))) >= 3
+
+
+class TestStreamEviction:
+    """A stream not run to DONE -- stopped by ``max_refinements`` or
+    left by its caller -- is never pulled again; at the session's
+    stream limit the least recently pulled one makes room."""
+
+    def test_early_stopped_streams_do_not_lock_the_session(self, pstore, service, client):
+        thr = threshold_of(pstore, 55)
+        before = service.stats["streams_evicted"]
+        for _ in range(10):
+            frames = list(client.iter_hybrid(0, thr, 32, max_refinements=1))
+            assert len(frames) == 2
+        left = client.iter_hybrid(0, thr, 32)
+        next(left)  # the caller leaves after the first frame
+        *_, last = client.iter_hybrid(0, thr, 32)
+        assert_frames_bitwise(last, client.get_hybrid(0, thr, 32))
+        # 12 streams opened, 11 left open, 8 slots
+        assert service.stats["streams_evicted"] - before == 12 - service.max_streams
+
+    def test_least_recently_pulled_is_evicted(self, pstore):
+        thr = threshold_of(pstore)
+        with VisualizationService([pstore], max_streams=2, unit_points=2048) as svc:
+            with VisualizationClient(svc.address, **CLIENT_KW) as c:
+                a = c.iter_hybrid(0, thr, 32)
+                b = c.iter_hybrid(0, thr, 32, eye=(9.0, 9.0, 9.0))
+                next(a), next(b), next(a)  # b is now the least recently pulled
+                c3 = c.iter_hybrid(0, thr, 32, eye=(-9.0, 0.0, 0.0))
+                next(c3)
+                with pytest.raises(RemoteError, match="stream 1 was evicted"):
+                    next(b)
+                flat = c.get_hybrid(0, thr, 32)
+                for stream in (a, c3):
+                    *_, last = stream
+                    assert_frames_bitwise(last, flat)
+            assert svc.stats["streams_evicted"] == 1
+
+    def test_a_forgotten_eviction_still_raises(self, pstore):
+        """Past the last ``max_streams`` evictions an id is no longer
+        remembered, so a pull on it opens a new stream; the client
+        refuses the BASE unit that answers it mid-stream."""
+        thr = threshold_of(pstore)
+        with VisualizationService([pstore], max_streams=1) as svc:
+            with VisualizationClient(svc.address, **CLIENT_KW) as c:
+                streams = [c.iter_hybrid(0, thr, 32) for _ in range(3)]
+                for stream in streams:
+                    next(stream)
+                with pytest.raises(RemoteError, match="stream 1 was evicted"):
+                    next(streams[1])
+                with pytest.raises(RemoteError, match="unexpected stream unit BASE"):
+                    next(streams[0])
 
 
 class TestCodecs:

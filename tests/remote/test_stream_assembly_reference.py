@@ -3,22 +3,27 @@ they replaced.
 
 ``VisualizationClient.iter_hybrid`` once re-concatenated every row,
 point and density it had received and stable-argsorted them on each
-yield; it now sorts only the base sample for the first frame, then
-scatters each unit into ``n_total``-long arrays by its rows and yields
-the received rows in index order.  ``_recv_exact``
-once grew a buffer by ``extend`` and copied it out; it now receives
-into one buffer.  The replaced code is kept verbatim below (only the
-client's stats counters are left out of the stream body), and every
-recorded unit sequence -- live streams and reordered, padded or
-truncated ones -- must yield byte-equal frames from both, and every
-delivery pattern must give byte-equal messages.
+yield, so every yield was in row order.  It now appends each unit in
+arrival order to buffers allocated once per stream and yields
+read-only prefix views of them; only the complete frame is put in
+row order.  ``_recv_exact`` once grew a buffer by ``extend`` and
+copied it out; it now receives into one buffer.  The replaced code is
+kept verbatim below (only the client's stats counters are left out of
+the stream body).  On every recorded unit sequence -- live streams and
+reordered, padded or truncated ones -- each yield holds the units
+received so far in arrival order, equals the reference's yield once
+sorted by row, and is a prefix of the next; the complete frame and the
+errors equal the reference's.  Every delivery pattern must give
+byte-equal messages.
 
 The stream also checks what it used to count: a unit whose rows leave
 ``[0, n_total)``, repeat inside the unit, or repeat an earlier unit
 raises :class:`ProtocolError` instead of completing with wrong
-points.  And the service opens one span per unit it builds.
+points.  And the service opens one span per unit it builds, the
+client one per pull after the first.
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -62,7 +67,8 @@ def _recv_message_reference(sock) -> Message:
 
 def reference_iter_hybrid(pull, max_refinements=None):
     """``iter_hybrid`` from its first pull on, as it stood before the
-    scatter; ``pull`` returns one decoded LOD_FRAME."""
+    scatter, with every yield in row order; ``pull`` returns one
+    decoded LOD_FRAME."""
     _, kind, _, _, payload = pull()
     if kind != protocol.LodKind.BASE:
         raise RemoteError(f"expected BASE stream unit, got {kind.name}")
@@ -212,6 +218,13 @@ def replay_reference(replies, max_refinements=None):
     return frames, None
 
 
+def digest(frame):
+    h = hashlib.blake2b(digest_size=16)
+    for a in (frame.volume, frame.points, frame.point_densities):
+        h.update(a.tobytes())
+    return h.digest()
+
+
 def assert_frames_byte_equal(got, want):
     assert type(got) is type(want) is HybridFrame
     for name in ("volume", "points", "point_densities"):
@@ -225,12 +238,54 @@ def assert_frames_byte_equal(got, want):
     assert got.plot_type == want.plot_type
 
 
+def arrivals(replies, n_yields):
+    """What each of a stream's first ``n_yields`` yields must hold: the
+    rows, points and densities of the units received so far,
+    concatenated in arrival order, and whether every row and the exact
+    volume had arrived."""
+    _, _, _, _, payload = protocol.decode_lod_frame(replies[0])
+    base, rows, n_total = protocol.decode_lod_base(payload)
+    received = [(rows, base.points, base.point_densities)]
+    exact = False
+    out = []
+    for reply in replies[:n_yields]:
+        _, kind, _, _, payload = protocol.decode_lod_frame(reply)
+        if kind == LodKind.POINTS:
+            received.append(protocol.decode_lod_points(payload))
+        elif kind == LodKind.VOLUME:
+            exact = True
+        rows, pts, dens = (np.concatenate(a) for a in zip(*received))
+        out.append((rows, pts, dens, exact and len(rows) == n_total))
+    return out
+
+
+def in_row_order(frame, rows):
+    order = np.argsort(rows, kind="stable")
+    return HybridFrame(
+        volume=frame.volume, points=frame.points[order],
+        point_densities=frame.point_densities[order], lo=frame.lo, hi=frame.hi,
+        threshold=frame.threshold, step=frame.step, plot_type=frame.plot_type,
+    )
+
+
 def assert_same_stream(client, replies, max_refinements=None):
     frames, err = replay(client, replies, max_refinements)
     ref_frames, ref_err = replay_reference(replies, max_refinements)
     assert len(frames) == len(ref_frames)
-    for got, want in zip(frames, ref_frames):
-        assert_frames_byte_equal(got, want)
+    expected = arrivals(replies, len(frames)) if frames else []
+    for got, want, (rows, pts, dens, complete) in zip(frames, ref_frames, expected):
+        if complete:
+            assert_frames_byte_equal(got, want)
+            continue
+        assert got.points.tobytes() == pts.tobytes()
+        assert got.point_densities.tobytes() == dens.tobytes()
+        assert_frames_byte_equal(in_row_order(got, rows), want)
+    for a, b, (*_, complete) in zip(frames, frames[1:], expected[1:]):
+        if not complete:
+            assert b.points[: a.n_points].tobytes() == a.points.tobytes()
+            assert (
+                b.point_densities[: a.n_points].tobytes() == a.point_densities.tobytes()
+            )
     assert type(err) is type(ref_err)
     assert str(err) == str(ref_err)
     return frames
@@ -268,7 +323,8 @@ class TestStreamAssembly:
     def test_base_rows_out_of_order(self, pstore, client):
         """The wire does not order a unit's rows; the stored base
         happens to be sorted, so shuffle it (rows, points and densities
-        together) to pin the first frame's sort."""
+        together) to pin the wire order of the first frames and the
+        row order of the complete one."""
         seq = self._live_units(pstore, client)
         frame, rows, n_total = protocol.decode_lod_base(seq[0][1])
         perm = np.random.default_rng(6).permutation(len(rows))
@@ -320,6 +376,39 @@ class TestStreamAssembly:
         assert len(frames) == 3
 
 
+class TestPrefixViews:
+    """Intermediate yields are read-only views of one buffer that only
+    grows past them."""
+
+    def _live(self, pstore, client, pct=65):
+        frames, digests = [], []
+        for frame in client.iter_hybrid(0, threshold_of(pstore, pct), 32):
+            frames.append(frame)
+            digests.append(digest(frame))
+        assert len(frames) >= 4
+        return frames, digests
+
+    def test_writing_to_a_yield_raises(self, pstore, client):
+        frames, _ = self._live(pstore, client)
+        for frame in frames:
+            for a in (frame.points, frame.point_densities, frame.volume):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a.flat[:1] = 0.0
+
+    def test_yields_unchanged_when_the_stream_ends(self, pstore, client):
+        frames, digests = self._live(pstore, client)
+        assert [digest(f) for f in frames] == digests
+
+    def test_successive_yields_share_one_buffer(self, pstore, client):
+        frames, _ = self._live(pstore, client)
+        views = frames[1:-1]  # after the base frame, before the row-order one
+        for a, b in zip(views, views[1:]):
+            assert np.shares_memory(a.points, b.points)
+            assert np.shares_memory(a.point_densities, b.point_densities)
+        assert not np.shares_memory(frames[-1].points, views[-1].points)
+
+
 class TestStreamRowChecks:
     """Units whose rows do not tile ``[0, n_total)`` once are refused
     (the old count check let them complete with wrong points)."""
@@ -354,9 +443,9 @@ class TestStreamRowChecks:
         assert len(frames) == k
 
     def test_base_row_outside_the_halo(self, pstore, client):
-        """The first frame is the base sample sorted by its rows; the
-        base's rows are checked when it is scattered, before the next
-        unit is taken in."""
+        """The first frame is the base sample as decoded; the base's
+        rows are checked when it is appended, before the next unit is
+        taken in."""
         seq = units(record(client, threshold_of(pstore, 60), 32))
         frame, rows, n_total = protocol.decode_lod_base(seq[0][1])
         rows[0] = n_total
@@ -500,3 +589,22 @@ class TestServiceUnitSpans:
             if protocol.decode_lod_frame(r)[1] in (LodKind.POINTS, LodKind.VOLUME)
         )
         assert tracer.counters["service_unit_bytes"] == unit_bytes
+
+
+class TestClientUnitSpans:
+    def test_one_span_per_pull_after_the_first(self, pstore, client):
+        with capture(enabled=True) as tracer:
+            replies = record(client, threshold_of(pstore, 70), 32)
+        spans = tracer.spans
+        kinds = [protocol.decode_lod_frame(r)[1] for r in replies]
+        assert kinds[0] == LodKind.BASE and kinds[-1] == LodKind.DONE
+        assert spans["remote_stream_open"]["count"] == 1
+        # the units and DONE, each at the top level, not under the open
+        assert spans["remote_stream_unit"]["count"] == len(kinds) - 1
+        assert not [p for p in spans if p.startswith("remote_stream_open/")]
+
+    def test_a_stopped_stream_spans_its_units(self, pstore, client):
+        with capture(enabled=True) as tracer:
+            frames = list(client.iter_hybrid(0, threshold_of(pstore, 70), 32, max_refinements=2))
+        assert len(frames) == 3
+        assert tracer.spans["remote_stream_unit"]["count"] == 2
